@@ -62,6 +62,29 @@ def _norm(a):
     return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
 
 
+def _lelieuvre_sum(v, f0):
+    """Sum the Lelieuvre edge increments of the (M1, M2, 3) conormal v.
+
+    Increments are v x T1 v along axis 1 and -(v x T2 v) along axis 2,
+    accumulated from f0 along the canonical path (axis 1 first).  Shared
+    by the sampled-grid and the lattice integrators.
+    """
+    d1 = np.cross(v[:-1, 0], v[1:, 0])  # only the first column is summed along axis 1
+    d2 = -np.cross(v[:, :-1], v[:, 1:])
+    f = np.empty(v.shape[:2] + (3,))
+    f[0, 0] = np.asarray(f0, dtype=float)
+    f[1:, 0] = f[0, 0] + np.cumsum(d1, axis=0)
+    f[:, 1:] = f[:, :1] + np.cumsum(d2, axis=1)
+    return f
+
+
+def _homogeneous_lift(bf, bn):
+    """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
+    f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
+    nu4 = np.concatenate([bn, (bf * bn).sum(axis=-1)[..., None]], axis=-1)
+    return f4, nu4
+
+
 def closure_residual(nu: FieldGrid, stencil: int = 2):
     """Pointwise defect of bnu_xy from the bnu direction (interior only).
 
@@ -98,15 +121,7 @@ def classical_lelieuvre_integrate(nu: FieldGrid, f0, sigma: int = 1, closure_tol
             f"closure condition violated (residual {float(np.max(res)):.3e}) near interior cell {tuple(int(i) for i in k)}",
             site=tuple(int(i) for i in k),
         )
-    v = nu.values
-    d1 = np.cross(v[:-1, :], v[1:, :])
-    d2 = -np.cross(v[:, :-1], v[:, 1:])
-    nx, ny = nu.dims
-    f = np.empty((nx, ny, 3))
-    f[0, 0] = np.asarray(f0, dtype=float)
-    f[1:, 0] = f[0, 0] + np.cumsum(d1[:, 0], axis=0)
-    f[:, 1:] = f[:, :1] + np.cumsum(d2, axis=1)
-    return FieldGrid(origin=nu.origin, spacing=nu.spacing, values=f)
+    return FieldGrid(origin=nu.origin, spacing=nu.spacing, values=_lelieuvre_sum(nu.values, f0))
 
 
 def lift_affine(pairg: AffineSurfacePair):
@@ -115,9 +130,7 @@ def lift_affine(pairg: AffineSurfacePair):
     The lifted pair satisfies the full projective relations, so every
     homogeneous-coordinate report applies to it downstream.
     """
-    bf, bn = pairg.f.values, pairg.nu.values
-    f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
-    nu4 = np.concatenate([bn, (bf * bn).sum(axis=-1)[..., None]], axis=-1)
+    f4, nu4 = _homogeneous_lift(pairg.f.values, pairg.nu.values)
     mk = lambda vals: FieldGrid(origin=pairg.f.origin, spacing=pairg.f.spacing, values=vals)
     return mk(f4), mk(nu4)
 

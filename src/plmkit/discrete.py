@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .affine import _homogeneous_lift, _lelieuvre_sum
 from .errors import (
     BoundaryError,
     ClosureError,
@@ -65,11 +66,6 @@ class MoutardCoeff:
         object.__setattr__(self, "values", v)
         if not np.all(np.isfinite(v)):
             raise DomainError("Moutard coefficient contains non-finite entries")
-
-    def at(self, n1, n2):
-        if self.values.ndim == 0:
-            return float(self.values)
-        return float(self.values[n1, n2])
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,14 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
     initial_row is nu(n1, 0) for n1 = 0..M1-1, initial_col is nu(0, n2)
     for n2 = 0..M2-1 (they must share the corner value); the interior is
     nu(n1+1, n2+1) = H (nu(n1+1, n2) + nu(n1, n2+1)) - nu(n1, n2).
+    H is a scalar or an array of shape at least (M1-1, M2-1), indexed by
+    the plaquette's lower corner (n1, n2).
+
+    The lattice is filled one anti-diagonal n1 + n2 = k at a time, in
+    increasing k: every site on diagonal k depends only on diagonals k-1
+    and k-2.  Each site gets the same arithmetic as a site-by-site fill.
+    A non-finite value raises EvolutionOverflowError at the first
+    non-finite interior site in (n2 outer, n1 inner) order.
     """
     row = np.asarray(initial_row, dtype=float)
     col = np.asarray(initial_col, dtype=float)
@@ -163,18 +167,26 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
     if not isinstance(H, MoutardCoeff):
         H = MoutardCoeff(np.asarray(H, dtype=float))
     m1, m2 = row.shape[0], col.shape[0]
+    hv = H.values
+    if not (hv.ndim == 0 or (hv.ndim == 2 and hv.shape[0] >= m1 - 1 and hv.shape[1] >= m2 - 1)):
+        raise DomainError(
+            f"Moutard coefficient of shape {hv.shape} does not cover the {m1 - 1}x{m2 - 1} plaquettes"
+        )
+    h = hv[: m1 - 1, : m2 - 1] if hv.ndim else np.broadcast_to(hv, (m1 - 1, m2 - 1))
     v = np.empty((m1, m2, row.shape[1]))
     v[:, 0] = row
     v[0, :] = col
     with np.errstate(over="ignore", invalid="ignore"):
-        for n2 in range(m2 - 1):
-            for n1 in range(m1 - 1):
-                h = H.at(n1, n2)
-                v[n1 + 1, n2 + 1] = h * (v[n1 + 1, n2] + v[n1, n2 + 1]) - v[n1, n2]
-                if not np.all(np.isfinite(v[n1 + 1, n2 + 1])):
-                    raise EvolutionOverflowError(
-                        f"non-finite value at site ({n1 + 1}, {n2 + 1})", site=(n1 + 1, n2 + 1)
-                    )
+        for k in range(2, m1 + m2 - 1):
+            i = np.arange(max(1, k - m2 + 1), min(m1, k))
+            j = k - i
+            v[i, j] = h[i - 1, j - 1, None] * (v[i, j - 1] + v[i - 1, j]) - v[i - 1, j - 1]
+    # transposed, so the flat argmax follows the (n2 outer, n1 inner) order
+    bad = ~np.isfinite(v[1:, 1:]).all(axis=-1).T
+    if bad.any():
+        n2, n1 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        site = (int(n1) + 1, int(n2) + 1)
+        raise EvolutionOverflowError(f"non-finite value at site {site}", site=site)
     return LatticeField(values=v)
 
 
@@ -210,24 +222,14 @@ def discrete_affine_integrate(nu: LatticeField, f0, tol: float = 1e-10) -> Latti
             f"Moutard closure violated (residual {float(np.max(res)):.3e}) at plaquette {tuple(int(s) for s in site)}",
             site=tuple(int(s) for s in site),
         )
-    v = nu.values
-    d1 = np.cross(v[:-1, :], v[1:, :])  # (M1-1, M2, 3)
-    d2 = -np.cross(v[:, :-1], v[:, 1:])  # (M1, M2-1, 3)
-    m1, m2 = nu.extent
-    f = np.empty((m1, m2, 3))
-    f[0, 0] = np.asarray(f0, dtype=float)
-    f[1:, 0] = f[0, 0] + np.cumsum(d1[:, 0], axis=0)
-    f[:, 1:] = f[:, :1] + np.cumsum(d2, axis=1)
-    return LatticeField(values=f, base=nu.base)
+    return LatticeField(values=_lelieuvre_sum(nu.values, f0), base=nu.base)
 
 
 def lift_to_projective(pairn: DiscreteSurfacePair) -> DiscreteSurfacePair:
     """Homogeneous lift of an affine pair: f = (bf, -1), nu = (bnu, <bf, bnu>)."""
     if pairn.gauge != "affine":
         raise DomainError("lift_to_projective expects an affine pair")
-    bf, bn = pairn.f.values, pairn.nu.values
-    f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
-    nu4 = np.concatenate([bn, (bf * bn).sum(axis=-1)[..., None]], axis=-1)
+    f4, nu4 = _homogeneous_lift(pairn.f.values, pairn.nu.values)
     return DiscreteSurfacePair(
         nu=LatticeField(values=nu4, base=pairn.nu.base),
         f=LatticeField(values=f4, base=pairn.f.base),

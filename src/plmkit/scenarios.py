@@ -218,8 +218,15 @@ def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
     )
 
 
+def _check_lattice_size(size):
+    # the Omega3 identities pair three consecutive sites along each axis
+    if size < 3:
+        raise DomainError(f"lattice size must be at least 3, got {size}")
+
+
 def _hypar_lattice(h=0.1, size=8):
     """Discrete bilinear saddle: the affine conormal is linear in the sites."""
+    _check_lattice_size(size)
     n1, n2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     bn = np.stack([-n2 * h, -n1 * h, np.ones_like(n1, dtype=float)], axis=-1)
     nu3 = LatticeField(values=bn)
@@ -244,6 +251,7 @@ def _moutard_random(seed=42, size=32, hmin=0.9, hmax=1.1, h=0.1, amp=0.01):
     perturbation; the plaquette coefficient is uniform in [hmin, hmax].
     All identities hold by construction, none in closed form.
     """
+    _check_lattice_size(size)
     rng = np.random.default_rng(seed)
     H = MoutardCoeff(rng.uniform(hmin, hmax, size=(size - 1, size - 1)))
     n = np.arange(size, dtype=float)

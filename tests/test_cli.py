@@ -89,6 +89,21 @@ def test_verify_usage_errors(capsys):
     assert "available" in err
 
 
+@pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_verify_tiny_lattice_is_usage_error(capsys, name, size):
+    code, _, err = run(capsys, "verify", "--scenario", name, "--size", str(size))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "at least 3" in err
+
+
+@pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])
+def test_verify_smallest_lattice_passes(capsys, name):
+    code, _, _ = run(capsys, "verify", "--scenario", name, "--size", "3")
+    assert code == 0
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "verify", "--nu", "/nonexistent.csv", "--f", "/x.csv",
                        "--suite", "smooth-asymptotic")

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plmkit.discrete import (
     DiscreteSurfacePair,
@@ -56,13 +59,86 @@ def test_moutard_corner_mismatch_rejected():
         moutard_evolve(row, col, MoutardCoeff(np.ones((3, 3))))
 
 
+def _moutard_evolve_loop(initial_row, initial_col, H):
+    """Site-by-site Moutard fill, n2 outer and n1 inner: the reference."""
+    row = np.asarray(initial_row, dtype=float)
+    col = np.asarray(initial_col, dtype=float)
+    hv = np.asarray(H, dtype=float)
+    m1, m2 = row.shape[0], col.shape[0]
+    v = np.empty((m1, m2, row.shape[1]))
+    v[:, 0] = row
+    v[0, :] = col
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n2 in range(m2 - 1):
+            for n1 in range(m1 - 1):
+                h = float(hv) if hv.ndim == 0 else float(hv[n1, n2])
+                v[n1 + 1, n2 + 1] = h * (v[n1 + 1, n2] + v[n1, n2 + 1]) - v[n1, n2]
+                if not np.all(np.isfinite(v[n1 + 1, n2 + 1])):
+                    raise EvolutionOverflowError(
+                        f"non-finite value at site ({n1 + 1}, {n2 + 1})", site=(n1 + 1, n2 + 1)
+                    )
+    return v
+
+
+def _assert_same_overflow(row, col, H):
+    with pytest.raises(EvolutionOverflowError) as ref:
+        _moutard_evolve_loop(row, col, H)
+    with pytest.raises(EvolutionOverflowError) as err:
+        moutard_evolve(row, col, MoutardCoeff(H))
+    assert err.value.site == ref.value.site
+    assert str(err.value) == str(ref.value)
+    return err.value.site
+
+
+bounded = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def moutard_data(draw):
+    """Strips sharing a corner, and a scalar or an (over)sized array H."""
+    m1, m2, d = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.sampled_from([3, 4]))
+    row = draw(hnp.arrays(float, (m1, d), elements=bounded))
+    col = draw(hnp.arrays(float, (m2, d), elements=bounded))
+    col[0] = row[0]
+    if draw(st.booleans()):
+        H = np.asarray(draw(bounded))
+    else:
+        e1, e2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        H = draw(hnp.arrays(float, (m1 - 1 + e1, m2 - 1 + e2), elements=bounded))
+    return row, col, H
+
+
+@settings(max_examples=80, deadline=None)
+@given(moutard_data())
+def test_moutard_evolve_matches_loop_reference(data):
+    row, col, H = data
+    ref = _moutard_evolve_loop(row, col, H)
+    assert np.array_equal(moutard_evolve(row, col, H).values, ref)
+    assert np.array_equal(moutard_evolve(row, col, MoutardCoeff(H)).values, ref)
+
+
 def test_moutard_overflow_reports_site():
     row = np.ones((40, 3))
     col = np.ones((40, 3))
-    H = MoutardCoeff(np.full((39, 39), 1e200))
-    with pytest.raises(EvolutionOverflowError) as err:
-        moutard_evolve(row, col, H)
-    assert err.value.site is not None
+    H = np.full((39, 39), 1e200)
+    assert _assert_same_overflow(row, col, H) is not None
+
+
+def test_moutard_overflow_site_follows_loop_order():
+    # two overflow origins: (1, 2) on anti-diagonal 3 is non-finite first in
+    # diagonal order, (8, 1) on diagonal 9 is first in (n2 outer, n1 inner) order
+    row = np.ones((10, 3))
+    col = np.ones((10, 3))
+    H = np.ones((9, 9))
+    H[0, 1] = 1e308
+    H[7, 0] = 1e308
+    assert _assert_same_overflow(row, col, H) == (8, 1)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (3, 3, 1)])
+def test_moutard_coefficient_shape_rejected(shape):
+    with pytest.raises(DomainError):
+        moutard_evolve(np.ones((4, 3)), np.ones((4, 3)), MoutardCoeff(np.ones(shape)))
 
 
 # --- affine integration ---------------------------------------------------
