@@ -94,7 +94,6 @@ from .smooth import (
     det_families,
     det_invariance_report,
     fubini_forms,
-    inverse_reconstruct_point,
     orthogonality_report,
     plm_residual,
     reconstruct_field,

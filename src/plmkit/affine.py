@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
 from .fields import FieldGrid, jet_grid
-from .multilinear import det_n, pair
+from .multilinear import _norm, det_n, pair
 from .report import InvariantReport
 
 __all__ = [
@@ -56,10 +56,6 @@ class AffineForms:
     F: np.ndarray
     A_cubic: np.ndarray
     B_cubic: np.ndarray
-
-
-def _norm(a):
-    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
 
 
 def _lelieuvre_sum(v, f0):

@@ -64,13 +64,6 @@ def _scenario_from_args(args):
         params["size"] = args.size
     if getattr(args, "h", None) is not None:
         params["h"] = args.h
-    import inspect
-
-    from .scenarios import _REGISTRY
-
-    if args.scenario in _REGISTRY:
-        accepted = set(inspect.signature(_REGISTRY[args.scenario]).parameters)
-        params = {k: v for k, v in params.items() if k in accepted}
     return scenario(args.scenario, **params)
 
 

@@ -33,7 +33,7 @@ from .errors import (
     NotCompatibleError,
 )
 from .fields import LatticeField
-from .multilinear import cross_n, det_n, hodge_star, pair, wedge2
+from .multilinear import _fro, _norm, cross_n, det_n, hodge_star, pair, wedge2
 from .report import InvariantReport
 
 __all__ = [
@@ -133,14 +133,6 @@ class DiscreteCompat:
     c1_pairing_residual: Optional[np.ndarray] = None
     a2_pairing_residual: Optional[np.ndarray] = None
     c2_pairing_residual: Optional[np.ndarray] = None
-
-
-def _norm(a):
-    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
-
-
-def _fro(B):
-    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
 
 
 def moutard_evolve(initial_row, initial_col, H) -> LatticeField:

@@ -1,13 +1,23 @@
-"""Sampled vector fields on uniform grids and integer lattices.
+"""Sampled fields: uniform grids, integer lattices, jets and CSV tables.
 
 ``FieldGrid`` holds a d-component field over a uniform 2-D parameter box,
 ``LatticeField`` a field over integer sites with shift operators, and
 ``jet_at`` / ``jet_grid`` extract central-difference jets (derivatives up
-to third order) at 2nd or 4th accuracy order.  CSV round-trip I/O uses
-repr-precision floats so write-then-read is bitwise lossless.
+to third order) at 2nd or 4th accuracy order.  The same n-axis stencil
+engine computes the hypersurface jets of :mod:`plmkit.hyper`.
+
+Every sampled field is stored in one CSV layout: a header naming the
+coordinate columns and then the value columns, and one row per site.
+The writer varies the first axis fastest and writes repr-precision
+floats, so write-then-read is bitwise lossless; integer lattice sites
+are written as integers.  The reader places each row by its
+coordinates, so rows may come in any order, and rejects a file unless
+every site of a uniform box appears exactly once (lattice sites must be
+the integers 0..M-1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -59,10 +69,10 @@ class FieldGrid:
         return self.values.shape[2]
 
     def xs(self):
-        return self.origin[0] + self.spacing[0] * np.arange(self.dims[0])
+        return self.origin[0] + self.spacing[0] * np.arange(self.dims[0], dtype=float)
 
     def ys(self):
-        return self.origin[1] + self.spacing[1] * np.arange(self.dims[1])
+        return self.origin[1] + self.spacing[1] * np.arange(self.dims[1], dtype=float)
 
 
 @dataclass
@@ -141,26 +151,76 @@ _STENCILS = {
 
 
 def _margin(stencil, order):
-    # widest one-sided reach of any stencil used at this request
+    """Widest one-sided reach of any stencil used at this request."""
+    if order not in (2, 3):
+        raise DomainError("order must be 2 or 3")
+    if stencil not in (2, 4):
+        raise DomainError("stencil must be 2 or 4")
     m = 1 if stencil == 2 else 2
+    return m + 1 if order >= 3 else m
+
+
+def _check_fits(dims, m):
+    if any(N < 2 * m + 1 for N in dims):
+        raise BoundaryError(f"grid dims {tuple(dims)} smaller than stencil width {2 * m + 1}")
+
+
+def _interior(v, m):
+    """Samples of v (N1, ..., Nn, d) at least m sites from every edge."""
+    return v[tuple(slice(m, N - m) for N in v.shape[:-1])]
+
+
+def _difference(v, spacing, m, stencil, parts):
+    """Central difference of v over its m-interior.
+
+    ``parts`` lists (axis, derivative order) pairs; more than one pair
+    gives the tensor-product stencil of a mixed partial, summed with the
+    first pair's offsets outermost.
+    """
+    taps = [list(zip(*_STENCILS[(stencil, p)][:2])) for _, p in parts]
+    out = None
+    for combo in product(*taps):
+        shift = [0] * (v.ndim - 1)
+        w = 1.0
+        for (axis, _), (off, wt) in zip(parts, combo):
+            shift[axis] = off
+            w *= wt
+        term = w * v[tuple(slice(m + s, N - m + s) for s, N in zip(shift, v.shape))]
+        out = term if out is None else out + term
+    h = 1.0
+    for axis, p in parts:
+        h *= spacing[axis] ** _STENCILS[(stencil, p)][2]
+    return out / h
+
+
+def _jets(v, spacing, m, order, stencil):
+    """Jet arrays of a 2-D sampled field over its m-interior."""
+    _check_fits(v.shape[:2], m)
+
+    def d(*parts):
+        return _difference(v, spacing, m, stencil, parts)
+
+    jets = dict(value=_interior(v, m), d_x=d((0, 1)), d_y=d((1, 1)), d_xx=d((0, 2)), d_xy=d((0, 1), (1, 1)),
+                d_yy=d((1, 2)))
     if order >= 3:
-        m = 2 if stencil == 2 else 3
-    return m
+        jets.update(d_xxx=d((0, 3)), d_yyy=d((1, 3)))
+    return jets
 
 
 def jet_at(grid: FieldGrid, i: int, j: int, order: int = 2, stencil: int = 2) -> JetRecord:
     """Finite-difference jet at interior grid index (i, j).
 
     ``order`` is the highest derivative (2 or 3); ``stencil`` the design
-    accuracy order (2 or 4).  Raises :class:`BoundaryError` when the
-    stencil does not fit.
+    accuracy order (2 or 4).  Only the stencil window around (i, j) is
+    evaluated.  Raises :class:`BoundaryError` when the stencil does not
+    fit.
     """
-    jg = jet_grid(grid, order=order, stencil=stencil)
     m = _margin(stencil, order)
-    ii, jj = i - m, j - m
-    if not (0 <= ii < jg.shape[0] and 0 <= jj < jg.shape[1]):
+    nx, ny = grid.dims
+    if not (m <= i < nx - m and m <= j < ny - m):
         raise BoundaryError(f"point ({i}, {j}) too close to the boundary for stencil {stencil}, order {order}")
-    return jg.at(ii, jj)
+    window = grid.values[i - m : i + m + 1, j - m : j + m + 1]
+    return JetRecord(**{k: a[0, 0] for k, a in _jets(window, grid.spacing, m, order, stencil).items()})
 
 
 def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2) -> JetGrid:
@@ -169,54 +229,10 @@ def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2) -> JetGrid:
     The interior margin is the widest stencil reach; derivatives are
     never one-sided.
     """
-    if order not in (2, 3):
-        raise DomainError("order must be 2 or 3")
-    if stencil not in (2, 4):
-        raise DomainError("stencil must be 2 or 4")
     m = _margin(stencil, order)
     nx, ny = grid.dims
-    if nx < 2 * m + 1 or ny < 2 * m + 1:
-        raise BoundaryError(f"grid dims {grid.dims} smaller than stencil width {2 * m + 1}")
-    hx, hy = grid.spacing
-    v = grid.values
-
-    def dv(axis, deriv):
-        h = hx if axis == 0 else hy
-        offsets, weights, hpow = _STENCILS[(stencil, deriv)]
-        out = None
-        for off, w in zip(offsets, weights):
-            sl = [slice(None)] * 3
-            sl[axis] = slice(m + off, v.shape[axis] - m + off)
-            sl[1 - axis] = slice(m, v.shape[1 - axis] - m)
-            term = w * v[tuple(sl)]
-            out = term if out is None else out + term
-        return out / h**hpow
-
-    def dxy():
-        ox, wx, _ = _STENCILS[(stencil, 1)]
-        oy, wy, _ = _STENCILS[(stencil, 1)]
-        out = None
-        for ax, awx in zip(ox, wx):
-            for ay, awy in zip(oy, wy):
-                term = (awx * awy) * v[m + ax : nx - m + ax, m + ay : ny - m + ay]
-                out = term if out is None else out + term
-        return out / (hx * hy)
-
-    core = v[m : nx - m, m : ny - m]
-    jg = JetGrid(
-        xs=grid.xs()[m : nx - m],
-        ys=grid.ys()[m : ny - m],
-        value=core,
-        d_x=dv(0, 1),
-        d_y=dv(1, 1),
-        d_xx=dv(0, 2),
-        d_xy=dxy(),
-        d_yy=dv(1, 2),
-    )
-    if order >= 3:
-        jg.d_xxx = dv(0, 3)
-        jg.d_yyy = dv(1, 3)
-    return jg
+    jets = _jets(grid.values, grid.spacing, m, order, stencil)
+    return JetGrid(xs=grid.xs()[m : nx - m], ys=grid.ys()[m : ny - m], **jets)
 
 
 @dataclass(frozen=True)
@@ -272,110 +288,131 @@ def shift(lat: LatticeField, direction: int, steps: int) -> LatticeField:
     return LatticeField(values=lat.values[tuple(sl)], base=tuple(base))
 
 
-def _fmt(x):
-    return repr(float(x))
+def _names(prefix, k):
+    return [f"{prefix}{i + 1}" for i in range(k)]
+
+
+def _numbered_axes(values, lo, hi):
+    """Column rule for a header x1..xn followed by ``values(n)``, n in lo..hi."""
+
+    def columns(header):
+        n = 0
+        while n < len(header) and header[n] == f"x{n + 1}":
+            n += 1
+        n = min(max(n, lo), hi)
+        return _names("x", n) + values(n), n
+
+    return columns
+
+
+def _write_table(path, names, coords, values):
+    """Write one CSV row per site, first axis fastest.
+
+    ``coords[a]`` holds the coordinates along axis a: an integer array is
+    written as integers, any other as repr floats.  ``values`` has shape
+    (N1, ..., Nn, k).  Each first-axis line is converted with one
+    ``tolist`` call.
+    """
+    cells = [[repr(c) for c in axis.tolist()] for axis in coords]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for outer in product(*(range(N) for N in reversed(values.shape[1:-1]))):
+            site = outer[::-1]
+            rest = "".join(f",{cells[a + 1][k]}" for a, k in enumerate(site))
+            line = values[(slice(None),) + site].tolist()
+            fh.writelines(f"{x}{rest},{','.join(map(repr, row))}\n" for x, row in zip(cells[0], line))
+
+
+def _line_of(lines, row):
+    """File line number of data row ``row``; blank lines hold no row."""
+    return [ln for ln, raw in enumerate(lines[1:], start=2) if raw.strip()][row]
+
+
+def _read_table(path, columns, lattice=False):
+    """Read a CSV table into (origin, spacing, values).
+
+    ``columns(header)`` returns the expected header cells and the number
+    n of coordinate columns; the remaining k columns are values.  Each
+    row is placed by its coordinates, and every site of a uniform n-box
+    must appear exactly once; with ``lattice`` the coordinates must be
+    the integers 0..M-1.  ``values`` has shape (N1, ..., Nn, k).
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=0)
+    header = [c.strip() for c in lines[0].split(",")]
+    want, n = columns(header)
+    if header != want:
+        raise ParseError(f"expected columns {','.join(want)}, got {','.join(header)}", line=1)
+    width, last = len(want), len(lines)
+    rows = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != width:
+            short = len(cells) < width
+            raise ParseError(f"missing column {want[len(cells)]}" if short else
+                             f"expected {width} columns, got {len(cells)}", line=ln)
+        try:
+            rows.extend(map(float, cells))
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=ln) from None
+    if not rows:
+        raise ParseError("no data rows", line=last)
+    rows = np.array(rows).reshape(-1, width)
+    sites = rows[:, :n]
+    bad = ~np.isfinite(sites).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite coordinate", line=_line_of(lines, np.argmax(bad)))
+    axes = [np.unique(sites[:, a]) for a in range(n)]
+    for name, u in zip(want, axes):
+        if lattice:
+            if not np.array_equal(u, np.arange(len(u))):
+                raise ParseError(f"{name} must take the integer values 0..M-1", line=last)
+        elif len(u) > 1:
+            du = np.diff(u)
+            if np.max(np.abs(du - du[0])) > 1e-12 * max(abs(du[0]), 1e-300):
+                raise ParseError(f"non-uniform spacing along {name}", line=last)
+    dims = tuple(len(u) for u in axes)
+    size = int(np.prod(dims))
+    if size != len(rows):
+        raise ParseError(f"{len(rows)} rows for a {'x'.join(map(str, dims))} grid: a site is missing or repeated",
+                         line=last)
+    flat = np.ravel_multi_index([np.searchsorted(u, sites[:, a]) for a, u in enumerate(axes)], dims)
+    count = np.bincount(flat, minlength=size)
+    if count.max() > 1:
+        first, again = np.flatnonzero(flat == np.argmax(count))[:2]
+        site = ",".join(repr(float(c)) for c in sites[again])
+        raise ParseError(f"site ({site}) appears twice, first on line {_line_of(lines, first)}",
+                         line=_line_of(lines, again))
+    values = np.empty((size, width - n))
+    values[flat] = rows[:, n:]
+    origin = tuple(float(u[0]) for u in axes)
+    spacing = tuple(float(u[1] - u[0]) if len(u) > 1 else 1.0 for u in axes)
+    return origin, spacing, values.reshape(dims + (width - n,))
 
 
 def write_grid(grid: FieldGrid, path):
-    """Grid CSV: header x,y,v1..vd; rows row-major (y outer, x inner)."""
-    d = grid.ncomp
-    xs, ys = grid.xs(), grid.ys()
-    with open(path, "w") as fh:
-        fh.write("x,y," + ",".join(f"v{k + 1}" for k in range(d)) + "\n")
-        for j in range(grid.dims[1]):
-            for i in range(grid.dims[0]):
-                row = [_fmt(xs[i]), _fmt(ys[j])] + [_fmt(c) for c in grid.values[i, j]]
-                fh.write(",".join(row) + "\n")
+    """Grid CSV: columns x,y,v1..vd."""
+    _write_table(path, ["x", "y"] + _names("v", grid.ncomp), [grid.xs(), grid.ys()], grid.values)
 
 
 def read_grid(path) -> FieldGrid:
     """Parse a grid CSV, validating uniform spacing to 1e-12 relative."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=0)
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[:2] != ["x", "y"]:
-        raise ParseError("grid CSV must start with columns x,y", line=1)
-    d = len(header) - 2
-    if d < 1 or header[2:] != [f"v{k + 1}" for k in range(d)]:
-        raise ParseError(f"expected value columns v1..v{max(d, 1)}, got {header[2:]}", line=1)
-    xs, ys, vals = [], [], []
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 2 + d:
-            missing = header[len(cells)] if len(cells) < len(header) else None
-            what = f"missing column {missing}" if missing else f"expected {2 + d} columns, got {len(cells)}"
-            raise ParseError(what, line=ln)
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=ln) from None
-        xs.append(nums[0])
-        ys.append(nums[1])
-        vals.append(nums[2:])
-    xs = np.array(xs)
-    ys = np.array(ys)
-    ux = np.unique(xs)
-    uy = np.unique(ys)
-    nx, ny = len(ux), len(uy)
-    if nx * ny != len(xs):
-        raise ParseError(f"inconsistent grid dims: {nx}x{ny} points expected, {len(xs)} rows found", line=len(lines))
-    for u, name in ((ux, "x"), (uy, "y")):
-        if len(u) > 1:
-            du = np.diff(u)
-            if np.max(np.abs(du - du[0])) > 1e-12 * max(abs(du[0]), 1e-300):
-                raise ParseError(f"non-uniform spacing along {name}", line=len(lines))
-    values = np.array(vals).reshape(ny, nx, d).transpose(1, 0, 2)
-    hx = ux[1] - ux[0] if nx > 1 else 1.0
-    hy = uy[1] - uy[0] if ny > 1 else 1.0
-    return FieldGrid(origin=(ux[0], uy[0]), spacing=(hx, hy), values=values)
+    origin, spacing, values = _read_table(path, lambda h: (["x", "y"] + _names("v", max(len(h) - 2, 1)), 2))
+    return FieldGrid(origin=origin, spacing=spacing, values=values)
 
 
 def write_lattice(lat: LatticeField, path):
-    """Lattice CSV: header n1,n2,v1..vd; integer sites."""
-    d = lat.ncomp
-    with open(path, "w") as fh:
-        fh.write("n1,n2," + ",".join(f"v{k + 1}" for k in range(d)) + "\n")
-        for n2 in range(lat.extent[1]):
-            for n1 in range(lat.extent[0]):
-                row = [str(n1), str(n2)] + [_fmt(c) for c in lat.values[n1, n2]]
-                fh.write(",".join(row) + "\n")
+    """Lattice CSV: columns n1,n2,v1..vd; integer sites."""
+    coords = [np.arange(m) for m in lat.extent]
+    _write_table(path, ["n1", "n2"] + _names("v", lat.ncomp), coords, lat.values)
 
 
 def read_lattice(path) -> LatticeField:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=0)
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[:2] != ["n1", "n2"]:
-        raise ParseError("lattice CSV must start with columns n1,n2", line=1)
-    d = len(header) - 2
-    if d not in (3, 4) or header[2:] != [f"v{k + 1}" for k in range(d)]:
-        raise ParseError(f"expected value columns v1..v{max(d, 1)}, got {header[2:]}", line=1)
-    sites, vals = [], []
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 2 + d:
-            raise ParseError(f"expected {2 + d} columns, got {len(cells)}", line=ln)
-        try:
-            n1, n2 = int(cells[0]), int(cells[1])
-            nums = [float(c) for c in cells[2:]]
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=ln) from None
-        sites.append((n1, n2))
-        vals.append(nums)
-    n1s = sorted({s[0] for s in sites})
-    n2s = sorted({s[1] for s in sites})
-    m1, m2 = len(n1s), len(n2s)
-    if n1s != list(range(m1)) or n2s != list(range(m2)) or m1 * m2 != len(sites):
-        raise ParseError("lattice sites must cover a full rectangle [0,M1)x[0,M2)", line=len(lines))
-    values = np.empty((m1, m2, d))
-    for (n1, n2), row in zip(sites, vals):
-        values[n1, n2] = row
+    """Parse a lattice CSV with 3 or 4 value columns over sites [0,M1)x[0,M2)."""
+    _, _, values = _read_table(path, lambda h: (["n1", "n2"] + _names("v", min(max(len(h) - 2, 3), 4)), 2),
+                               lattice=True)
     return LatticeField(values=values)

@@ -20,19 +20,21 @@ residual.
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BoundaryError,
-    DegeneratePointError,
-    DomainError,
-    ParseError,
-    PivotMismatchError,
+from .errors import DegeneratePointError, DomainError, PivotMismatchError
+from .fields import (
+    _check_fits,
+    _difference,
+    _interior,
+    _margin,
+    _names,
+    _numbered_axes,
+    _read_table,
+    _write_table,
 )
-from .fields import _STENCILS
-from .multilinear import cross_n, det_n, pair, star_of_wedge, wedge2
+from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
 __all__ = [
@@ -112,7 +114,7 @@ class HyperGrid:
         return self.values.shape[:-1]
 
     def axis_coords(self, a):
-        return self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
+        return self.origin[a] + self.spacing[a] * np.arange(self.dims[a], dtype=float)
 
 
 @dataclass
@@ -152,55 +154,16 @@ class HyperJet:
 
 def hyper_jet_grid(grid: HyperGrid, stencil: int = 2) -> HyperJet:
     """Central-difference second-order jets at every interior point."""
-    if stencil not in (2, 4):
-        raise DomainError("stencil must be 2 or 4")
-    m = 1 if stencil == 2 else 2
+    m = _margin(stencil, 2)
+    _check_fits(grid.dims, m)
+
+    def d(*parts):
+        return _difference(grid.values, grid.spacing, m, stencil, parts)
+
     n = grid.n
-    dims = grid.dims
-    if any(N < 2 * m + 1 for N in dims):
-        raise BoundaryError(f"grid dims {dims} smaller than stencil width {2 * m + 1}")
-    v = grid.values
-
-    def shifted(offsets):
-        sl = tuple(slice(m + o, dims[a] - m + o) for a, o in enumerate(offsets)) + (slice(None),)
-        return v[sl]
-
-    def dv(axis, deriv):
-        offs, wts, hpow = _STENCILS[(stencil, deriv)]
-        out = None
-        for o, w in zip(offs, wts):
-            shift = [0] * n
-            shift[axis] = o
-            term = w * shifted(shift)
-            out = term if out is None else out + term
-        return out / grid.spacing[axis] ** hpow
-
-    def dmixed(ax1, ax2):
-        offs, wts, _ = _STENCILS[(stencil, 1)]
-        out = None
-        for o1, w1 in zip(offs, wts):
-            for o2, w2 in zip(offs, wts):
-                shift = [0] * n
-                shift[ax1], shift[ax2] = o1, o2
-                term = (w1 * w2) * shifted(shift)
-                out = term if out is None else out + term
-        return out / (grid.spacing[ax1] * grid.spacing[ax2])
-
-    d1 = np.stack([dv(a, 1) for a in range(n)], axis=-2)
-    rows = []
-    for a in range(n):
-        row = [dv(a, 2) if a == c else dmixed(a, c) for c in range(n)]
-        rows.append(np.stack(row, axis=-2))
-    d2 = np.stack(rows, axis=-3)
-    return HyperJet(value=shifted([0] * n), d1=d1, d2=d2)
-
-
-def _norm(a):
-    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
-
-
-def _fro(B):
-    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
+    d1 = np.stack([d((a, 1)) for a in range(n)], axis=-2)
+    rows = [np.stack([d((a, 2)) if a == c else d((a, 1), (c, 1)) for c in range(n)], axis=-2) for a in range(n)]
+    return HyperJet(value=_interior(grid.values, m), d1=d1, d2=np.stack(rows, axis=-3))
 
 
 def _a_values(A, n):
@@ -352,85 +315,20 @@ def hyper_compat_residual(nu_jet: HyperJet, A, tol: float = 1e-8) -> InvariantRe
     return rep
 
 
-def _fmt(x):
-    return repr(float(x))
+def _a_names(n):
+    return [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
 
 
 def write_hyper_grid(grid: HyperGrid, path):
-    """Hyper grid CSV: header x1..xn,v1..v(n+2); first axis varies fastest."""
+    """Hyper grid CSV: columns x1..xn,v1..v(n+2)."""
     n = grid.n
-    d = n + 2
     coords = [grid.axis_coords(a) for a in range(n)]
-    with open(path, "w") as fh:
-        head = [f"x{a + 1}" for a in range(n)] + [f"v{k + 1}" for k in range(d)]
-        fh.write(",".join(head) + "\n")
-        for idx in product(*(range(N) for N in reversed(grid.dims))):
-            site = tuple(reversed(idx))
-            row = [_fmt(coords[a][site[a]]) for a in range(n)]
-            row += [_fmt(c) for c in grid.values[site]]
-            fh.write(",".join(row) + "\n")
-
-
-def _read_table(path, n_coords, value_names):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=0)
-    header = [c.strip() for c in lines[0].split(",")]
-    want = [f"x{a + 1}" for a in range(n_coords)] + value_names
-    if header != want:
-        raise ParseError(f"expected columns {','.join(want)}, got {','.join(header)}", line=1)
-    rows = []
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != len(want):
-            raise ParseError(f"expected {len(want)} columns, got {len(cells)}", line=ln)
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=ln) from None
-    return np.array(rows), len(lines)
-
-
-def _assemble(rows, n, nval, last_line):
-    coords = [np.unique(rows[:, a]) for a in range(n)]
-    dims = tuple(len(u) for u in coords)
-    if int(np.prod(dims)) != rows.shape[0]:
-        raise ParseError(f"rows do not fill a full {'x'.join(map(str, dims))} grid", line=last_line)
-    for a, u in enumerate(coords):
-        if len(u) > 1:
-            du = np.diff(u)
-            if np.max(np.abs(du - du[0])) > 1e-12 * max(abs(du[0]), 1e-300):
-                raise ParseError(f"non-uniform spacing along x{a + 1}", line=last_line)
-    values = np.empty(dims + (nval,))
-    idx = []
-    for a in range(n):
-        idx.append(np.searchsorted(coords[a], rows[:, a]))
-    values[tuple(idx)] = rows[:, n:]
-    origin = tuple(float(u[0]) for u in coords)
-    spacing = tuple(float(u[1] - u[0]) if len(u) > 1 else 1.0 for u in coords)
-    return origin, spacing, values
-
-
-def _sniff_ncoords(path):
-    with open(path) as fh:
-        header = fh.readline()
-    cols = [c.strip() for c in header.split(",")]
-    n = 0
-    while n < len(cols) and cols[n] == f"x{n + 1}":
-        n += 1
-    if not 2 <= n <= _MAX_N:
-        raise ParseError(f"could not find coordinate columns x1..xn (n in 2..{_MAX_N})", line=1)
-    return n
+    _write_table(path, _names("x", n) + _names("v", n + 2), coords, grid.values)
 
 
 def read_hyper_grid(path) -> HyperGrid:
-    n = _sniff_ncoords(path)
-    names = [f"v{k + 1}" for k in range(n + 2)]
-    rows, last = _read_table(path, n, names)
-    origin, spacing, values = _assemble(rows, n, n + 2, last)
+    """Inverse of :func:`write_hyper_grid`; n is read from the header."""
+    origin, spacing, values = _read_table(path, _numbered_axes(lambda n: _names("v", n + 2), 2, _MAX_N))
     return HyperGrid(origin=origin, spacing=spacing, values=values)
 
 
@@ -440,22 +338,12 @@ def write_amatrix_field(origin, spacing, field, path):
     n = field.shape[-1]
     if field.shape[-2:] != (n, n) or field.ndim != n + 2:
         raise DomainError("A field must have shape (N1, ..., Nn, n, n)")
-    coords = [origin[a] + spacing[a] * np.arange(field.shape[a]) for a in range(n)]
-    with open(path, "w") as fh:
-        head = [f"x{a + 1}" for a in range(n)]
-        head += [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        fh.write(",".join(head) + "\n")
-        for idx in product(*(range(N) for N in reversed(field.shape[:n]))):
-            site = tuple(reversed(idx))
-            row = [_fmt(coords[a][site[a]]) for a in range(n)]
-            row += [_fmt(c) for c in field[site].reshape(-1)]
-            fh.write(",".join(row) + "\n")
+    coords = [origin[a] + spacing[a] * np.arange(field.shape[a], dtype=float) for a in range(n)]
+    _write_table(path, _names("x", n) + _a_names(n), coords, field.reshape(field.shape[:n] + (n * n,)))
 
 
 def read_amatrix_field(path):
     """Inverse of :func:`write_amatrix_field`: (origin, spacing, field)."""
-    n = _sniff_ncoords(path)
-    names = [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    rows, last = _read_table(path, n, names)
-    origin, spacing, values = _assemble(rows, n, n * n, last)
+    origin, spacing, values = _read_table(path, _numbered_axes(_a_names, 2, _MAX_N))
+    n = len(origin)
     return origin, spacing, values.reshape(values.shape[:-1] + (n, n))

@@ -33,6 +33,16 @@ __all__ = [
 ]
 
 
+def _norm(a):
+    """Euclidean norm over the last axis, in floats."""
+    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
+
+
+def _fro(B):
+    """Frobenius norm over the last two axes, in floats."""
+    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
+
+
 def perm_sign(indices):
     """Sign of a permutation given as a 0-based index sequence.
 

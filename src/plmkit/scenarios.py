@@ -6,6 +6,7 @@ truncation), and a dictionary of expected invariant values.  Generated
 scenarios are seeded and reproducible.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -288,7 +289,14 @@ def list_scenarios():
 
 
 def scenario(name, **params) -> Scenario:
-    """Build a named scenario; unknown names list what is available."""
+    """Build a named scenario; unknown names and parameters list what is available."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown scenario {name!r}; available: {', '.join(list_scenarios())}")
-    return _REGISTRY[name](**params)
+    build = _REGISTRY[name]
+    accepted = list(inspect.signature(build).parameters)
+    rejected = sorted(set(params) - set(accepted))
+    if rejected:
+        raise DomainError(
+            f"scenario {name!r} does not take {', '.join(rejected)}; it takes {', '.join(accepted)}"
+        )
+    return build(**params)

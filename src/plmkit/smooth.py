@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import FieldGrid, JetGrid, JetRecord, jet_grid
-from .multilinear import cross_n, det_n, hodge_star, pair, wedge2
+from .multilinear import _fro, _norm, cross_n, det_n, hodge_star, pair, wedge2
 from .report import InvariantReport
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ConjugateCompat",
     "reconstruct_point",
     "reconstruct_point_alt",
-    "inverse_reconstruct_point",
     "reconstruct_field",
     "plm_residual",
     "orthogonality_report",
@@ -57,14 +56,6 @@ def as_jets(obj, order=2, stencil=2):
     raise DomainError(f"expected FieldGrid, JetGrid or JetRecord, got {type(obj).__name__}")
 
 
-def _norm(a):
-    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
-
-
-def _fro(B):
-    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
-
-
 def _degeneracy_scale(*vecs):
     s = 1.0
     for v in vecs:
@@ -72,8 +63,8 @@ def _degeneracy_scale(*vecs):
     return s
 
 
-def _reconstruct_arrays(value, d_x, d_y, last, eps_deg):
-    """Shared core of direct/inverse reconstruction: cross / sqrt(det).
+def _reconstruct_arrays(value, d_x, d_y, last):
+    """Shared core of point and field reconstruction: cross / sqrt(det).
 
     Returns (result, det, scale); result entries are NaN where the
     discriminant is degenerate or negative.
@@ -92,21 +83,16 @@ def reconstruct_point(jet: JetRecord, chart: ChartKind, eps_deg: float = 1e-10):
 
     The discriminant is det|v, v_x, v_y, v_xy| in the asymptotic chart
     and det|v, v_x, v_y, v_xx| in the conjugate chart; both must be
-    positive at a generic point.
+    positive at a generic point.  By projective duality the same formula
+    applied to a surface jet gives the conormal.
     """
     last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
-    res, det, scale = _reconstruct_arrays(jet.value, jet.d_x, jet.d_y, last, eps_deg)
+    res, det, scale = _reconstruct_arrays(jet.value, jet.d_x, jet.d_y, last)
     if abs(det) <= eps_deg * max(scale, 1e-300):
         raise DegeneratePointError("non-generic point: planar/parabolic locus (discriminant ~ 0)")
     if det < 0:
         raise ChartMismatchError(f"negative discriminant {det:.3e} for chart {chart.value}")
     return res
-
-
-def inverse_reconstruct_point(jet: JetRecord, chart: ChartKind, eps_deg: float = 1e-10):
-    """Conormal from a surface jet; literally the same formula with the
-    roles of f and nu swapped (projective duality)."""
-    return reconstruct_point(jet, chart, eps_deg=eps_deg)
 
 
 def reconstruct_point_alt(jet: JetRecord, axis: str, eps_deg: float = 1e-10):
@@ -144,7 +130,7 @@ def reconstruct_field(jets, chart: ChartKind, eps_deg: float = 1e-10, strict: bo
     """
     jets = as_jets(jets)
     last = jets.d_xy if chart is ChartKind.ASYMPTOTIC else jets.d_xx
-    res, det, scale = _reconstruct_arrays(jets.value, jets.d_x, jets.d_y, last, eps_deg)
+    res, det, scale = _reconstruct_arrays(jets.value, jets.d_x, jets.d_y, last)
     bad = ~(det > eps_deg * np.maximum(scale, 1e-300))
     if strict and np.any(bad):
         i, j = np.argwhere(bad)[0]

@@ -28,7 +28,6 @@ from plmkit.smooth import (
     ChartKind,
     det_families,
     det_invariance_report,
-    inverse_reconstruct_point,
     plm_residual,
     reconstruct_field,
     reconstruct_point,
@@ -86,7 +85,7 @@ def test_criterion_03_defining_relation_and_duality(capsys):
     ok = rep.max_residual() < 1e-12
     for i, j in ((3, 4), (10, 17), (25, 2)):
         f = reconstruct_point(HYPAR.nu_jets.at(i, j), ChartKind.ASYMPTOTIC)
-        nu = inverse_reconstruct_point(HYPAR.f_jets.at(i, j), ChartKind.ASYMPTOTIC)
+        nu = reconstruct_point(HYPAR.f_jets.at(i, j), ChartKind.ASYMPTOTIC)
         ok &= projective_distance(f, HYPAR.f_jets.value[i, j]) < 1e-9
         ok &= projective_distance(nu, HYPAR.nu_jets.value[i, j]) < 1e-9
     announce(capsys, 3, "defining relation + duality", ok)

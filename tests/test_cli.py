@@ -98,6 +98,17 @@ def test_verify_tiny_lattice_is_usage_error(capsys, name, size):
     assert "at least 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv,rejected",
+    [(["hypar", "--size", "5"], "size"), (["moutard-random", "--grid", "0:1:0.1"], "x0")],
+)
+def test_verify_inapplicable_scenario_parameter_is_usage_error(capsys, argv, rejected):
+    code, _, err = run(capsys, "verify", "--scenario", *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"does not take {rejected}" in err
+
+
 @pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])
 def test_verify_smallest_lattice_passes(capsys, name):
     code, _, _ = run(capsys, "verify", "--scenario", name, "--size", "3")

@@ -26,6 +26,15 @@ def test_unknown_name_lists_available():
         assert name in str(err.value)
 
 
+def test_unknown_parameter_names_the_accepted_ones():
+    with pytest.raises(DomainError) as err:
+        scenario("hypar", size=5, seed=1)
+    msg = str(err.value)
+    assert "does not take seed, size" in msg
+    for accepted in ("x0", "x1", "y0", "y1", "h"):
+        assert accepted in msg
+
+
 @pytest.mark.parametrize("name", list_scenarios())
 def test_every_scenario_passes_its_own_residual_check(name):
     scn = scenario(name)

@@ -1,0 +1,47 @@
+"""The benchmark tracer (perfbench/traced.py) wraps plmkit names; they must stay bound.
+
+The tracer is imported by path and never installed, so this test reads
+perfbench/ and changes nothing there.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from plmkit import cli, fields
+from plmkit.report import IdentityRecord, InvariantReport
+
+_TRACED_PY = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_traced", _TRACED_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+TRACED = _load_tracer().TRACED
+
+
+@pytest.mark.parametrize("name", [f"{mod}.{fn}" for mod, fns in TRACED.items() for fn in fns])
+def test_traced_function_is_bound(name):
+    modname, fname = name.split(".")
+    assert callable(getattr(importlib.import_module(f"plmkit.{modname}"), fname, None))
+
+
+def test_traced_hooks_are_bound():
+    assert callable(cli._collect_tasks)
+    assert issubclass(cli.ThreadPoolExecutor, ThreadPoolExecutor)
+    assert isinstance(IdentityRecord.__dict__["from_field"], classmethod)
+    assert callable(InvariantReport.to_json)
+
+
+def test_traced_file_arguments_keep_their_positions():
+    # the tracer sizes the file at args[0] of read_grid and args[1] of write_grid
+    assert list(inspect.signature(fields.read_grid).parameters)[0] == "path"
+    assert list(inspect.signature(fields.write_grid).parameters)[1] == "path"
