@@ -1,7 +1,9 @@
 """Command-line front end: verification suites, reconstruction, forms.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
-3 I/O error, 4 degenerate input (fatal only with --strict).
+3 I/O error, 4 degenerate input: fatal with --strict, and for
+``reconstruct --out``, since a grid CSV cannot leave a point out (``--obj``
+alone writes the mesh without the degenerate points and exits 0).
 """
 
 import argparse
@@ -194,9 +196,10 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_obj(path, grid: FieldGrid, mask):
-    """Triangulated OBJ; each cell split along the (+x,+y) diagonal."""
-    nx, ny = grid.dims
+def _write_obj(path, points, mask):
+    """Triangulated OBJ of (nx, ny, 3) points without the masked ones; each
+    cell split along the (+x,+y) diagonal."""
+    nx, ny = mask.shape
     idx = -np.ones((nx, ny), dtype=int)
     lines = []
     k = 0
@@ -204,7 +207,7 @@ def _write_obj(path, grid: FieldGrid, mask):
         for i in range(nx):
             if mask[i, j]:
                 continue
-            x, y, z = grid.values[i, j, :3]
+            x, y, z = points[i, j]
             lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
             k += 1
             idx[i, j] = k
@@ -252,23 +255,21 @@ def cmd_reconstruct(args):
     nbad = int(bad.sum())
     if nbad:
         i, j = np.argwhere(bad)[0]
-        print(
-            f"warning: {nbad} degenerate/mismatched points (first at x={float(jets.xs[i])!r}, y={float(jets.ys[j])!r})",
-            file=sys.stderr,
-        )
-    hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
-    hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
-    out_grid = FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=f)
+        where = f"{nbad} degenerate/mismatched points (first at x={float(jets.xs[i])!r}, y={float(jets.ys[j])!r})"
+        if args.out:
+            print(f"error: {where}; a grid CSV cannot leave them out (--obj can)", file=sys.stderr)
+            return 4
+        print(f"warning: {where}", file=sys.stderr)
     if args.out:
-        write_grid(out_grid, args.out)
+        hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
+        hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
+        write_grid(FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=f), args.out)
         print(f"wrote {args.out}")
     if args.obj:
         # affine gauge: scale the homogeneous point to last component -1
         last = f[..., 3]
         safe = np.where(np.abs(last) > 1e-300, last, 1.0)
-        aff = np.concatenate([f[..., :3] / -safe[..., None], f[..., 3:]], axis=-1)
-        _write_obj(args.obj, FieldGrid(origin=out_grid.origin, spacing=out_grid.spacing, values=aff),
-                   bad | (np.abs(last) <= 1e-300) | ~np.isfinite(last))
+        _write_obj(args.obj, f[..., :3] / -safe[..., None], bad | (np.abs(last) <= 1e-300) | ~np.isfinite(last))
         print(f"wrote {args.obj}")
     return 0
 

@@ -33,7 +33,7 @@ from .errors import (
     NotCompatibleError,
 )
 from .fields import LatticeField
-from .multilinear import _fro, _norm, cross_n, det_n, hodge_star, pair, wedge2
+from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
 __all__ = [
@@ -344,8 +344,8 @@ def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> Invaria
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     rep = InvariantReport(metadata={"gauge": "projective", "extent": list(pairn.extent)})
     for name, lhs, rhs in (
-        ("bivector_1", wedge2(f, f1), hodge_star(wedge2(n, n1))),
-        ("bivector_2", wedge2(f, f2), -hodge_star(wedge2(n, n2))),
+        ("bivector_1", wedge2(f, f1), star_of_wedge([n, n1])),
+        ("bivector_2", wedge2(f, f2), -star_of_wedge([n, n2])),
     ):
         denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
         rep.add(name, _fro(lhs - rhs) / denom, tol)

@@ -162,8 +162,12 @@ def hyper_jet_grid(grid: HyperGrid, stencil: int = 2) -> HyperJet:
 
     n = grid.n
     d1 = np.stack([d((a, 1)) for a in range(n)], axis=-2)
-    rows = [np.stack([d((a, 2)) if a == c else d((a, 1), (c, 1)) for c in range(n)], axis=-2) for a in range(n)]
-    return HyperJet(value=_interior(grid.values, m), d1=d1, d2=np.stack(rows, axis=-3))
+    d2 = np.empty(d1.shape[:-2] + (n,) + d1.shape[-2:])
+    for a in range(n):
+        d2[..., a, a, :] = d((a, 2))
+        for c in range(a + 1, n):  # one stencil sum per mixed partial
+            d2[..., a, c, :] = d2[..., c, a, :] = d((a, 1), (c, 1))
+    return HyperJet(value=_interior(grid.values, m), d1=d1, d2=d2)
 
 
 def _a_values(A, n):

@@ -1,10 +1,14 @@
 """Exact small-dimension exterior algebra.
 
 Levi-Civita signs, generalized cross products, wedge products, the Hodge
-star on bivectors in dimension 4, determinants by cofactor expansion and
-the dual pairing.  Everything is written with plain +, -, * and indexing
-only, so the same code runs on float arrays, on ``fractions.Fraction``
-scalars and on numpy object arrays (the exact-rational test mode).
+star on bivectors in dimension 4, determinants and the dual pairing.
+``det_n``, ``cross_n`` and ``star_of_wedge`` share one cofactor engine,
+``_det_cols``: it expands along the first vector, reads columns as views of
+the broadcast inputs (no stacked matrix, no copied minors) and memoizes the
+minors of the trailing vectors, so the column sets of one call share them.
+Everything is written with plain +, -, * and indexing only, so the same
+code runs on float arrays, on ``fractions.Fraction`` scalars and on numpy
+object arrays (the exact-rational test mode).
 
 Sign conventions are anchored by eps(1,2,...,d) = +1, which pins
 ``cross_n((e1, e2, e3)) == -e4`` in dimension 4 and
@@ -117,25 +121,39 @@ def hodge_star(B):
     return out
 
 
-def _minor(M, row, col):
-    keep_r = [r for r in range(M.shape[-2]) if r != row]
-    keep_c = [c for c in range(M.shape[-1]) if c != col]
-    return M[..., keep_r, :][..., :, keep_c]
+def _rows(vectors, count, name):
+    """Check for d - count vectors of dimension d; broadcast views, one dtype."""
+    vecs = [_as_vec(v) for v in vectors]
+    if not vecs:
+        raise DomainError(f"{name}: no vectors given")
+    d = vecs[0].shape[-1]
+    if len(vecs) != d - count:
+        raise DomainError(f"{name}: need {d - count} vectors of dimension {d}, got {len(vecs)}")
+    if any(v.shape[-1] != d for v in vecs):
+        raise DomainError(f"{name}: dimension mismatch")
+    dtype = np.result_type(*vecs)
+    return [v.astype(dtype, copy=False) for v in np.broadcast_arrays(*vecs)]
 
 
-def _det_rec(M):
-    d = M.shape[-1]
-    if d == 1:
-        return M[..., 0, 0]
-    if d == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    acc = None
-    sign = 1
-    for j in range(d):
-        term = sign * M[..., 0, j] * _det_rec(_minor(M, 0, j))
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc
+def _det_cols(rows, cols, memo):
+    """Determinant of ``rows`` on the columns ``cols``, expanded along rows[0]."""
+    key = (len(rows), cols)
+    if key not in memo:
+        r0 = rows[0]
+        if len(cols) == 1:
+            val = r0[..., cols[0]].copy()
+        elif len(cols) == 2:
+            a, b = cols
+            val = r0[..., a] * rows[1][..., b] - r0[..., b] * rows[1][..., a]
+        else:
+            val = None
+            sign = 1
+            for j, c in enumerate(cols):
+                term = sign * r0[..., c] * _det_cols(rows[1:], cols[:j] + cols[j + 1 :], memo)
+                val = term if val is None else val + term
+                sign = -sign
+        memo[key] = val
+    return memo[key]
 
 
 def det_n(vectors):
@@ -144,15 +162,8 @@ def det_n(vectors):
     Cofactor recursion keeps the result exact on integer and rational
     inputs; intended for d <= 6.
     """
-    vecs = [_as_vec(v) for v in vectors]
-    d = vecs[0].shape[-1]
-    if len(vecs) != d:
-        raise DomainError(f"det_n: need {d} vectors, got {len(vecs)}")
-    for v in vecs:
-        if v.shape[-1] != d:
-            raise DomainError("det_n: dimension mismatch")
-    M = np.stack(np.broadcast_arrays(*vecs), axis=-2)
-    return _det_rec(M)
+    rows = _rows(vectors, 0, "det_n")
+    return _det_cols(rows, tuple(range(len(rows))), {})
 
 
 def cross_n(vectors):
@@ -162,19 +173,13 @@ def cross_n(vectors):
     multilinear and alternating.  Pinned convention:
     ``cross_n((e1, e2, e3)) == -e4`` in d = 4.
     """
-    vecs = [_as_vec(v) for v in vectors]
-    d = vecs[0].shape[-1]
-    if len(vecs) != d - 1:
-        raise DomainError(f"cross_n: need {d - 1} vectors of dimension {d}, got {len(vecs)}")
-    for v in vecs:
-        if v.shape[-1] != d:
-            raise DomainError("cross_n: dimension mismatch")
-    M = np.stack(np.broadcast_arrays(*vecs), axis=-2)  # (..., d-1, d)
+    rows = _rows(vectors, 1, "cross_n")
+    d = len(rows) + 1
+    memo = {}
     comps = []
     sign = 1
     for i in range(d):
-        keep = [c for c in range(d) if c != i]
-        comps.append(sign * _det_rec(M[..., :, keep]))
+        comps.append(sign * _det_cols(rows, tuple(c for c in range(d) if c != i), memo))
         sign = -sign
     return np.stack(comps, axis=-1)
 
@@ -195,21 +200,13 @@ def star_of_wedge(vectors):
     with d = n + 2.  For d = 4 this coincides with
     ``hodge_star(wedge2(a, b))``.
     """
-    vecs = [_as_vec(v) for v in vectors]
-    n = len(vecs)
-    d = vecs[0].shape[-1]
-    if n != d - 2:
-        raise DomainError(f"star_of_wedge: need {d - 2} vectors of dimension {d}")
-    for v in vecs:
-        if v.shape[-1] != d:
-            raise DomainError("star_of_wedge: dimension mismatch")
-    M = np.stack(np.broadcast_arrays(*vecs), axis=-2)  # (..., n, d)
-    batch = M.shape[:-2]
-    out = np.zeros(batch + (d, d), dtype=M.dtype)
+    rows = _rows(vectors, 2, "star_of_wedge")
+    d = len(rows) + 2
+    memo = {}
+    out = np.zeros(rows[0].shape[:-1] + (d, d), dtype=rows[0].dtype)
     for k, l in combinations(range(d), 2):
-        cols = [c for c in range(d) if c not in (k, l)]
-        s = perm_sign(cols + [k, l])
-        v = s * _det_rec(M[..., :, cols])
+        cols = tuple(c for c in range(d) if c not in (k, l))
+        v = perm_sign(cols + (k, l)) * _det_cols(rows, cols, memo)
         out[..., k, l] = v
         out[..., l, k] = -v
     return out

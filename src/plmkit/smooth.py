@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import FieldGrid, JetGrid, JetRecord, jet_grid
-from .multilinear import _fro, _norm, cross_n, det_n, hodge_star, pair, wedge2
+from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
 __all__ = [
@@ -157,8 +157,8 @@ def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float =
     fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
     wfx = wedge2(fj.value, fj.d_x)
     wfy = wedge2(fj.value, fj.d_y)
-    snx = hodge_star(wedge2(nj.value, nj.d_x))
-    sny = hodge_star(wedge2(nj.value, nj.d_y))
+    snx = star_of_wedge([nj.value, nj.d_x])
+    sny = star_of_wedge([nj.value, nj.d_y])
     if chart is ChartKind.ASYMPTOTIC:
         pairs = [("bivector_x", wfx, snx), ("bivector_y", wfy, -sny)]
     else:

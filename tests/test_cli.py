@@ -155,6 +155,45 @@ def test_reconstruct_wrong_chart_strict_exit4(capsys, tmp_path):
     assert "error" in err
 
 
+def test_reconstruct_degenerate_grid_csv_is_exit4(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "reconstruct", "--scenario", "conj-paraboloid",
+                       "--chart", "asymptotic", "--out", str(out))
+    assert code == 4
+    assert "441 degenerate/mismatched points (first at x=0.2, y=0.2)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _partly_flat_nu(tmp_path):
+    """hypar conormal, held constant in x on its first five columns."""
+    nu = scenario("hypar").nu_grid
+    vals = nu.values.copy()
+    vals[:5] = vals[0]
+    path = tmp_path / "nu.csv"
+    write_grid(FieldGrid(origin=nu.origin, spacing=nu.spacing, values=vals), path)
+    return path
+
+
+def test_reconstruct_degenerate_obj_only_leaves_points_out(capsys, tmp_path):
+    from plmkit.fields import jet_grid
+    from plmkit.smooth import ChartKind, reconstruct_field
+
+    nu_path, obj = _partly_flat_nu(tmp_path), tmp_path / "f.obj"
+    _, bad = reconstruct_field(jet_grid(read_grid(nu_path), order=2), ChartKind.ASYMPTOTIC)
+    assert 0 < bad.sum() < bad.size
+    code, _, err = run(capsys, "reconstruct", "--nu", str(nu_path), "--obj", str(obj))
+    assert code == 0
+    assert f"warning: {int(bad.sum())} degenerate/mismatched points (first at x=" in err
+    assert "Traceback" not in err
+    text = obj.read_text().splitlines()
+    assert sum(1 for ln in text if ln.startswith("v ")) == bad.size - bad.sum()
+    assert all("nan" not in ln for ln in text)
+    code, _, err = run(capsys, "reconstruct", "--nu", str(nu_path), "--out", str(tmp_path / "f.csv"))
+    assert code == 4
+    assert "Traceback" not in err
+
+
 def test_reconstruct_lattice_integration(capsys, tmp_path):
     from plmkit.fields import write_lattice
 

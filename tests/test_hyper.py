@@ -181,6 +181,24 @@ def test_fd_jets_match_analytic():
     assert np.max(np.abs(jets.d2 - an.d2[sl])) < 1e-9
 
 
+@pytest.mark.parametrize("stencil", [2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fd_second_derivatives_exactly_symmetric(n, stencil):
+    from plmkit.fields import _difference, _margin
+
+    rng = np.random.default_rng(10 * n + stencil)
+    grid = HyperGrid(origin=(0.0,) * n, spacing=tuple(rng.uniform(0.05, 0.2, n)),
+                     values=rng.standard_normal((6,) * n + (n + 2,)))
+    d2 = hyper_jet_grid(grid, stencil=stencil).d2
+    assert np.array_equal(d2, np.swapaxes(d2, -3, -2))
+    m = _margin(stencil, 2)
+    for a in range(n):
+        assert np.array_equal(d2[..., a, a, :], _difference(grid.values, grid.spacing, m, stencil, ((a, 2),)))
+        for c in range(a + 1, n):
+            mixed = _difference(grid.values, grid.spacing, m, stencil, ((a, 1), (c, 1)))
+            assert np.array_equal(d2[..., a, c, :], mixed)
+
+
 def test_fd_reconstruction_close():
     jets = hyper_jet_grid(ELL.hyper_nu_grid, stencil=2)
     f = hyper_reconstruct(jets, ELL.amatrix)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plmkit.errors import DomainError
 from plmkit.multilinear import (
@@ -32,6 +33,68 @@ def det_oracle(rows):
             term = term * rows[i][perm[i]]
         total = total + perm_sign(perm) * term
     return total
+
+
+# --- reference: the stacked-matrix cofactor recursion the kernel replaced ---
+
+
+def _minor(M, row, col):
+    keep_r = [r for r in range(M.shape[-2]) if r != row]
+    keep_c = [c for c in range(M.shape[-1]) if c != col]
+    return M[..., keep_r, :][..., :, keep_c]
+
+
+def _det_rec(M):
+    d = M.shape[-1]
+    if d == 1:
+        return M[..., 0, 0]
+    if d == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    acc = None
+    sign = 1
+    for j in range(d):
+        term = sign * M[..., 0, j] * _det_rec(_minor(M, 0, j))
+        acc = term if acc is None else acc + term
+        sign = -sign
+    return acc
+
+
+def _stack(vectors):
+    return np.stack(np.broadcast_arrays(*(np.asarray(v) for v in vectors)), axis=-2)
+
+
+def det_ref(vectors):
+    return _det_rec(_stack(vectors))
+
+
+def cross_ref(vectors):
+    M = _stack(vectors)
+    d = M.shape[-1]
+    comps = []
+    sign = 1
+    for i in range(d):
+        comps.append(sign * _det_rec(M[..., :, [c for c in range(d) if c != i]]))
+        sign = -sign
+    return np.stack(comps, axis=-1)
+
+
+def star_of_wedge_ref(vectors):
+    M = _stack(vectors)
+    d = M.shape[-1]
+    out = np.zeros(M.shape[:-2] + (d, d), dtype=M.dtype)
+    for k, l in itertools.combinations(range(d), 2):
+        cols = [c for c in range(d) if c not in (k, l)]
+        v = perm_sign(cols + [k, l]) * _det_rec(M[..., :, cols])
+        out[..., k, l] = v
+        out[..., l, k] = -v
+    return out
+
+
+def assert_same_bits(ours, ref):
+    """Equal shape, dtype and bytes: sign bits of zeros included."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert ours.tobytes() == ref.tobytes()
 
 
 def e(i, d=4):
@@ -168,11 +231,85 @@ def test_wedge_bilinear_antisymmetric(rows, s, t):
     assert np.allclose(wedge2(s * u + t * w, v), s * wedge2(u, v) + t * wedge2(w, v), atol=1e-6)
 
 
+# --- the cofactor engine against the stacked-matrix reference ---------------
+
+# leading shapes that broadcast to (2, 3)
+_LEADS = [(), (3,), (1, 3), (2, 1), (2, 3)]
+
+
+def vector_batch(d):
+    """Float vectors of dimension d, signed zeros included, with leading
+    axes that broadcast to (2, 3)."""
+    elements = st.one_of(finite, st.sampled_from([0.0, -0.0]))
+    return st.sampled_from(_LEADS).flatmap(lambda lead: hnp.arrays(np.float64, lead + (d,), elements=elements))
+
+
+def float_batch(missing):
+    """d - missing float vectors of dimension d, for d in 2..6."""
+    return st.integers(max(2, missing + 1), 6).flatmap(
+        lambda d: st.lists(vector_batch(d), min_size=d - missing, max_size=d - missing))
+
+
 @settings(max_examples=40, deadline=None)
-@given(matrix(4))
-def test_star_of_wedge_matches_composition(rows):
-    u, v, _, _ = (np.array(r) for r in rows)
-    assert np.allclose(star_of_wedge([u, v]), hodge_star(wedge2(u, v)))
+@given(float_batch(0))
+def test_det_matches_reference_bitwise(vecs):
+    assert_same_bits(det_n(vecs), det_ref(vecs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_batch(1))
+def test_cross_matches_reference_bitwise(vecs):
+    assert_same_bits(cross_n(vecs), cross_ref(vecs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_batch(2))
+def test_star_of_wedge_matches_reference_bitwise(vecs):
+    assert_same_bits(star_of_wedge(vecs), star_of_wedge_ref(vecs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_batch(4), vector_batch(4))
+def test_star_of_wedge_matches_composition(u, v):
+    assert_same_bits(star_of_wedge([u, v]), hodge_star(wedge2(u, v)))
+
+
+fraction = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda d: st.lists(st.lists(st.lists(fraction, min_size=d, max_size=d), min_size=2, max_size=2),
+                       min_size=d, max_size=d)))
+def test_kernel_exact_on_fraction_arrays(raw):
+    d = len(raw)
+    vecs = [np.array(v, dtype=object) for v in raw]  # each (2, d), object dtype
+    for ours, ref, k in ((det_n, det_ref, d), (cross_n, cross_ref, d - 1),
+                         (star_of_wedge, star_of_wedge_ref, d - 2)):
+        if k == 0:
+            continue
+        got, want = ours(vecs[:k]), ref(vecs[:k])
+        assert got.dtype == object and got.shape == want.shape
+        assert all(isinstance(x, Fraction) for x in got.ravel() if x != 0)
+        assert np.all(got == want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_results_are_not_views_of_inputs(d):
+    rng = np.random.default_rng(d)
+    vecs = [rng.standard_normal((3, d)) for _ in range(d)]
+    calls = [det_n(vecs)]
+    if d >= 2:
+        calls.append(cross_n(vecs[: d - 1]))
+    if d >= 3:
+        calls.append(star_of_wedge(vecs[: d - 2]))
+    for out in calls:
+        for v in vecs:
+            assert not np.shares_memory(out, v)
+    before = [v.copy() for v in vecs]
+    for out in calls:
+        out[...] = 0.0
+    assert all(np.array_equal(v, b) for v, b in zip(vecs, before))
 
 
 def test_wedge_batched():
@@ -191,3 +328,6 @@ def test_dimension_guards():
         cross_n([np.zeros(4), np.zeros(4)])
     with pytest.raises(DomainError):
         det_n([np.zeros(3), np.zeros(3)])
+    for kernel in (det_n, cross_n, star_of_wedge):
+        with pytest.raises(DomainError):
+            kernel([])
