@@ -30,12 +30,13 @@ from .errors import (
     ParseError,
     PlmError,
 )
-from .fields import FieldGrid, jet_grid, read_grid, read_lattice, write_grid, write_lattice
+from .fields import grid_on_sites, jet_grid, read_grid, read_lattice, write_grid, write_lattice
 from .hyper import hyper_compat_residual, hyper_plm_residual, recover_A
 from .report import InvariantReport
 from .scenarios import list_scenarios, scenario
 from .smooth import (
     ChartKind,
+    as_jets,
     det_invariance_report,
     fubini_forms,
     orthogonality_report,
@@ -83,16 +84,23 @@ def _grid_spec(args):
         nums = part.split(":")
         if len(nums) != 3:
             raise DomainError("--grid expects x0:x1:h[,y0:y1:h]")
-        out[key + "0"], out[key + "1"], out["h"] = (float(v) for v in nums)
+        try:
+            out[key + "0"], out[key + "1"], out["h"] = (float(v) for v in nums)
+        except ValueError:
+            raise DomainError(f"--grid expects numbers, got {part!r}") from None
     return out
 
 
 def _smooth_suite_tasks(suite, f_obj, nu_obj, stencil):
     chart = _chart_of(suite)
+    # one set of order-2 jets serves every order-2 identity; the asymptotic
+    # determinants need order-3 jets, whose wider margin covers fewer sites
+    fj, nj = as_jets(f_obj, stencil=stencil), as_jets(nu_obj, stencil=stencil)
+    df, dn = (f_obj, nu_obj) if chart is ChartKind.ASYMPTOTIC else (fj, nj)
     return [
-        (f"{suite}/defining_relation", lambda: plm_residual(f_obj, nu_obj, chart=chart, stencil=stencil)),
-        (f"{suite}/orthogonality", lambda: orthogonality_report(f_obj, nu_obj, chart=chart, stencil=stencil)),
-        (f"{suite}/det_invariance", lambda: det_invariance_report(f_obj, nu_obj, chart=chart, stencil=stencil)),
+        (f"{suite}/defining_relation", lambda: plm_residual(fj, nj, chart=chart, stencil=stencil)),
+        (f"{suite}/orthogonality", lambda: orthogonality_report(fj, nj, chart=chart, stencil=stencil)),
+        (f"{suite}/det_invariance", lambda: det_invariance_report(df, dn, chart=chart, stencil=stencil)),
     ]
 
 
@@ -261,9 +269,7 @@ def cmd_reconstruct(args):
             return 4
         print(f"warning: {where}", file=sys.stderr)
     if args.out:
-        hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
-        hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
-        write_grid(FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=f), args.out)
+        write_grid(grid_on_sites(jets, f), args.out)
         print(f"wrote {args.out}")
     if args.obj:
         # affine gauge: scale the homogeneous point to last component -1

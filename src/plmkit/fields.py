@@ -31,6 +31,7 @@ __all__ = [
     "LatticeField",
     "jet_at",
     "jet_grid",
+    "grid_on_sites",
     "shift",
     "read_grid",
     "write_grid",
@@ -233,6 +234,13 @@ def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2) -> JetGrid:
     nx, ny = grid.dims
     jets = _jets(grid.values, grid.spacing, m, order, stencil)
     return JetGrid(xs=grid.xs()[m : nx - m], ys=grid.ys()[m : ny - m], **jets)
+
+
+def grid_on_sites(jets: JetGrid, values) -> FieldGrid:
+    """FieldGrid of ``values`` (nx, ny, d) on the sites of ``jets``; a single site spans 1."""
+    hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
+    hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
+    return FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=values)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ scenarios are seeded and reproducible.
 """
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import sympy as sp
 
 from .discrete import (
     DiscreteSurfacePair,
@@ -21,7 +21,7 @@ from .discrete import (
     moutard_evolve,
 )
 from .errors import DomainError
-from .fields import FieldGrid, JetGrid, LatticeField
+from .fields import FieldGrid, JetGrid, LatticeField, grid_on_sites
 from .hyper import AMatrix, HyperGrid, HyperJet
 from .smooth import ChartKind
 
@@ -53,77 +53,63 @@ class Scenario:
 
 
 def _axes(x0, x1, y0, y1, h):
-    xs = x0 + h * np.arange(int(round((x1 - x0) / h)) + 1)
-    ys = y0 + h * np.arange(int(round((y1 - y0) / h)) + 1)
+    if not (h > 0 and math.isfinite(h)):
+        raise DomainError(f"grid spacing h must be finite and positive, got {h}")
+    box = f"grid box [{x0}, {x1}] x [{y0}, {y1}]"
+    if not all(map(math.isfinite, (x0, x1, y0, y1))) or x1 < x0 or y1 < y0:
+        raise DomainError(f"{box} needs finite endpoints with x0 <= x1 and y0 <= y1")
+    steps = [(x1 - x0) / h, (y1 - y0) / h]
+    if not all(map(math.isfinite, steps)):
+        raise DomainError(f"{box} holds too many steps of h = {h}")
+    xs, ys = (a + h * np.arange(int(round(n)) + 1) for a, n in zip((x0, y0), steps))
     return xs, ys
 
 
-def _sym_jets(fexpr, u, v, xs, ys, order=3):
-    """Evaluate a sympy vector expression and its partials on a grid."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    shape = X.shape
-
-    def ev(expr):
-        comps = []
-        for e in expr:
-            fn = sp.lambdify((u, v), e, "numpy")
-            val = np.asarray(fn(X, Y), dtype=float)
-            comps.append(np.broadcast_to(val, shape))
-        return np.stack(comps, axis=-1)
-
-    d = {
-        "value": fexpr,
-        "d_x": [sp.diff(e, u) for e in fexpr],
-        "d_y": [sp.diff(e, v) for e in fexpr],
-        "d_xx": [sp.diff(e, u, 2) for e in fexpr],
-        "d_xy": [sp.diff(e, u, v) for e in fexpr],
-        "d_yy": [sp.diff(e, v, 2) for e in fexpr],
-    }
-    if order >= 3:
-        d["d_xxx"] = [sp.diff(e, u, 3) for e in fexpr]
-        d["d_yyy"] = [sp.diff(e, v, 3) for e in fexpr]
-    arrays = {k: ev(e) for k, e in d.items()}
-    return JetGrid(xs=xs, ys=ys, **arrays)
+def _stack(shape, comps):
+    """Components (arrays or plain numbers) broadcast over ``shape``, stacked last."""
+    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in comps], axis=-1)
 
 
-def _grid_from_jets(jets: JetGrid) -> FieldGrid:
-    hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
-    hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
-    return FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=jets.value)
+def _closed_jets(xs, ys, order, **jets):
+    """JetGrid of a polynomial field from its closed-form partials.
+
+    Each jet is a list of components over the (xs, ys) grid; a jet that is
+    not given is zero.  Each component is written the way a computer-algebra
+    printer writes the derivative (``-1 / 12 * X**3 + X * Y``, not Horner
+    form), so the arrays equal the symbolic oracle of the tests bit for bit.
+    """
+    shape = (len(xs), len(ys))
+    zero = [0] * len(jets["value"])
+    names = ["value", "d_x", "d_y", "d_xx", "d_xy", "d_yy"] + (["d_xxx", "d_yyy"] if order >= 3 else [])
+    return JetGrid(xs=xs, ys=ys, **{k: _stack(shape, jets.get(k, zero)) for k in names})
 
 
-def _sym_cross4(rows):
-    """[a, b, c] in dimension 4 with the package sign convention."""
-    M = sp.Matrix([list(r) for r in rows])
-    comps = []
-    sign = 1
-    for i in range(4):
-        keep = [c for c in range(4) if c != i]
-        comps.append(sign * M[:, keep].det())
-        sign = -sign
-    return comps
+def _hyper_jet(j: JetGrid) -> HyperJet:
+    """The n = 2 HyperJet of a JetGrid: d1 = (d_x, d_y), d2 the Hessian."""
+    d2 = np.stack([np.stack([j.d_xx, j.d_xy], axis=-2), np.stack([j.d_xy, j.d_yy], axis=-2)], axis=-3)
+    return HyperJet(value=j.value, d1=np.stack([j.d_x, j.d_y], axis=-2), d2=d2)
+
+
+def _smooth_pair(name, chart, fj, nj, **rest):
+    """Scenario of a smooth pair whose sampled grids are the values of its jets."""
+    return Scenario(name=name, chart=chart, f_grid=grid_on_sites(fj, fj.value), nu_grid=grid_on_sites(nj, nj.value),
+                    f_jets=fj, nu_jets=nj, **rest)
 
 
 def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
-    """Bilinear saddle in asymptotic parameters; every invariant is exact."""
-    u, v = sp.symbols("u v")
-    f = [u, v, u * v, sp.Integer(-1)]
-    nu = [-v, -u, sp.Integer(1), -u * v]
+    """Bilinear saddle in asymptotic parameters; every invariant is exact.
+
+    f = (u, v, uv, -1), nu = (-v, -u, 1, -uv).
+    """
     xs, ys = _axes(x0, x1, y0, y1, h)
-    fj = _sym_jets(f, u, v, xs, ys)
-    nj = _sym_jets(nu, u, v, xs, ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    f3 = FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=np.stack([X, Y, X * Y], axis=-1))
-    nu3 = FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=np.stack([-Y, -X, np.ones_like(X)], axis=-1))
-    return Scenario(
-        name="hypar",
-        chart=ChartKind.ASYMPTOTIC,
-        f_grid=_grid_from_jets(fj),
-        nu_grid=_grid_from_jets(nj),
-        f_jets=fj,
-        nu_jets=nj,
-        f3_grid=f3,
-        nu3_grid=nu3,
+    fj = _closed_jets(xs, ys, 3, value=[X, Y, X * Y, -1], d_x=[1, 0, Y, 0], d_y=[0, 1, X, 0], d_xy=[0, 0, 1, 0])
+    nj = _closed_jets(xs, ys, 3, value=[-Y, -X, 1, -X * Y], d_x=[0, -1, 0, -Y], d_y=[-1, 0, 0, -X],
+                      d_xy=[0, 0, 0, -1])
+    return _smooth_pair(
+        "hypar", ChartKind.ASYMPTOTIC, fj, nj,
+        f3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [X, Y, X * Y])),
+        nu3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [-Y, -X, 1])),
         ground_truth={
             "det_mixed": 1.0,
             "F2_coeff": -2.0,
@@ -139,24 +125,24 @@ def _cubic_graph(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
     """Cubic saddle z = xy + x^3/6 in asymptotic parameters.
 
     The parametrization f = (u, v - u^2/4, uv - u^3/12, -1) keeps the
-    mixed determinant equal to 1, so the conormal [f, f_u, f_v] is
-    polynomial and the cubic form coefficient along u is nonzero (1/2).
+    mixed determinant equal to 1, so the conormal [f, f_u, f_v] =
+    (u^2/4 + v, u, -1, u^3/12 + uv) is polynomial and the cubic form
+    coefficient along u is nonzero (1/2).
     """
-    u, v = sp.symbols("u v")
-    f = [u, v - u**2 / 4, u * v - u**3 / 12, sp.Integer(-1)]
-    fu = [sp.diff(e, u) for e in f]
-    fv = [sp.diff(e, v) for e in f]
-    nu = [sp.expand(e) for e in _sym_cross4([f, fu, fv])]
     xs, ys = _axes(x0, x1, y0, y1, h)
-    fj = _sym_jets(f, u, v, xs, ys)
-    nj = _sym_jets(nu, u, v, xs, ys)
-    return Scenario(
-        name="cubic-graph",
-        chart=ChartKind.ASYMPTOTIC,
-        f_grid=_grid_from_jets(fj),
-        nu_grid=_grid_from_jets(nj),
-        f_jets=fj,
-        nu_jets=nj,
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fj = _closed_jets(
+        xs, ys, 3,
+        value=[X, -1 / 4 * X**2 + Y, -1 / 12 * X**3 + X * Y, -1], d_x=[1, -1 / 2 * X, -1 / 4 * X**2 + Y, 0],
+        d_y=[0, 1, X, 0], d_xx=[0, -1 / 2, -1 / 2 * X, 0], d_xy=[0, 0, 1, 0], d_xxx=[0, 0, -1 / 2, 0],
+    )
+    nj = _closed_jets(
+        xs, ys, 3,
+        value=[(1 / 4) * X**2 + Y, X, -1, (1 / 12) * X**3 + X * Y], d_x=[(1 / 2) * X, 1, 0, (1 / 4) * X**2 + Y],
+        d_y=[1, 0, 0, X], d_xx=[1 / 2, 0, 0, (1 / 2) * X], d_xy=[0, 0, 0, 1], d_xxx=[0, 0, 0, 1 / 2],
+    )
+    return _smooth_pair(
+        "cubic-graph", ChartKind.ASYMPTOTIC, fj, nj,
         ground_truth={"det_mixed": 1.0, "det_xx": 0.25, "F3_abs": 0.5},
         meta={"h": h, "box": [x0, x1, y0, y1]},
     )
@@ -169,20 +155,14 @@ def _conj_paraboloid(x0=0.2, x1=1.2, y0=0.2, y1=1.2, h=0.05):
     the y reflection flips the orientation from the asymptotic-type
     pairing to the conjugate one.
     """
-    u, v = sp.symbols("u v")
-    r = (u**2 + v**2) / 2
-    f = [u, -v, r, sp.Integer(-1)]
-    nu = [-u, v, sp.Integer(1), -r]
     xs, ys = _axes(x0, x1, y0, y1, h)
-    fj = _sym_jets(f, u, v, xs, ys, order=2)
-    nj = _sym_jets(nu, u, v, xs, ys, order=2)
-    return Scenario(
-        name="conj-paraboloid",
-        chart=ChartKind.CONJUGATE,
-        f_grid=_grid_from_jets(fj),
-        nu_grid=_grid_from_jets(nj),
-        f_jets=fj,
-        nu_jets=nj,
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fj = _closed_jets(xs, ys, 2, value=[X, -Y, (1 / 2) * X**2 + (1 / 2) * Y**2, -1], d_x=[1, 0, X, 0],
+                      d_y=[0, -1, Y, 0], d_xx=[0, 0, 1, 0], d_yy=[0, 0, 1, 0])
+    nj = _closed_jets(xs, ys, 2, value=[-X, Y, 1, -1 / 2 * X**2 - 1 / 2 * Y**2], d_x=[-1, 0, 0, -X],
+                      d_y=[0, 1, 0, -Y], d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
+    return _smooth_pair(
+        "conj-paraboloid", ChartKind.CONJUGATE, fj, nj,
         ground_truth={"det_conj_xx": 1.0},
         meta={"h": h, "box": [x0, x1, y0, y1]},
     )
@@ -193,26 +173,15 @@ def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
     xs, ys = _axes(x0, x1, y0, y1, h)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     R = (X**2 + Y**2) / 2
-    one = np.ones_like(X)
-    zero = np.zeros_like(X)
-    fval = np.stack([X, Y, R, -one], axis=-1)
-    fd1 = np.stack(
-        [np.stack([one, zero, X, zero], axis=-1), np.stack([zero, one, Y, zero], axis=-1)], axis=-2
-    )
-    e3 = np.stack([zero, zero, one, zero], axis=-1)
-    z4 = np.zeros_like(fval)
-    fd2 = np.stack([np.stack([e3, z4], axis=-2), np.stack([z4, e3], axis=-2)], axis=-3)
-    nval = np.stack([-X, -Y, one, -R], axis=-1)
-    nd1 = np.stack(
-        [np.stack([-one, zero, zero, -X], axis=-1), np.stack([zero, -one, zero, -Y], axis=-1)], axis=-2
-    )
-    e4 = np.stack([zero, zero, zero, -one], axis=-1)
-    nd2 = np.stack([np.stack([e4, z4], axis=-2), np.stack([z4, e4], axis=-2)], axis=-3)
+    fj = _closed_jets(xs, ys, 2, value=[X, Y, R, -1], d_x=[1, 0, X, 0], d_y=[0, 1, Y, 0], d_xx=[0, 0, 1, 0],
+                      d_yy=[0, 0, 1, 0])
+    nj = _closed_jets(xs, ys, 2, value=[-X, -Y, 1, -R], d_x=[-1, 0, 0, -X], d_y=[0, -1, 0, -Y],
+                      d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
     return Scenario(
         name="ell-paraboloid",
-        hyper_f_jet=HyperJet(value=fval, d1=fd1, d2=fd2),
-        hyper_nu_jet=HyperJet(value=nval, d1=nd1, d2=nd2),
-        hyper_nu_grid=HyperGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nval),
+        hyper_f_jet=_hyper_jet(fj),
+        hyper_nu_jet=_hyper_jet(nj),
+        hyper_nu_grid=HyperGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nj.value),
         amatrix=AMatrix(np.eye(2)),
         ground_truth={"A": [[1.0, 0.0], [0.0, 1.0]]},
         meta={"h": h, "box": [x0, x1, y0, y1]},

@@ -109,6 +109,19 @@ def test_verify_inapplicable_scenario_parameter_is_usage_error(capsys, argv, rej
     assert f"does not take {rejected}" in err
 
 
+@pytest.mark.parametrize("name", ["hypar", "ell-paraboloid"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--h", "0"], ["--h", "-0.1"], ["--h", "nan"], ["--h", "1e-320"],
+     ["--grid", "1:0:0.1"], ["--grid", "0:1:0.1,0:-1:0.1"], ["--grid", "0:inf:0.1"], ["--grid", "0:1:x"]],
+)
+def test_verify_bad_grid_parameter_is_usage_error(capsys, name, argv):
+    code, _, err = run(capsys, "verify", "--scenario", name, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])
 def test_verify_smallest_lattice_passes(capsys, name):
     code, _, _ = run(capsys, "verify", "--scenario", name, "--size", "3")

@@ -1,7 +1,14 @@
-"""Fixture self-checks and determinism."""
+"""Fixture self-checks, determinism, and the symbolic oracle of the closed-form jets."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from plmkit.affine import AffineSurfacePair, affine_forms
 from plmkit.discrete import DiscreteSurfacePair, discrete_residual
@@ -81,3 +88,140 @@ def test_ground_truth_fields_present():
     assert scenario("hypar").ground_truth["blaschke_F"] == -1.0
     assert scenario("cubic-graph").ground_truth["F3_abs"] == 0.5
     assert scenario("ell-paraboloid").ground_truth["A"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+# --- symbolic oracle ------------------------------------------------------
+#
+# The grid scenarios write their jets in closed form.  The oracle below
+# differentiates the same polynomials symbolically and evaluates each
+# component with sympy.lambdify; the closed forms must match it bit for bit.
+
+U, V = sp.symbols("u v")
+_JET_NAMES = ("value", "d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
+
+
+def _sym_jets(fexpr, xs, ys, order=3):
+    """Evaluate a sympy vector expression and its partials on a grid."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+
+    def ev(expr):
+        comps = []
+        for e in expr:
+            val = np.asarray(sp.lambdify((U, V), e, "numpy")(X, Y), dtype=float)
+            comps.append(np.broadcast_to(val, X.shape))
+        return np.stack(comps, axis=-1)
+
+    d = {
+        "value": fexpr,
+        "d_x": [sp.diff(e, U) for e in fexpr],
+        "d_y": [sp.diff(e, V) for e in fexpr],
+        "d_xx": [sp.diff(e, U, 2) for e in fexpr],
+        "d_xy": [sp.diff(e, U, V) for e in fexpr],
+        "d_yy": [sp.diff(e, V, 2) for e in fexpr],
+    }
+    if order >= 3:
+        d["d_xxx"] = [sp.diff(e, U, 3) for e in fexpr]
+        d["d_yyy"] = [sp.diff(e, V, 3) for e in fexpr]
+    return {k: ev(e) for k, e in d.items()}
+
+
+def _sym_cross4(rows):
+    """[a, b, c] in dimension 4 with the package sign convention."""
+    M = sp.Matrix([list(r) for r in rows])
+    comps = []
+    sign = 1
+    for i in range(4):
+        keep = [c for c in range(4) if c != i]
+        comps.append(sign * M[:, keep].det())
+        sign = -sign
+    return comps
+
+
+def _cubic_f():
+    return [U, V - U**2 / 4, U * V - U**3 / 12, sp.Integer(-1)]
+
+
+def _cubic_nu():
+    f = _cubic_f()
+    return [sp.expand(e) for e in _sym_cross4([f, [sp.diff(e, U) for e in f], [sp.diff(e, V) for e in f]])]
+
+
+_R = (U**2 + V**2) / 2
+_ORACLE = {
+    "hypar": (3, [U, V, U * V, sp.Integer(-1)], [-V, -U, sp.Integer(1), -U * V]),
+    "cubic-graph": (3, _cubic_f(), _cubic_nu()),
+    "conj-paraboloid": (2, [U, -V, _R, sp.Integer(-1)], [-U, V, sp.Integer(1), -_R]),
+    "ell-paraboloid": (2, [U, V, _R, sp.Integer(-1)], [-U, -V, sp.Integer(1), -_R]),
+}
+
+
+def _assert_bytes_equal(got, want, what):
+    got = np.asarray(got)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("h", [None, 0.01])
+@pytest.mark.parametrize("name", ["hypar", "cubic-graph", "conj-paraboloid"])
+def test_smooth_jets_equal_the_symbolic_oracle(name, h):
+    scn = scenario(name) if h is None else scenario(name, h=h)
+    order, f, nu = _ORACLE[name]
+    for jets, expr in ((scn.f_jets, f), (scn.nu_jets, nu)):
+        assert jets.order == order
+        want = _sym_jets(expr, jets.xs, jets.ys, order)
+        for k in _JET_NAMES:
+            if k in want:
+                _assert_bytes_equal(getattr(jets, k), want[k], (name, k))
+    for grid, jets in ((scn.f_grid, scn.f_jets), (scn.nu_grid, scn.nu_jets)):
+        _assert_bytes_equal(grid.values, jets.value, name)
+
+
+@pytest.mark.parametrize("h", [None, 0.01])
+def test_hyper_jets_equal_the_symbolic_oracle(h):
+    scn = scenario("ell-paraboloid") if h is None else scenario("ell-paraboloid", h=h)
+    _, f, nu = _ORACLE["ell-paraboloid"]
+    g = scn.hyper_nu_grid
+    xs, ys = (g.origin[a] + g.spacing[a] * np.arange(g.values.shape[a]) for a in (0, 1))
+    for jet, expr in ((scn.hyper_f_jet, f), (scn.hyper_nu_jet, nu)):
+        want = _sym_jets(expr, xs, ys, order=2)
+        d1 = np.stack([want["d_x"], want["d_y"]], axis=-2)
+        d2 = np.stack([np.stack([want["d_xx"], want["d_xy"]], axis=-2),
+                       np.stack([want["d_xy"], want["d_yy"]], axis=-2)], axis=-3)
+        _assert_bytes_equal(jet.d1, d1, "d1")
+        _assert_bytes_equal(jet.d2, d2, "d2")
+        assert np.array_equal(jet.value, want["value"])
+
+
+def test_cubic_graph_conormal_is_the_symbolic_cross_product():
+    want = [U**2 / 4 + V, U, sp.Integer(-1), U**3 / 12 + U * V]
+    assert all(sp.expand(a - b) == 0 for a, b in zip(_cubic_nu(), want))
+    f = _cubic_f()
+    fu, fv = [sp.diff(e, U) for e in f], [sp.diff(e, V) for e in f]
+    assert sp.Matrix([f, fu, fv, _cubic_nu()]).det() != 0  # the conormal is not in span(f, f_u, f_v)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, 1e-320])
+@pytest.mark.parametrize("name", ["hypar", "cubic-graph", "conj-paraboloid", "ell-paraboloid"])
+def test_bad_spacing_is_domain_error(name, h):
+    with pytest.raises(DomainError):
+        scenario(name, h=h)
+
+
+@pytest.mark.parametrize("box", [dict(x0=1.0, x1=0.0), dict(y0=0.5, y1=0.4), dict(x1=math.inf), dict(y0=math.nan)])
+def test_bad_box_is_domain_error(box):
+    with pytest.raises(DomainError):
+        scenario("hypar", **box)
+
+
+def test_runtime_does_not_import_sympy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import plmkit, plmkit.cli, sys; assert not any(m == 'sympy' or m.startswith('sympy.') for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_sympy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not any(dep.startswith("sympy") for dep in project["dependencies"])
+    assert any(dep.startswith("sympy") for dep in project["optional-dependencies"]["test"])
