@@ -4,12 +4,31 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 3 I/O error, 4 degenerate input: fatal with --strict, and for
 ``reconstruct --out``, since a grid CSV cannot leave a point out (``--obj``
 alone writes the mesh without the degenerate points and exits 0).
+
+``verify`` runs its suites on a pool of ``PLM_NUM_THREADS`` workers (default:
+the CPU count).  The pointwise suites (the smooth ``defining_relation``,
+``orthogonality`` and ``det_invariance``, the hyper ``defining_relation`` and
+``compatibility``) are cut into row tiles of about ``TILE_SITES`` sites, and
+each tile is one work unit: it takes its rows of the jets (views of given
+jets, or jets of its own rows of a sampled grid, stencil halo included) and
+keeps each residual field unreduced.  The tiles of a suite are then joined
+and each identity reduced once, so the report is the same bytes at any
+thread count.  Suites that are not pointwise (``affine``, whose jet order
+depends on the grid, and ``discrete``, on lattice windows) are whole-suite
+units, submitted first so that the tiles fill in around them.  A tiled suite
+that raises on a tile, or whose tiles make different whole-batch choices, is
+run again over the whole batch, so its errors and results are those of an
+untiled run.
 """
 
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -30,13 +49,12 @@ from .errors import (
     ParseError,
     PlmError,
 )
-from .fields import grid_on_sites, jet_grid, read_grid, read_lattice, write_grid, write_lattice
+from .fields import FieldGrid, _margin, grid_on_sites, jet_grid, read_grid, read_lattice, write_grid, write_lattice
 from .hyper import hyper_compat_residual, hyper_plm_residual, recover_A
-from .report import InvariantReport
+from .report import InvariantReport, ResidualTile
 from .scenarios import list_scenarios, scenario
 from .smooth import (
     ChartKind,
-    as_jets,
     det_invariance_report,
     fubini_forms,
     orthogonality_report,
@@ -48,11 +66,22 @@ __all__ = ["main"]
 
 _SUITES = ("smooth-asymptotic", "smooth-conjugate", "hyper", "discrete", "affine", "all")
 
+# Sites per row tile of a pointwise suite: a tile's temporaries, the
+# largest a (sites, 4, 4) float array, stay about the size of a 2 MiB L2.
+TILE_SITES = 16384
 
-def _worker_count(n_tasks):
+
+def _worker_count(n_units):
+    """PLM_NUM_THREADS (default: the CPU count), at most one worker per unit."""
     env = os.environ.get("PLM_NUM_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise DomainError(f"PLM_NUM_THREADS must be an integer, got {env!r}") from None
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(cap, n_units))
 
 
 def _chart_of(suite):
@@ -91,37 +120,134 @@ def _grid_spec(args):
     return out
 
 
-def _smooth_suite_tasks(suite, f_obj, nu_obj, stencil):
+@dataclass(eq=False)
+class _Suite:
+    """One suite of the report; ``seq`` is its place in the report.
+
+    ``run(f, nu, report=None)`` computes the suite on a pair of inputs, and
+    ``args`` is the pair over the whole batch.
+    """
+
+    name: str
+    seq: int
+    run: Callable
+    args: tuple
+    tiled: bool = False
+
+    def whole(self):
+        return self.run(*self.args)
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn``'s result, or the PlmError it raised: errors are raised in report order."""
+    try:
+        return fn(*args, **kwargs)
+    except PlmError as exc:
+        return exc
+
+
+def _whole_units(suites):
+    return [(s.name, lambda s=s: [(s, _attempt(s.whole))]) for s in suites]
+
+
+def _row_tiles(shape):
+    """Row slices of about TILE_SITES sites that cover a batch of ``shape``."""
+    step = max(1, TILE_SITES // int(np.prod(shape[1:])))
+    return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
+
+
+def _common_shape(a, b):
+    """The batch shape two jets share, or None when it is not a tileable one."""
+    return a if a == b and len(a) > 0 and min(a) > 0 else None
+
+
+def _tiled_units(name, suites, shape, jets):
+    """(whole, tiles) units for ``suites``, which share their inputs.
+
+    With ``shape`` None each suite is a whole-suite unit (and raises its own
+    error on a mismatched, empty or too small input); else there is one
+    unit per row tile, which gets the pair ``jets(rows)`` and runs every
+    suite on it into a ResidualTile.
+    """
+    if shape is None:
+        return _whole_units(suites), []
+    for s in suites:
+        s.tiled = True
+
+    def unit(rows):
+        pair = _attempt(jets, rows)
+        if isinstance(pair, PlmError):
+            return [(s, pair) for s in suites]
+        return [(s, _attempt(s.run, *pair, report=ResidualTile())) for s in suites]
+
+    return [], [(f"{name}[{rows.start}:{rows.stop}]", partial(unit, rows)) for rows in _row_tiles(shape)]
+
+
+def _jet_rows(obj, order, stencil, rows):
+    """The rows of a jet object, or the jets of a sampled grid on those rows."""
+    if isinstance(obj, FieldGrid):
+        return jet_grid(obj, order=order, stencil=stencil, rows=rows)
+    return obj.rows(rows)
+
+
+def _jet_shape(obj, order, stencil):
+    if isinstance(obj, FieldGrid):
+        return tuple(N - 2 * _margin(stencil, order) for N in obj.dims)
+    return obj.shape
+
+
+def _smooth_units(suite, f_obj, nu_obj, stencil, seq):
     chart = _chart_of(suite)
-    # one set of order-2 jets serves every order-2 identity; the asymptotic
-    # determinants need order-3 jets, whose wider margin covers fewer sites
-    fj, nj = as_jets(f_obj, stencil=stencil), as_jets(nu_obj, stencil=stencil)
-    df, dn = (f_obj, nu_obj) if chart is ChartKind.ASYMPTOTIC else (fj, nj)
-    return [
-        (f"{suite}/defining_relation", lambda: plm_residual(fj, nj, chart=chart, stencil=stencil)),
-        (f"{suite}/orthogonality", lambda: orthogonality_report(fj, nj, chart=chart, stencil=stencil)),
-        (f"{suite}/det_invariance", lambda: det_invariance_report(df, dn, chart=chart, stencil=stencil)),
-    ]
+    args = (f_obj, nu_obj)
+    plm, orth, det = (
+        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil), args)
+        for name, fn in (("defining_relation", plm_residual), ("orthogonality", orthogonality_report),
+                         ("det_invariance", det_invariance_report))
+    )
+    # one set of order-2 jets per tile serves every order-2 identity; the
+    # asymptotic determinants need order-3 jets, whose wider margin covers
+    # fewer sites of a sampled grid
+    groups = [(2, [plm, orth]), (3, [det])] if chart is ChartKind.ASYMPTOTIC else [(2, [plm, orth, det])]
+    whole, tiles = [], []
+    for order, suites in groups:
+
+        def jets(rows, order=order):
+            return tuple(_jet_rows(obj, order, stencil, rows) for obj in args)
+
+        shape = _common_shape(*(_jet_shape(obj, order, stencil) for obj in args))
+        w, t = _tiled_units(f"{suite}/order{order}", suites, shape, jets)
+        whole, tiles = whole + w, tiles + t
+    return whole, tiles
 
 
 def _collect_tasks(args, scn):
-    """(name, thunk) pairs for every suite applicable to the inputs."""
+    """(name, thunk) work units for every suite applicable to the inputs.
+
+    Each thunk returns (suite, part) pairs: an InvariantReport of a whole
+    suite, a ResidualTile of one row tile, or the PlmError it raised.
+    Whole-suite units come first.
+    """
     suites = [args.suite] if args.suite != "all" else list(_SUITES[:-1])
-    tasks = []
+    seq = count()
+    whole, tiles = [], []
     for suite in suites:
+        units = ([], [])
         if suite in ("smooth-asymptotic", "smooth-conjugate"):
             if scn is not None:
                 if scn.f_jets is None or scn.chart is not _chart_of(suite):
                     continue
-                tasks += _smooth_suite_tasks(suite, scn.f_jets, scn.nu_jets, args.stencil)
+                units = _smooth_units(suite, scn.f_jets, scn.nu_jets, args.stencil, seq)
             else:
-                tasks += _smooth_suite_tasks(suite, args._f_grid, args._nu_grid, args.stencil)
+                units = _smooth_units(suite, args._f_grid, args._nu_grid, args.stencil, seq)
         elif suite == "hyper" and scn is not None and scn.hyper_f_jet is not None:
             fj, nj, A = scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix
-            tasks += [
-                ("hyper/defining_relation", lambda: hyper_plm_residual(fj, nj, A)),
-                ("hyper/compatibility", lambda: hyper_compat_residual(nj, A)),
+            hyper = [
+                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A), (fj, nj)),
+                _Suite("hyper/compatibility", next(seq), lambda f, nu, report=None: hyper_compat_residual(
+                    nu, A, report=report), (fj, nj)),
             ]
+            shape = _common_shape(fj.batch_shape, nj.batch_shape)
+            units = _tiled_units("hyper", hyper, shape, lambda rows: (fj.rows(rows), nj.rows(rows)))
         elif suite == "discrete" and scn is not None and scn.nu_lattice is not None:
             pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
             paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
@@ -131,12 +257,12 @@ def _collect_tasks(args, scn):
                 rep.add("moutard_closure", moutard_residual(scn.nu3_lattice), 1e-10)
                 return rep
 
-            tasks += [
-                ("discrete/defining_relation", lambda: discrete_residual(pairp)),
-                ("discrete/volume_invariance", lambda: discrete_det_invariance(paira)),
-                ("discrete/form_identities", lambda: discrete_forms(paira)[1]),
-                ("discrete/moutard_closure", moutard_rep),
-            ]
+            units = _whole_units([
+                _Suite("discrete/defining_relation", next(seq), lambda: discrete_residual(pairp), ()),
+                _Suite("discrete/volume_invariance", next(seq), lambda: discrete_det_invariance(paira), ()),
+                _Suite("discrete/form_identities", next(seq), lambda: discrete_forms(paira)[1], ()),
+                _Suite("discrete/moutard_closure", next(seq), moutard_rep, ()),
+            ]), []
         elif suite == "affine" and scn is not None and scn.f3_grid is not None:
             paira = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
 
@@ -145,11 +271,43 @@ def _collect_tasks(args, scn):
                 rep.add("conormal_closure", closure_residual(scn.nu3_grid, stencil=args.stencil)[0], 1e-8)
                 return rep
 
-            tasks += [
-                ("affine/form_identities", lambda: affine_forms(paira, stencil=args.stencil)[1]),
-                ("affine/conormal_closure", closure_rep),
-            ]
-    return tasks
+            units = _whole_units([
+                _Suite("affine/form_identities", next(seq), lambda: affine_forms(paira, stencil=args.stencil)[1], ()),
+                _Suite("affine/conormal_closure", next(seq), closure_rep, ()),
+            ]), []
+        whole, tiles = whole + units[0], tiles + units[1]
+    return whole + tiles
+
+
+def _suite_report(suite, parts):
+    """The suite's InvariantReport from its units' parts (tiles in row order)."""
+    if not suite.tiled:
+        (part,) = parts
+        if isinstance(part, PlmError):
+            raise part
+        return part
+    if any(isinstance(p, PlmError) or p.decisions != parts[0].decisions for p in parts):
+        return suite.whole()
+    rep = InvariantReport()
+    for k, (name, _, tol) in enumerate(parts[0].fields):
+        rep.add(name, np.concatenate([p.fields[k][1] for p in parts]), tol)
+    return rep
+
+
+def _run_units(units):
+    """Run the work units on the pool; every suite's records, in report order."""
+    with ThreadPoolExecutor(max_workers=_worker_count(len(units))) as pool:
+        results = list(pool.map(lambda u: u[1](), units))
+    parts = {}
+    for result in results:
+        for suite, part in result:
+            parts.setdefault(suite, []).append(part)
+    records = []
+    for suite in sorted(parts, key=lambda s: s.seq):
+        for rec in _suite_report(suite, parts.pop(suite)).records:
+            rec.name = f"{suite.name}/{rec.name}"
+            records.append(rec)
+    return records
 
 
 def cmd_verify(args):
@@ -169,18 +327,11 @@ def cmd_verify(args):
         print("error: verify needs --scenario or --nu/--f", file=sys.stderr)
         return 2
 
-    tasks = _collect_tasks(args, scn)
-    if not tasks:
+    units = _collect_tasks(args, scn)
+    if not units:
         print(f"error: suite {args.suite!r} is not applicable to this input", file=sys.stderr)
         return 2
-    with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-        results = list(pool.map(lambda t: t[1](), tasks))
-
-    combined = InvariantReport(metadata={} if args.no_meta else _run_meta(args))
-    for (name, _), rep in zip(tasks, results):
-        for rec in rep.records:
-            rec.name = f"{name}/{rec.name}"
-            combined.records.append(rec)
+    combined = InvariantReport(records=_run_units(units), metadata={} if args.no_meta else _run_meta(args))
     for rec in combined.records:
         status = "pass" if rec.passed else "FAIL"
         print(f"{status}  {rec.name}  max={rec.max_residual:.3e}  tol={rec.tolerance:g}")

@@ -16,7 +16,7 @@ every site of a uniform box appears exactly once (lattice sites must be
 the integers 0..M-1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
@@ -121,6 +121,12 @@ class JetGrid:
     def shape(self):
         return self.value.shape[:2]
 
+    def rows(self, sl):
+        """The jets at the x-indices ``sl``, as views."""
+        derivs = ("value", "d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
+        sliced = {k: getattr(self, k)[sl] for k in derivs if getattr(self, k) is not None}
+        return replace(self, xs=self.xs[sl], **sliced)
+
     def at(self, i, j):
         """JetRecord at interior index (i, j)."""
         return JetRecord(
@@ -224,16 +230,20 @@ def jet_at(grid: FieldGrid, i: int, j: int, order: int = 2, stencil: int = 2) ->
     return JetRecord(**{k: a[0, 0] for k, a in _jets(window, grid.spacing, m, order, stencil).items()})
 
 
-def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2) -> JetGrid:
+def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:
     """Jets at every interior point, vectorized.
 
     The interior margin is the widest stencil reach; derivatives are
-    never one-sided.
+    never one-sided.  ``rows``, a unit-step slice of the interior
+    x-indices, limits the jets to those rows: only their stencil window is
+    read, and the arrays equal the same rows of the full jets bit for bit.
     """
     m = _margin(stencil, order)
     nx, ny = grid.dims
-    jets = _jets(grid.values, grid.spacing, m, order, stencil)
-    return JetGrid(xs=grid.xs()[m : nx - m], ys=grid.ys()[m : ny - m], **jets)
+    _check_fits(grid.dims, m)
+    start, stop, _ = (rows or slice(None)).indices(nx - 2 * m)
+    jets = _jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil)
+    return JetGrid(xs=grid.xs()[m + start : m + stop], ys=grid.ys()[m : ny - m], **jets)
 
 
 def grid_on_sites(jets: JetGrid, values) -> FieldGrid:

@@ -18,6 +18,7 @@ reproduce f projectively, and the recovered A must zero the defining
 residual.
 """
 
+import copy
 from dataclasses import dataclass
 from itertools import product
 
@@ -151,6 +152,16 @@ class HyperJet:
     def batch_shape(self):
         return self.value.shape[:-1]
 
+    def rows(self, sl):
+        """The jet on a slice of the first batch axis, as views.
+
+        Not validated again: the symmetry check is relative to the whole
+        batch, and a slice of a valid jet is valid.
+        """
+        out = copy.copy(self)
+        out.value, out.d1, out.d2 = self.value[sl], self.d1[sl], self.d2[sl]
+        return out
+
 
 def hyper_jet_grid(grid: HyperGrid, stencil: int = 2) -> HyperJet:
     """Central-difference second-order jets at every interior point."""
@@ -247,8 +258,11 @@ def recover_A(f_jet: HyperJet, nu_jet: HyperJet, eps_deg: float = 1e-10):
     return np.stack(rows, axis=-2)
 
 
-def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8) -> InvariantReport:
-    """Residuals of the defining bivector system and its pairing laws."""
+def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8, report=None):
+    """Residuals of the defining bivector system and its pairing laws.
+
+    Adds to ``report`` when one is given (as the smooth suites do).
+    """
     n = nu_jet.n
     if f_jet.n != n:
         raise DomainError("f and nu jets disagree on the number of parameters")
@@ -256,7 +270,7 @@ def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8) 
         raise DomainError(f"batch shape mismatch: {f_jet.batch_shape} vs {nu_jet.batch_shape}")
     Av = _a_values(A, n)
     stars = [_slot_star(nu_jet, b) for b in range(n)]
-    rep = InvariantReport(metadata={"n": n})
+    rep = InvariantReport(metadata={"n": n}) if report is None else report
     for a in range(n):
         lhs = wedge2(f_jet.value, f_jet.d1[..., a, :])
         rhs = None
@@ -293,17 +307,19 @@ def _span_distance(basis, rhs, what):
     return _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * basis_norm)
 
 
-def hyper_compat_residual(nu_jet: HyperJet, A, tol: float = 1e-8) -> InvariantReport:
+def hyper_compat_residual(nu_jet: HyperJet, A, tol: float = 1e-8, report=None):
     """Span test of the compatibility system.
 
     For each index quadruple (a, b, g, d) the combination
     A[a, g] nu_{x_b x_d} - A[b, d] nu_{x_a x_g} must lie in
-    span{nu, nu_{x_1}, ..., nu_{x_n}}.
+    span{nu, nu_{x_1}, ..., nu_{x_n}}.  A combination that is zero over the
+    whole batch skips the span solve (and its rank check); that choice is
+    a whole-batch one, so it goes through ``report.decide``.
     """
     n = nu_jet.n
     Av = _a_values(A, n)
     basis = [nu_jet.value] + [nu_jet.d1[..., r, :] for r in range(n)]
-    rep = InvariantReport(metadata={"n": n})
+    rep = InvariantReport(metadata={"n": n}) if report is None else report
     for a, b, g, d in product(range(n), repeat=4):
         if (a, g) == (b, d):
             continue
@@ -312,8 +328,9 @@ def hyper_compat_residual(nu_jet: HyperJet, A, tol: float = 1e-8) -> InvariantRe
             - Av[..., b, d, None] * nu_jet.d2[..., a, g, :]
         )
         name = f"compat_{a + 1}{b + 1}{g + 1}{d + 1}"
-        if np.max(_norm(w), initial=0.0) == 0.0:
-            rep.add(name, np.zeros(np.asarray(_norm(w)).shape), tol)
+        size = _norm(w)
+        if rep.decide(np.max(size, initial=0.0) == 0.0):
+            rep.add(name, np.zeros(np.shape(size)), tol)
             continue
         rep.add(name, _span_distance(basis, w, name), tol)
     return rep

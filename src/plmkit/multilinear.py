@@ -37,9 +37,29 @@ __all__ = [
 ]
 
 
+def _dot(a, b):
+    """sum_k a_k b_k over the last axis.
+
+    For float vectors of dimension below 8 the sum is unrolled into one
+    array operation per component, ``0.0 + a0*b0 + a1*b1 + ...``: this is
+    the order numpy's ``.sum(axis=-1)`` adds so short an axis in, signed
+    zeros included, so the result is bit-identical, without the per-site
+    inner loop.  Other inputs (object arrays of ``Fraction``, integers,
+    empty or longer vectors) keep ``.sum``, exact on ``Fraction``.
+    """
+    d = a.shape[-1]
+    if not 0 < d < 8 or np.result_type(a, b).kind != "f":
+        return (a * b).sum(axis=-1)
+    s = 0.0
+    for k in range(d):
+        s = s + a[..., k] * b[..., k]
+    return s
+
+
 def _norm(a):
     """Euclidean norm over the last axis, in floats."""
-    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(_dot(a, a))
 
 
 def _fro(B):
@@ -190,7 +210,7 @@ def pair(f, nu):
     nu = _as_vec(nu)
     if f.shape[-1] != nu.shape[-1]:
         raise DomainError("pair: dimension mismatch")
-    return (f * nu).sum(axis=-1)
+    return _dot(f, nu)
 
 
 def star_of_wedge(vectors):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["IdentityRecord", "InvariantReport", "CONVENTIONS"]
+__all__ = ["IdentityRecord", "InvariantReport", "ResidualTile", "CONVENTIONS"]
 
 # Recorded in every JSON report so downstream comparisons are unambiguous.
 CONVENTIONS = {
@@ -64,6 +64,10 @@ class InvariantReport:
         self.records.append(rec)
         return rec
 
+    def decide(self, flag):
+        """A choice the suite makes over its whole batch; see ResidualTile."""
+        return flag
+
     def __getitem__(self, name) -> IdentityRecord:
         for rec in self.records:
             if rec.name == name:
@@ -91,3 +95,25 @@ class InvariantReport:
 
     def to_json(self, include_meta=True, indent=2):
         return json.dumps(self.to_dict(include_meta=include_meta), indent=indent, sort_keys=True)
+
+
+@dataclass
+class ResidualTile:
+    """A suite's unreduced residual fields on one tile of its batch.
+
+    A suite given a ResidualTile in place of an InvariantReport keeps each
+    field instead of reducing it, so the fields of all tiles can be joined
+    and every identity reduced once, exactly as over the whole batch.
+    ``decisions`` lists the whole-batch choices the suite made on this
+    tile; the join is exact only if every tile made the same ones.
+    """
+
+    fields: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)
+
+    def add(self, name, residual, tolerance):
+        self.fields.append((name, np.asarray(residual, dtype=float), tolerance))
+
+    def decide(self, flag):
+        self.decisions.append(flag)
+        return flag

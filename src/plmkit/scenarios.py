@@ -197,6 +197,9 @@ def _check_lattice_size(size):
 def _hypar_lattice(h=0.1, size=8):
     """Discrete bilinear saddle: the affine conormal is linear in the sites."""
     _check_lattice_size(size)
+    # at h = 0 the conormal is constant and the surface a single point
+    if not (h != 0 and math.isfinite(h)):
+        raise DomainError(f"lattice spacing h must be finite and nonzero, got {h}")
     n1, n2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     bn = np.stack([-n2 * h, -n1 * h, np.ones_like(n1, dtype=float)], axis=-1)
     nu3 = LatticeField(values=bn)

@@ -151,9 +151,18 @@ def _pair_jets(f_obj, nu_obj, order=2, stencil=2):
     return fj, nj
 
 
-def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8) -> InvariantReport:
+def _report(report, chart):
+    return InvariantReport(metadata={"chart": chart.value}) if report is None else report
+
+
+def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
     """Residual of the two defining bivector relations, normalized by the
-    pointwise bivector magnitude."""
+    pointwise bivector magnitude.
+
+    Like every suite, it adds its records to ``report`` when one is given
+    (an InvariantReport, or a ResidualTile to keep the fields of one tile)
+    and to a new InvariantReport otherwise, and returns that report.
+    """
     fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
     wfx = wedge2(fj.value, fj.d_x)
     wfy = wedge2(fj.value, fj.d_y)
@@ -163,17 +172,17 @@ def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float =
         pairs = [("bivector_x", wfx, snx), ("bivector_y", wfy, -sny)]
     else:
         pairs = [("bivector_x", wfx, -sny), ("bivector_y", wfy, snx)]
-    rep = InvariantReport(metadata={"chart": chart.value})
+    rep = _report(report, chart)
     for name, lhs, rhs in pairs:
         denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
         rep.add(name, _fro(lhs - rhs) / denom, tol)
     return rep
 
 
-def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8) -> InvariantReport:
+def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
     """Vanishing-pairing relations of the correspondence."""
     fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
-    rep = InvariantReport(metadata={"chart": chart.value})
+    rep = _report(report, chart)
 
     # floor the scale at |f||nu| so a jet that vanishes identically (and is
     # pure roundoff under finite differences) does not divide noise by noise
@@ -235,13 +244,13 @@ def det_families(jets, which: str):
     return np.asarray(table[which](), dtype=float)
 
 
-def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8) -> InvariantReport:
+def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
     """Determinant invariance (asymptotic: equal; conjugate: sign-flipped,
     plus the vanishing mixed determinant and equality of the xx/yy
     determinants, which follows from the equal diagonal pairings)."""
     order = 3 if chart is ChartKind.ASYMPTOTIC else 2
     fj, nj = _pair_jets(f_obj, nu_obj, order=order, stencil=stencil)
-    rep = InvariantReport(metadata={"chart": chart.value})
+    rep = _report(report, chart)
     if chart is ChartKind.ASYMPTOTIC:
         fams = [("mixed", "mixed"), ("xx", "xx"), ("yy", "yy")]
         for name, which in fams:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from plmkit import cli
 from plmkit.cli import main
 from plmkit.fields import FieldGrid, read_grid, read_lattice, write_grid
 from plmkit.scenarios import scenario
@@ -120,6 +121,34 @@ def test_verify_bad_grid_parameter_is_usage_error(capsys, name, argv):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("h", ["0", "-0.0", "nan", "inf"])
+def test_verify_degenerate_hypar_lattice_is_usage_error(capsys, h):
+    # at h = 0 the conormal is constant and the integrated surface one point
+    code, out, err = run(capsys, "verify", "--scenario", "hypar-lattice", "--h", h)
+    assert code == 2
+    assert "Traceback" not in err and "PASS" not in out
+    assert err.startswith("error: lattice spacing h")
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "two"])
+def test_non_integer_thread_count_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PLM_NUM_THREADS", value)
+    code, out, err = run(capsys, "verify", "--scenario", "hypar")
+    assert code == 2
+    assert "Traceback" not in err and "PASS" not in out
+    assert "PLM_NUM_THREADS" in err and repr(value) in err
+
+
+def test_worker_count_is_capped_by_the_units(monkeypatch):
+    # checked without a pool: no thread is started for a huge value
+    monkeypatch.setenv("PLM_NUM_THREADS", str(10**18))
+    assert cli._worker_count(7) == 7
+    monkeypatch.setenv("PLM_NUM_THREADS", "0")
+    assert cli._worker_count(7) == 1
+    monkeypatch.delenv("PLM_NUM_THREADS")
+    assert 1 <= cli._worker_count(3) <= 3
 
 
 @pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])

@@ -85,6 +85,19 @@ def test_compatibility_ell_paraboloid():
     assert rep.max_residual() < 1e-10
 
 
+def test_compatibility_zero_combination_takes_one_norm(monkeypatch):
+    # every combination of the paraboloid vanishes: one _norm each, no span solve
+    from plmkit import hyper
+
+    calls = []
+    norm = hyper._norm
+    monkeypatch.setattr(hyper, "_norm", lambda a: calls.append(1) or norm(a))
+    monkeypatch.setattr(hyper, "_span_distance", None)
+    rep = hyper_compat_residual(ELL.hyper_nu_jet, ELL.amatrix)
+    assert len(calls) == len(rep.records) == 12
+    assert all(rec.max_residual == 0.0 for rec in rep.records)
+
+
 def test_recover_A_identity():
     A = recover_A(ELL.hyper_f_jet, ELL.hyper_nu_jet)
     assert A.shape[-2:] == (2, 2)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from plmkit.errors import DomainError
 from plmkit.multilinear import (
+    _norm,
     cross_n,
     det_n,
     hodge_star,
@@ -274,7 +275,57 @@ def test_star_of_wedge_matches_composition(u, v):
     assert_same_bits(star_of_wedge([u, v]), hodge_star(wedge2(u, v)))
 
 
+# --- reference: the axis sums the unrolled _norm and pair replaced ---
+
+
+def pair_ref(f, nu):
+    return (f * nu).sum(axis=-1)
+
+
+def norm_ref(a):
+    return np.sqrt((np.asarray(a, dtype=float) ** 2).sum(axis=-1))
+
+
+@st.composite
+def vector_views(draw):
+    """Two float vector batches of dimension 2..6 (signed zeros and
+    magnitudes from 1e-200 to 1e200 included) as plain, strided,
+    transposed or broadcast views."""
+    d = draw(st.integers(2, 6))
+    elements = st.one_of(finite, st.sampled_from([0.0, -0.0, 1e-200, -3e200]))
+    u, v = (draw(hnp.arrays(np.float64, (3, 2, 2 * d), elements=elements)) for _ in range(2))
+    view = draw(st.sampled_from(["plain", "strided", "transposed", "broadcast"]))
+    if view == "plain":
+        return u[..., :d].copy(), v[..., :d].copy()
+    if view == "strided":
+        return u[..., ::2], v[..., 1::2]
+    if view == "transposed":
+        return u.transpose(1, 0, 2)[..., d:], v.transpose(1, 0, 2)[..., :d]
+    return u[..., :d], v[0, 1, :d]
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_views())
+def test_pair_and_norm_match_the_axis_sum_bitwise(views):
+    u, v = views
+    assert_same_bits(pair(u, v), pair_ref(u, v))
+    assert_same_bits(pair(v, u), pair_ref(v, u))
+    assert_same_bits(_norm(u), norm_ref(u))
+    assert_same_bits(_norm(v), norm_ref(v))
+
+
 fraction = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(st.lists(fraction, min_size=d, max_size=d), min_size=6,
+                                                     max_size=6)))
+def test_pair_exact_on_fraction_arrays(raw):
+    a = np.array(raw, dtype=object).reshape(3, 2, -1)
+    got = pair(a, a[::-1])
+    assert got.dtype == object and got.shape == (3, 2)
+    assert np.all(got == pair_ref(a, a[::-1]))
+    assert all(isinstance(x, Fraction) for x in got.ravel() if x != 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,235 @@
+"""Row-tiled verify: the joined tiles give the report of one call per suite.
+
+``verify`` cuts the pointwise suites into row tiles of about
+``cli.TILE_SITES`` sites.  These tests shrink the tile to a few rows and
+compare the tiled report, byte for byte, with the report built from one
+call of each suite function on the full inputs; an input that makes the
+untiled suites raise must make the tiled run raise the same error.
+"""
+
+import argparse
+import dataclasses
+import sys
+import threading
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from plmkit import cli
+from plmkit.errors import DegeneratePointError, DomainError
+from plmkit.hyper import AMatrix, HyperJet, hyper_compat_residual, hyper_plm_residual
+from plmkit.report import InvariantReport
+from plmkit.scenarios import scenario
+from plmkit.smooth import ChartKind, det_invariance_report, orthogonality_report, plm_residual
+
+_H = 0.05
+_CHART = {"hypar": "smooth-asymptotic", "cubic-graph": "smooth-asymptotic", "conj-paraboloid": "smooth-conjugate"}
+
+
+def _outcome(build):
+    """The report JSON, or the type and message of the error it raised."""
+    try:
+        return build().to_json()
+    except Exception as exc:  # the untiled suites may raise any error; the tiled run must match it
+        return type(exc).__name__, str(exc)
+
+
+def _untiled(calls):
+    """One call of each suite on the full inputs, records named as verify names them."""
+    rep = InvariantReport()
+    for prefix, call in calls:
+        for rec in call().records:
+            rec.name = f"{prefix}/{rec.name}"
+            rep.records.append(rec)
+    return rep
+
+
+def _smooth_untiled(suite, f, nu, stencil):
+    chart = ChartKind.ASYMPTOTIC if suite == "smooth-asymptotic" else ChartKind.CONJUGATE
+    return _untiled([
+        (f"{suite}/defining_relation", lambda: plm_residual(f, nu, chart, stencil=stencil)),
+        (f"{suite}/orthogonality", lambda: orthogonality_report(f, nu, chart, stencil=stencil)),
+        (f"{suite}/det_invariance", lambda: det_invariance_report(f, nu, chart, stencil=stencil)),
+    ])
+
+
+def _hyper_untiled(fj, nj, A):
+    return _untiled([
+        ("hyper/defining_relation", lambda: hyper_plm_residual(fj, nj, A)),
+        ("hyper/compatibility", lambda: hyper_compat_residual(nj, A)),
+    ])
+
+
+def _tiled(rows_per_tile, sites_per_row, suite, stencil=2, scn=None, f=None, nu=None):
+    """verify's records for these inputs, with tiles of ``rows_per_tile`` rows."""
+    args = argparse.Namespace(suite=suite, stencil=stencil, _f_grid=f, _nu_grid=nu)
+    with mock.patch.object(cli, "TILE_SITES", rows_per_tile * sites_per_row):
+        return InvariantReport(records=cli._run_units(cli._collect_tasks(args, scn)))
+
+
+def _box(name, nx, ny):
+    """The scenario on an nx x ny box of spacing _H (default lower corner)."""
+    x0 = 0.2 if name == "conj-paraboloid" else -1.0
+    return scenario(name, x0=x0, x1=x0 + (nx - 1) * _H, y0=x0, y1=x0 + (ny - 1) * _H, h=_H)
+
+
+@st.composite
+def _extents(draw):
+    """(rows per tile, interior rows, interior columns); the rows hit the tile edges."""
+    per_tile = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["empty", "one", "one tile", "one tile plus a row", "last tile of one row", "any"]))
+    rows = {
+        "empty": 0,
+        "one": 1,
+        "one tile": per_tile,
+        "one tile plus a row": per_tile + 1,
+        "last tile of one row": draw(st.integers(2, 3)) * per_tile + 1,
+        "any": draw(st.integers(1, 13)),
+    }[kind]
+    return per_tile, rows, draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    extents=_extents(),
+    name=st.sampled_from(sorted(_CHART)),
+    stencil=st.sampled_from([2, 4]),
+    from_file=st.booleans(),
+    other_chart=st.booleans(),
+)
+def test_tiled_smooth_report_is_byte_identical(extents, name, stencil, from_file, other_chart):
+    per_tile, rows, cols = extents
+    suite = _CHART[name]
+    if from_file:
+        if other_chart:  # a sampled grid can be checked in either chart
+            suite = "smooth-conjugate" if suite == "smooth-asymptotic" else "smooth-asymptotic"
+        # ``rows`` counts the interior of the widest jets: order 3 in the asymptotic chart
+        m = (1 if stencil == 2 else 2) + (suite == "smooth-asymptotic")
+        scn = _box(name, rows + 2 * m, cols + 2 * m)
+        f, nu = scn.f_grid, scn.nu_grid
+        sites_per_row = cols + 2 * m
+        tiled = lambda: _tiled(per_tile, sites_per_row, suite, stencil, f=f, nu=nu)  # noqa: E731
+    else:
+        scn = _box(name, max(rows, 1), cols)
+        if rows == 0:
+            scn = dataclasses.replace(scn, f_jets=scn.f_jets.rows(slice(0, 0)), nu_jets=scn.nu_jets.rows(slice(0, 0)))
+        f, nu = scn.f_jets, scn.nu_jets
+        tiled = lambda: _tiled(per_tile, cols, suite, stencil, scn=scn)  # noqa: E731
+    expected = _outcome(lambda: _smooth_untiled(suite, f, nu, stencil))
+    assert _outcome(tiled) == expected
+    if rows == 0:
+        assert isinstance(expected, tuple)  # an empty interior is an error, tiled or not
+
+
+@settings(max_examples=30, deadline=None)
+@given(extents=_extents())
+def test_tiled_hyper_report_is_byte_identical(extents):
+    per_tile, rows, cols = extents
+    scn = _box("ell-paraboloid", max(rows, 1), cols)
+    if rows == 0:
+        scn = dataclasses.replace(scn, hyper_f_jet=scn.hyper_f_jet.rows(slice(0, 0)),
+                                  hyper_nu_jet=scn.hyper_nu_jet.rows(slice(0, 0)))
+    expected = _outcome(lambda: _hyper_untiled(scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix))
+    assert _outcome(lambda: _tiled(per_tile, cols, "hyper", scn=scn)) == expected
+
+
+def _hyper_pair(rows, cols, flat_rows, seed=0):
+    """A random n = 2 jet pair whose conormal has d2 = c * identity on the
+    first ``flat_rows`` rows, so every compatibility combination of A = I
+    vanishes there and on no other row."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    d2 = rng.standard_normal(shape + (2, 2, 4))
+    d2[..., 1, 0, :] = d2[..., 0, 1, :]
+    d2[:flat_rows, :, 0, 1, :] = d2[:flat_rows, :, 1, 0, :] = 0.0
+    d2[:flat_rows, :, 1, 1, :] = d2[:flat_rows, :, 0, 0, :]
+    nu = HyperJet(value=rng.standard_normal(shape + (4,)), d1=rng.standard_normal(shape + (2, 4)), d2=d2)
+    f = HyperJet(value=rng.standard_normal(shape + (4,)), d1=rng.standard_normal(shape + (2, 4)),
+                 d2=np.zeros(shape + (2, 2, 4)))
+    return f, nu
+
+
+def _hyper_scenario(f, nu):
+    return dataclasses.replace(scenario("ell-paraboloid"), hyper_f_jet=f, hyper_nu_jet=nu, amatrix=AMatrix(np.eye(2)))
+
+
+def test_compat_zero_shortcut_is_decided_over_the_whole_batch():
+    # every combination vanishes on the first tile only: a per-tile shortcut
+    # would give zeros there, the whole batch takes the span solve everywhere
+    f, nu = _hyper_pair(rows=9, cols=3, flat_rows=3)
+    scn = _hyper_scenario(f, nu)
+    expected = _hyper_untiled(f, nu, scn.amatrix).to_json()
+    assert _tiled(3, 3, "hyper", scn=scn).to_json() == expected
+
+
+def test_compat_rank_check_is_not_skipped_on_an_all_zero_tile():
+    # the span basis is rank deficient on the first tile, where every
+    # combination vanishes; the whole-batch suite still makes the rank check
+    f, nu = _hyper_pair(rows=9, cols=3, flat_rows=3)
+    nu.d1[1, 1, 1, :] = nu.d1[1, 1, 0, :]
+    scn = _hyper_scenario(f, nu)
+    with pytest.raises(DegeneratePointError) as whole:
+        hyper_compat_residual(nu, scn.amatrix)
+    with pytest.raises(DegeneratePointError) as tiled:
+        _tiled(3, 3, "hyper", scn=scn)
+    assert str(tiled.value) == str(whole.value)
+
+
+def test_hyper_rows_are_not_validated_again():
+    # the symmetry check is relative to the batch maximum: rows of small
+    # second partials pass inside the batch but would fail on their own
+    rng = np.random.default_rng(1)
+    d2 = rng.standard_normal((6, 2, 2, 2, 4))
+    d2[..., 1, 0, :] = d2[..., 0, 1, :]
+    d2[:3] *= 1e-3
+    d2[:3, :, 0, 1, 0] += 1e-11
+    jet = HyperJet(value=rng.standard_normal((6, 2, 4)), d1=rng.standard_normal((6, 2, 2, 4)), d2=d2)
+    with pytest.raises(DomainError, match="symmetric"):
+        HyperJet(value=jet.value[:3], d1=jet.d1[:3], d2=jet.d2[:3])
+    part = jet.rows(slice(0, 3))
+    assert np.shares_memory(part.d2, jet.d2) and part.d2.shape == (3, 2, 2, 2, 4)
+
+
+def test_jet_grid_rows_equal_the_rows_of_the_full_jets():
+    grid = _box("cubic-graph", 11, 7).f_grid
+    for order, stencil in ((2, 2), (3, 2), (2, 4), (3, 4)):
+        full = cli.jet_grid(grid, order=order, stencil=stencil)
+        for rows in (slice(0, 1), slice(2, 5), slice(4, None)):
+            part = cli.jet_grid(grid, order=order, stencil=stencil, rows=rows)
+            for name in ("xs", "value", "d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy"):
+                a, b = getattr(part, name), getattr(full, name)
+                if b is None:
+                    assert a is None
+                    continue
+                assert a.tobytes() == b[rows].tobytes() and a.shape == b[rows].shape
+
+
+def test_many_threads_give_the_one_thread_report(monkeypatch, tmp_path, capsys):
+    # more workers than cores, and a switch interval that interleaves them
+    # at almost every bytecode, must not change a byte of the report
+    monkeypatch.setattr(cli, "TILE_SITES", 200)
+    outcome = {}
+
+    def run():
+        for threads in ("1", "8"):
+            monkeypatch.setenv("PLM_NUM_THREADS", threads)
+            for name in ("hypar", "ell-paraboloid"):
+                path = tmp_path / f"{name}-{threads}.json"
+                outcome[name, threads] = cli.main(["verify", "--scenario", name, "--no-meta", "--report", str(path)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    capsys.readouterr()
+    assert not worker.is_alive(), "verify did not finish within 120 s"
+    assert set(outcome.values()) == {0}
+    for name in ("hypar", "ell-paraboloid"):
+        assert (tmp_path / f"{name}-8.json").read_bytes() == (tmp_path / f"{name}-1.json").read_bytes()

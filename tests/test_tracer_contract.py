@@ -7,6 +7,10 @@ perfbench/ and changes nothing there.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,3 +49,20 @@ def test_traced_file_arguments_keep_their_positions():
     # the tracer sizes the file at args[0] of read_grid and args[1] of write_grid
     assert list(inspect.signature(fields.read_grid).parameters)[0] == "path"
     assert list(inspect.signature(fields.write_grid).parameters)[1] == "path"
+
+
+def test_traced_verify_runs_and_keeps_the_report(tmp_path):
+    # the tracer wraps each (name, thunk) unit of cli._collect_tasks
+    root = _TRACED_PY.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["verify", "--scenario", "ell-paraboloid", "--no-meta", "--report"]
+    traced = subprocess.run([sys.executable, str(_TRACED_PY), str(tmp_path / "trace.json"), "--", *argv, "r.json"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert traced.returncode == 0, traced.stderr
+    plain = subprocess.run([sys.executable, "-m", "plmkit.cli", *argv, "plain.json"],
+                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert plain.returncode == 0, plain.stderr
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    stats = json.loads((tmp_path / "trace.json").read_text())["stats"]
+    assert stats["cli.pool.task"]["calls"] >= 1
+    assert stats["multilinear.star_of_wedge"]["calls"] > 0
