@@ -49,7 +49,6 @@ from .errors import (
 from .fields import (
     FieldGrid,
     JetGrid,
-    JetRecord,
     LatticeField,
     jet_at,
     jet_grid,
@@ -62,9 +61,7 @@ from .fields import (
 from .hyper import (
     AMatrix,
     HyperGrid,
-    HyperJet,
     hyper_compat_residual,
-    hyper_jet_grid,
     hyper_plm_residual,
     hyper_reconstruct,
     read_amatrix_field,

@@ -100,7 +100,7 @@ def _scenario_from_args(args):
 
 
 def _grid_spec(args):
-    """Parse --grid x0:x1:h[,y0:y1:h] into scenario box parameters."""
+    """Parse --grid x0:x1:h[,y0:y1:h] into scenario box parameters (one h for both axes)."""
     if not getattr(args, "grid", None):
         return {}
     parts = args.grid.split(",")
@@ -108,15 +108,19 @@ def _grid_spec(args):
         parts = parts * 2
     if len(parts) != 2:
         raise DomainError("--grid expects x0:x1:h[,y0:y1:h]")
-    out = {}
+    out, steps = {}, []
     for key, part in zip(("x", "y"), parts):
         nums = part.split(":")
         if len(nums) != 3:
             raise DomainError("--grid expects x0:x1:h[,y0:y1:h]")
         try:
-            out[key + "0"], out[key + "1"], out["h"] = (float(v) for v in nums)
+            out[key + "0"], out[key + "1"], h = (float(v) for v in nums)
         except ValueError:
             raise DomainError(f"--grid expects numbers, got {part!r}") from None
+        steps.append(h)
+    if repr(steps[0]) != repr(steps[1]):  # nan equals nan here: its own error follows
+        raise DomainError(f"--grid spacings differ: hx = {steps[0]!r}, hy = {steps[1]!r}; both axes take one h")
+    out["h"] = steps[0]
     return out
 
 
@@ -187,7 +191,7 @@ def _jet_rows(obj, order, stencil, rows):
     """The rows of a jet object, or the jets of a sampled grid on those rows."""
     if isinstance(obj, FieldGrid):
         return jet_grid(obj, order=order, stencil=stencil, rows=rows)
-    return obj.rows(rows)
+    return obj[rows]
 
 
 def _jet_shape(obj, order, stencil):
@@ -246,8 +250,8 @@ def _collect_tasks(args, scn):
                 _Suite("hyper/compatibility", next(seq), lambda f, nu, report=None: hyper_compat_residual(
                     nu, A, report=report), (fj, nj)),
             ]
-            shape = _common_shape(fj.batch_shape, nj.batch_shape)
-            units = _tiled_units("hyper", hyper, shape, lambda rows: (fj.rows(rows), nj.rows(rows)))
+            shape = _common_shape(fj.shape, nj.shape)
+            units = _tiled_units("hyper", hyper, shape, lambda rows: (fj[rows], nj[rows]))
         elif suite == "discrete" and scn is not None and scn.nu_lattice is not None:
             pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
             paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
@@ -445,11 +449,13 @@ def cmd_forms(args):
         if scn.f3_grid is None:
             print("error: scenario has no affine-gauge grids", file=sys.stderr)
             return 2
-        forms, _ = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=args.stencil)
-        nj = jet_grid(scn.nu3_grid, order=3 if forms.A_cubic is not None else 2, stencil=args.stencil)
+        forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=args.stencil)
+        # the coordinates of the interior of the jets affine_forms took
+        m = _margin(args.stencil, rep.metadata["jet_order"])
+        xs, ys = (c[m : len(c) - m] for c in (scn.nu3_grid.xs(), scn.nu3_grid.ys()))
         lines = [header_note, "x,y,F,A_cubic,B_cubic"]
-        for j, y in enumerate(nj.ys):
-            for i, x in enumerate(nj.xs):
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
                 vals = (x, y, forms.F[i, j], forms.A_cubic[i, j], forms.B_cubic[i, j])
                 lines.append(",".join(repr(float(v)) for v in vals))
     elif args.which == "discrete":

@@ -1,10 +1,18 @@
 """Sampled fields: uniform grids, integer lattices, jets and CSV tables.
 
 ``FieldGrid`` holds a d-component field over a uniform 2-D parameter box,
-``LatticeField`` a field over integer sites with shift operators, and
-``jet_at`` / ``jet_grid`` extract central-difference jets (derivatives up
-to third order) at 2nd or 4th accuracy order.  The same n-axis stencil
-engine computes the hypersurface jets of :mod:`plmkit.hyper`.
+``LatticeField`` a field over integer sites with shift operators.
+
+``JetGrid`` is the one jet type, for a surface (n = 2 parameters) and a
+hypersurface (n up to 4) alike: a field with its partials at a batch of
+parameter points.  Its arrays are axis-major: ``d1[a]`` is the partial
+along x_{a+1}, ``d2`` holds each second partial once (the pairs a <= c in
+row-major order: xx, xy, yy when n = 2) and the optional ``d3[a]`` is the
+pure third partial along x_{a+1}, so every partial is one C-contiguous
+(..., d) array.  ``jet_grid`` computes the central-difference jets of a
+``FieldGrid`` or a ``HyperGrid`` at 2nd or 4th accuracy order, over the
+whole interior or some of its rows, with one n-axis stencil engine;
+``jet_at`` computes the jet at one site from its stencil window.
 
 Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
@@ -16,7 +24,7 @@ every site of a uniform box appears exactly once (lattice sites must be
 the integers 0..M-1).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -26,7 +34,6 @@ from .errors import BoundaryError, DomainError, ParseError
 
 __all__ = [
     "FieldGrid",
-    "JetRecord",
     "JetGrid",
     "LatticeField",
     "jet_at",
@@ -76,69 +83,82 @@ class FieldGrid:
         return self.origin[1] + self.spacing[1] * np.arange(self.dims[1], dtype=float)
 
 
-@dataclass
-class JetRecord:
-    """A vector with its partial derivatives at one parameter point."""
-
-    value: np.ndarray
-    d_x: np.ndarray
-    d_y: np.ndarray
-    d_xx: np.ndarray
-    d_xy: np.ndarray
-    d_yy: np.ndarray
-    d_xxx: Optional[np.ndarray] = None
-    d_yyy: Optional[np.ndarray] = None
-
-    @property
-    def order(self):
-        return 3 if self.d_xxx is not None else 2
+# The n = 2 slots in the paper's notation: name -> (jet array, slot).
+_NAMED = {"d_x": ("d1", 0), "d_y": ("d1", 1), "d_xx": ("d2", 0), "d_xy": ("d2", 1), "d_yy": ("d2", 2),
+          "d_xxx": ("d3", 0), "d_yyy": ("d3", 1)}
 
 
 @dataclass
 class JetGrid:
-    """Per-point jets over (a sub-box of) a grid; batched JetRecord.
+    """A field and its partials at a batch of parameter points, for any n.
 
-    Each derivative array has shape (nx, ny, d); ``xs``/``ys`` give the
-    parameter coordinates of the covered points.
+    ``value`` has shape (..., d); ``d1`` (n, ..., d), with ``d1[a]`` the
+    partial along x_{a+1}; ``d2`` (n(n+1)/2, ..., d), each second partial
+    once, for the pairs a <= c in row-major order (``partial2`` looks one
+    up); ``d3`` (n, ..., d), the pure third partials, or None; ``axes``,
+    one coordinate array per parameter axis, or None.  For n = 2 the slots
+    are also the read-only views ``d_x, d_y, d_xx, d_xy, d_yy, d_xxx,
+    d_yyy`` and the axes ``xs, ys``.  ``jets[index]`` indexes the leading
+    batch axes with ints and slices and returns views.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
     value: np.ndarray
-    d_x: np.ndarray
-    d_y: np.ndarray
-    d_xx: np.ndarray
-    d_xy: np.ndarray
-    d_yy: np.ndarray
-    d_xxx: Optional[np.ndarray] = None
-    d_yyy: Optional[np.ndarray] = None
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: Optional[np.ndarray] = None
+    axes: Optional[tuple] = None
+
+    def __post_init__(self):
+        arrays = (self.value, self.d1, self.d2, self.d3)
+        self.value, self.d1, self.d2, self.d3 = (None if a is None else np.asarray(a, dtype=float) for a in arrays)
+        n = self.d1.shape[0] if self.d1.ndim else 0
+        batch = self.value.shape
+        if (n < 1 or self.value.ndim < 1 or self.d1.shape != (n,) + batch
+                or self.d2.shape != (n * (n + 1) // 2,) + batch
+                or (self.d3 is not None and self.d3.shape != (n,) + batch)
+                or (self.axes is not None and len(self.axes) != n)):
+            raise DomainError("inconsistent jet shapes")
+        if not all(np.isfinite(a).all() for a in (self.value, self.d1, self.d2, self.d3) if a is not None):
+            raise DomainError("jet contains non-finite entries")
 
     @property
-    def order(self):
-        return 3 if self.d_xxx is not None else 2
+    def n(self):
+        return self.d1.shape[0]
 
     @property
     def shape(self):
-        return self.value.shape[:2]
+        """The batch shape."""
+        return self.value.shape[:-1]
 
-    def rows(self, sl):
-        """The jets at the x-indices ``sl``, as views."""
-        derivs = ("value", "d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
-        sliced = {k: getattr(self, k)[sl] for k in derivs if getattr(self, k) is not None}
-        return replace(self, xs=self.xs[sl], **sliced)
+    @property
+    def order(self):
+        return 2 if self.d3 is None else 3
 
-    def at(self, i, j):
-        """JetRecord at interior index (i, j)."""
-        return JetRecord(
-            value=self.value[i, j],
-            d_x=self.d_x[i, j],
-            d_y=self.d_y[i, j],
-            d_xx=self.d_xx[i, j],
-            d_xy=self.d_xy[i, j],
-            d_yy=self.d_yy[i, j],
-            d_xxx=None if self.d_xxx is None else self.d_xxx[i, j],
-            d_yyy=None if self.d_yyy is None else self.d_yyy[i, j],
-        )
+    def partial2(self, a, c):
+        """The second partial along x_{a+1} and x_{c+1} (0-based, either order)."""
+        a, c = min(a, c), max(a, c)
+        return self.d2[a * self.n - a * (a - 1) // 2 + c - a]
+
+    def __getitem__(self, index):
+        index = index if isinstance(index, tuple) else (index,)
+
+        def take(arr):
+            return None if arr is None else arr[(slice(None),) + index]
+
+        axes = self.axes
+        if axes is not None:
+            axes = tuple(ax[i] for ax, i in zip(axes, index)) + tuple(axes[len(index):])
+        return JetGrid(self.value[index], take(self.d1), take(self.d2), take(self.d3), axes)
+
+
+def _named(array, k):
+    return property(lambda jet: None if getattr(jet, array) is None else getattr(jet, array)[k])
+
+
+for _name, (_array, _k) in _NAMED.items():
+    setattr(JetGrid, _name, _named(_array, _k))
+JetGrid.xs = property(lambda jet: jet.axes[0])
+JetGrid.ys = property(lambda jet: jet.axes[1])
 
 
 # Central-difference coefficients, offsets symmetric around 0.
@@ -177,73 +197,91 @@ def _interior(v, m):
     return v[tuple(slice(m, N - m) for N in v.shape[:-1])]
 
 
-def _difference(v, spacing, m, stencil, parts):
-    """Central difference of v over its m-interior.
+def _difference(v, spacing, m, stencil, parts, out=None):
+    """Central difference of v over its m-interior, into ``out`` when given.
 
     ``parts`` lists (axis, derivative order) pairs; more than one pair
     gives the tensor-product stencil of a mixed partial, summed with the
     first pair's offsets outermost.
     """
     taps = [list(zip(*_STENCILS[(stencil, p)][:2])) for _, p in parts]
-    out = None
-    for combo in product(*taps):
+    out = np.empty(_interior(v, m).shape) if out is None else out
+    for k, combo in enumerate(product(*taps)):
         shift = [0] * (v.ndim - 1)
         w = 1.0
         for (axis, _), (off, wt) in zip(parts, combo):
             shift[axis] = off
             w *= wt
-        term = w * v[tuple(slice(m + s, N - m + s) for s, N in zip(shift, v.shape))]
-        out = term if out is None else out + term
+        window = v[tuple(slice(m + s, N - m + s) for s, N in zip(shift, v.shape))]
+        if k == 0:
+            np.multiply(w, window, out=out)
+        else:
+            out += w * window
     h = 1.0
     for axis, p in parts:
         h *= spacing[axis] ** _STENCILS[(stencil, p)][2]
-    return out / h
+    out /= h
+    return out
 
 
 def _jets(v, spacing, m, order, stencil):
-    """Jet arrays of a 2-D sampled field over its m-interior."""
-    _check_fits(v.shape[:2], m)
+    """(value, d1, d2, d3) of a sampled field v (N1, ..., Nn, d) over its
+    m-interior, each partial computed into its slot; d3 is None below order 3."""
+    _check_fits(v.shape[:-1], m)
+    n = v.ndim - 1
+    value = _interior(v, m)
 
-    def d(*parts):
-        return _difference(v, spacing, m, stencil, parts)
+    def slots(partials):
+        out = np.empty((len(partials),) + value.shape)
+        for k, parts in enumerate(partials):
+            _difference(v, spacing, m, stencil, parts, out=out[k])
+        return out
 
-    jets = dict(value=_interior(v, m), d_x=d((0, 1)), d_y=d((1, 1)), d_xx=d((0, 2)), d_xy=d((0, 1), (1, 1)),
-                d_yy=d((1, 2)))
-    if order >= 3:
-        jets.update(d_xxx=d((0, 3)), d_yyy=d((1, 3)))
-    return jets
+    d1 = slots([((a, 1),) for a in range(n)])
+    d2 = slots([((a, 2),) if a == c else ((a, 1), (c, 1)) for a in range(n) for c in range(a, n)])
+    d3 = slots([((a, 3),) for a in range(n)]) if order >= 3 else None
+    return value, d1, d2, d3
 
 
-def jet_at(grid: FieldGrid, i: int, j: int, order: int = 2, stencil: int = 2) -> JetRecord:
-    """Finite-difference jet at interior grid index (i, j).
+def _coords(grid):
+    """The coordinates of a grid's sites along each axis."""
+    return [o + h * np.arange(N, dtype=float) for o, h, N in zip(grid.origin, grid.spacing, grid.dims)]
+
+
+def jet_at(grid, *index, order: int = 2, stencil: int = 2) -> JetGrid:
+    """Finite-difference jet at the interior site ``index`` of a FieldGrid
+    or HyperGrid, with batch shape ().
 
     ``order`` is the highest derivative (2 or 3); ``stencil`` the design
-    accuracy order (2 or 4).  Only the stencil window around (i, j) is
+    accuracy order (2 or 4).  Only the stencil window around the site is
     evaluated.  Raises :class:`BoundaryError` when the stencil does not
     fit.
     """
     m = _margin(stencil, order)
-    nx, ny = grid.dims
-    if not (m <= i < nx - m and m <= j < ny - m):
-        raise BoundaryError(f"point ({i}, {j}) too close to the boundary for stencil {stencil}, order {order}")
-    window = grid.values[i - m : i + m + 1, j - m : j + m + 1]
-    return JetRecord(**{k: a[0, 0] for k, a in _jets(window, grid.spacing, m, order, stencil).items()})
+    if len(index) != len(grid.dims):
+        raise DomainError(f"site {index} needs {len(grid.dims)} indices")
+    if not all(m <= i < N - m for i, N in zip(index, grid.dims)):
+        raise BoundaryError(f"point {index} too close to the boundary for stencil {stencil}, order {order}")
+    window = grid.values[tuple(slice(i - m, i + m + 1) for i in index)]
+    axes = tuple(c[i : i + 1] for c, i in zip(_coords(grid), index))
+    return JetGrid(*_jets(window, grid.spacing, m, order, stencil), axes)[(0,) * len(index)]
 
 
-def jet_grid(grid: FieldGrid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:
-    """Jets at every interior point, vectorized.
+def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:
+    """Jets at every interior point of a FieldGrid or HyperGrid, vectorized.
 
     The interior margin is the widest stencil reach; derivatives are
-    never one-sided.  ``rows``, a unit-step slice of the interior
-    x-indices, limits the jets to those rows: only their stencil window is
-    read, and the arrays equal the same rows of the full jets bit for bit.
+    never one-sided.  ``rows``, a unit-step slice of the interior indices
+    along the first axis, limits the jets to those rows: only their
+    stencil window is read, and the arrays equal the same rows of the full
+    jets bit for bit.
     """
     m = _margin(stencil, order)
-    nx, ny = grid.dims
     _check_fits(grid.dims, m)
-    start, stop, _ = (rows or slice(None)).indices(nx - 2 * m)
-    jets = _jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil)
-    return JetGrid(xs=grid.xs()[m + start : m + stop], ys=grid.ys()[m : ny - m], **jets)
+    start, stop, _ = (rows or slice(None)).indices(grid.dims[0] - 2 * m)
+    first, *rest = _coords(grid)
+    axes = (first[m + start : m + stop],) + tuple(c[m : len(c) - m] for c in rest)
+    return JetGrid(*_jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil), axes)
 
 
 def grid_on_sites(jets: JetGrid, values) -> FieldGrid:

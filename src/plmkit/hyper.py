@@ -16,33 +16,27 @@ compatibility residuals.  The sign convention of A is fixed by the
 round-trip law: ``recover_A`` followed by ``hyper_reconstruct`` must
 reproduce f projectively, and the recovered A must zero the defining
 residual.
+
+Jets are the :class:`~plmkit.fields.JetGrid` of every other module: the
+code reads the first partials ``d1[a]`` and the second partials of the
+packed ``d2`` through ``partial2(a, c)``.  ``fields.jet_grid`` computes
+them from a ``HyperGrid``, and the n = 2 jets of a surface serve as they
+are.
 """
 
-import copy
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
-from .fields import (
-    _check_fits,
-    _difference,
-    _interior,
-    _margin,
-    _names,
-    _numbered_axes,
-    _read_table,
-    _write_table,
-)
+from .fields import JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
 __all__ = [
     "AMatrix",
     "HyperGrid",
-    "HyperJet",
-    "hyper_jet_grid",
     "hyper_reconstruct",
     "recover_A",
     "hyper_plm_residual",
@@ -118,69 +112,6 @@ class HyperGrid:
         return self.origin[a] + self.spacing[a] * np.arange(self.dims[a], dtype=float)
 
 
-@dataclass
-class HyperJet:
-    """Conormal (or surface) jet to second order at one or many points.
-
-    value: (..., n + 2); d1[..., a, :] the partial along x_{a+1};
-    d2[..., a, c, :] the symmetric second partials.
-    """
-
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float)
-        self.d1 = np.asarray(self.d1, dtype=float)
-        self.d2 = np.asarray(self.d2, dtype=float)
-        n = self.d1.shape[-2]
-        if self.value.shape[-1] != n + 2 or self.d2.shape[-3:-1] != (n, n):
-            raise DomainError("inconsistent jet shapes")
-        for arr in (self.value, self.d1, self.d2):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("jet contains non-finite entries")
-        sym = self.d2 - np.swapaxes(self.d2, -3, -2)
-        if np.max(np.abs(sym), initial=0.0) > 1e-9 * max(np.max(np.abs(self.d2), initial=0.0), 1e-300):
-            raise DomainError("second partials must be symmetric")
-
-    @property
-    def n(self):
-        return self.d1.shape[-2]
-
-    @property
-    def batch_shape(self):
-        return self.value.shape[:-1]
-
-    def rows(self, sl):
-        """The jet on a slice of the first batch axis, as views.
-
-        Not validated again: the symmetry check is relative to the whole
-        batch, and a slice of a valid jet is valid.
-        """
-        out = copy.copy(self)
-        out.value, out.d1, out.d2 = self.value[sl], self.d1[sl], self.d2[sl]
-        return out
-
-
-def hyper_jet_grid(grid: HyperGrid, stencil: int = 2) -> HyperJet:
-    """Central-difference second-order jets at every interior point."""
-    m = _margin(stencil, 2)
-    _check_fits(grid.dims, m)
-
-    def d(*parts):
-        return _difference(grid.values, grid.spacing, m, stencil, parts)
-
-    n = grid.n
-    d1 = np.stack([d((a, 1)) for a in range(n)], axis=-2)
-    d2 = np.empty(d1.shape[:-2] + (n,) + d1.shape[-2:])
-    for a in range(n):
-        d2[..., a, a, :] = d((a, 2))
-        for c in range(a + 1, n):  # one stencil sum per mixed partial
-            d2[..., a, c, :] = d2[..., c, a, :] = d((a, 1), (c, 1))
-    return HyperJet(value=_interior(grid.values, m), d1=d1, d2=d2)
-
-
 def _a_values(A, n):
     """Normalize an AMatrix or a per-point (..., n, n) array of weights."""
     if isinstance(A, AMatrix):
@@ -191,19 +122,29 @@ def _a_values(A, n):
         raise DomainError(f"weight matrix shape {v.shape[-2:]} does not match n = {n}")
     return v
 
-def _conormal_cross(jet: HyperJet):
+
+def _params(*jets):
+    """The parameter count n that the jets share; each must have n + 2 components."""
+    n = jets[-1].n
+    if any(jet.n != n for jet in jets):
+        raise DomainError("f and nu jets disagree on the number of parameters")
+    if any(jet.value.shape[-1] != n + 2 for jet in jets):
+        raise DomainError(f"hypersurface jets in {n} parameters need {n + 2} components")
+    return n
+
+
+def _conormal_cross(jet: JetGrid):
     """[nu, nu_{x_1}, ..., nu_{x_n}] via the generalized cross product."""
-    vecs = [jet.value] + [jet.d1[..., a, :] for a in range(jet.n)]
-    return cross_n(vecs)
+    return cross_n([jet.value, *jet.d1])
 
 
-def _slot_star(jet: HyperJet, beta):
+def _slot_star(jet: JetGrid, beta):
     """star(nu_{x_1} ^ ... ^ nu in slot beta ^ ... ^ nu_{x_n}), 0-based beta."""
-    vecs = [jet.value if a == beta else jet.d1[..., a, :] for a in range(jet.n)]
+    vecs = [jet.value if a == beta else jet.d1[a] for a in range(jet.n)]
     return star_of_wedge(vecs)
 
 
-def hyper_reconstruct(jet: HyperJet, A, pivot=(1, 1), eps_deg: float = 1e-10):
+def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1), eps_deg: float = 1e-10):
     """Surface point from a conormal jet and weight matrix.
 
     f = -sqrt(A[a, c] / det|nu_{x_a x_c}, nu, nu_{x_1}, ..., nu_{x_n}|)
@@ -213,17 +154,17 @@ def hyper_reconstruct(jet: HyperJet, A, pivot=(1, 1), eps_deg: float = 1e-10):
     the result does not depend on the pivot; that is something to verify
     on data, not an assumption made here.
     """
-    n = jet.n
+    n = _params(jet)
     a, c = pivot
     if not (1 <= a <= n and 1 <= c <= n):
         raise DomainError(f"pivot {pivot} out of range 1..{n}")
     Av = _a_values(A, n)
     m = _conormal_cross(jet)
-    piv = [jet.d2[..., a - 1, c - 1, :], jet.value] + [jet.d1[..., r, :] for r in range(n)]
-    det = np.asarray(det_n(piv), dtype=float)
-    scale = _norm(jet.d2[..., a - 1, c - 1, :]) * _norm(jet.value)
+    second = jet.partial2(a - 1, c - 1)
+    det = np.asarray(det_n([second, jet.value, *jet.d1]), dtype=float)
+    scale = _norm(second) * _norm(jet.value)
     for r in range(n):
-        scale = scale * _norm(jet.d1[..., r, :])
+        scale = scale * _norm(jet.d1[r])
     if np.any(np.abs(det) <= eps_deg * np.maximum(scale, 1e-300)):
         raise DegeneratePointError(f"degenerate pivot determinant for pivot {pivot}")
     ratio = Av[..., a - 1, c - 1] / det
@@ -232,7 +173,7 @@ def hyper_reconstruct(jet: HyperJet, A, pivot=(1, 1), eps_deg: float = 1e-10):
     return -np.sqrt(ratio)[..., None] * m
 
 
-def recover_A(f_jet: HyperJet, nu_jet: HyperJet, eps_deg: float = 1e-10):
+def recover_A(f_jet: JetGrid, nu_jet: JetGrid, eps_deg: float = 1e-10):
     """Weight matrix from a dual pair of jets.
 
     From the pairing law  <f_{x_a}, nu_{x_c}> f = -A[a, c] [nu, nu_{x_1},
@@ -240,39 +181,35 @@ def recover_A(f_jet: HyperJet, nu_jet: HyperJet, eps_deg: float = 1e-10):
     A[a, c] = -<f_{x_a}, nu_{x_c}> <f, m> / <m, m>.  Returns an (..., n, n)
     array (an AMatrix for single-point input would lose the batch).
     """
-    n = nu_jet.n
-    if f_jet.n != n:
-        raise DomainError("f and nu jets disagree on the number of parameters")
+    n = _params(f_jet, nu_jet)
     m = _conormal_cross(nu_jet)
     mm = (m * m).sum(axis=-1)
     scale = _norm(nu_jet.value)
     for r in range(n):
-        scale = scale * _norm(nu_jet.d1[..., r, :])
+        scale = scale * _norm(nu_jet.d1[r])
     if np.any(np.sqrt(mm) <= eps_deg * np.maximum(scale, 1e-300)):
         raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")
     c = pair(f_jet.value, m) / mm
     rows = []
     for a in range(n):
-        row = [-pair(f_jet.d1[..., a, :], nu_jet.d1[..., g, :]) * c for g in range(n)]
+        row = [-pair(f_jet.d1[a], nu_jet.d1[g]) * c for g in range(n)]
         rows.append(np.stack(np.broadcast_arrays(*row), axis=-1))
     return np.stack(rows, axis=-2)
 
 
-def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8, report=None):
+def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
     """Residuals of the defining bivector system and its pairing laws.
 
     Adds to ``report`` when one is given (as the smooth suites do).
     """
-    n = nu_jet.n
-    if f_jet.n != n:
-        raise DomainError("f and nu jets disagree on the number of parameters")
-    if f_jet.batch_shape != nu_jet.batch_shape:
-        raise DomainError(f"batch shape mismatch: {f_jet.batch_shape} vs {nu_jet.batch_shape}")
+    n = _params(f_jet, nu_jet)
+    if f_jet.shape != nu_jet.shape:
+        raise DomainError(f"batch shape mismatch: {f_jet.shape} vs {nu_jet.shape}")
     Av = _a_values(A, n)
     stars = [_slot_star(nu_jet, b) for b in range(n)]
     rep = InvariantReport(metadata={"n": n}) if report is None else report
     for a in range(n):
-        lhs = wedge2(f_jet.value, f_jet.d1[..., a, :])
+        lhs = wedge2(f_jet.value, f_jet.d1[a])
         rhs = None
         for b in range(n):
             term = Av[..., a, b, None, None] * stars[b]
@@ -280,8 +217,8 @@ def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8, 
         denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
         rep.add(f"bivector_x{a + 1}", _fro(lhs - rhs) / denom, tol)
     for a in range(n):
-        fa = f_jet.d1[..., a, :]
-        na = nu_jet.d1[..., a, :]
+        fa = f_jet.d1[a]
+        na = nu_jet.d1[a]
         denom = np.maximum(_norm(fa) * _norm(nu_jet.value), 1e-300)
         rep.add(f"<f_x{a + 1},nu>", pair(fa, nu_jet.value) / denom, tol)
         denom = np.maximum(_norm(f_jet.value) * _norm(na), 1e-300)
@@ -289,8 +226,11 @@ def hyper_plm_residual(f_jet: HyperJet, nu_jet: HyperJet, A, tol: float = 1e-8, 
     return rep
 
 
-def _span_distance(basis, rhs, what):
-    """Relative distance of rhs from the pointwise span of the basis."""
+def _span_basis(basis, what):
+    """The stacked basis, its Gram matrix and its scale, once per basis.
+
+    Raises when the basis is rank deficient at some point, naming ``what``.
+    """
     M = np.stack(np.broadcast_arrays(*basis), axis=-1)  # (..., d, k)
     G = np.swapaxes(M, -1, -2) @ M
     detG = np.linalg.det(G)
@@ -299,40 +239,44 @@ def _span_distance(basis, rhs, what):
         scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
     if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
         raise DegeneratePointError(f"rank-deficient span while testing {what}")
+    return M, G, np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / len(basis))
+
+
+def _span_distance(span, rhs):
+    """Relative distance of rhs from the pointwise span of a ``_span_basis``."""
+    M, G, basis_norm = span
     b = (np.swapaxes(M, -1, -2) @ rhs[..., :, None])
     coeff = np.linalg.solve(G, b)
     recon = (M @ coeff)[..., 0]
-    k = len(basis)
-    basis_norm = np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / k)
     return _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * basis_norm)
 
 
-def hyper_compat_residual(nu_jet: HyperJet, A, tol: float = 1e-8, report=None):
+def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
     """Span test of the compatibility system.
 
     For each index quadruple (a, b, g, d) the combination
     A[a, g] nu_{x_b x_d} - A[b, d] nu_{x_a x_g} must lie in
     span{nu, nu_{x_1}, ..., nu_{x_n}}.  A combination that is zero over the
-    whole batch skips the span solve (and its rank check); that choice is
-    a whole-batch one, so it goes through ``report.decide``.
+    whole batch skips the span solve; that choice is a whole-batch one, so
+    it goes through ``report.decide``.  The span basis is factored, and its
+    rank checked, at the first combination that is not zero.
     """
-    n = nu_jet.n
+    n = _params(nu_jet)
     Av = _a_values(A, n)
-    basis = [nu_jet.value] + [nu_jet.d1[..., r, :] for r in range(n)]
     rep = InvariantReport(metadata={"n": n}) if report is None else report
+    span = None
     for a, b, g, d in product(range(n), repeat=4):
         if (a, g) == (b, d):
             continue
-        w = (
-            Av[..., a, g, None] * nu_jet.d2[..., b, d, :]
-            - Av[..., b, d, None] * nu_jet.d2[..., a, g, :]
-        )
+        w = Av[..., a, g, None] * nu_jet.partial2(b, d) - Av[..., b, d, None] * nu_jet.partial2(a, g)
         name = f"compat_{a + 1}{b + 1}{g + 1}{d + 1}"
         size = _norm(w)
         if rep.decide(np.max(size, initial=0.0) == 0.0):
             rep.add(name, np.zeros(np.shape(size)), tol)
             continue
-        rep.add(name, _span_distance(basis, w, name), tol)
+        if span is None:
+            span = _span_basis([nu_jet.value, *nu_jet.d1], name)
+        rep.add(name, _span_distance(span, w), tol)
     return rep
 
 

@@ -21,8 +21,8 @@ from .discrete import (
     moutard_evolve,
 )
 from .errors import DomainError
-from .fields import FieldGrid, JetGrid, LatticeField, grid_on_sites
-from .hyper import AMatrix, HyperGrid, HyperJet
+from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, grid_on_sites
+from .hyper import AMatrix, HyperGrid
 from .smooth import ChartKind
 
 __all__ = ["Scenario", "scenario", "list_scenarios"]
@@ -44,8 +44,8 @@ class Scenario:
     nu_lattice: Optional[LatticeField] = None
     f3_lattice: Optional[LatticeField] = None
     nu3_lattice: Optional[LatticeField] = None
-    hyper_f_jet: Optional[HyperJet] = None
-    hyper_nu_jet: Optional[HyperJet] = None
+    hyper_f_jet: Optional[JetGrid] = None
+    hyper_nu_jet: Optional[JetGrid] = None
     hyper_nu_grid: Optional[HyperGrid] = None
     amatrix: Optional[AMatrix] = None
     ground_truth: dict = field(default_factory=dict)
@@ -70,24 +70,25 @@ def _stack(shape, comps):
     return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in comps], axis=-1)
 
 
-def _closed_jets(xs, ys, order, **jets):
+def _closed_jets(xs, ys, order, value, **partials):
     """JetGrid of a polynomial field from its closed-form partials.
 
-    Each jet is a list of components over the (xs, ys) grid; a jet that is
-    not given is zero.  Each component is written the way a computer-algebra
-    printer writes the derivative (``-1 / 12 * X**3 + X * Y``, not Horner
-    form), so the arrays equal the symbolic oracle of the tests bit for bit.
+    ``value`` and each partial, named in the paper's notation (``d_x`` ...
+    ``d_yyy``), is a list of components over the (xs, ys) grid; each
+    component is written into its slot of the jet arrays once, and a
+    partial that is not given is zero.  Each component is written the way
+    a computer-algebra printer writes the derivative (``-1 / 12 * X**3 +
+    X * Y``, not Horner form), so the arrays equal the symbolic oracle of
+    the tests bit for bit.
     """
-    shape = (len(xs), len(ys))
-    zero = [0] * len(jets["value"])
-    names = ["value", "d_x", "d_y", "d_xx", "d_xy", "d_yy"] + (["d_xxx", "d_yyy"] if order >= 3 else [])
-    return JetGrid(xs=xs, ys=ys, **{k: _stack(shape, jets.get(k, zero)) for k in names})
-
-
-def _hyper_jet(j: JetGrid) -> HyperJet:
-    """The n = 2 HyperJet of a JetGrid: d1 = (d_x, d_y), d2 the Hessian."""
-    d2 = np.stack([np.stack([j.d_xx, j.d_xy], axis=-2), np.stack([j.d_xy, j.d_yy], axis=-2)], axis=-3)
-    return HyperJet(value=j.value, d1=np.stack([j.d_x, j.d_y], axis=-2), d2=d2)
+    shape = (len(xs), len(ys), len(value))
+    arrays = dict(d1=np.zeros((2,) + shape), d2=np.zeros((3,) + shape),
+                  d3=np.zeros((2,) + shape) if order >= 3 else None)
+    for name, comps in partials.items():
+        array, k = _NAMED[name]
+        for c, comp in enumerate(comps):
+            arrays[array][k, ..., c] = comp
+    return JetGrid(value=_stack(shape[:2], value), axes=(xs, ys), **arrays)
 
 
 def _smooth_pair(name, chart, fj, nj, **rest):
@@ -179,8 +180,8 @@ def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
                       d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
     return Scenario(
         name="ell-paraboloid",
-        hyper_f_jet=_hyper_jet(fj),
-        hyper_nu_jet=_hyper_jet(nj),
+        hyper_f_jet=fj,
+        hyper_nu_jet=nj,
         hyper_nu_grid=HyperGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nj.value),
         amatrix=AMatrix(np.eye(2)),
         ground_truth={"A": [[1.0, 0.0], [0.0, 1.0]]},

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
-from .fields import FieldGrid, JetGrid, JetRecord, jet_grid
+from .fields import FieldGrid, JetGrid, jet_grid
 from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
@@ -49,11 +49,11 @@ class ChartKind(enum.Enum):
 
 def as_jets(obj, order=2, stencil=2):
     """Accept a FieldGrid (finite differences) or precomputed jets."""
-    if isinstance(obj, (JetGrid, JetRecord)):
+    if isinstance(obj, JetGrid):
         return obj
     if isinstance(obj, FieldGrid):
         return jet_grid(obj, order=order, stencil=stencil)
-    raise DomainError(f"expected FieldGrid, JetGrid or JetRecord, got {type(obj).__name__}")
+    raise DomainError(f"expected FieldGrid or JetGrid, got {type(obj).__name__}")
 
 
 def _degeneracy_scale(*vecs):
@@ -78,7 +78,7 @@ def _reconstruct_arrays(value, d_x, d_y, last):
     return res, det, scale
 
 
-def reconstruct_point(jet: JetRecord, chart: ChartKind, eps_deg: float = 1e-10):
+def reconstruct_point(jet: JetGrid, chart: ChartKind, eps_deg: float = 1e-10):
     """Surface point from a conormal jet: cross(v, v_x, v_y) / sqrt(det).
 
     The discriminant is det|v, v_x, v_y, v_xy| in the asymptotic chart
@@ -95,7 +95,7 @@ def reconstruct_point(jet: JetRecord, chart: ChartKind, eps_deg: float = 1e-10):
     return res
 
 
-def reconstruct_point_alt(jet: JetRecord, axis: str, eps_deg: float = 1e-10):
+def reconstruct_point_alt(jet: JetGrid, axis: str, eps_deg: float = 1e-10):
     """Single-coordinate reconstruction from third-order data.
 
     axis 'x': f = -cross(v, v_x, v_xx) / sqrt(det|v, v_x, v_xx, v_xxx|);

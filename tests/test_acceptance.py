@@ -19,8 +19,8 @@ from plmkit.discrete import (
     discrete_forms,
     discrete_residual,
 )
-from plmkit.fields import jet_grid
-from plmkit.hyper import AMatrix, HyperJet, hyper_reconstruct, recover_A
+from plmkit.fields import JetGrid, jet_grid
+from plmkit.hyper import AMatrix, hyper_reconstruct, recover_A
 from plmkit.multilinear import cross_n, det_n, hodge_star, pair, perm_sign, wedge2
 from plmkit.projective import normalized_last_distance, projective_distance
 from plmkit.scenarios import scenario
@@ -84,8 +84,8 @@ def test_criterion_03_defining_relation_and_duality(capsys):
     rep = plm_residual(HYPAR.f_jets, HYPAR.nu_jets, chart=ChartKind.ASYMPTOTIC)
     ok = rep.max_residual() < 1e-12
     for i, j in ((3, 4), (10, 17), (25, 2)):
-        f = reconstruct_point(HYPAR.nu_jets.at(i, j), ChartKind.ASYMPTOTIC)
-        nu = reconstruct_point(HYPAR.f_jets.at(i, j), ChartKind.ASYMPTOTIC)
+        f = reconstruct_point(HYPAR.nu_jets[i, j], ChartKind.ASYMPTOTIC)
+        nu = reconstruct_point(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC)
         ok &= projective_distance(f, HYPAR.f_jets.value[i, j]) < 1e-9
         ok &= projective_distance(nu, HYPAR.nu_jets.value[i, j]) < 1e-9
     announce(capsys, 3, "defining relation + duality", ok)
@@ -106,15 +106,12 @@ def _hypar_hyper_jets(h=0.05, lo=-1.0, hi=1.0):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     one, zero = np.ones_like(X), np.zeros_like(X)
     nval = np.stack([-Y, -X, one, -X * Y], axis=-1)
-    nd1 = np.stack(
-        [np.stack([zero, -one, zero, -Y], axis=-1), np.stack([-one, zero, zero, -X], axis=-1)],
-        axis=-2,
-    )
+    nd1 = np.stack([np.stack([zero, -one, zero, -Y], axis=-1), np.stack([-one, zero, zero, -X], axis=-1)])
     z4 = np.zeros(X.shape + (4,))
     e4 = np.stack([zero, zero, zero, -one], axis=-1)
-    nd2 = np.stack([np.stack([z4, e4], axis=-2), np.stack([e4, z4], axis=-2)], axis=-3)
+    nd2 = np.stack([z4, e4, z4])  # xx, xy, yy
     fval = np.stack([X, Y, X * Y, -one], axis=-1)
-    return HyperJet(value=nval, d1=nd1, d2=nd2), fval
+    return JetGrid(value=nval, d1=nd1, d2=nd2), fval
 
 
 def test_criterion_05_hypersurface_reduction(capsys):

@@ -291,6 +291,26 @@ def test_forms_projective_nonzero_F3(capsys, tmp_path):
     assert np.all(np.abs(vals - 0.5) < 1e-10)
 
 
+@pytest.mark.parametrize("box,stencil", [("0:0.1:0.05", 2), ("0:0.15:0.05", 2), ("0:0.25:0.05", 4)])
+def test_forms_affine_on_small_grids_uses_the_jets_of_affine_forms(capsys, box, stencil):
+    # affine_forms takes order-2 jets on these boxes; the rows are its sites
+    from plmkit.affine import AffineSurfacePair, affine_forms
+    from plmkit.fields import jet_grid
+
+    code, out, err = run(capsys, "forms", "--scenario", "hypar", "--grid", box, "--stencil", str(stencil),
+                         "--which", "affine")
+    assert (code, err) == (0, "")
+    x0, x1, h = map(float, box.split(":"))
+    scn = scenario("hypar", x0=x0, x1=x1, y0=x0, y1=x1, h=h)
+    forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=stencil)
+    assert rep.metadata["jet_order"] == 2
+    jets = jet_grid(scn.nu3_grid, order=2, stencil=stencil)
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    want = [[repr(float(v)) for v in (x, y, forms.F[i, j], forms.A_cubic[i, j], forms.B_cubic[i, j])]
+            for j, y in enumerate(jets.ys) for i, x in enumerate(jets.xs)]
+    assert rows == want and len(rows) == forms.F.size > 0
+
+
 # --- scenario-dump --------------------------------------------------------
 
 
@@ -301,3 +321,16 @@ def test_scenario_dump_round_trip(capsys, tmp_path):
     assert code == 0
     lat = read_lattice(prefix + "_nu3_lat.csv")
     assert np.array_equal(lat.values, scenario("hypar-lattice").nu3_lattice.values)
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["reconstruct", "--out", "f.csv"], ["forms", "--which", "projective"], ["scenario-dump", "--out", "d"],
+])
+def test_grid_with_unequal_spacings_is_usage_error(capsys, tmp_path, monkeypatch, command):
+    # the grid scenarios take one h; --grid used to keep hy and drop hx silently
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command[0], "--scenario", "hypar", "--grid", "0:1:0.1,0:1:0.5", *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid spacings differ") and "0.1" in err and "0.5" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

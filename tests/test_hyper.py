@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from plmkit.errors import DegeneratePointError, DomainError, PivotMismatchError
+from plmkit.fields import JetGrid, jet_grid
 from plmkit.hyper import (
     AMatrix,
     HyperGrid,
-    HyperJet,
     hyper_compat_residual,
-    hyper_jet_grid,
     hyper_plm_residual,
     hyper_reconstruct,
     read_amatrix_field,
@@ -31,15 +30,12 @@ def hypar_hyper_jets(h=0.1, n=11):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     one, zero = np.ones_like(X), np.zeros_like(X)
     nval = np.stack([-Y, -X, one, -X * Y], axis=-1)
-    nd1 = np.stack(
-        [np.stack([zero, -one, zero, -Y], axis=-1), np.stack([-one, zero, zero, -X], axis=-1)],
-        axis=-2,
-    )
+    nd1 = np.stack([np.stack([zero, -one, zero, -Y], axis=-1), np.stack([-one, zero, zero, -X], axis=-1)])
     z4 = np.zeros(X.shape + (4,))
     e4 = np.stack([zero, zero, zero, -one], axis=-1)
-    nd2 = np.stack([np.stack([z4, e4], axis=-2), np.stack([e4, z4], axis=-2)], axis=-3)
+    nd2 = np.stack([z4, e4, z4])  # xx, xy, yy
     fval = np.stack([X, Y, X * Y, -one], axis=-1)
-    return HyperJet(value=nval, d1=nd1, d2=nd2), fval, xs
+    return JetGrid(value=nval, d1=nd1, d2=nd2), fval, xs
 
 
 def paraboloid3_jets(h=0.25, n=5):
@@ -50,25 +46,16 @@ def paraboloid3_jets(h=0.25, n=5):
     one, zero = np.ones_like(X1), np.zeros_like(X1)
     Xs = [X1, X2, X3]
     fval = np.stack(Xs + [R, -one], axis=-1)
-    fd1 = np.stack(
-        [np.stack([one * (a == b) for b in range(3)] + [Xs[a], zero], axis=-1) for a in range(3)],
-        axis=-2,
-    )
+    fd1 = np.stack([np.stack([one * (a == b) for b in range(3)] + [Xs[a], zero], axis=-1) for a in range(3)])
     e4 = np.stack([zero, zero, zero, one, zero], axis=-1)
     z5 = np.zeros(X1.shape + (5,))
-    fd2 = np.stack(
-        [np.stack([e4 if a == c else z5 for c in range(3)], axis=-2) for a in range(3)], axis=-3
-    )
+    pairs = [(a, c) for a in range(3) for c in range(a, 3)]  # the packed slots
+    fd2 = np.stack([e4 if a == c else z5 for a, c in pairs])
     nval = np.stack([-X1, -X2, -X3, one, -R], axis=-1)
-    nd1 = np.stack(
-        [np.stack([-one * (a == b) for b in range(3)] + [zero, -Xs[a]], axis=-1) for a in range(3)],
-        axis=-2,
-    )
+    nd1 = np.stack([np.stack([-one * (a == b) for b in range(3)] + [zero, -Xs[a]], axis=-1) for a in range(3)])
     e5 = np.stack([zero, zero, zero, zero, -one], axis=-1)
-    nd2 = np.stack(
-        [np.stack([e5 if a == c else z5 for c in range(3)], axis=-2) for a in range(3)], axis=-3
-    )
-    return HyperJet(value=fval, d1=fd1, d2=fd2), HyperJet(value=nval, d1=nd1, d2=nd2)
+    nd2 = np.stack([e5 if a == c else z5 for a, c in pairs])
+    return JetGrid(value=fval, d1=fd1, d2=fd2), JetGrid(value=nval, d1=nd1, d2=nd2)
 
 
 # --- n = 2 elliptic paraboloid (A = I) ------------------------------------
@@ -153,7 +140,7 @@ def test_pivot_sign_mismatch_rejected():
 def test_homogeneity_of_reconstruction():
     jet = ELL.hyper_nu_jet
     lam = 1.7
-    scaled = HyperJet(value=lam * jet.value, d1=lam * jet.d1, d2=lam * jet.d2)
+    scaled = JetGrid(value=lam * jet.value, d1=lam * jet.d1, d2=lam * jet.d2)
     f1 = hyper_reconstruct(jet, ELL.amatrix)
     f2 = hyper_reconstruct(scaled, ELL.amatrix)
     assert np.max(projective_distance(f1, f2)) < 1e-12
@@ -185,13 +172,12 @@ def test_n3_compatibility():
 
 def test_fd_jets_match_analytic():
     grid = ELL.hyper_nu_grid
-    jets = hyper_jet_grid(grid, stencil=2)
-    an = ELL.hyper_nu_jet
-    sl = (slice(1, -1), slice(1, -1))
+    jets = jet_grid(grid, stencil=2)
+    an = ELL.hyper_nu_jet[1:-1, 1:-1]
     # quadratic components: second-order stencils are exact
-    assert np.max(np.abs(jets.value - an.value[sl])) < 1e-12
-    assert np.max(np.abs(jets.d1 - an.d1[sl])) < 1e-10
-    assert np.max(np.abs(jets.d2 - an.d2[sl])) < 1e-9
+    assert np.max(np.abs(jets.value - an.value)) < 1e-12
+    assert np.max(np.abs(jets.d1 - an.d1)) < 1e-10
+    assert np.max(np.abs(jets.d2 - an.d2)) < 1e-9
 
 
 @pytest.mark.parametrize("stencil", [2, 4])
@@ -202,18 +188,19 @@ def test_fd_second_derivatives_exactly_symmetric(n, stencil):
     rng = np.random.default_rng(10 * n + stencil)
     grid = HyperGrid(origin=(0.0,) * n, spacing=tuple(rng.uniform(0.05, 0.2, n)),
                      values=rng.standard_normal((6,) * n + (n + 2,)))
-    d2 = hyper_jet_grid(grid, stencil=stencil).d2
-    assert np.array_equal(d2, np.swapaxes(d2, -3, -2))
+    jets = jet_grid(grid, stencil=stencil)
+    assert jets.d2.shape[0] == n * (n + 1) // 2  # each second partial is held once
     m = _margin(stencil, 2)
     for a in range(n):
-        assert np.array_equal(d2[..., a, a, :], _difference(grid.values, grid.spacing, m, stencil, ((a, 2),)))
+        assert np.array_equal(jets.partial2(a, a), _difference(grid.values, grid.spacing, m, stencil, ((a, 2),)))
         for c in range(a + 1, n):
             mixed = _difference(grid.values, grid.spacing, m, stencil, ((a, 1), (c, 1)))
-            assert np.array_equal(d2[..., a, c, :], mixed)
+            assert np.array_equal(jets.partial2(a, c), mixed)
+            assert np.shares_memory(jets.partial2(c, a), jets.partial2(a, c))
 
 
 def test_fd_reconstruction_close():
-    jets = hyper_jet_grid(ELL.hyper_nu_grid, stencil=2)
+    jets = jet_grid(ELL.hyper_nu_grid, stencil=2)
     f = hyper_reconstruct(jets, ELL.amatrix)
     sl = (slice(1, -1), slice(1, -1))
     assert np.max(projective_distance(f, ELL.hyper_f_jet.value[sl])) < 1e-9
@@ -242,3 +229,103 @@ def test_amatrix_field_round_trip(tmp_path):
     origin, spacing, field2 = read_amatrix_field(path)
     assert np.array_equal(field2, field)
     assert tuple(origin) == (0.0, 0.0)
+
+
+# --- the span basis is factored once per call -------------------------------
+
+
+def _span_distance_ref(basis, rhs, what):
+    """The per-quadruple span test that rebuilt the basis every time."""
+    from plmkit.multilinear import _norm
+
+    M = np.stack(np.broadcast_arrays(*basis), axis=-1)
+    G = np.swapaxes(M, -1, -2) @ M
+    detG = np.linalg.det(G)
+    scale2 = np.ones(np.asarray(detG).shape)
+    for v in basis:
+        scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
+    if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
+        raise DegeneratePointError(f"rank-deficient span while testing {what}")
+    b = (np.swapaxes(M, -1, -2) @ rhs[..., :, None])
+    coeff = np.linalg.solve(G, b)
+    recon = (M @ coeff)[..., 0]
+    k = len(basis)
+    basis_norm = np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / k)
+    return _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * basis_norm)
+
+
+def _compat_ref(nu_jet, A, tol=1e-8, report=None):
+    from itertools import product
+
+    from plmkit.multilinear import _norm
+
+    n = nu_jet.n
+    Av = A.values
+    basis = [nu_jet.value] + [nu_jet.d1[r] for r in range(n)]
+    rep = report
+    for a, b, g, d in product(range(n), repeat=4):
+        if (a, g) == (b, d):
+            continue
+        w = Av[..., a, g, None] * nu_jet.partial2(b, d) - Av[..., b, d, None] * nu_jet.partial2(a, g)
+        name = f"compat_{a + 1}{b + 1}{g + 1}{d + 1}"
+        size = _norm(w)
+        if rep.decide(np.max(size, initial=0.0) == 0.0):
+            rep.add(name, np.zeros(np.shape(size)), tol)
+            continue
+        rep.add(name, _span_distance_ref(basis, w, name), tol)
+    return rep
+
+
+def _random_jet(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    full = shape + (n + 2,)
+    return JetGrid(value=rng.standard_normal(full), d1=rng.standard_normal((n,) + full),
+                   d2=rng.standard_normal((n * (n + 1) // 2,) + full))
+
+
+def _outcome(fn, nu_jet, A):
+    """Each residual field's name, dtype, shape and bytes, or the error raised."""
+    from plmkit.report import ResidualTile
+
+    tile = ResidualTile()
+    try:
+        fn(nu_jet, A, report=tile)
+    except DegeneratePointError as exc:
+        return str(exc)
+    return tile.decisions, [(name, f.dtype, f.shape, f.tobytes(), tol) for name, f, tol in tile.fields]
+
+
+@pytest.mark.parametrize("case", ["random n=2", "random n=3", "paraboloid -I", "paraboloid A", "rank deficient"])
+def test_compatibility_equals_the_per_quadruple_span_test(case, monkeypatch):
+    from plmkit import hyper
+
+    if case.startswith("random"):
+        n = int(case[-1])
+        nj, A = _random_jet(n, (7, 5) if n == 2 else (4, 3, 3), seed=n), AMatrix(np.eye(n) + 0.3 * np.ones((n, n)))
+    elif case == "rank deficient":
+        nj, A = _random_jet(2, (6, 4), seed=7), AMatrix(np.eye(2))
+        nj.d1[1, 2, 3] = 2.0 * nj.value[2, 3]
+    else:
+        nj = paraboloid3_jets()[1]
+        A = AMatrix(-np.eye(3) if case.endswith("-I") else [[2.0, 0.5, 0.0], [0.1, -1.0, 0.3], [0.0, 0.4, 1.5]])
+    calls = []
+    basis = hyper._span_basis
+    monkeypatch.setattr(hyper, "_span_basis", lambda *a: calls.append(a[1]) or basis(*a))
+    got = _outcome(hyper_compat_residual, nj, A)
+    assert got == _outcome(_compat_ref, nj, A)
+    assert len(calls) <= 1  # one factorization, at the first combination that is not zero
+    if case == "rank deficient":
+        assert got == "rank-deficient span while testing compat_1112" == f"rank-deficient span while testing {calls[0]}"
+
+
+def test_jets_without_n_plus_2_components_are_rejected():
+    # a jet of a 3-component field in 2 parameters is no hypersurface jet
+    from plmkit.fields import FieldGrid
+
+    rng = np.random.default_rng(2)
+    jets = jet_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.1, 0.1), values=rng.standard_normal((5, 5, 3))))
+    A = AMatrix(np.eye(2))
+    for call in (lambda: hyper_plm_residual(jets, jets, A), lambda: hyper_compat_residual(jets, A),
+                 lambda: hyper_reconstruct(jets, A), lambda: recover_A(jets, jets)):
+        with pytest.raises(DomainError, match="need 4 components"):
+            call()

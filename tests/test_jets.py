@@ -1,0 +1,219 @@
+"""The one jet type: axis-major partials and a packed Hessian, for any n.
+
+The jet builders that ``fields.jet_grid`` replaced are kept below as
+references: the 2-D ``_jets``/``jet_grid`` with named arrays, the
+n-axis ``hyper_jet_grid`` with a full symmetric Hessian, ``_hyper_jet``
+(which copied the first into the layout of the second), and the
+allocating stencil sum they shared.  Every partial of the new jets must
+equal its reference slot byte for byte.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plmkit.errors import DomainError
+from plmkit.fields import _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_at, jet_grid
+from plmkit.hyper import HyperGrid
+
+_NAMES = ("d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
+
+# --- references -------------------------------------------------------------
+
+
+def _ref_difference(v, spacing, m, stencil, parts):
+    taps = [list(zip(*_STENCILS[(stencil, p)][:2])) for _, p in parts]
+    out = None
+    for combo in product(*taps):
+        shift = [0] * (v.ndim - 1)
+        w = 1.0
+        for (axis, _), (off, wt) in zip(parts, combo):
+            shift[axis] = off
+            w *= wt
+        term = w * v[tuple(slice(m + s, N - m + s) for s, N in zip(shift, v.shape))]
+        out = term if out is None else out + term
+    h = 1.0
+    for axis, p in parts:
+        h *= spacing[axis] ** _STENCILS[(stencil, p)][2]
+    return out / h
+
+
+def _ref_jets(v, spacing, m, order, stencil):
+    """The 2-D jets by name."""
+    _check_fits(v.shape[:2], m)
+
+    def d(*parts):
+        return _ref_difference(v, spacing, m, stencil, parts)
+
+    jets = dict(value=_interior(v, m), d_x=d((0, 1)), d_y=d((1, 1)), d_xx=d((0, 2)), d_xy=d((0, 1), (1, 1)),
+                d_yy=d((1, 2)))
+    if order >= 3:
+        jets.update(d_xxx=d((0, 3)), d_yyy=d((1, 3)))
+    return jets
+
+
+def _ref_jet_grid(grid, order, stencil, rows=None):
+    m = _margin(stencil, order)
+    nx, ny = grid.dims
+    _check_fits(grid.dims, m)
+    start, stop, _ = (rows or slice(None)).indices(nx - 2 * m)
+    jets = _ref_jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil)
+    xs = grid.origin[0] + grid.spacing[0] * np.arange(nx, dtype=float)
+    ys = grid.origin[1] + grid.spacing[1] * np.arange(ny, dtype=float)
+    return dict(xs=xs[m + start : m + stop], ys=ys[m : ny - m], **jets)
+
+
+def _ref_hyper_jet_grid(grid, stencil, order=2):
+    """(value, d1 (..., n, d), d2 (..., n, n, d)); the margin is the one of
+    ``order``, and order 3 adds the pure third partials (..., n, d)."""
+    m = _margin(stencil, order)
+    _check_fits(grid.dims, m)
+
+    def d(*parts):
+        return _ref_difference(grid.values, grid.spacing, m, stencil, parts)
+
+    n = len(grid.dims)
+    d1 = np.stack([d((a, 1)) for a in range(n)], axis=-2)
+    d2 = np.empty(d1.shape[:-2] + (n,) + d1.shape[-2:])
+    for a in range(n):
+        d2[..., a, a, :] = d((a, 2))
+        for c in range(a + 1, n):
+            d2[..., a, c, :] = d2[..., c, a, :] = d((a, 1), (c, 1))
+    d3 = np.stack([d((a, 3)) for a in range(n)], axis=-2) if order >= 3 else None
+    return _interior(grid.values, m), d1, d2, d3
+
+
+def _ref_hyper_jet(j):
+    """The n = 2 hyper layout of named 2-D jets: d1 = (d_x, d_y), d2 the Hessian."""
+    d2 = np.stack([np.stack([j["d_xx"], j["d_xy"]], axis=-2), np.stack([j["d_xy"], j["d_yy"]], axis=-2)], axis=-3)
+    return np.stack([j["d_x"], j["d_y"]], axis=-2), d2
+
+
+# --- properties -------------------------------------------------------------
+
+
+def _same(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@st.composite
+def _grids(draw):
+    """(grid, order, stencil, rows) with every axis wide enough for the stencil."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    order, stencil = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 4]))
+    m = _margin(stencil, order)
+    dims = tuple(2 * m + 1 + draw(st.integers(0, 4 if n == 2 else 1)) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = tuple(float(h) for h in rng.uniform(0.05, 0.3, n))
+    origin = tuple(float(o) for o in rng.uniform(-1, 1, n))
+    if n == 2 and draw(st.booleans()):
+        grid = FieldGrid(origin=origin, spacing=spacing, values=rng.standard_normal(dims + (draw(st.integers(1, 4)),)))
+    else:
+        grid = HyperGrid(origin=origin, spacing=spacing, values=rng.standard_normal(dims + (n + 2,)))
+    rows = None
+    if draw(st.booleans()):
+        interior = dims[0] - 2 * m
+        start = draw(st.integers(0, interior - 1))
+        rows = slice(start, draw(st.integers(start + 1, interior)))
+    return grid, order, stencil, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_grids())
+def test_every_partial_equals_its_reference_slot(case):
+    grid, order, stencil, rows = case
+    jets = jet_grid(grid, order=order, stencil=stencil, rows=rows)
+    n = len(grid.dims)
+    sl = rows or slice(None)
+    value, d1, d2, d3 = (None if a is None else a[sl] for a in _ref_hyper_jet_grid(grid, stencil, order))
+    assert jets.n == n and jets.order == order and jets.d2.shape[0] == n * (n + 1) // 2
+    _same(jets.value, value, "value")
+    for a in range(n):
+        _same(jets.d1[a], d1[..., a, :], ("d1", a))
+        for c in range(n):
+            _same(jets.partial2(a, c), d2[..., a, c, :], ("d2", a, c))
+        if order >= 3:
+            _same(jets.d3[a], d3[..., a, :], ("d3", a))
+    if order < 3:
+        assert jets.d3 is None
+    partials = [*jets.d1, *jets.d2, *([] if jets.d3 is None else jets.d3)]
+    assert all(p.flags.c_contiguous for p in partials)
+    if n == 2:
+        ref = _ref_jet_grid(grid, order, stencil, rows)
+        for name in _NAMES + ("value", "xs", "ys"):
+            got = getattr(jets, name)
+            if name in ref:
+                _same(got, ref[name], name)
+            else:
+                assert got is None, name
+        hd1, hd2 = _ref_hyper_jet(ref)
+        _same(np.moveaxis(jets.d1, 0, -2), hd1, "hyper d1")
+        full = np.stack([np.stack([jets.partial2(a, c) for c in range(2)], axis=-2) for a in range(2)], axis=-3)
+        _same(full, hd2, "hyper d2")
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("stencil", [2, 4])
+def test_jet_at_is_the_batch_index_of_jet_grid(order, stencil):
+    rng = np.random.default_rng(10 * order + stencil)
+    m = _margin(stencil, order)
+    grids = [
+        FieldGrid(origin=(0.1, -0.2), spacing=(0.1, 0.2), values=rng.standard_normal((2 * m + 3, 2 * m + 2, 3))),
+        HyperGrid(origin=(0.0, 0.5, -1.0), spacing=(0.1, 0.2, 0.3),
+                  values=rng.standard_normal((2 * m + 2,) * 3 + (5,))),
+    ]
+    for grid in grids:
+        full = jet_grid(grid, order=order, stencil=stencil)
+        for site in (tuple(m for _ in grid.dims), tuple(N - 1 - m for N in grid.dims)):
+            point = jet_at(grid, *site, order=order, stencil=stencil)
+            want = full[tuple(i - m for i in site)]
+            assert point.shape == () and point.n == len(grid.dims) and point.order == order
+            for name in ("value", "d1", "d2", "d3"):
+                if getattr(want, name) is None:
+                    assert getattr(point, name) is None
+                else:
+                    _same(getattr(point, name), getattr(want, name), name)
+            assert point.axes == want.axes
+    with pytest.raises(DomainError):
+        jet_at(grids[1], m, m, order=order, stencil=stencil)
+
+
+def test_batch_index_is_a_view():
+    grid = FieldGrid(origin=(0.0, 0.0), spacing=(0.1, 0.1), values=np.random.default_rng(3).standard_normal((9, 7, 4)))
+    jets = jet_grid(grid, order=3)
+    part = jets[2:5]
+    for name in ("value", "d1", "d2", "d3"):
+        assert np.shares_memory(getattr(part, name), getattr(jets, name)), name
+    assert part.shape == (3, 3) and part.d2.shape == (3, 3, 3, 4)
+    _same(part.xs, jets.xs[2:5], "xs")
+    assert part.ys is jets.ys
+    point = jets[1, 2]
+    assert point.shape == () and np.shares_memory(point.d2, jets.d2)
+    assert (point.xs, point.ys) == (jets.xs[1], jets.ys[2])
+
+
+@pytest.mark.parametrize("where", ["value", "d1", "d2", "d3"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_raises(where, bad):
+    rng = np.random.default_rng(4)
+    arrays = dict(value=rng.standard_normal((3, 2, 4)), d1=rng.standard_normal((2, 3, 2, 4)),
+                  d2=rng.standard_normal((3, 3, 2, 4)), d3=rng.standard_normal((2, 3, 2, 4)))
+    JetGrid(**arrays)
+    arrays[where][(-1,) * arrays[where].ndim] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        JetGrid(**arrays)
+
+
+@pytest.mark.parametrize("shapes", [
+    dict(value=(3, 4), d1=(2, 3, 4), d2=(4, 3, 4)),  # a full Hessian is not a packed one
+    dict(value=(3, 4), d1=(3, 2, 4), d2=(3, 3, 4)),  # batch-major first partials
+    dict(value=(3, 4), d1=(2, 3, 4), d2=(3, 3, 4), d3=(3, 3, 4)),
+    dict(value=(3, 4), d1=(2, 3, 5), d2=(3, 3, 4)),
+])
+def test_inconsistent_shapes_raise(shapes):
+    with pytest.raises(DomainError, match="shapes"):
+        JetGrid(**{k: np.zeros(s) for k, s in shapes.items()})

@@ -184,9 +184,8 @@ def test_hyper_jets_equal_the_symbolic_oracle(h):
     xs, ys = (g.origin[a] + g.spacing[a] * np.arange(g.values.shape[a]) for a in (0, 1))
     for jet, expr in ((scn.hyper_f_jet, f), (scn.hyper_nu_jet, nu)):
         want = _sym_jets(expr, xs, ys, order=2)
-        d1 = np.stack([want["d_x"], want["d_y"]], axis=-2)
-        d2 = np.stack([np.stack([want["d_xx"], want["d_xy"]], axis=-2),
-                       np.stack([want["d_xy"], want["d_yy"]], axis=-2)], axis=-3)
+        d1 = np.stack([want["d_x"], want["d_y"]])
+        d2 = np.stack([want["d_xx"], want["d_xy"], want["d_yy"]])
         _assert_bytes_equal(jet.d1, d1, "d1")
         _assert_bytes_equal(jet.d2, d2, "d2")
         assert np.array_equal(jet.value, want["value"])

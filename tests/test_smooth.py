@@ -9,7 +9,7 @@ from plmkit.errors import (
     DomainError,
     NotCompatibleError,
 )
-from plmkit.fields import FieldGrid, JetRecord, jet_grid
+from plmkit.fields import FieldGrid, JetGrid, jet_grid
 from plmkit.projective import normalized_last_distance, projective_distance
 from plmkit.scenarios import scenario
 from plmkit.smooth import (
@@ -76,7 +76,7 @@ def test_det_invariance_conjugate():
 def test_reconstruct_point_matches_surface():
     jets = HYPAR.nu_jets
     i, j = 7, 11
-    f = reconstruct_point(jets.at(i, j), ChartKind.ASYMPTOTIC)
+    f = reconstruct_point(jets[i, j], ChartKind.ASYMPTOTIC)
     expect = HYPAR.f_jets.value[i, j]
     assert normalized_last_distance(f, expect) < 1e-12
 
@@ -96,32 +96,29 @@ def test_reconstruct_conjugate_chart():
 def test_duality_round_trip():
     """reconstruct(inverse(f-jet)) returns the original point."""
     i, j = 5, 9
-    nu = reconstruct_point(HYPAR.f_jets.at(i, j), ChartKind.ASYMPTOTIC)
+    nu = reconstruct_point(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC)
     assert np.max(projective_distance(nu, HYPAR.nu_jets.value[i, j])) < 1e-12
 
 
 def test_reconstruct_alt_axis_agrees_projectively():
     jets = CUBIC.nu_jets
     i, j = 6, 6
-    f_main = reconstruct_point(jets.at(i, j), ChartKind.ASYMPTOTIC)
-    f_alt = reconstruct_point_alt(jets.at(i, j), "x")
+    f_main = reconstruct_point(jets[i, j], ChartKind.ASYMPTOTIC)
+    f_alt = reconstruct_point_alt(jets[i, j], "x")
     assert projective_distance(f_main, f_alt) < 1e-10
 
 
 def test_reconstruct_alt_degenerate_axis():
     # the y-family determinant vanishes identically on this surface
     with pytest.raises(DegeneratePointError):
-        reconstruct_point_alt(CUBIC.nu_jets.at(6, 6), "y")
+        reconstruct_point_alt(CUBIC.nu_jets[6, 6], "y")
     with pytest.raises(DomainError):
-        reconstruct_point_alt(CUBIC.nu_jets.at(6, 6), "z")
+        reconstruct_point_alt(CUBIC.nu_jets[6, 6], "z")
 
 
 def _unit_jet(d_xx_sign):
     e = np.eye(4)
-    return JetRecord(
-        value=e[0], d_x=e[1], d_y=e[2],
-        d_xx=d_xx_sign * e[3], d_xy=e[3], d_yy=e[3],
-    )
+    return JetGrid(value=e[0], d1=np.stack([e[1], e[2]]), d2=np.stack([d_xx_sign * e[3], e[3], e[3]]))
 
 
 def test_chart_mismatch_raises():
@@ -139,7 +136,7 @@ def test_degenerate_point_raises():
 def test_conjugate_chart_on_asymptotic_data_is_rejected():
     jets = CONJ.nu_jets
     with pytest.raises((DegeneratePointError, ChartMismatchError)):
-        reconstruct_point(jets.at(4, 4), ChartKind.ASYMPTOTIC)
+        reconstruct_point(jets[4, 4], ChartKind.ASYMPTOTIC)
 
 
 # --- finite-difference path ----------------------------------------------

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plmkit import cli
-from plmkit.errors import DegeneratePointError, DomainError
-from plmkit.hyper import AMatrix, HyperJet, hyper_compat_residual, hyper_plm_residual
+from plmkit.errors import DegeneratePointError
+from plmkit.fields import JetGrid
+from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
 from plmkit.report import InvariantReport
 from plmkit.scenarios import scenario
 from plmkit.smooth import ChartKind, det_invariance_report, orthogonality_report, plm_residual
@@ -115,7 +116,7 @@ def test_tiled_smooth_report_is_byte_identical(extents, name, stencil, from_file
     else:
         scn = _box(name, max(rows, 1), cols)
         if rows == 0:
-            scn = dataclasses.replace(scn, f_jets=scn.f_jets.rows(slice(0, 0)), nu_jets=scn.nu_jets.rows(slice(0, 0)))
+            scn = dataclasses.replace(scn, f_jets=scn.f_jets[0:0], nu_jets=scn.nu_jets[0:0])
         f, nu = scn.f_jets, scn.nu_jets
         tiled = lambda: _tiled(per_tile, cols, suite, stencil, scn=scn)  # noqa: E731
     expected = _outcome(lambda: _smooth_untiled(suite, f, nu, stencil))
@@ -130,8 +131,7 @@ def test_tiled_hyper_report_is_byte_identical(extents):
     per_tile, rows, cols = extents
     scn = _box("ell-paraboloid", max(rows, 1), cols)
     if rows == 0:
-        scn = dataclasses.replace(scn, hyper_f_jet=scn.hyper_f_jet.rows(slice(0, 0)),
-                                  hyper_nu_jet=scn.hyper_nu_jet.rows(slice(0, 0)))
+        scn = dataclasses.replace(scn, hyper_f_jet=scn.hyper_f_jet[0:0], hyper_nu_jet=scn.hyper_nu_jet[0:0])
     expected = _outcome(lambda: _hyper_untiled(scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix))
     assert _outcome(lambda: _tiled(per_tile, cols, "hyper", scn=scn)) == expected
 
@@ -141,14 +141,12 @@ def _hyper_pair(rows, cols, flat_rows, seed=0):
     first ``flat_rows`` rows, so every compatibility combination of A = I
     vanishes there and on no other row."""
     rng = np.random.default_rng(seed)
-    shape = (rows, cols)
-    d2 = rng.standard_normal(shape + (2, 2, 4))
-    d2[..., 1, 0, :] = d2[..., 0, 1, :]
-    d2[:flat_rows, :, 0, 1, :] = d2[:flat_rows, :, 1, 0, :] = 0.0
-    d2[:flat_rows, :, 1, 1, :] = d2[:flat_rows, :, 0, 0, :]
-    nu = HyperJet(value=rng.standard_normal(shape + (4,)), d1=rng.standard_normal(shape + (2, 4)), d2=d2)
-    f = HyperJet(value=rng.standard_normal(shape + (4,)), d1=rng.standard_normal(shape + (2, 4)),
-                 d2=np.zeros(shape + (2, 2, 4)))
+    shape = (rows, cols, 4)
+    d2 = rng.standard_normal((3,) + shape)  # xx, xy, yy
+    d2[1, :flat_rows] = 0.0
+    d2[2, :flat_rows] = d2[0, :flat_rows]
+    nu = JetGrid(value=rng.standard_normal(shape), d1=rng.standard_normal((2,) + shape), d2=d2)
+    f = JetGrid(value=rng.standard_normal(shape), d1=rng.standard_normal((2,) + shape), d2=np.zeros((3,) + shape))
     return f, nu
 
 
@@ -169,28 +167,13 @@ def test_compat_rank_check_is_not_skipped_on_an_all_zero_tile():
     # the span basis is rank deficient on the first tile, where every
     # combination vanishes; the whole-batch suite still makes the rank check
     f, nu = _hyper_pair(rows=9, cols=3, flat_rows=3)
-    nu.d1[1, 1, 1, :] = nu.d1[1, 1, 0, :]
+    nu.d1[1, 1, 1] = nu.d1[0, 1, 1]
     scn = _hyper_scenario(f, nu)
     with pytest.raises(DegeneratePointError) as whole:
         hyper_compat_residual(nu, scn.amatrix)
     with pytest.raises(DegeneratePointError) as tiled:
         _tiled(3, 3, "hyper", scn=scn)
     assert str(tiled.value) == str(whole.value)
-
-
-def test_hyper_rows_are_not_validated_again():
-    # the symmetry check is relative to the batch maximum: rows of small
-    # second partials pass inside the batch but would fail on their own
-    rng = np.random.default_rng(1)
-    d2 = rng.standard_normal((6, 2, 2, 2, 4))
-    d2[..., 1, 0, :] = d2[..., 0, 1, :]
-    d2[:3] *= 1e-3
-    d2[:3, :, 0, 1, 0] += 1e-11
-    jet = HyperJet(value=rng.standard_normal((6, 2, 4)), d1=rng.standard_normal((6, 2, 2, 4)), d2=d2)
-    with pytest.raises(DomainError, match="symmetric"):
-        HyperJet(value=jet.value[:3], d1=jet.d1[:3], d2=jet.d2[:3])
-    part = jet.rows(slice(0, 3))
-    assert np.shares_memory(part.d2, jet.d2) and part.d2.shape == (3, 2, 2, 2, 4)
 
 
 def test_jet_grid_rows_equal_the_rows_of_the_full_jets():
