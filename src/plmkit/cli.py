@@ -94,8 +94,11 @@ def _scenario_from_args(args):
         params["seed"] = args.seed
     if getattr(args, "size", None) is not None:
         params["size"] = args.size
-    if getattr(args, "h", None) is not None:
-        params["h"] = args.h
+    h = getattr(args, "h", None)
+    if h is not None:
+        if "h" in params and repr(params["h"]) != repr(h):
+            raise DomainError(f"--grid step {params['h']!r} and --h {h!r} differ; give one spacing")
+        params["h"] = h
     return scenario(args.scenario, **params)
 
 

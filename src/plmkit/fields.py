@@ -18,10 +18,14 @@ Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
 The writer varies the first axis fastest and writes repr-precision
 floats, so write-then-read is bitwise lossless; integer lattice sites
-are written as integers.  The reader places each row by its
-coordinates, so rows may come in any order, and rejects a file unless
-every site of a uniform box appears exactly once (lattice sites must be
-the integers 0..M-1).
+are written as integers.  The reader parses all data rows in one numpy
+call (blank and whitespace-only lines are skipped; a cell is an ASCII
+decimal or scientific number, ``nan`` or ``inf``, with no quoting,
+comments or digit separators), rejects any non-finite cell, places each
+row by its coordinates, so rows may come in any order, and rejects a file
+unless every site of a uniform box appears exactly once (lattice sites
+must be the integers 0..M-1).  Each rejection is a ``ParseError`` that
+names the file line.
 """
 
 from dataclasses import dataclass
@@ -384,14 +388,58 @@ def _line_of(lines, row):
     return [ln for ln, raw in enumerate(lines[1:], start=2) if raw.strip()][row]
 
 
+def _parse(body, **kw):
+    """The lines ``body`` parsed as rows of comma-separated numbers, or None
+    where a cell is not a number or a row's width differs from the first.
+
+    The one number parser of every table: ASCII decimal or scientific
+    notation, ``nan`` and ``inf``, with spaces around a cell allowed; no
+    quoting, no comments, no digit separators.
+    """
+    try:
+        return np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float, **kw)
+    except ValueError:
+        return None
+
+
+def _parsed(rows, count, width):
+    """Whether ``_parse`` gave ``count`` rows of ``width`` numbers."""
+    return rows is not None and rows.shape == (count, width)
+
+
+def _first_bad(body, width):
+    """Index of the first line of ``body`` that does not parse as ``width``
+    numbers, given that one does: bisection, at most len(body) lines parsed."""
+    lo, hi = 0, len(body)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parsed(_parse(body[lo:mid]), mid - lo, width):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _row_error(raw, want, ln):
+    """The ParseError of a data line that does not parse as one row of ``want``."""
+    width, cells = len(want), raw.split(",")
+    if len(cells) != width:
+        return ParseError(f"missing column {want[len(cells)]}" if len(cells) < width else
+                          f"expected {width} columns, got {len(cells)}", line=ln)
+    k = next(k for k in range(width) if not _parsed(_parse([raw], usecols=[k]), 1, 1))
+    return ParseError(f"bad number: {cells[k]!r} in column {want[k]}", line=ln)
+
+
 def _read_table(path, columns, lattice=False):
     """Read a CSV table into (origin, spacing, values).
 
     ``columns(header)`` returns the expected header cells and the number
-    n of coordinate columns; the remaining k columns are values.  Each
-    row is placed by its coordinates, and every site of a uniform n-box
-    must appear exactly once; with ``lattice`` the coordinates must be
-    the integers 0..M-1.  ``values`` has shape (N1, ..., Nn, k).
+    n of coordinate columns; the remaining k columns are values.  All data
+    rows are parsed in one call; a file with a bad row is parsed again in
+    halves to find the first one.  Each row is placed by its coordinates,
+    and every site of a uniform n-box must appear exactly once; with
+    ``lattice`` the coordinates must be the integers 0..M-1.  ``values``
+    has shape (N1, ..., Nn, k).
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -402,26 +450,19 @@ def _read_table(path, columns, lattice=False):
     if header != want:
         raise ParseError(f"expected columns {','.join(want)}, got {','.join(header)}", line=1)
     width, last = len(want), len(lines)
-    rows = []
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != width:
-            short = len(cells) < width
-            raise ParseError(f"missing column {want[len(cells)]}" if short else
-                             f"expected {width} columns, got {len(cells)}", line=ln)
-        try:
-            rows.extend(map(float, cells))
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=ln) from None
-    if not rows:
+    body = list(filter(str.strip, lines[1:]))
+    if not body:
         raise ParseError("no data rows", line=last)
-    rows = np.array(rows).reshape(-1, width)
+    rows = _parse(body)
+    if not _parsed(rows, len(body), width):
+        row = _first_bad(body, width)
+        raise _row_error(body[row], want, _line_of(lines, row))
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        kind = "coordinate" if col < n else "value"
+        raise ParseError(f"non-finite {kind} {want[col]}: {float(rows[row, col])!r}", line=_line_of(lines, row))
     sites = rows[:, :n]
-    bad = ~np.isfinite(sites).all(axis=1)
-    if bad.any():
-        raise ParseError("non-finite coordinate", line=_line_of(lines, np.argmax(bad)))
     axes = [np.unique(sites[:, a]) for a in range(n)]
     for name, u in zip(want, axes):
         if lattice:

@@ -323,9 +323,12 @@ def test_scenario_dump_round_trip(capsys, tmp_path):
     assert np.array_equal(lat.values, scenario("hypar-lattice").nu3_lattice.values)
 
 
-@pytest.mark.parametrize("command", [
+_GRID_COMMANDS = [
     ["verify"], ["reconstruct", "--out", "f.csv"], ["forms", "--which", "projective"], ["scenario-dump", "--out", "d"],
-])
+]
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_grid_with_unequal_spacings_is_usage_error(capsys, tmp_path, monkeypatch, command):
     # the grid scenarios take one h; --grid used to keep hy and drop hx silently
     monkeypatch.chdir(tmp_path)
@@ -334,3 +337,22 @@ def test_grid_with_unequal_spacings_is_usage_error(capsys, tmp_path, monkeypatch
     assert err.startswith("error: --grid spacings differ") and "0.1" in err and "0.5" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+def test_grid_step_and_h_that_differ_are_usage_error(capsys, tmp_path, monkeypatch, command):
+    # --h used to override the step of --grid silently: a 3x3 grid at h = 0.5
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command[0], "--scenario", "hypar", "--grid", "0:1:0.1", "--h", "0.5", *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid step 0.1 and --h 0.5 differ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_step_equal_to_h_is_accepted(capsys, tmp_path):
+    prefix = str(tmp_path / "d")
+    code, _, err = run(capsys, "scenario-dump", "--scenario", "hypar", "--grid", "0:1:0.1", "--h", "0.1",
+                       "--out", prefix)
+    assert code == 0, err
+    assert read_grid(prefix + "_f.csv").dims == (11, 11)

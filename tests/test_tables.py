@@ -2,19 +2,23 @@
 
 Rows may come in any order on read; a repeated or missing site, and a
 lattice site that is not one of the integers 0..M-1, is a ParseError
-(exit code 3 on the command line), never silently misplaced data.
+(exit code 3 on the command line), never silently misplaced data.  The
+one bulk parse of the data rows is checked against the per-line reader it
+replaced, kept here as the reference.
 """
 
 import io
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plmkit import fields, hyper
 from plmkit.cli import main
 from plmkit.errors import ParseError
 from plmkit.fields import FieldGrid, LatticeField, read_grid, read_lattice, write_grid, write_lattice
@@ -187,3 +191,200 @@ def test_header_only_and_non_finite_coordinates(tmp_path):
     with pytest.raises(ParseError) as err:
         read_grid(path)
     assert err.value.line == 3
+
+
+# --- reference: the per-line reader the bulk parse replaced ---------------
+
+
+def _line_of_ref(lines, row):
+    return [ln for ln, raw in enumerate(lines[1:], start=2) if raw.strip()][row]
+
+
+def _read_table_loop(path, columns, lattice=False):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=0)
+    header = [c.strip() for c in lines[0].split(",")]
+    want, n = columns(header)
+    if header != want:
+        raise ParseError(f"expected columns {','.join(want)}, got {','.join(header)}", line=1)
+    width, last = len(want), len(lines)
+    rows = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != width:
+            short = len(cells) < width
+            raise ParseError(f"missing column {want[len(cells)]}" if short else
+                             f"expected {width} columns, got {len(cells)}", line=ln)
+        try:
+            rows.extend(map(float, cells))
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=ln) from None
+    if not rows:
+        raise ParseError("no data rows", line=last)
+    rows = np.array(rows).reshape(-1, width)
+    sites = rows[:, :n]
+    bad = ~np.isfinite(sites).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite coordinate", line=_line_of_ref(lines, np.argmax(bad)))
+    axes = [np.unique(sites[:, a]) for a in range(n)]
+    for name, u in zip(want, axes):
+        if lattice:
+            if not np.array_equal(u, np.arange(len(u))):
+                raise ParseError(f"{name} must take the integer values 0..M-1", line=last)
+        elif len(u) > 1:
+            du = np.diff(u)
+            if np.max(np.abs(du - du[0])) > 1e-12 * max(abs(du[0]), 1e-300):
+                raise ParseError(f"non-uniform spacing along {name}", line=last)
+    dims = tuple(len(u) for u in axes)
+    size = int(np.prod(dims))
+    if size != len(rows):
+        raise ParseError(f"{len(rows)} rows for a {'x'.join(map(str, dims))} grid: a site is missing or repeated",
+                         line=last)
+    flat = np.ravel_multi_index([np.searchsorted(u, sites[:, a]) for a, u in enumerate(axes)], dims)
+    count = np.bincount(flat, minlength=size)
+    if count.max() > 1:
+        first, again = np.flatnonzero(flat == np.argmax(count))[:2]
+        site = ",".join(repr(float(c)) for c in sites[again])
+        raise ParseError(f"site ({site}) appears twice, first on line {_line_of_ref(lines, first)}",
+                         line=_line_of_ref(lines, again))
+    values = np.empty((size, width - n))
+    values[flat] = rows[:, n:]
+    origin = tuple(float(u[0]) for u in axes)
+    spacing = tuple(float(u[1] - u[0]) if len(u) > 1 else 1.0 for u in axes)
+    return origin, spacing, values.reshape(dims + (width - n,))
+
+
+def read_table_ref(kind, path):
+    """``read_table`` through the reference reader."""
+    with mock.patch.object(fields, "_read_table", _read_table_loop), \
+            mock.patch.object(hyper, "_read_table", _read_table_loop):
+        return read_table(kind, path)
+
+
+def as_bytes(table):
+    values, origin, spacing = table
+    return values.shape, values.tobytes(), np.array(origin).tobytes(), np.array(spacing).tobytes()
+
+
+def outcome(read, kind, path):
+    """The table as bytes, or the ParseError's line and message up to its first colon."""
+    try:
+        return as_bytes(read(kind, path))
+    except ParseError as exc:
+        return exc.line, str(exc).partition(":")[0]
+
+
+# Finite extremes the writer never produces: signed zeros, subnormals, +-1e308.
+_EXTREMES = ("0", "-0", "-0.0", "+0.0", "5e-324", "-4.9e-324", "1e-310", "-2.5e-320", "1e308", "-1e308",
+             "1.7976931348623157e+308", "-1.7976931348623157E308")
+_PADS = ("", "", " ", "  ", "\t")  # most cells unpadded
+_BLANKS = ("", " ", "\t", "  \t ")
+
+
+def restyle(path, rnd, lines):
+    """Write ``lines`` back to ``path`` as a hand-made file might hold them:
+    shuffled, with blank and whitespace-only lines between, cells padded
+    with spaces and CRLF or LF line ends."""
+    header, *body = lines
+    rnd.shuffle(body)
+    body = [",".join(rnd.choice(_PADS) + c + rnd.choice(_PADS) for c in line.split(",")) for line in body]
+    for _ in range(rnd.randint(0, 4)):
+        body.insert(rnd.randint(0, len(body)), rnd.choice(_BLANKS))
+    eol = rnd.choice(("\n", "\r\n"))
+    with open(path, "w", newline="") as fh:
+        fh.write(eol.join([header] + body) + eol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.randoms(use_true_random=False))
+def test_bulk_parse_reads_what_the_line_loop_reads(table, rnd):
+    kind, dims, seed = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_table(kind, dims, seed, path)
+        with open(path) as fh:
+            header, *body = fh.read().splitlines()
+        n = len(dims)
+        rows = [line.split(",") for line in body]
+        for _ in range(rnd.randint(0, 6)):
+            cells = rnd.choice(rows)
+            cells[rnd.randrange(n, len(cells))] = rnd.choice(_EXTREMES)
+        restyle(path, rnd, [header] + [",".join(cells) for cells in rows])
+        got, want = read_table(kind, path), read_table_ref(kind, path)
+    assert as_bytes(got) == as_bytes(want)
+
+
+def _drop_cell(cells, rnd):
+    del cells[rnd.randrange(len(cells))]
+
+
+def _add_cell(cells, rnd):
+    cells.insert(rnd.randint(0, len(cells)), "0.5")
+
+
+def _bad_cell(cells, rnd):
+    cells[rnd.randrange(len(cells))] = rnd.choice(("zap", "#1", "", " "))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.randoms(use_true_random=False))
+def test_malformed_row_is_found_on_the_line_the_line_loop_names(table, rnd):
+    kind, dims, seed = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_table(kind, dims, seed, path)
+        with open(path) as fh:
+            header, *body = fh.read().splitlines()
+        rows = [line.split(",") for line in body]
+        for cells in rnd.sample(rows, min(len(rows), rnd.randint(1, 3))):
+            rnd.choice((_drop_cell, _add_cell, _bad_cell))(cells, rnd)
+        restyle(path, rnd, [header] + [",".join(cells) for cells in rows])
+        got, want = outcome(read_table, kind, path), outcome(read_table_ref, kind, path)
+    assert isinstance(got[0], int)
+    assert got == want
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "2_5e-1_0"])
+def test_number_float_accepts_but_the_table_parser_rejects(tmp_path, cell):
+    path = tmp_path / "g.csv"
+    path.write_text(f"x,y,v1\n0,0,1\n\n1,0,{cell}\n", encoding="utf-8")
+    assert read_table_ref("grid", path)[0].shape == (2, 1, 1)
+    with pytest.raises(ParseError) as err:
+        read_grid(path)
+    assert err.value.line == 4
+    assert str(err.value) == f"bad number: {cell!r} in column v1"
+
+
+@pytest.mark.parametrize("kind", ["grid", "lattice", "hyper", "afield"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+def test_non_finite_value_is_a_parse_error_on_its_line(tmp_path, kind, cell):
+    path = tmp_path / "t.csv"
+    write_table(kind, (3, 2), 4, path)
+    with open(path) as fh:
+        header, *body = fh.read().splitlines()
+    cells = body[3].split(",")
+    cells[-1] = cell
+    body[3] = ",".join(cells)
+    path.write_text("\n".join([header, ""] + body) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_table(kind, path)
+    assert err.value.line == 6
+    assert str(err.value).startswith(f"non-finite value {header.split(',')[-1]}: ")
+
+
+def test_reconstruct_from_a_non_finite_value_is_io_error(tmp_path):
+    path = tmp_path / "nu.csv"
+    write_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.1, 0.1), values=np.ones((5, 5, 4))), path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["reconstruct", "--nu", str(path), "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert err.getvalue().startswith("error: non-finite value v4")
