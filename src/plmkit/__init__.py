@@ -60,7 +60,6 @@ from .fields import (
 )
 from .hyper import (
     AMatrix,
-    HyperGrid,
     hyper_compat_residual,
     hyper_plm_residual,
     hyper_reconstruct,

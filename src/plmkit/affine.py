@@ -14,7 +14,6 @@ cross-identity tying them to the dual surface.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,12 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineSurfacePair:
-    """Affine position field bf and affine conormal field bnu (both d=3)."""
+    """Affine position field bf and affine conormal field bnu (both d=3)
+    over one 2-axis grid."""
 
     f: FieldGrid
     nu: FieldGrid
 
     def __post_init__(self):
+        if self.f.n != 2 or self.nu.n != 2:
+            raise DomainError(f"affine pair needs 2-axis grids, got {self.f.n} and {self.nu.n} axes")
         if self.f.ncomp != 3 or self.nu.ncomp != 3:
             raise DomainError("affine pair needs 3-component fields")
         if self.f.dims != self.nu.dims:

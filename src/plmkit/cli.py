@@ -26,6 +26,7 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -49,10 +50,20 @@ from .errors import (
     ParseError,
     PlmError,
 )
-from .fields import FieldGrid, _margin, grid_on_sites, jet_grid, read_grid, read_lattice, write_grid, write_lattice
-from .hyper import hyper_compat_residual, hyper_plm_residual, recover_A
+from .fields import (
+    FieldGrid,
+    _margin,
+    _write_table,
+    grid_on_sites,
+    jet_grid,
+    read_grid,
+    read_lattice,
+    write_grid,
+    write_lattice,
+)
+from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
 from .report import InvariantReport, ResidualTile
-from .scenarios import list_scenarios, scenario
+from .scenarios import scenario
 from .smooth import (
     ChartKind,
     det_invariance_report,
@@ -447,7 +458,7 @@ def _pad_full(arr, extent):
 
 def cmd_forms(args):
     scn = _scenario_from_args(args)
-    header_note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
+    note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
     if args.which == "affine":
         if scn.f3_grid is None:
             print("error: scenario has no affine-gauge grids", file=sys.stderr)
@@ -455,12 +466,8 @@ def cmd_forms(args):
         forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=args.stencil)
         # the coordinates of the interior of the jets affine_forms took
         m = _margin(args.stencil, rep.metadata["jet_order"])
-        xs, ys = (c[m : len(c) - m] for c in (scn.nu3_grid.xs(), scn.nu3_grid.ys()))
-        lines = [header_note, "x,y,F,A_cubic,B_cubic"]
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                vals = (x, y, forms.F[i, j], forms.A_cubic[i, j], forms.B_cubic[i, j])
-                lines.append(",".join(repr(float(v)) for v in vals))
+        coords = [c[m : len(c) - m] for c in scn.nu3_grid.axes]
+        cols = {"F": forms.F, "A_cubic": forms.A_cubic, "B_cubic": forms.B_cubic}
     elif args.which == "discrete":
         if scn.nu3_lattice is None:
             print("error: scenario has no lattice fields", file=sys.stderr)
@@ -468,40 +475,28 @@ def cmd_forms(args):
         pairn = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
         forms, _ = discrete_forms(pairn)
         ext = pairn.extent
-        cols = {
-            "Omega2": _pad_full(forms.Omega2, ext),
-            "Omega3": _pad_full(forms.Omega3, ext),
-            "Omega3tilde": _pad_full(forms.Omega3tilde, ext),
-            "F2d": _pad_full(forms.F2d, ext),
-            "F3d": _pad_full(forms.F3d, ext),
-            "F3dtilde": _pad_full(forms.F3dtilde, ext),
-        }
-        lines = [header_note + "; forms anchored at the base site of their stencil, nan outside",
-                 "n1,n2," + ",".join(cols)]
-        for n2 in range(ext[1]):
-            for n1 in range(ext[0]):
-                lines.append(",".join([str(n1), str(n2)] + [repr(float(c[n1, n2])) for c in cols.values()]))
+        note += "; forms anchored at the base site of their stencil, nan outside"
+        coords = [np.arange(m) for m in ext]
+        cols = {name: _pad_full(getattr(forms, name), ext)
+                for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")}
     elif args.which == "projective":
         if scn.f_jets is None:
             print("error: scenario has no smooth jets", file=sys.stderr)
             return 2
         forms = fubini_forms(scn.f_jets, scn.nu_jets, stencil=args.stencil)
-        lines = [header_note, "x,y,F2,F3,F3tilde"]
-        F3 = forms.F3_coeff if forms.F3_coeff is not None else np.full_like(forms.F2_coeff, np.nan)
-        F3t = forms.F3tilde_coeff if forms.F3tilde_coeff is not None else np.full_like(forms.F2_coeff, np.nan)
-        for j, y in enumerate(scn.f_jets.ys):
-            for i, x in enumerate(scn.f_jets.xs):
-                vals = (x, y, forms.F2_coeff[i, j], F3[i, j], F3t[i, j])
-                lines.append(",".join(repr(float(v)) for v in vals))
+        missing = np.full_like(forms.F2_coeff, np.nan)
+        coords = scn.f_jets.axes
+        cols = {"F2": forms.F2_coeff, "F3": missing if forms.F3_coeff is None else forms.F3_coeff,
+                "F3tilde": missing if forms.F3tilde_coeff is None else forms.F3tilde_coeff}
     else:
         print(f"error: unknown forms kind {args.which!r}", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + "\n"
+    names = ["n1", "n2"] if args.which == "discrete" else ["x", "y"]
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(note + "\n")
+        _write_table(fh, names + list(cols), coords, np.stack(list(cols.values()), axis=-1))
     if args.out:
-        _write_text(args.out, text)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -518,18 +513,13 @@ def cmd_scenario_dump(args):
         ("nu_lat", scn.nu_lattice, write_lattice),
         ("f3_lat", scn.f3_lattice, write_lattice),
         ("nu3_lat", scn.nu3_lattice, write_lattice),
+        ("nu_hyper", scn.hyper_nu_grid, write_hyper_grid),
     ]
     for tag, obj, writer in pairs:
         if obj is None:
             continue
         path = f"{prefix}_{tag}.csv"
         writer(obj, path)
-        written.append(path)
-    if scn.hyper_nu_grid is not None:
-        from .hyper import write_hyper_grid
-
-        path = f"{prefix}_nu_hyper.csv"
-        write_hyper_grid(scn.hyper_nu_grid, path)
         written.append(path)
     if not written:
         print("error: scenario emitted no dumpable fields", file=sys.stderr)
@@ -594,7 +584,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = "".join(f"{part}:" for part in (exc.path, exc.line) if part)
+        print(f"error: {where} {exc}" if where else f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

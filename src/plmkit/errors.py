@@ -51,8 +51,10 @@ class EvolutionOverflowError(PlmError):
 
 
 class ParseError(PlmError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file; carries the offending line number and, once
+    raised by a file reader, the file's path."""
 
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+        self.path = None

@@ -1,7 +1,9 @@
 """Sampled fields: uniform grids, integer lattices, jets and CSV tables.
 
-``FieldGrid`` holds a d-component field over a uniform 2-D parameter box,
-``LatticeField`` a field over integer sites with shift operators.
+``FieldGrid`` is the one uniform-grid type: a d-component field over an
+n-parameter box (n = 2 for a surface, up to 4 for a hypersurface), whose
+``axes`` give the site coordinates.  ``LatticeField`` is a field over
+integer sites with shift operators.
 
 ``JetGrid`` is the one jet type, for a surface (n = 2 parameters) and a
 hypersurface (n up to 4) alike: a field with its partials at a batch of
@@ -9,10 +11,11 @@ parameter points.  Its arrays are axis-major: ``d1[a]`` is the partial
 along x_{a+1}, ``d2`` holds each second partial once (the pairs a <= c in
 row-major order: xx, xy, yy when n = 2) and the optional ``d3[a]`` is the
 pure third partial along x_{a+1}, so every partial is one C-contiguous
-(..., d) array.  ``jet_grid`` computes the central-difference jets of a
-``FieldGrid`` or a ``HyperGrid`` at 2nd or 4th accuracy order, over the
-whole interior or some of its rows, with one n-axis stencil engine;
-``jet_at`` computes the jet at one site from its stencil window.
+(..., d) array; the n = 2 views ``d_x`` ... ``xs``, ``ys`` raise on other
+jets.  ``jet_grid`` computes the central-difference jets of a
+``FieldGrid`` at 2nd or 4th accuracy order, over the whole interior or
+some of its rows, with one n-axis stencil engine; ``jet_at`` computes the
+jet at one site from its stencil window.
 
 Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
@@ -24,8 +27,8 @@ decimal or scientific number, ``nan`` or ``inf``, with no quoting,
 comments or digit separators), rejects any non-finite cell, places each
 row by its coordinates, so rows may come in any order, and rejects a file
 unless every site of a uniform box appears exactly once (lattice sites
-must be the integers 0..M-1).  Each rejection is a ``ParseError`` that
-names the file line.
+must be the integers 0..M-1).  Each rejection, a byte that is not UTF-8
+included, is a ``ParseError`` that names the file and the line.
 """
 
 from dataclasses import dataclass
@@ -53,38 +56,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Uniform rectangular sampling of a vector field.
+    """Uniform sampling of a d-component field over an n-parameter box.
 
-    values[i, j] is the sample at (x0 + i*hx, y0 + j*hy).
+    values[i1, ..., in] is the sample at the site (origin[a] + i_a *
+    spacing[a]) for a = 0..n-1; ``axes`` holds those coordinates.
     """
 
     origin: tuple
     spacing: tuple
-    values: np.ndarray  # (Nx, Ny, d)
+    values: np.ndarray  # (N1, ..., Nn, d)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.ndim != 3:
-            raise DomainError("FieldGrid values must have shape (Nx, Ny, d)")
-        if not (self.spacing[0] > 0 and self.spacing[1] > 0):
+        n = v.ndim - 1
+        if n < 1 or len(self.origin) != n or len(self.spacing) != n:
+            raise DomainError(f"FieldGrid values must be (N1, ..., Nn, d), n = len(origin) = len(spacing): {v.shape}")
+        if not all(h > 0 for h in self.spacing):
             raise DomainError("grid spacing must be strictly positive")
         if not np.all(np.isfinite(v)):
             raise DomainError("grid contains non-finite samples")
 
     @property
+    def n(self):
+        return self.values.ndim - 1
+
+    @property
     def dims(self):
-        return self.values.shape[:2]
+        return self.values.shape[:-1]
 
     @property
     def ncomp(self):
-        return self.values.shape[2]
+        return self.values.shape[-1]
 
-    def xs(self):
-        return self.origin[0] + self.spacing[0] * np.arange(self.dims[0], dtype=float)
-
-    def ys(self):
-        return self.origin[1] + self.spacing[1] * np.arange(self.dims[1], dtype=float)
+    @property
+    def axes(self):
+        """The site coordinates along each axis, one array per axis."""
+        return tuple(o + h * np.arange(N, dtype=float) for o, h, N in zip(self.origin, self.spacing, self.dims))
 
 
 # The n = 2 slots in the paper's notation: name -> (jet array, slot).
@@ -102,7 +110,7 @@ class JetGrid:
     up); ``d3`` (n, ..., d), the pure third partials, or None; ``axes``,
     one coordinate array per parameter axis, or None.  For n = 2 the slots
     are also the read-only views ``d_x, d_y, d_xx, d_xy, d_yy, d_xxx,
-    d_yyy`` and the axes ``xs, ys``.  ``jets[index]`` indexes the leading
+    d_yyy`` and the axes ``xs, ys``; on other jets these raise.  ``jets[index]`` indexes the leading
     batch axes with ints and slices and returns views.
     """
 
@@ -155,14 +163,19 @@ class JetGrid:
         return JetGrid(self.value[index], take(self.d1), take(self.d2), take(self.d3), axes)
 
 
-def _named(array, k):
-    return property(lambda jet: None if getattr(jet, array) is None else getattr(jet, array)[k])
+def _surface_view(name, array, k):
+    """Read-only view ``name`` of slot k of ``array``; on n != 2 jets that slot means another thing."""
+
+    def view(jet):
+        if jet.n != 2:
+            raise DomainError(f"{name} is a view of surface (n = 2) jets; this jet has n = {jet.n}")
+        return None if getattr(jet, array) is None else getattr(jet, array)[k]
+
+    return property(view)
 
 
-for _name, (_array, _k) in _NAMED.items():
-    setattr(JetGrid, _name, _named(_array, _k))
-JetGrid.xs = property(lambda jet: jet.axes[0])
-JetGrid.ys = property(lambda jet: jet.axes[1])
+for _name, (_array, _k) in {**_NAMED, "xs": ("axes", 0), "ys": ("axes", 1)}.items():
+    setattr(JetGrid, _name, _surface_view(_name, _array, _k))
 
 
 # Central-difference coefficients, offsets symmetric around 0.
@@ -247,14 +260,9 @@ def _jets(v, spacing, m, order, stencil):
     return value, d1, d2, d3
 
 
-def _coords(grid):
-    """The coordinates of a grid's sites along each axis."""
-    return [o + h * np.arange(N, dtype=float) for o, h, N in zip(grid.origin, grid.spacing, grid.dims)]
-
-
 def jet_at(grid, *index, order: int = 2, stencil: int = 2) -> JetGrid:
-    """Finite-difference jet at the interior site ``index`` of a FieldGrid
-    or HyperGrid, with batch shape ().
+    """Finite-difference jet at the interior site ``index`` of a FieldGrid,
+    with batch shape ().
 
     ``order`` is the highest derivative (2 or 3); ``stencil`` the design
     accuracy order (2 or 4).  Only the stencil window around the site is
@@ -267,12 +275,12 @@ def jet_at(grid, *index, order: int = 2, stencil: int = 2) -> JetGrid:
     if not all(m <= i < N - m for i, N in zip(index, grid.dims)):
         raise BoundaryError(f"point {index} too close to the boundary for stencil {stencil}, order {order}")
     window = grid.values[tuple(slice(i - m, i + m + 1) for i in index)]
-    axes = tuple(c[i : i + 1] for c, i in zip(_coords(grid), index))
+    axes = tuple(c[i : i + 1] for c, i in zip(grid.axes, index))
     return JetGrid(*_jets(window, grid.spacing, m, order, stencil), axes)[(0,) * len(index)]
 
 
 def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:
-    """Jets at every interior point of a FieldGrid or HyperGrid, vectorized.
+    """Jets at every interior point of a FieldGrid, vectorized.
 
     The interior margin is the widest stencil reach; derivatives are
     never one-sided.  ``rows``, a unit-step slice of the interior indices
@@ -283,16 +291,16 @@ def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetG
     m = _margin(stencil, order)
     _check_fits(grid.dims, m)
     start, stop, _ = (rows or slice(None)).indices(grid.dims[0] - 2 * m)
-    first, *rest = _coords(grid)
+    first, *rest = grid.axes
     axes = (first[m + start : m + stop],) + tuple(c[m : len(c) - m] for c in rest)
     return JetGrid(*_jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil), axes)
 
 
 def grid_on_sites(jets: JetGrid, values) -> FieldGrid:
-    """FieldGrid of ``values`` (nx, ny, d) on the sites of ``jets``; a single site spans 1."""
-    hx = float(jets.xs[1] - jets.xs[0]) if len(jets.xs) > 1 else 1.0
-    hy = float(jets.ys[1] - jets.ys[0]) if len(jets.ys) > 1 else 1.0
-    return FieldGrid(origin=(float(jets.xs[0]), float(jets.ys[0])), spacing=(hx, hy), values=values)
+    """FieldGrid of ``values`` (N1, ..., Nn, d) on the sites of ``jets``; a single site spans 1."""
+    origin = tuple(float(c[0]) for c in jets.axes)
+    spacing = tuple(float(c[1] - c[0]) if len(c) > 1 else 1.0 for c in jets.axes)
+    return FieldGrid(origin=origin, spacing=spacing, values=values)
 
 
 @dataclass(frozen=True)
@@ -365,8 +373,9 @@ def _numbered_axes(values, lo, hi):
     return columns
 
 
-def _write_table(path, names, coords, values):
-    """Write one CSV row per site, first axis fastest.
+def _write_table(fh, names, coords, values):
+    """Write a header and one CSV row per site to the text stream ``fh``,
+    first axis fastest.
 
     ``coords[a]`` holds the coordinates along axis a: an integer array is
     written as integers, any other as repr floats.  ``values`` has shape
@@ -374,13 +383,12 @@ def _write_table(path, names, coords, values):
     ``tolist`` call.
     """
     cells = [[repr(c) for c in axis.tolist()] for axis in coords]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for outer in product(*(range(N) for N in reversed(values.shape[1:-1]))):
-            site = outer[::-1]
-            rest = "".join(f",{cells[a + 1][k]}" for a, k in enumerate(site))
-            line = values[(slice(None),) + site].tolist()
-            fh.writelines(f"{x}{rest},{','.join(map(repr, row))}\n" for x, row in zip(cells[0], line))
+    fh.write(",".join(names) + "\n")
+    for outer in product(*(range(N) for N in reversed(values.shape[1:-1]))):
+        site = outer[::-1]
+        rest = "".join(f",{cells[a + 1][k]}" for a, k in enumerate(site))
+        line = values[(slice(None),) + site].tolist()
+        fh.writelines(f"{x}{rest},{','.join(map(repr, row))}\n" for x, row in zip(cells[0], line))
 
 
 def _line_of(lines, row):
@@ -430,6 +438,15 @@ def _row_error(raw, want, ln):
     return ParseError(f"bad number: {cells[k]!r} in column {want[k]}", line=ln)
 
 
+def _text(data):
+    """The bytes ``data`` decoded as UTF-8, or a ParseError at the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", line=line) from None
+
+
 def _read_table(path, columns, lattice=False):
     """Read a CSV table into (origin, spacing, values).
 
@@ -439,10 +456,19 @@ def _read_table(path, columns, lattice=False):
     halves to find the first one.  Each row is placed by its coordinates,
     and every site of a uniform n-box must appear exactly once; with
     ``lattice`` the coordinates must be the integers 0..M-1.  ``values``
-    has shape (N1, ..., Nn, k).
+    has shape (N1, ..., Nn, k).  Every ParseError carries ``path``.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "rb") as fh:
+            lines = _text(fh.read()).splitlines()
+        return _table(lines, columns, lattice)
+    except ParseError as exc:
+        exc.path = path
+        raise
+
+
+def _table(lines, columns, lattice):
+    """``_read_table`` of the lines of a file."""
     if not lines:
         raise ParseError("empty file", line=0)
     header = [c.strip() for c in lines[0].split(",")]
@@ -492,8 +518,11 @@ def _read_table(path, columns, lattice=False):
 
 
 def write_grid(grid: FieldGrid, path):
-    """Grid CSV: columns x,y,v1..vd."""
-    _write_table(path, ["x", "y"] + _names("v", grid.ncomp), [grid.xs(), grid.ys()], grid.values)
+    """Grid CSV of a 2-axis grid: columns x,y,v1..vd."""
+    if grid.n != 2:
+        raise DomainError(f"write_grid writes 2-axis grids, got {grid.n} axes")
+    with open(path, "w") as fh:
+        _write_table(fh, ["x", "y"] + _names("v", grid.ncomp), grid.axes, grid.values)
 
 
 def read_grid(path) -> FieldGrid:
@@ -505,7 +534,8 @@ def read_grid(path) -> FieldGrid:
 def write_lattice(lat: LatticeField, path):
     """Lattice CSV: columns n1,n2,v1..vd; integer sites."""
     coords = [np.arange(m) for m in lat.extent]
-    _write_table(path, ["n1", "n2"] + _names("v", lat.ncomp), coords, lat.values)
+    with open(path, "w") as fh:
+        _write_table(fh, ["n1", "n2"] + _names("v", lat.ncomp), coords, lat.values)
 
 
 def read_lattice(path) -> LatticeField:

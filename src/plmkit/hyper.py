@@ -20,8 +20,10 @@ residual.
 Jets are the :class:`~plmkit.fields.JetGrid` of every other module: the
 code reads the first partials ``d1[a]`` and the second partials of the
 packed ``d2`` through ``partial2(a, c)``.  ``fields.jet_grid`` computes
-them from a ``HyperGrid``, and the n = 2 jets of a surface serve as they
-are.
+them from a sampled :class:`~plmkit.fields.FieldGrid` over n axes, the one
+grid type of the package, and the n = 2 jets of a surface serve as they
+are.  ``read_hyper_grid`` and ``write_hyper_grid`` store such a grid with
+the coordinate columns x1..xn.
 """
 
 from dataclasses import dataclass
@@ -30,13 +32,12 @@ from itertools import product
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
-from .fields import JetGrid, _names, _numbered_axes, _read_table, _write_table
+from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
 from .report import InvariantReport
 
 __all__ = [
     "AMatrix",
-    "HyperGrid",
     "hyper_reconstruct",
     "recover_A",
     "hyper_plm_residual",
@@ -72,44 +73,6 @@ class AMatrix:
     @property
     def n(self):
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class HyperGrid:
-    """Uniform sampling of an (n+2)-component field over an n-box.
-
-    values[i1, ..., in] sits at (origin[a] + i_a * spacing[a]).
-    """
-
-    origin: tuple
-    spacing: tuple
-    values: np.ndarray  # (N1, ..., Nn, n + 2)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        n = v.ndim - 1
-        if not 2 <= n <= _MAX_N:
-            raise DomainError(f"HyperGrid needs 2..{_MAX_N} parameter axes, got {n}")
-        if v.shape[-1] != n + 2:
-            raise DomainError(f"expected {n + 2} components for {n} parameters, got {v.shape[-1]}")
-        if len(self.origin) != n or len(self.spacing) != n:
-            raise DomainError("origin/spacing length must match the number of axes")
-        if not all(h > 0 for h in self.spacing):
-            raise DomainError("grid spacing must be strictly positive")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("grid contains non-finite samples")
-
-    @property
-    def n(self):
-        return self.values.ndim - 1
-
-    @property
-    def dims(self):
-        return self.values.shape[:-1]
-
-    def axis_coords(self, a):
-        return self.origin[a] + self.spacing[a] * np.arange(self.dims[a], dtype=float)
 
 
 def _a_values(A, n):
@@ -284,17 +247,22 @@ def _a_names(n):
     return [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
 
 
-def write_hyper_grid(grid: HyperGrid, path):
-    """Hyper grid CSV: columns x1..xn,v1..v(n+2)."""
+def write_hyper_grid(grid: FieldGrid, path):
+    """Hyper grid CSV of an (n+2)-component grid over n = 2..4 axes:
+    columns x1..xn,v1..v(n+2)."""
     n = grid.n
-    coords = [grid.axis_coords(a) for a in range(n)]
-    _write_table(path, _names("x", n) + _names("v", n + 2), coords, grid.values)
+    if not 2 <= n <= _MAX_N:
+        raise DomainError(f"hyper grids have 2..{_MAX_N} parameter axes, got {n}")
+    if grid.ncomp != n + 2:
+        raise DomainError(f"expected {n + 2} components for {n} parameters, got {grid.ncomp}")
+    with open(path, "w") as fh:
+        _write_table(fh, _names("x", n) + _names("v", n + 2), grid.axes, grid.values)
 
 
-def read_hyper_grid(path) -> HyperGrid:
+def read_hyper_grid(path) -> FieldGrid:
     """Inverse of :func:`write_hyper_grid`; n is read from the header."""
     origin, spacing, values = _read_table(path, _numbered_axes(lambda n: _names("v", n + 2), 2, _MAX_N))
-    return HyperGrid(origin=origin, spacing=spacing, values=values)
+    return FieldGrid(origin=origin, spacing=spacing, values=values)
 
 
 def write_amatrix_field(origin, spacing, field, path):
@@ -303,8 +271,9 @@ def write_amatrix_field(origin, spacing, field, path):
     n = field.shape[-1]
     if field.shape[-2:] != (n, n) or field.ndim != n + 2:
         raise DomainError("A field must have shape (N1, ..., Nn, n, n)")
-    coords = [origin[a] + spacing[a] * np.arange(field.shape[a], dtype=float) for a in range(n)]
-    _write_table(path, _names("x", n) + _a_names(n), coords, field.reshape(field.shape[:n] + (n * n,)))
+    grid = FieldGrid(origin=origin, spacing=spacing, values=field.reshape(field.shape[:n] + (n * n,)))
+    with open(path, "w") as fh:
+        _write_table(fh, _names("x", n) + _a_names(n), grid.axes, grid.values)
 
 
 def read_amatrix_field(path):

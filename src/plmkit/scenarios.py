@@ -22,7 +22,7 @@ from .discrete import (
 )
 from .errors import DomainError
 from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, grid_on_sites
-from .hyper import AMatrix, HyperGrid
+from .hyper import AMatrix
 from .smooth import ChartKind
 
 __all__ = ["Scenario", "scenario", "list_scenarios"]
@@ -46,7 +46,7 @@ class Scenario:
     nu3_lattice: Optional[LatticeField] = None
     hyper_f_jet: Optional[JetGrid] = None
     hyper_nu_jet: Optional[JetGrid] = None
-    hyper_nu_grid: Optional[HyperGrid] = None
+    hyper_nu_grid: Optional[FieldGrid] = None
     amatrix: Optional[AMatrix] = None
     ground_truth: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -182,7 +182,7 @@ def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
         name="ell-paraboloid",
         hyper_f_jet=fj,
         hyper_nu_jet=nj,
-        hyper_nu_grid=HyperGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nj.value),
+        hyper_nu_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nj.value),
         amatrix=AMatrix(np.eye(2)),
         ground_truth={"A": [[1.0, 0.0], [0.0, 1.0]]},
         meta={"h": h, "box": [x0, x1, y0, y1]},

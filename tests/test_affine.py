@@ -104,3 +104,12 @@ def test_lift_satisfies_projective_relations():
     jets = jet_grid(nu4, order=2)
     # homogeneous mixed determinant equals F^2 = 1 on the saddle
     assert np.allclose(det_families(jets, "mixed"), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(5,), (5, 5, 5)])
+def test_pair_rejects_grids_that_are_not_2_axis(dims):
+    # the integrator, the lift and the forms all take two parameter axes
+    n = len(dims)
+    grid = FieldGrid(origin=(0.0,) * n, spacing=(0.1,) * n, values=np.ones(dims + (3,)))
+    with pytest.raises(DomainError, match="2-axis"):
+        AffineSurfacePair(f=grid, nu=grid)

@@ -175,7 +175,7 @@ def test_reconstruct_writes_surface_and_obj(capsys, tmp_path):
     assert grid.ncomp == 4
     # z == x * y on the affine normalization
     aff = grid.values[..., :3] / -grid.values[..., 3:]
-    xs, ys = grid.xs(), grid.ys()
+    xs, ys = grid.axes
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     assert np.max(np.abs(aff[..., 2] - X * Y)) < 1e-10
     text = obj.read_text().splitlines()
@@ -356,3 +356,39 @@ def test_grid_step_equal_to_h_is_accepted(capsys, tmp_path):
                        "--out", prefix)
     assert code == 0, err
     assert read_grid(prefix + "_f.csv").dims == (11, 11)
+
+
+def test_parse_error_names_the_file_and_line(capsys, tmp_path):
+    scn = scenario("hypar", h=0.25)
+    ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+    write_grid(scn.f_grid, ok)
+    write_grid(scn.nu_grid, bad)
+    lines = bad.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[4] = "zap"
+    lines[4] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["--nu", bad, "--f", ok], ["--nu", ok, "--f", bad]):
+        code, _, err = run(capsys, "verify", *map(str, argv), "--suite", "smooth-asymptotic")
+        assert code == 3
+        assert err == f"error: {bad}:5: bad number: 'zap' in column v3\n"
+
+
+def test_parse_error_without_a_line_names_the_file(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, _, err = run(capsys, "reconstruct", "--nu", str(empty), "--out", str(tmp_path / "o.csv"))
+    assert code == 3
+    assert err == f"error: {empty}: empty file\n"
+
+
+@pytest.mark.parametrize("which,name", [("projective", "cubic-graph"), ("affine", "hypar"),
+                                        ("discrete", "hypar-lattice")])
+def test_forms_writes_the_same_bytes_to_stdout_and_out(capsys, tmp_path, which, name):
+    path = tmp_path / "forms.csv"
+    code, out, _ = run(capsys, "forms", "--scenario", name, "--which", which, "--out", str(path))
+    assert (code, out) == (0, f"wrote {path}\n")
+    code, out, _ = run(capsys, "forms", "--scenario", name, "--which", which)
+    assert code == 0
+    assert out == path.read_text()
+    assert out.startswith("# sign conventions: ")

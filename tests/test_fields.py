@@ -7,6 +7,7 @@ from plmkit.errors import BoundaryError, DomainError, ParseError
 from plmkit.fields import (
     FieldGrid,
     LatticeField,
+    grid_on_sites,
     jet_at,
     jet_grid,
     read_grid,
@@ -176,3 +177,44 @@ def test_lattice_csv_round_trip(tmp_path):
 def test_lattice_component_guard():
     with pytest.raises(DomainError):
         LatticeField(values=np.zeros((3, 3, 2)))
+
+
+@pytest.mark.parametrize("dims", [(4,), (4, 3), (3, 2, 5), (2, 3, 2, 3)])
+def test_axes_are_the_site_coordinates_of_any_n(dims):
+    n = len(dims)
+    origin, spacing = tuple(0.25 * a - 1 for a in range(n)), tuple(0.1 * (a + 1) for a in range(n))
+    g = FieldGrid(origin=origin, spacing=spacing, values=np.zeros(dims + (2,)))
+    assert (g.n, g.dims, g.ncomp) == (n, dims, 2)
+    assert len(g.axes) == n
+    for a, c in enumerate(g.axes):
+        want = np.array([origin[a] + spacing[a] * i for i in range(dims[a])])
+        assert c.dtype == float and c.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("origin,spacing,shape", [
+    ((0.0, 0.0), (0.1,), (3, 3, 2)),  # spacing shorter than the axes
+    ((0.0,), (0.1, 0.1), (3, 3, 2)),  # origin shorter than the axes
+    ((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (3, 3, 2)),  # more axes named than sampled
+    ((), (), (2,)),  # no parameter axis
+    ((0.0, 0.0, 0.0), (0.1, 0.0, 0.1), (3, 3, 3, 2)),
+])
+def test_grid_axes_must_match_origin_and_spacing(origin, spacing, shape):
+    with pytest.raises(DomainError):
+        FieldGrid(origin=origin, spacing=spacing, values=np.zeros(shape))
+
+
+def test_grid_csv_takes_2_axis_grids_only(tmp_path):
+    g = FieldGrid(origin=(0.0,) * 3, spacing=(0.1,) * 3, values=np.zeros((3, 3, 3, 5)))
+    with pytest.raises(DomainError, match="2-axis"):
+        write_grid(g, tmp_path / "g.csv")
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_grid_on_sites_of_n_axis_jets():
+    g = FieldGrid(origin=(0.0, 1.0, -1.0), spacing=(0.5, 0.25, 0.125), values=np.zeros((5, 6, 7, 5)))
+    jets = jet_grid(g)
+    back = grid_on_sites(jets, jets.value)
+    assert back.dims == (3, 4, 5)
+    assert back.origin == (0.5, 1.25, -0.875) and back.spacing == (0.5, 0.25, 0.125)
+    for got, want in zip(back.axes, jets.axes):
+        assert np.array_equal(got, want)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from plmkit.errors import DegeneratePointError, DomainError, PivotMismatchError
-from plmkit.fields import JetGrid, jet_grid
+from plmkit.fields import FieldGrid, JetGrid, jet_grid
 from plmkit.hyper import (
     AMatrix,
-    HyperGrid,
     hyper_compat_residual,
     hyper_plm_residual,
     hyper_reconstruct,
@@ -186,7 +185,7 @@ def test_fd_second_derivatives_exactly_symmetric(n, stencil):
     from plmkit.fields import _difference, _margin
 
     rng = np.random.default_rng(10 * n + stencil)
-    grid = HyperGrid(origin=(0.0,) * n, spacing=tuple(rng.uniform(0.05, 0.2, n)),
+    grid = FieldGrid(origin=(0.0,) * n, spacing=tuple(rng.uniform(0.05, 0.2, n)),
                      values=rng.standard_normal((6,) * n + (n + 2,)))
     jets = jet_grid(grid, stencil=stencil)
     assert jets.d2.shape[0] == n * (n + 1) // 2  # each second partial is held once
@@ -219,6 +218,36 @@ def test_hyper_grid_csv_round_trip(tmp_path):
     g2 = read_hyper_grid(path)
     assert g2.n == 2
     assert np.array_equal(g2.values, ELL.hyper_nu_grid.values)
+
+
+@pytest.mark.parametrize("shape", [
+    (4, 3),  # one axis
+    (3, 3, 3, 3, 3, 7),  # five axes
+    (4, 4, 3),  # 3 components for 2 axes
+    (3, 3, 3, 4),  # 4 components for 3 axes
+])
+def test_hyper_grid_csv_takes_n_axes_and_n_plus_2_components(tmp_path, shape):
+    n = len(shape) - 1
+    grid = FieldGrid(origin=(0.0,) * n, spacing=(0.1,) * n, values=np.zeros(shape))
+    with pytest.raises(DomainError):
+        write_hyper_grid(grid, tmp_path / "nu.csv")
+    assert not (tmp_path / "nu.csv").exists()
+
+
+def test_hyper_grid_csv_reads_a_field_grid_on_the_same_sites(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = FieldGrid(origin=(0.0, 0.5, -1.0), spacing=(0.5, 0.25, 0.125), values=rng.standard_normal((3, 4, 2, 5)))
+    path = tmp_path / "nu.csv"
+    write_hyper_grid(grid, path)
+    back = read_hyper_grid(path)
+    assert isinstance(back, FieldGrid)
+    assert (back.origin, back.spacing) == (grid.origin, grid.spacing)
+    assert np.array_equal(back.values, grid.values)
+
+
+def test_ell_paraboloid_grid_sits_on_the_sites_of_its_jets():
+    for got, want in zip(ELL.hyper_nu_grid.axes, ELL.hyper_nu_jet.axes):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_amatrix_field_round_trip(tmp_path):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from plmkit.errors import DomainError
 from plmkit.fields import _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_at, jet_grid
-from plmkit.hyper import HyperGrid
 
 _NAMES = ("d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
 
@@ -110,10 +109,8 @@ def _grids(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spacing = tuple(float(h) for h in rng.uniform(0.05, 0.3, n))
     origin = tuple(float(o) for o in rng.uniform(-1, 1, n))
-    if n == 2 and draw(st.booleans()):
-        grid = FieldGrid(origin=origin, spacing=spacing, values=rng.standard_normal(dims + (draw(st.integers(1, 4)),)))
-    else:
-        grid = HyperGrid(origin=origin, spacing=spacing, values=rng.standard_normal(dims + (n + 2,)))
+    ncomp = draw(st.integers(1, 4)) if n == 2 and draw(st.booleans()) else n + 2
+    grid = FieldGrid(origin=origin, spacing=spacing, values=rng.standard_normal(dims + (ncomp,)))
     rows = None
     if draw(st.booleans()):
         interior = dims[0] - 2 * m
@@ -163,7 +160,7 @@ def test_jet_at_is_the_batch_index_of_jet_grid(order, stencil):
     m = _margin(stencil, order)
     grids = [
         FieldGrid(origin=(0.1, -0.2), spacing=(0.1, 0.2), values=rng.standard_normal((2 * m + 3, 2 * m + 2, 3))),
-        HyperGrid(origin=(0.0, 0.5, -1.0), spacing=(0.1, 0.2, 0.3),
+        FieldGrid(origin=(0.0, 0.5, -1.0), spacing=(0.1, 0.2, 0.3),
                   values=rng.standard_normal((2 * m + 2,) * 3 + (5,))),
     ]
     for grid in grids:
@@ -217,3 +214,30 @@ def test_non_finite_entry_raises(where, bad):
 def test_inconsistent_shapes_raise(shapes):
     with pytest.raises(DomainError, match="shapes"):
         JetGrid(**{k: np.zeros(s) for k, s in shapes.items()})
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("name", _NAMES + ("xs", "ys"))
+def test_surface_views_reject_jets_of_other_n(name, n):
+    # on an n = 3 jet the slot of d_yy holds the x1x3 partial: a named
+    # view there would be another partial, not an error
+    rng = np.random.default_rng(n)
+    batch = (4, 3, 5)
+    jets = JetGrid(value=rng.standard_normal(batch), d1=rng.standard_normal((n,) + batch),
+                   d2=rng.standard_normal((n * (n + 1) // 2,) + batch), d3=rng.standard_normal((n,) + batch),
+                   axes=tuple(np.arange(4.0) for _ in range(n)))
+    assert jets.n == n
+    with pytest.raises(DomainError, match=f"{name} is a view of surface"):
+        getattr(jets, name)
+    with pytest.raises(DomainError):
+        getattr(jets[1], name)
+
+
+def test_surface_views_of_n2_jets_are_their_slots():
+    grid = FieldGrid(origin=(0.0, 0.5), spacing=(0.1, 0.2), values=np.random.default_rng(5).standard_normal((7, 7, 4)))
+    jets = jet_grid(grid, order=3)
+    slots = [jets.d1[0], jets.d1[1], jets.d2[0], jets.d2[1], jets.d2[2], jets.d3[0], jets.d3[1]]
+    for name, slot in zip(_NAMES, slots):
+        assert getattr(jets, name) is not None and np.shares_memory(getattr(jets, name), slot), name
+    assert jets.xs is jets.axes[0] and jets.ys is jets.axes[1]
+    assert jet_grid(grid, order=2).d_xxx is None

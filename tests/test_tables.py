@@ -22,7 +22,7 @@ from plmkit import fields, hyper
 from plmkit.cli import main
 from plmkit.errors import ParseError
 from plmkit.fields import FieldGrid, LatticeField, read_grid, read_lattice, write_grid, write_lattice
-from plmkit.hyper import HyperGrid, read_amatrix_field, read_hyper_grid, write_amatrix_field, write_hyper_grid
+from plmkit.hyper import read_amatrix_field, read_hyper_grid, write_amatrix_field, write_hyper_grid
 
 
 @st.composite
@@ -48,7 +48,7 @@ def write_table(kind, dims, seed, path):
         write_lattice(LatticeField(values=values), path)
     elif kind == "hyper":
         values = rng.standard_normal(dims + (n + 2,))
-        write_hyper_grid(HyperGrid(origin=origin, spacing=spacing, values=values), path)
+        write_hyper_grid(FieldGrid(origin=origin, spacing=spacing, values=values), path)
     else:
         values = rng.standard_normal(dims + (n, n))
         write_amatrix_field(origin, spacing, values, path)
@@ -387,4 +387,41 @@ def test_reconstruct_from_a_non_finite_value_is_io_error(tmp_path):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["reconstruct", "--nu", str(path), "--out", str(tmp_path / "f.csv")])
     assert code == 3
-    assert err.getvalue().startswith("error: non-finite value v4")
+    assert err.getvalue().startswith(f"error: {path}:8: non-finite value v4")
+
+
+@pytest.mark.parametrize("kind", ["grid", "lattice", "hyper", "afield"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_byte_that_is_not_utf8_is_a_parse_error_on_its_line(tmp_path, kind, newline):
+    path = tmp_path / "t.csv"
+    write_table(kind, (3, 2), 7, path)
+    lines = path.read_bytes().decode().splitlines()
+    data = newline.join(lines[:4] + [lines[4][:3] + "\xff" + lines[4][3:]] + lines[5:]).encode("latin-1")
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as err:
+        read_table(kind, path)
+    assert err.value.line == 5
+    assert err.value.path == path
+
+
+def test_every_table_parse_error_names_its_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y,v1\n0,0,1\n")
+    for bad in ("", "x,z,v1\n0,0,1\n", "x,y,v1\n0,zap,1\n", "x,y,v1\n0,0,1\n0,0,1\n"):
+        path.write_text(bad)
+        with pytest.raises(ParseError) as err:
+            read_grid(path)
+        assert err.value.path == path
+
+
+def test_reconstruct_from_a_file_that_is_not_utf8_is_io_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    write_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.1, 0.1), values=np.ones((5, 5, 4))), path)
+    data = path.read_bytes().split(b"\n")
+    data[2] = data[2] + b"\xff"
+    path.write_bytes(b"\n".join(data))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["reconstruct", "--nu", str(path), "--out", str(tmp_path / "o.csv")])
+    assert code == 3
+    assert err.getvalue() == f"error: {path}:3: not UTF-8 text: byte 0xff\n"
