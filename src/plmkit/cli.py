@@ -78,7 +78,7 @@ __all__ = ["main"]
 _SUITES = ("smooth-asymptotic", "smooth-conjugate", "hyper", "discrete", "affine", "all")
 
 # Sites per row tile of a pointwise suite: a tile's temporaries, the
-# largest a (sites, 4, 4) float array, stay about the size of a 2 MiB L2.
+# largest a (sites, 6) float array of packed bivectors, stay within a 2 MiB L2.
 TILE_SITES = 16384
 
 
@@ -111,6 +111,24 @@ def _scenario_from_args(args):
             raise DomainError(f"--grid step {params['h']!r} and --h {h!r} differ; give one spacing")
         params["h"] = h
     return scenario(args.scenario, **params)
+
+
+def _file_input(args, option):
+    """Input read from files takes no scenario parameter: a DomainError names the first one given."""
+    for key in ("scenario", "seed", "size", "h", "grid"):
+        if getattr(args, key, None) is not None:
+            raise DomainError(f"--{key} does not apply: the input comes from {option}")
+
+
+def _base_point(text):
+    """--f0 as three finite numbers x,y,z."""
+    try:
+        f0 = [float(v) for v in text.split(",")]
+    except ValueError:
+        f0 = []
+    if len(f0) != 3 or not all(np.isfinite(f0)):
+        raise DomainError(f"--f0 expects three finite numbers x,y,z, got {text!r}")
+    return f0
 
 
 def _grid_spec(args):
@@ -331,6 +349,7 @@ def _run_units(units):
 def cmd_verify(args):
     scn = None
     if args.nu:
+        _file_input(args, "--nu")
         if args.suite not in ("smooth-asymptotic", "smooth-conjugate"):
             print("error: file input supports the smooth suites only", file=sys.stderr)
             return 2
@@ -361,7 +380,7 @@ def cmd_verify(args):
 
 def _run_meta(args):
     meta = {"tool_version": __version__, "argv": [a for a in sys.argv[1:]]}
-    for key in ("scenario", "seed", "size", "stencil", "suite", "chart"):
+    for key in ("scenario", "seed", "size", "stencil", "suite"):
         val = getattr(args, key, None)
         if val is not None:
             meta[key] = val
@@ -403,24 +422,25 @@ def cmd_reconstruct(args):
         if args.gauge != "affine":
             print("error: lattice reconstruction supports --gauge affine", file=sys.stderr)
             return 2
-        nu = read_lattice(args.lattice)
-        f0 = [float(v) for v in args.f0.split(",")]
-        f = discrete_affine_integrate(nu, f0)
+        _file_input(args, "--lattice")
+        f0 = _base_point(args.f0)
+        f = discrete_affine_integrate(read_lattice(args.lattice), f0)
         if args.out:
             write_lattice(f, args.out)
             print(f"wrote {args.out}")
         return 0
-    if args.scenario:
+    if args.nu:
+        _file_input(args, "--nu")
+        grid = read_grid(args.nu)
+        jets = jet_grid(grid, order=2, stencil=args.stencil)
+        chart = ChartKind(args.chart or "asymptotic")
+    elif args.scenario:
         scn = _scenario_from_args(args)
         jets = scn.nu_jets
         chart = ChartKind(args.chart) if args.chart else scn.chart
         if jets is None or chart is None:
             print("error: scenario has no smooth conormal jets", file=sys.stderr)
             return 2
-    elif args.nu:
-        grid = read_grid(args.nu)
-        jets = jet_grid(grid, order=2, stencil=args.stencil)
-        chart = ChartKind(args.chart or "asymptotic")
     else:
         print("error: reconstruct needs --scenario, --nu, or --lattice", file=sys.stderr)
         return 2
@@ -549,7 +569,6 @@ def _build_parser():
     sp.add_argument("--suite", choices=_SUITES, default="all")
     sp.add_argument("--nu", help="conormal grid CSV (file-input mode)")
     sp.add_argument("--f", help="surface grid CSV (file-input mode)")
-    sp.add_argument("--chart", choices=("asymptotic", "conjugate"))
     sp.add_argument("--report", help="write the JSON report here")
     sp.add_argument("--no-meta", action="store_true", help="omit metadata for byte-stable output")
     sp.set_defaults(func=cmd_verify)

@@ -175,7 +175,7 @@ def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, tol: float = 1e-8, re
         lhs = wedge2(f_jet.value, f_jet.d1[a])
         rhs = None
         for b in range(n):
-            term = Av[..., a, b, None, None] * stars[b]
+            term = Av[..., a, b, None] * stars[b]
             rhs = term if rhs is None else rhs + term
         denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
         rep.add(f"bivector_x{a + 1}", _fro(lhs - rhs) / denom, tol)

@@ -10,9 +10,17 @@ Everything is written with plain +, -, * and indexing only, so the same
 code runs on float arrays, on ``fractions.Fraction`` scalars and on numpy
 object arrays (the exact-rational test mode).
 
+A bivector in dimension d is packed: an array of shape ``(..., d(d-1)/2)``
+holding its Plücker coordinates P_kl = B[k, l] for k < l, pairs in
+lexicographic order.  In dimension 4 the pair order is (12, 13, 14, 23, 24,
+34), and the Hodge star is the signed permutation
+``[P34, -P24, P23, P14, -P13, P12]``.  ``_fro`` gives the Frobenius norm of
+the dense antisymmetric matrix bit for bit.
+
 Sign conventions are anchored by eps(1,2,...,d) = +1, which pins
 ``cross_n((e1, e2, e3)) == -e4`` in dimension 4 and
-``hodge_star(wedge2(e1, e2)) == wedge2(e3, e4)``.
+``hodge_star(wedge2(e1, e2)) == wedge2(e3, e4)``, that is, star maps the
+packed (1, 0, 0, 0, 0, 0) to (0, 0, 0, 0, 0, 1).
 
 All functions accept either a single vector of shape ``(d,)`` or a batch
 with arbitrary leading axes, shape ``(..., d)``.
@@ -33,7 +41,6 @@ __all__ = [
     "det_n",
     "pair",
     "star_of_wedge",
-    "is_antisymmetric",
 ]
 
 
@@ -62,9 +69,62 @@ def _norm(a):
     return np.sqrt(_dot(a, a))
 
 
-def _fro(B):
-    """Frobenius norm over the last two axes, in floats."""
-    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
+def _add(x, y):
+    """x + y, where None stands for an exact zero term."""
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
+def _pairwise_sum(terms):
+    """Sum ``terms`` in the order numpy's pairwise summation adds a
+    contiguous axis of that many entries: a plain loop below 8 entries, 8
+    interleaved accumulators up to 128, halves (cut at a multiple of 8)
+    above.  A ``None`` term is an exact zero and is left out, which changes
+    no bit of a sum of squares.
+    """
+    n = len(terms)
+    if n < 8:
+        res = None
+        for t in terms:
+            res = _add(res, t)
+        return res
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
+    r = list(terms[:8])
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r = [_add(r[j], terms[i + j]) for j in range(8)]
+    res = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])), _add(_add(r[4], r[5]), _add(r[6], r[7])))
+    for t in terms[stop:]:
+        res = _add(res, t)
+    return res
+
+
+def _bivector_dim(m):
+    """The dimension d of a packed bivector with m = d(d-1)/2 components."""
+    d = (1 + int(np.sqrt(1 + 8 * m))) // 2
+    if d * (d - 1) // 2 != m:
+        raise DomainError(f"{m} is not the length d(d-1)/2 of a packed bivector")
+    return d
+
+
+def _fro(P):
+    """Norm of packed bivectors, in floats.
+
+    Equal bit for bit to the Frobenius norm ``sqrt((B**2).sum(axis=(-2,
+    -1)))`` of the dense antisymmetric (..., d, d) matrix B: the squares
+    are added in the order numpy sums B's d*d row-major entries, each packed
+    square standing for B[k, l] and B[l, k], the zero diagonal left out.
+    """
+    P = np.asarray(P, dtype=float)
+    d = _bivector_dim(P.shape[-1])
+    sq = [P[..., p] * P[..., p] for p in range(P.shape[-1])]
+    slot = {kl: p for p, kl in enumerate(combinations(range(d), 2))}
+    terms = [None if k == l else sq[slot[min(k, l), max(k, l)]] for k in range(d) for l in range(d)]
+    total = _pairwise_sum(terms)
+    return np.sqrt(np.zeros(P.shape[:-1]) if total is None else total)
 
 
 def perm_sign(indices):
@@ -108,37 +168,33 @@ def _as_vec(a):
 
 
 def wedge2(a, b):
-    """Wedge of two vectors as an antisymmetric (..., d, d) array."""
+    """Wedge of two vectors as a packed bivector (..., d(d-1)/2).
+
+    Component (k, l), k < l, is ``a_k b_l - b_k a_l``.
+    """
     a = _as_vec(a)
     b = _as_vec(b)
-    if a.shape[-1] != b.shape[-1]:
+    d = a.shape[-1]
+    if b.shape[-1] != d:
         raise DomainError("wedge2: dimension mismatch")
-    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+    if d < 2:
+        raise DomainError("wedge2: need vectors of dimension 2 or more")
+    return np.stack([a[..., k] * b[..., l] - b[..., k] * a[..., l] for k, l in combinations(range(d), 2)],
+                    axis=-1)
 
 
-# (k, l) -> (i, j, sign) with  (*B)_{kl} = sign * B_{ij},  0-based,
-# from (*B)_{kl} = 1/2 eps_{ijkl} B_{ij} with eps(1,2,3,4) = +1.
-_STAR4 = {
-    (0, 1): (2, 3, 1),
-    (0, 2): (1, 3, -1),
-    (0, 3): (1, 2, 1),
-    (1, 2): (0, 3, 1),
-    (1, 3): (0, 2, -1),
-    (2, 3): (0, 1, 1),
-}
+# (*P)_p = sign * P_q for packed bivectors in dimension 4, as (q, sign):
+# (*B)_{kl} = 1/2 eps_{ijkl} B_{ij} with eps(1,2,3,4) = +1.
+_STAR4 = ((5, 1), (4, -1), (3, 1), (2, 1), (1, -1), (0, 1))
 
 
-def hodge_star(B):
-    """Hodge star of a bivector in dimension 4 (an involution)."""
-    B = np.asarray(B)
-    if B.shape[-2:] != (4, 4):
-        raise DomainError("hodge_star: expected (..., 4, 4) bivector")
-    out = np.zeros_like(B)
-    for (k, l), (i, j, s) in _STAR4.items():
-        v = s * B[..., i, j]
-        out[..., k, l] = v
-        out[..., l, k] = -v
-    return out
+def hodge_star(P):
+    """Hodge star of a packed bivector in dimension 4 (an involution):
+    ``[P34, -P24, P23, P14, -P13, P12]``."""
+    P = np.asarray(P)
+    if P.ndim < 1 or P.shape[-1] != 6:
+        raise DomainError("hodge_star: expected a (..., 6) packed bivector")
+    return np.stack([P[..., q] if s > 0 else s * P[..., q] for q, s in _STAR4], axis=-1)
 
 
 def _rows(vectors, count, name):
@@ -214,28 +270,19 @@ def pair(f, nu):
 
 
 def star_of_wedge(vectors):
-    """Hodge star of the wedge of d-2 vectors, as a (..., d, d) bivector.
+    """Hodge star of the wedge of d-2 vectors, as a packed bivector.
 
     ``star_of_wedge((a1, ..., a_n))_{kl} = eps_{i1..in k l} a1_{i1}...an_{in}``
-    with d = n + 2.  For d = 4 this coincides with
+    for k < l, with d = n + 2.  For d = 4 this coincides with
     ``hodge_star(wedge2(a, b))``.
     """
     rows = _rows(vectors, 2, "star_of_wedge")
     d = len(rows) + 2
     memo = {}
-    out = np.zeros(rows[0].shape[:-1] + (d, d), dtype=rows[0].dtype)
+    comps = []
     for k, l in combinations(range(d), 2):
         cols = tuple(c for c in range(d) if c not in (k, l))
-        v = perm_sign(cols + (k, l)) * _det_cols(rows, cols, memo)
-        out[..., k, l] = v
-        out[..., l, k] = -v
-    return out
-
-
-def is_antisymmetric(B, tol=0.0):
-    """True when B[i, j] == -B[j, i] within tol (0 = exact)."""
-    B = np.asarray(B)
-    diff = B + np.swapaxes(B, -1, -2)
-    if B.dtype == object:
-        return not np.any(diff != 0)
-    return bool(np.max(np.abs(diff), initial=0.0) <= tol)
+        sign = perm_sign(cols + (k, l))
+        det = _det_cols(rows, cols, memo)
+        comps.append(det if sign > 0 else sign * det)
+    return np.stack(comps, axis=-1)

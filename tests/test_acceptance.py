@@ -208,6 +208,8 @@ def test_criterion_11_convention_pinning(capsys):
     e = np.eye(4)
     ok = np.array_equal(cross_n([e[0], e[1], e[2]]), -e[3])
     ok &= np.array_equal(hodge_star(wedge2(e[0], e[1])), wedge2(e[2], e[3]))
+    # packed pair order (12, 13, 14, 23, 24, 34): star(e1 ^ e2) = e3 ^ e4
+    ok &= wedge2(e[2], e[3]).shape == (6,) and np.array_equal(wedge2(e[2], e[3]), [0, 0, 0, 0, 0, 1])
     rng = np.random.default_rng(5)
     for _ in range(10):
         ints = rng.integers(-9, 10, size=(4, 4, 2))

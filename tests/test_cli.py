@@ -250,6 +250,69 @@ def test_reconstruct_lattice_integration(capsys, tmp_path):
     assert np.max(np.abs(lat.values - scn.f3_lattice.values)) < 1e-12
 
 
+def _lattice_file(tmp_path):
+    from plmkit.fields import write_lattice
+
+    path = tmp_path / "nu3_lat.csv"
+    write_lattice(scenario("moutard-random", size=8).nu3_lattice, path)
+    return path
+
+
+@pytest.mark.parametrize("f0", ["zap", "1,2", "1,2,3,4", "nan,0,0", "inf,0,0"])
+def test_reconstruct_bad_base_point_is_usage_error(capsys, tmp_path, f0):
+    # used to be a ValueError traceback (exit 1), or a non-finite-lattice error that blamed the file
+    out = tmp_path / "o.csv"
+    code, stdout, err = run(capsys, "reconstruct", "--lattice", str(_lattice_file(tmp_path)),
+                            "--f0", f0, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --f0") and repr(f0) in err
+    assert "Traceback" not in err and "lattice" not in err
+    assert not out.exists()
+
+
+def _grid_files(tmp_path):
+    scn = scenario("hypar", h=0.1)
+    nu_path, f_path = tmp_path / "nu.csv", tmp_path / "f.csv"
+    write_grid(scn.nu_grid, nu_path)
+    write_grid(scn.f_grid, f_path)
+    return str(nu_path), str(f_path)
+
+
+_SCENARIO_OPTIONS = [["--h", "0.5"], ["--grid", "0:1:0.1"], ["--seed", "3"], ["--size", "5"],
+                     ["--scenario", "ell-paraboloid"]]
+
+
+@pytest.mark.parametrize("option", _SCENARIO_OPTIONS)
+def test_verify_file_input_rejects_scenario_options(capsys, tmp_path, option):
+    # each used to be ignored: exit 0 and PASS on the files
+    nu_path, f_path = _grid_files(tmp_path)
+    code, out, err = run(capsys, "verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-asymptotic", *option)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option[0]} does not apply") and "--nu" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["--nu", "--lattice"])
+@pytest.mark.parametrize("option", _SCENARIO_OPTIONS)
+def test_reconstruct_file_input_rejects_scenario_options(capsys, tmp_path, source, option):
+    path = _grid_files(tmp_path)[0] if source == "--nu" else str(_lattice_file(tmp_path))
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "reconstruct", source, path, "--out", str(out), *option)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {option[0]} does not apply") and source in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_has_no_chart_option(capsys, tmp_path):
+    # the chart of a smooth suite comes from --suite; --chart was read nowhere
+    nu_path, f_path = _grid_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-asymptotic", "--chart", "conjugate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --chart" in capsys.readouterr().err
+
+
 # --- forms ----------------------------------------------------------------
 
 

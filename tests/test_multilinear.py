@@ -11,11 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from plmkit.errors import DomainError
 from plmkit.multilinear import (
+    _fro,
     _norm,
     cross_n,
     det_n,
     hodge_star,
-    is_antisymmetric,
     levi_civita_sign,
     pair,
     perm_sign,
@@ -91,6 +91,61 @@ def star_of_wedge_ref(vectors):
     return out
 
 
+# --- reference: the dense (..., d, d) bivector layout the packed one replaced ---
+
+
+def wedge2_dense(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+
+
+# (k, l) -> (i, j, sign) with  (*B)_{kl} = sign * B_{ij},  0-based
+_STAR4_DENSE = {
+    (0, 1): (2, 3, 1),
+    (0, 2): (1, 3, -1),
+    (0, 3): (1, 2, 1),
+    (1, 2): (0, 3, 1),
+    (1, 3): (0, 2, -1),
+    (2, 3): (0, 1, 1),
+}
+
+
+def hodge_star_dense(B):
+    out = np.zeros_like(B)
+    for (k, l), (i, j, s) in _STAR4_DENSE.items():
+        v = s * B[..., i, j]
+        out[..., k, l] = v
+        out[..., l, k] = -v
+    return out
+
+
+def fro_dense(B):
+    return np.sqrt((np.asarray(B, dtype=float) ** 2).sum(axis=(-2, -1)))
+
+
+def upper(B):
+    """The packed layout of a dense bivector: B[k, l] for k < l, lexicographic."""
+    k, l = np.triu_indices(B.shape[-1], 1)
+    return B[..., k, l]
+
+
+def dense(P, d):
+    """The dense antisymmetric matrix of a packed bivector, zero diagonal."""
+    B = np.zeros(P.shape[:-1] + (d, d), dtype=P.dtype)
+    for p, (k, l) in enumerate(itertools.combinations(range(d), 2)):
+        B[..., k, l] = P[..., p]
+        B[..., l, k] = -P[..., p]
+    return B
+
+
+def assert_antisymmetric(B):
+    """B[l, k] == -B[k, l] and B[k, k] == 0: the upper triangle holds all of B."""
+    d = B.shape[-1]
+    k, l = np.triu_indices(d, 1)
+    assert np.array_equal(B[..., l, k], -B[..., k, l])
+    assert np.all(B[..., range(d), range(d)] == 0)
+
+
 def assert_same_bits(ours, ref):
     """Equal shape, dtype and bytes: sign bits of zeros included."""
     ours, ref = np.asarray(ours), np.asarray(ref)
@@ -128,6 +183,14 @@ def test_hodge_anchor_e12_to_e34():
     B = wedge2(e(1), e(2))
     S = hodge_star(B)
     assert np.array_equal(S, wedge2(e(3), e(4)))
+    # packed pair order (12, 13, 14, 23, 24, 34)
+    assert B.shape == S.shape == (6,)
+    assert np.array_equal(B, [1, 0, 0, 0, 0, 0]) and np.array_equal(S, [0, 0, 0, 0, 0, 1])
+
+
+def test_hodge_is_the_signed_permutation():
+    P = np.array([1.0, 2, 3, 4, 5, 6])
+    assert_same_bits(hodge_star(P), np.array([6.0, -5, 4, 3, -2, 1]))
 
 
 def test_hodge_all_basis_bivectors():
@@ -146,7 +209,8 @@ def test_hodge_all_basis_bivectors():
 def test_hodge_is_involution_in_signature_plus():
     rng = np.random.default_rng(3)
     B = wedge2(rng.standard_normal(4), rng.standard_normal(4))
-    assert np.allclose(hodge_star(hodge_star(B)), B)
+    assert B.shape == (6,)
+    assert_same_bits(hodge_star(hodge_star(B)), B)
 
 
 def test_pairing_identity_rational_exact():
@@ -227,8 +291,10 @@ def test_cross_is_orthogonal_to_arguments(rows):
 def test_wedge_bilinear_antisymmetric(rows, s, t):
     u, v, w, _ = (np.array(r) for r in rows)
     B = wedge2(u, v)
-    assert is_antisymmetric(B)
-    assert np.allclose(B, -wedge2(v, u))
+    assert B.shape == (6,)
+    assert_same_bits(B, upper(wedge2_dense(u, v)))
+    assert_antisymmetric(wedge2_dense(u, v))
+    assert np.array_equal(B, -wedge2(v, u))
     assert np.allclose(wedge2(s * u + t * w, v), s * wedge2(u, v) + t * wedge2(w, v), atol=1e-6)
 
 
@@ -266,13 +332,76 @@ def test_cross_matches_reference_bitwise(vecs):
 @settings(max_examples=40, deadline=None)
 @given(float_batch(2))
 def test_star_of_wedge_matches_reference_bitwise(vecs):
-    assert_same_bits(star_of_wedge(vecs), star_of_wedge_ref(vecs))
+    assert_same_bits(star_of_wedge(vecs), upper(star_of_wedge_ref(vecs)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(vector_batch(4), vector_batch(4))
 def test_star_of_wedge_matches_composition(u, v):
     assert_same_bits(star_of_wedge([u, v]), hodge_star(wedge2(u, v)))
+
+
+# --- packed bivectors against the dense layout they replaced ---------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda d: st.tuples(
+    vector_batch(d), vector_batch(d), st.lists(vector_batch(d), min_size=d - 2, max_size=d - 2))))
+def test_packed_entries_are_the_dense_upper_triangle_bitwise(batches):
+    u, v, vecs = batches
+    assert_same_bits(wedge2(u, v), upper(wedge2_dense(u, v)))
+    assert_antisymmetric(wedge2_dense(u, v))
+    assert_antisymmetric(star_of_wedge_ref(vecs))
+    if u.shape[-1] == 4:
+        assert_same_bits(hodge_star(wedge2(u, v)), upper(hodge_star_dense(wedge2_dense(u, v))))
+        assert_same_bits(hodge_star(star_of_wedge(vecs)), upper(hodge_star_dense(star_of_wedge_ref(vecs))))
+
+
+# d up to 13 reaches numpy's pairwise split above 128 summed entries
+@st.composite
+def packed_batch(draw):
+    d = draw(st.integers(2, 13))
+    lead = draw(st.sampled_from([(), (3,), (2, 5)]))
+    elements = st.one_of(finite, st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200, -3e200]))
+    return d, draw(hnp.arrays(np.float64, lead + (d * (d - 1) // 2,), elements=elements))
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_batch())
+def test_packed_norm_is_the_dense_frobenius_norm_bitwise(batch):
+    d, P = batch
+    with np.errstate(over="ignore"):
+        assert_same_bits(_fro(P), fro_dense(dense(P, d)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_packed_norm_matches_on_tile_sized_batches(d):
+    # numpy sums each site's d*d entries as one contiguous run at this size too
+    rng = np.random.default_rng(d)
+    P = rng.standard_normal((41, 401, d * (d - 1) // 2)) * 10.0 ** rng.integers(-150, 150, (41, 401, 1))
+    P[rng.random(P.shape) < 0.05] = -0.0
+    assert_same_bits(_fro(P), fro_dense(dense(P, d)))
+
+
+def test_packed_norm_overflows_to_inf():
+    with np.errstate(over="ignore"):
+        assert_same_bits(_fro(np.array([1e200, 0, 0, 0, 0, 0])), np.float64(np.inf))
+    assert_same_bits(_fro(np.array([1e-200, 0, 0, 0, 0, 0])), np.float64(0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda d: st.lists(st.lists(st.lists(fraction, min_size=d, max_size=d), min_size=3, max_size=3),
+                       min_size=2, max_size=2)))
+def test_packed_kernel_exact_on_fraction_arrays(raw):
+    u, v = (np.array(r, dtype=object) for r in raw)  # each (3, d), object dtype
+    checks = [(wedge2(u, v), upper(wedge2_dense(u, v)))]
+    if u.shape[-1] == 4:
+        checks.append((hodge_star(wedge2(u, v)), upper(hodge_star_dense(wedge2_dense(u, v)))))
+    for got, want in checks:
+        assert got.dtype == object and got.shape == want.shape
+        assert all(isinstance(x, Fraction) for x in got.ravel() if x != 0)
+        assert np.all(got == want)
 
 
 # --- reference: the axis sums the unrolled _norm and pair replaced ---
@@ -336,7 +465,7 @@ def test_kernel_exact_on_fraction_arrays(raw):
     d = len(raw)
     vecs = [np.array(v, dtype=object) for v in raw]  # each (2, d), object dtype
     for ours, ref, k in ((det_n, det_ref, d), (cross_n, cross_ref, d - 1),
-                         (star_of_wedge, star_of_wedge_ref, d - 2)):
+                         (star_of_wedge, lambda v: upper(star_of_wedge_ref(v)), d - 2)):
         if k == 0:
             continue
         got, want = ours(vecs[:k]), ref(vecs[:k])
@@ -351,9 +480,11 @@ def test_results_are_not_views_of_inputs(d):
     vecs = [rng.standard_normal((3, d)) for _ in range(d)]
     calls = [det_n(vecs)]
     if d >= 2:
-        calls.append(cross_n(vecs[: d - 1]))
+        calls += [cross_n(vecs[: d - 1]), wedge2(vecs[0], vecs[-1])]
     if d >= 3:
         calls.append(star_of_wedge(vecs[: d - 2]))
+    if d == 4:
+        calls.append(hodge_star(calls[-1]))
     for out in calls:
         for v in vecs:
             assert not np.shares_memory(out, v)
@@ -368,13 +499,22 @@ def test_wedge_batched():
     u = rng.standard_normal((5, 7, 4))
     v = rng.standard_normal((5, 7, 4))
     B = wedge2(u, v)
-    assert B.shape == (5, 7, 4, 4)
-    assert np.allclose(B[2, 3], wedge2(u[2, 3], v[2, 3]))
+    assert B.shape == (5, 7, 6)
+    assert_same_bits(B[2, 3], wedge2(u[2, 3], v[2, 3]))
+    assert_same_bits(B, upper(wedge2_dense(u, v)))
 
 
 def test_dimension_guards():
+    for B in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros(5), np.float64(0.0)):
+        with pytest.raises(DomainError):
+            hodge_star(B)
     with pytest.raises(DomainError):
-        hodge_star(np.zeros((3, 3)))
+        wedge2(np.zeros(1), np.zeros(1))
+    with pytest.raises(DomainError):
+        wedge2(np.zeros(4), np.zeros(3))
+    for m in (2, 4, 5, 7):
+        with pytest.raises(DomainError):
+            _fro(np.zeros(m))
     with pytest.raises(DomainError):
         cross_n([np.zeros(4), np.zeros(4)])
     with pytest.raises(DomainError):
