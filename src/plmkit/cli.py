@@ -1,5 +1,9 @@
 """Command-line front end: verification suites, reconstruction, forms.
 
+``_input`` is the one input path of every command: it turns a fixture
+(``--scenario``), grid files (``--nu``, ``--f``) or a lattice file
+(``--lattice``) into one ``Scenario``, checked against the option table ``_TAKES``.
+
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 3 I/O error, 4 degenerate input: fatal with --strict, and for
 ``reconstruct --out``, since a grid CSV cannot leave a point out (``--obj``
@@ -63,7 +67,7 @@ from .fields import (
 )
 from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
 from .report import InvariantReport, ResidualTile
-from .scenarios import scenario
+from .scenarios import Scenario, scenario
 from .smooth import (
     ChartKind,
     det_invariance_report,
@@ -75,7 +79,25 @@ from .smooth import (
 
 __all__ = ["main"]
 
-_SUITES = ("smooth-asymptotic", "smooth-conjugate", "hyper", "discrete", "affine", "all")
+_SMOOTH = ("smooth-asymptotic", "smooth-conjugate")
+_SUITES = (*_SMOOTH, "hyper", "discrete", "affine", "all")
+
+# For each command, its sources in order of precedence, each with the options
+# it takes among those that depend on the source.  A second source, or an
+# option that only other sources take, does not apply.
+_TAKES = {
+    "verify": {"nu": {"f", "stencil"}, "scenario": {"seed", "size", "h", "grid", "stencil"}},
+    "reconstruct": {
+        "lattice": {"f0"},
+        "nu": {"stencil", "chart", "strict", "obj"},
+        "scenario": {"seed", "size", "h", "grid", "chart", "strict", "obj"},
+    },
+    "forms": {"scenario": {"seed", "size", "h", "grid", "stencil"}},
+    "scenario-dump": {"scenario": {"seed", "size", "h", "grid"}},
+}
+
+# Defaults that would hide whether an option was given: applied after the check.
+_DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
 
 # Sites per row tile of a pointwise suite: a tile's temporaries, the
 # largest a (sites, 6) float array of packed bivectors, stay within a 2 MiB L2.
@@ -101,23 +123,41 @@ def _chart_of(suite):
 
 def _scenario_from_args(args):
     params = dict(_grid_spec(args))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         params["seed"] = args.seed
-    if getattr(args, "size", None) is not None:
+    if args.size is not None:
         params["size"] = args.size
-    h = getattr(args, "h", None)
-    if h is not None:
-        if "h" in params and repr(params["h"]) != repr(h):
-            raise DomainError(f"--grid step {params['h']!r} and --h {h!r} differ; give one spacing")
-        params["h"] = h
+    if args.h is not None:
+        if "h" in params and repr(params["h"]) != repr(args.h):
+            raise DomainError(f"--grid step {params['h']!r} and --h {args.h!r} differ; give one spacing")
+        params["h"] = args.h
     return scenario(args.scenario, **params)
 
 
-def _file_input(args, option):
-    """Input read from files takes no scenario parameter: a DomainError names the first one given."""
-    for key in ("scenario", "seed", "size", "h", "grid"):
-        if getattr(args, key, None) is not None:
-            raise DomainError(f"--{key} does not apply: the input comes from {option}")
+def _input(args):
+    """The command's input as one Scenario, from the first source of _TAKES given."""
+    takes = _TAKES[args.cmd]
+    source = next((s for s in takes if getattr(args, s)), None)
+    if source is None:
+        raise DomainError(f"{args.cmd} needs " + " or ".join(f"--{s}" for s in takes))
+    for key in sorted(set(takes).union(*takes.values()) - takes[source] - {source}):
+        if getattr(args, key) is not None:
+            raise DomainError(f"--{key} does not apply: the input comes from --{source}")
+    for key, value in _DEFAULTS.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
+    if source == "scenario":
+        return _scenario_from_args(args)
+    if source == "lattice":
+        args.f0 = _base_point(args.f0)  # named before the file is read
+        return Scenario(name=args.lattice, nu3_lattice=read_lattice(args.lattice))
+    # sampled grids carry no chart: verify takes it from --suite, reconstruct from --chart
+    suite = getattr(args, "suite", None)
+    if suite not in (None, *_SMOOTH):
+        raise DomainError(f"--nu takes --suite {' or '.join(_SMOOTH)}, not {suite!r}")
+    f = getattr(args, "f", None)
+    return Scenario(name=args.nu, chart=suite and _chart_of(suite), nu_grid=read_grid(args.nu),
+                    f_grid=read_grid(f) if f else None)
 
 
 def _base_point(text):
@@ -133,7 +173,7 @@ def _base_point(text):
 
 def _grid_spec(args):
     """Parse --grid x0:x1:h[,y0:y1:h] into scenario box parameters (one h for both axes)."""
-    if not getattr(args, "grid", None):
+    if not args.grid:
         return {}
     parts = args.grid.split(",")
     if len(parts) == 1:
@@ -268,14 +308,12 @@ def _collect_tasks(args, scn):
     whole, tiles = [], []
     for suite in suites:
         units = ([], [])
-        if suite in ("smooth-asymptotic", "smooth-conjugate"):
-            if scn is not None:
-                if scn.f_jets is None or scn.chart is not _chart_of(suite):
-                    continue
-                units = _smooth_units(suite, scn.f_jets, scn.nu_jets, args.stencil, seq)
-            else:
-                units = _smooth_units(suite, args._f_grid, args._nu_grid, args.stencil, seq)
-        elif suite == "hyper" and scn is not None and scn.hyper_f_jet is not None:
+        if suite in _SMOOTH:
+            # closed-form jets of a fixture, else the jets of each tile's rows of the sampled grids
+            f, nu = (scn.f_jets, scn.nu_jets) if scn.f_jets is not None else (scn.f_grid, scn.nu_grid)
+            if f is not None and scn.chart is _chart_of(suite):
+                units = _smooth_units(suite, f, nu, args.stencil, seq)
+        elif suite == "hyper" and scn.hyper_f_jet is not None:
             fj, nj, A = scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix
             hyper = [
                 _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A), (fj, nj)),
@@ -284,7 +322,7 @@ def _collect_tasks(args, scn):
             ]
             shape = _common_shape(fj.shape, nj.shape)
             units = _tiled_units("hyper", hyper, shape, lambda rows: (fj[rows], nj[rows]))
-        elif suite == "discrete" and scn is not None and scn.nu_lattice is not None:
+        elif suite == "discrete" and scn.nu_lattice is not None:
             pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
             paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
 
@@ -299,7 +337,7 @@ def _collect_tasks(args, scn):
                 _Suite("discrete/form_identities", next(seq), lambda: discrete_forms(paira)[1], ()),
                 _Suite("discrete/moutard_closure", next(seq), moutard_rep, ()),
             ]), []
-        elif suite == "affine" and scn is not None and scn.f3_grid is not None:
+        elif suite == "affine" and scn.f3_grid is not None:
             paira = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
 
             def closure_rep():
@@ -347,27 +385,9 @@ def _run_units(units):
 
 
 def cmd_verify(args):
-    scn = None
-    if args.nu:
-        _file_input(args, "--nu")
-        if args.suite not in ("smooth-asymptotic", "smooth-conjugate"):
-            print("error: file input supports the smooth suites only", file=sys.stderr)
-            return 2
-        args._nu_grid = read_grid(args.nu)
-        args._f_grid = read_grid(args.f) if args.f else None
-        if args._f_grid is None:
-            print("error: --nu requires --f for verification", file=sys.stderr)
-            return 2
-    elif args.scenario:
-        scn = _scenario_from_args(args)
-    else:
-        print("error: verify needs --scenario or --nu/--f", file=sys.stderr)
-        return 2
-
-    units = _collect_tasks(args, scn)
+    units = _collect_tasks(args, _input(args))
     if not units:
-        print(f"error: suite {args.suite!r} is not applicable to this input", file=sys.stderr)
-        return 2
+        raise DomainError(f"suite {args.suite!r} is not applicable to this input")
     combined = InvariantReport(records=_run_units(units), metadata={} if args.no_meta else _run_meta(args))
     for rec in combined.records:
         status = "pass" if rec.passed else "FAIL"
@@ -379,7 +399,7 @@ def cmd_verify(args):
 
 
 def _run_meta(args):
-    meta = {"tool_version": __version__, "argv": [a for a in sys.argv[1:]]}
+    meta = {"tool_version": __version__, "argv": args.argv}
     for key in ("scenario", "seed", "size", "stencil", "suite"):
         val = getattr(args, key, None)
         if val is not None:
@@ -418,37 +438,19 @@ def _write_obj(path, points, mask):
 
 
 def cmd_reconstruct(args):
+    scn = _input(args)
     if args.lattice:
-        if args.gauge != "affine":
-            print("error: lattice reconstruction supports --gauge affine", file=sys.stderr)
-            return 2
-        _file_input(args, "--lattice")
-        f0 = _base_point(args.f0)
-        f = discrete_affine_integrate(read_lattice(args.lattice), f0)
+        f = discrete_affine_integrate(scn.nu3_lattice, args.f0)
         if args.out:
             write_lattice(f, args.out)
             print(f"wrote {args.out}")
         return 0
-    if args.nu:
-        _file_input(args, "--nu")
-        grid = read_grid(args.nu)
-        jets = jet_grid(grid, order=2, stencil=args.stencil)
-        chart = ChartKind(args.chart or "asymptotic")
-    elif args.scenario:
-        scn = _scenario_from_args(args)
-        jets = scn.nu_jets
-        chart = ChartKind(args.chart) if args.chart else scn.chart
-        if jets is None or chart is None:
-            print("error: scenario has no smooth conormal jets", file=sys.stderr)
-            return 2
-    else:
-        print("error: reconstruct needs --scenario, --nu, or --lattice", file=sys.stderr)
-        return 2
-    try:
-        f, bad = reconstruct_field(jets, chart, strict=args.strict)
-    except (DegeneratePointError, ChartMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    jets = scn.nu_jets
+    if jets is None and scn.nu_grid is not None:
+        jets = jet_grid(scn.nu_grid, order=2, stencil=args.stencil)
+    if jets is None:
+        raise DomainError("scenario has no smooth conormal jets")
+    f, bad = reconstruct_field(jets, ChartKind(args.chart or scn.chart or "asymptotic"), strict=args.strict)
     nbad = int(bad.sum())
     if nbad:
         i, j = np.argwhere(bad)[0]
@@ -477,12 +479,11 @@ def _pad_full(arr, extent):
 
 
 def cmd_forms(args):
-    scn = _scenario_from_args(args)
+    scn = _input(args)
     note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
     if args.which == "affine":
         if scn.f3_grid is None:
-            print("error: scenario has no affine-gauge grids", file=sys.stderr)
-            return 2
+            raise DomainError("scenario has no affine-gauge grids")
         forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=args.stencil)
         # the coordinates of the interior of the jets affine_forms took
         m = _margin(args.stencil, rep.metadata["jet_order"])
@@ -490,8 +491,7 @@ def cmd_forms(args):
         cols = {"F": forms.F, "A_cubic": forms.A_cubic, "B_cubic": forms.B_cubic}
     elif args.which == "discrete":
         if scn.nu3_lattice is None:
-            print("error: scenario has no lattice fields", file=sys.stderr)
-            return 2
+            raise DomainError("scenario has no lattice fields")
         pairn = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
         forms, _ = discrete_forms(pairn)
         ext = pairn.extent
@@ -499,18 +499,14 @@ def cmd_forms(args):
         coords = [np.arange(m) for m in ext]
         cols = {name: _pad_full(getattr(forms, name), ext)
                 for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")}
-    elif args.which == "projective":
+    else:
         if scn.f_jets is None:
-            print("error: scenario has no smooth jets", file=sys.stderr)
-            return 2
+            raise DomainError("scenario has no smooth jets")
         forms = fubini_forms(scn.f_jets, scn.nu_jets, stencil=args.stencil)
         missing = np.full_like(forms.F2_coeff, np.nan)
         coords = scn.f_jets.axes
         cols = {"F2": forms.F2_coeff, "F3": missing if forms.F3_coeff is None else forms.F3_coeff,
                 "F3tilde": missing if forms.F3tilde_coeff is None else forms.F3tilde_coeff}
-    else:
-        print(f"error: unknown forms kind {args.which!r}", file=sys.stderr)
-        return 2
     names = ["n1", "n2"] if args.which == "discrete" else ["x", "y"]
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         fh.write(note + "\n")
@@ -521,7 +517,7 @@ def cmd_forms(args):
 
 
 def cmd_scenario_dump(args):
-    scn = _scenario_from_args(args)
+    scn = _input(args)
     prefix = args.out or scn.name
     written = []
     pairs = [
@@ -554,15 +550,15 @@ def _build_parser():
     p.add_argument("--version", action="version", version=f"plmkit {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, scenario_opt=True):
-        if scenario_opt:
-            sp.add_argument("--scenario", help="fixture name; see 'verify --scenario help'")
-            sp.add_argument("--seed", type=int, help="RNG seed for generated scenarios")
-            sp.add_argument("--size", type=int, help="lattice extent for generated scenarios")
-            sp.add_argument("--h", type=float, help="grid/lattice spacing override")
+    def common(sp, numerics=True):
+        sp.add_argument("--scenario", help="fixture name; see 'verify --scenario help'")
+        sp.add_argument("--seed", type=int, help="RNG seed for generated scenarios")
+        sp.add_argument("--size", type=int, help="lattice extent for generated scenarios")
+        sp.add_argument("--h", type=float, help="grid/lattice spacing override")
         sp.add_argument("--grid", help="x0:x1:h[,y0:y1:h] sampling box")
-        sp.add_argument("--stencil", type=int, choices=(2, 4), default=2)
-        sp.add_argument("--strict", action="store_true", help="degenerate input is fatal (exit 4)")
+        if numerics:
+            sp.add_argument("--stencil", type=int, choices=(2, 4), help="finite-difference stencil (default 2)")
+            sp.add_argument("--strict", action="store_true", default=None, help="degenerate input is fatal (exit 4)")
 
     sp = sub.add_parser("verify", help="run identity suites and report residuals")
     common(sp)
@@ -577,8 +573,7 @@ def _build_parser():
     common(sp)
     sp.add_argument("--nu", help="conormal grid CSV")
     sp.add_argument("--lattice", help="conormal lattice CSV")
-    sp.add_argument("--gauge", default="affine", help="lattice gauge (affine)")
-    sp.add_argument("--f0", default="0,0,0", help="integration base point")
+    sp.add_argument("--f0", help="integration base point x,y,z (default 0,0,0)")
     sp.add_argument("--chart", choices=("asymptotic", "conjugate"))
     sp.add_argument("--out", help="output CSV path")
     sp.add_argument("--obj", help="triangulated OBJ of the affine-gauge surface")
@@ -591,15 +586,15 @@ def _build_parser():
     sp.set_defaults(func=cmd_forms)
 
     sp = sub.add_parser("scenario-dump", help="write scenario fields as CSV files")
-    common(sp)
+    common(sp, numerics=False)
     sp.add_argument("--out", help="output path prefix (default: scenario name)")
     sp.set_defaults(func=cmd_scenario_dump)
     return p
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     try:
         return args.func(args)
     except ParseError as exc:

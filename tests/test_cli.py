@@ -1,9 +1,18 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import re
+import shlex
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmkit import cli
 from plmkit.cli import main
@@ -58,6 +67,14 @@ def test_verify_reports_are_byte_identical_without_meta(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_metadata_records_the_argv_main_parsed(capsys, tmp_path, monkeypatch):
+    # used to record sys.argv[1:], the arguments of whatever process called main
+    monkeypatch.setattr(sys, "argv", ["pytest", "-k", "zzz"])
+    argv = ["verify", "--scenario", "hypar-lattice", "--report", str(tmp_path / "m.json")]
+    assert run(capsys, *argv)[0] == 0
+    assert json.loads((tmp_path / "m.json").read_text())["metadata"]["argv"] == argv
+
+
 def test_verify_unrelated_file_pair_fails(capsys, tmp_path):
     scn = scenario("hypar", h=0.1)
     nu_path, f_path = tmp_path / "nu.csv", tmp_path / "f.csv"
@@ -80,6 +97,13 @@ def test_verify_matching_file_pair_passes(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--nu", str(nu_path), "--f", str(f_path),
                      "--suite", "smooth-asymptotic")
     assert code == 0
+
+
+def test_verify_file_input_takes_the_chart_of_the_suite(capsys, tmp_path):
+    # the hypar pair is asymptotic: its conjugate-chart identities run and fail
+    nu_path, f_path = _grid_files(tmp_path)
+    code, out, _ = run(capsys, "verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-conjugate")
+    assert code == 1 and "FAIL  smooth-conjugate/defining_relation/" in out
 
 
 def test_verify_usage_errors(capsys):
@@ -244,7 +268,7 @@ def test_reconstruct_lattice_integration(capsys, tmp_path):
     write_lattice(scn.nu3_lattice, nu_path)
     out = tmp_path / "f_lat.csv"
     code, _, _ = run(capsys, "reconstruct", "--lattice", str(nu_path),
-                     "--gauge", "affine", "--f0", "0,0,0", "--out", str(out))
+                     "--f0", "0,0,0", "--out", str(out))
     assert code == 0
     lat = read_lattice(out)
     assert np.max(np.abs(lat.values - scn.f3_lattice.values)) < 1e-12
@@ -278,6 +302,24 @@ def _grid_files(tmp_path):
     return str(nu_path), str(f_path)
 
 
+def _exit_code(argv):
+    """main's exit code, also for an argparse error (SystemExit)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _assert_not_applicable(capsys, tmp_path, argv, message):
+    """``argv`` exits 2 with ``message`` on stderr, prints no traceback and nothing else, and writes no file."""
+    before = sorted(tmp_path.iterdir())
+    code = _exit_code([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 _SCENARIO_OPTIONS = [["--h", "0.5"], ["--grid", "0:1:0.1"], ["--seed", "3"], ["--size", "5"],
                      ["--scenario", "ell-paraboloid"]]
 
@@ -286,22 +328,109 @@ _SCENARIO_OPTIONS = [["--h", "0.5"], ["--grid", "0:1:0.1"], ["--seed", "3"], ["-
 def test_verify_file_input_rejects_scenario_options(capsys, tmp_path, option):
     # each used to be ignored: exit 0 and PASS on the files
     nu_path, f_path = _grid_files(tmp_path)
-    code, out, err = run(capsys, "verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-asymptotic", *option)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {option[0]} does not apply") and "--nu" in err
-    assert "Traceback" not in err
+    _assert_not_applicable(capsys, tmp_path, ["verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-asymptotic",
+                                              *option], f"error: {option[0]} does not apply: the input comes from --nu")
 
 
 @pytest.mark.parametrize("source", ["--nu", "--lattice"])
 @pytest.mark.parametrize("option", _SCENARIO_OPTIONS)
 def test_reconstruct_file_input_rejects_scenario_options(capsys, tmp_path, source, option):
     path = _grid_files(tmp_path)[0] if source == "--nu" else str(_lattice_file(tmp_path))
-    out = tmp_path / "r.csv"
-    code, stdout, err = run(capsys, "reconstruct", source, path, "--out", str(out), *option)
-    assert code == 2 and stdout == ""
-    assert err.startswith(f"error: {option[0]} does not apply") and source in err
+    _assert_not_applicable(capsys, tmp_path, ["reconstruct", source, path, "--out", tmp_path / "r.csv", *option],
+                           f"error: {option[0]} does not apply: the input comes from {source}")
+
+
+@pytest.mark.parametrize("argv,option,source", [
+    # each used to exit 0 with the option ignored
+    ("verify --scenario hypar --f {f} --suite smooth-asymptotic", "--f", "--scenario"),
+    ("reconstruct --scenario hypar --f0 zap --out {o}", "--f0", "--scenario"),
+    ("reconstruct --scenario hypar --stencil 4 --out {o}", "--stencil", "--scenario"),
+    ("reconstruct --nu {nu} --f0 1,2,3 --out {o}", "--f0", "--nu"),
+    ("reconstruct --lattice {lat} --nu {nu} --out {o}", "--nu", "--lattice"),
+    ("reconstruct --lattice {lat} --chart conjugate --out {o}", "--chart", "--lattice"),
+    ("reconstruct --lattice {lat} --stencil 4 --out {o}", "--stencil", "--lattice"),
+    ("reconstruct --lattice {lat} --strict --out {o}", "--strict", "--lattice"),
+    ("reconstruct --lattice {lat} --obj {o}.obj", "--obj", "--lattice"),
+    # options that no source took are gone from their command: argparse refuses them
+    ("reconstruct --nu {nu} --gauge projective --out {o}", "--gauge projective", None),
+    ("scenario-dump --scenario hypar --stencil 4 --out {o}", "--stencil 4", None),
+    ("scenario-dump --scenario hypar --strict --out {o}", "--strict", None),
+])
+def test_an_option_its_source_does_not_take_is_usage_error(capsys, tmp_path, argv, option, source):
+    nu, f = _grid_files(tmp_path)
+    paths = dict(nu=nu, f=f, lat=_lattice_file(tmp_path), o=tmp_path / "out")
+    message = f"error: {option} does not apply: the input comes from {source}\n" if source else \
+        f"error: unrecognized arguments: {option}\n"
+    _assert_not_applicable(capsys, tmp_path, [a.format(**paths) for a in argv.split()], message)
+
+
+# A valid value of each option of the table (a falsy one where there is one),
+# the base command line of each (command, source) on tiny inputs, and the
+# scenario parameters its fixture takes.
+_VALUES = {"seed": "--seed 0", "size": "--size 4", "h": "--h 0.1", "grid": "--grid 0:1:0.1", "stencil": "--stencil 4",
+           "chart": "--chart asymptotic", "strict": "--strict", "obj": "--obj {out}/o.obj", "f0": "--f0 1,2,3",
+           "f": "--f {inp}/f.csv", "nu": "--nu {inp}/nu.csv", "lattice": "--lattice {inp}/lat.csv",
+           "scenario": "--scenario hypar"}
+_BASE = {
+    ("verify", "nu"): "verify --nu {inp}/nu.csv --f {inp}/f.csv --suite smooth-asymptotic",
+    ("verify", "scenario"): "verify --scenario moutard-random",
+    ("reconstruct", "lattice"): "reconstruct --lattice {inp}/lat.csv --out {out}/r.csv",
+    ("reconstruct", "nu"): "reconstruct --nu {inp}/nu.csv --out {out}/r.csv",
+    ("reconstruct", "scenario"): "reconstruct --scenario hypar --out {out}/r.csv",
+    ("forms", "scenario"): "forms --scenario hypar --which projective --out {out}/forms.csv",
+    ("scenario-dump", "scenario"): "scenario-dump --scenario moutard-random --out {out}/d",
+}
+_FIXTURE_TAKES = {"moutard-random": {"seed", "size", "h"}, "hypar": {"grid", "h"}}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    from plmkit.fields import write_lattice
+
+    inp = tmp_path_factory.mktemp("inputs")
+    scn = scenario("hypar", h=0.1)
+    write_grid(scn.nu_grid, inp / "nu.csv")
+    write_grid(scn.f_grid, inp / "f.csv")
+    write_lattice(scenario("hypar-lattice", size=4).nu3_lattice, inp / "lat.csv")
+    return inp
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv template, table options given): a base command line and a random subset of its other options."""
+    cmd, source = draw(st.sampled_from(sorted(_BASE)))
+    base = _BASE[cmd, source].split()
+    takes = cli._TAKES[cmd]
+    listed = set(takes).union(*takes.values())
+    given = {a[2:] for a in base if a.startswith("--")} & listed
+    fixture = base[base.index("--scenario") + 1] if source == "scenario" else None
+    options = [o for o in sorted(listed - given)
+               if not (fixture and o in {"seed", "size", "h", "grid"} and o not in _FIXTURE_TAKES[fixture])]
+    drawn = draw(st.lists(st.sampled_from(options), unique=True, max_size=4)) if options else []
+    return base + [a for o in drawn for a in _VALUES[o].split()], given | set(drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(line=_command_lines())
+def test_an_option_is_refused_exactly_when_its_source_does_not_take_it(tiny_inputs, line):
+    # every other line exits 0: forms reads the projective forms, because the affine ones of
+    # the hypar exit 1 at --stencil 4 (a wrong-sign radicand from round-off)
+    template, given_options = line
+    takes = cli._TAKES[template[0]]
+    source = next(s for s in takes if s in given_options)
+    refused = given_options & set(takes).union(*takes.values()) - takes[source] - {source}
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(StringIO()) as stdout, \
+            redirect_stderr(StringIO()) as stderr:
+        code = _exit_code([a.format(inp=tiny_inputs, out=out) for a in template])
+        written = list(Path(out).iterdir())
+    err = stderr.getvalue()
     assert "Traceback" not in err
-    assert not out.exists()
+    if refused:
+        match = re.fullmatch(rf"error: --(\w+) does not apply: the input comes from --{source}\n", err)
+        assert code == 2 and match and match.group(1) in refused, err
+        assert stdout.getvalue() == "" and written == []
+    else:
+        assert code == 0, err
 
 
 def test_verify_has_no_chart_option(capsys, tmp_path):
@@ -455,3 +584,21 @@ def test_forms_writes_the_same_bytes_to_stdout_and_out(capsys, tmp_path, which, 
     assert code == 0
     assert out == path.read_text()
     assert out.startswith("# sign conventions: ")
+
+
+def test_readme_command_line_section_matches_the_cli(capsys, tmp_path, monkeypatch):
+    # each plmkit line of its sh block runs, in order, and its option table is _TAKES
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## File formats")]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("plmkit ")]
+    assert len(lines) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    table = {}
+    for cmd, source, options in re.findall(r"^\| `([\w-]+)` \| `--(\w+)` \| (.*) \|$", section, re.M):
+        table.setdefault(cmd, {})[source] = set(re.findall(r"`--(\w+)`", options))
+    assert table == cli._TAKES
+    assert [list(rows) for rows in table.values()] == [list(rows) for rows in cli._TAKES.values()]

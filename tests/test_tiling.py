@@ -23,7 +23,7 @@ from plmkit.errors import DegeneratePointError
 from plmkit.fields import JetGrid
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
 from plmkit.report import InvariantReport
-from plmkit.scenarios import scenario
+from plmkit.scenarios import Scenario, scenario
 from plmkit.smooth import ChartKind, det_invariance_report, orthogonality_report, plm_residual
 
 _H = 0.05
@@ -66,7 +66,9 @@ def _hyper_untiled(fj, nj, A):
 
 def _tiled(rows_per_tile, sites_per_row, suite, stencil=2, scn=None, f=None, nu=None):
     """verify's records for these inputs, with tiles of ``rows_per_tile`` rows."""
-    args = argparse.Namespace(suite=suite, stencil=stencil, _f_grid=f, _nu_grid=nu)
+    args = argparse.Namespace(suite=suite, stencil=stencil)
+    if scn is None:  # sampled grids, as verify --nu --f reads them
+        scn = Scenario(name="files", chart=cli._chart_of(suite), f_grid=f, nu_grid=nu)
     with mock.patch.object(cli, "TILE_SITES", rows_per_tile * sites_per_row):
         return InvariantReport(records=cli._run_units(cli._collect_tasks(args, scn)))
 
