@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
-from .fields import FieldGrid, jet_grid
+from .fields import FieldGrid, _margin, jet_grid
 from .multilinear import _norm, det_n, pair
 from .report import InvariantReport
 
@@ -83,14 +83,15 @@ def _homogeneous_lift(bf, bn):
     return f4, nu4
 
 
-def closure_residual(nu: FieldGrid, stencil: int = 2):
+def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
     """Pointwise defect of bnu_xy from the bnu direction (interior only).
 
     The integrability condition of the affine Lelieuvre system is
     bnu_xy = U4 bnu with scalar U4; the residual is the relative norm of
-    the component of bnu_xy orthogonal to bnu.
+    the component of bnu_xy orthogonal to bnu.  ``rows`` limits it to
+    those rows of the interior, as in ``jet_grid``.
     """
-    jg = jet_grid(nu, order=2, stencil=stencil)
+    jg = jet_grid(nu, order=2, stencil=stencil, rows=rows)
     v = jg.value
     vv = np.maximum((v * v).sum(axis=-1), 1e-300)
     u4 = (jg.d_xy * v).sum(axis=-1) / vv
@@ -133,7 +134,14 @@ def lift_affine(pairg: AffineSurfacePair):
     return mk(f4), mk(nu4)
 
 
-def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, sign_tol: float = 1e-10):
+def _jet_order(dims, stencil: int = 2):
+    """The jet order of ``affine_forms`` on a grid of ``dims``: 3 where the
+    order-3 stencil fits every axis, else 2 (and no cubic squared relations)."""
+    return 3 if min(dims) >= 2 * _margin(stencil, 3) + 1 else 2
+
+
+def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, sign_tol: float = 1e-10,
+                 rows: slice = None, report=None):
     """Affine form coefficients plus the report of their identities.
 
     F = det|bnu, bnu_x, bnu_y|, A_cubic = det|bnu, bnu_x, bnu_xx|,
@@ -142,23 +150,31 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
     the cubics on the dual surface, the squared-determinant relations on
     the surface side (their radicand signs are fixed; the wrong sign
     means the data is not in this chart), and the lifted determinant
-    factorization det|nu, nu_x, nu_y, nu_xy| = F^2.
+    factorization det|nu, nu_x, nu_y, nu_xy| = F^2, every identity on the
+    sites of the jets of order ``_jet_order(dims, stencil)``.
+
+    ``rows`` limits the suite to those rows of its sites, as in
+    ``jet_grid``: only their stencil window of the pair is read and
+    lifted.  The records go to ``report`` when one is given (an
+    InvariantReport, or a ResidualTile to keep the fields of one tile).
     """
-    order = 3 if min(pairg.f.dims) >= (5 if stencil == 2 else 7) else 2
-    fj = jet_grid(pairg.f, order=order, stencil=stencil)
-    nj = jet_grid(pairg.nu, order=order, stencil=stencil)
+    order = _jet_order(pairg.f.dims, stencil)
+    rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order}) if report is None else report
+    rep.decide(order)
+    fj = jet_grid(pairg.f, order=order, stencil=stencil, rows=rows)
+    nj = jet_grid(pairg.nu, order=order, stencil=stencil, rows=rows)
     F = np.asarray(det_n([nj.value, nj.d_x, nj.d_y]), dtype=float)
     A = np.asarray(det_n([nj.value, nj.d_x, nj.d_xx]), dtype=float)
     B = np.asarray(det_n([nj.value, nj.d_y, nj.d_yy]), dtype=float)
-    rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order})
 
     def scaled(name, lhs, rhs, scale):
         denom = np.maximum(scale, 1e-300)
         rep.add(name, (lhs - rhs) / denom, tol)
 
+    # bf_xx = bnu x bnu_xx and bf_yy = -(bnu x bnu_yy), so <bf_xx, bnu_x> = -A and <bf_yy, bnu_y> = B
     scaled("blaschke_pairing", pair(fj.d_x, nj.d_y), F, _norm(fj.d_x) * _norm(nj.d_y) + np.abs(F))
-    scaled("cubic_pairing_x", pair(fj.d_xx, nj.d_x), A, _norm(fj.d_xx) * _norm(nj.d_x) + np.abs(A))
-    scaled("cubic_pairing_y", pair(fj.d_yy, nj.d_y), -B, _norm(fj.d_yy) * _norm(nj.d_y) + np.abs(B))
+    scaled("cubic_pairing_x", pair(fj.d_xx, nj.d_x), -A, _norm(fj.d_xx) * _norm(nj.d_x) + np.abs(A))
+    scaled("cubic_pairing_y", pair(fj.d_yy, nj.d_y), B, _norm(fj.d_yy) * _norm(nj.d_y) + np.abs(B))
     dfmix = np.asarray(det_n([fj.d_x, fj.d_y, fj.d_xy]), dtype=float)
     scaled("blaschke_squared", dfmix, F**2, np.abs(dfmix) + F**2 + 1e-12)
     if order >= 3:
@@ -172,17 +188,14 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
             raise ChartMismatchError("det|bf_y, bf_yy, bf_yyy| > 0: wrong-sign radicand for the y cubic")
         scaled("cubic_squared_x", dfx, A**2, np.abs(dfx) + A**2 + 1e-12)
         scaled("cubic_squared_y", dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12)
-    # lifted factorization: the homogeneous mixed determinant is F^2
-    f4, nu4 = lift_affine(pairg)
-    n4j = jet_grid(nu4, order=2, stencil=stencil)
+    # lifted factorization: the homogeneous mixed determinant is F^2.  The
+    # lift is pointwise, so only the window of order-2 jets on fj's sites is lifted
+    m, m2 = _margin(stencil, order), _margin(stencil, 2)
+    start, stop, _ = (rows or slice(None)).indices(pairg.f.dims[0] - 2 * m)
+    window = (slice(start + m - m2, stop + m + m2), slice(m - m2, pairg.f.dims[1] - m + m2))
+    _, nu4 = _homogeneous_lift(pairg.f.values[window], pairg.nu.values[window])
+    origin = tuple(float(c[w.start]) for c, w in zip(pairg.f.axes, window))
+    n4j = jet_grid(FieldGrid(origin=origin, spacing=pairg.f.spacing, values=nu4), order=2, stencil=stencil)
     d4 = np.asarray(det_n([n4j.value, n4j.d_x, n4j.d_y, n4j.d_xy]), dtype=float)
-    # the lifted jets cover the same interior as the order-2 window; crop F
-    Fw = F if d4.shape == F.shape else _crop_to(F, d4.shape)
-    scaled("lift_mixed_det_is_F_squared", d4, Fw**2, np.abs(d4) + Fw**2 + 1e-12)
+    scaled("lift_mixed_det_is_F_squared", d4, F**2, np.abs(d4) + F**2 + 1e-12)
     return AffineForms(F=F, A_cubic=A, B_cubic=B), rep
-
-
-def _crop_to(arr, shape):
-    m0 = (arr.shape[0] - shape[0]) // 2
-    m1 = (arr.shape[1] - shape[1]) // 2
-    return arr[m0 : m0 + shape[0], m1 : m1 + shape[1]]

@@ -10,17 +10,15 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 alone writes the mesh without the degenerate points and exits 0).
 
 ``verify`` runs its suites on a pool of ``PLM_NUM_THREADS`` workers (default:
-the CPU count).  The pointwise suites (the smooth ``defining_relation``,
-``orthogonality`` and ``det_invariance``, the hyper ``defining_relation`` and
-``compatibility``) are cut into row tiles of about ``TILE_SITES`` sites, and
-each tile is one work unit: it takes its rows of the jets (views of given
-jets, or jets of its own rows of a sampled grid, stencil halo included) and
-keeps each residual field unreduced.  The tiles of a suite are then joined
-and each identity reduced once, so the report is the same bytes at any
-thread count.  Suites that are not pointwise (``affine``, whose jet order
-depends on the grid, and ``discrete``, on lattice windows) are whole-suite
-units, submitted first so that the tiles fill in around them.  A tiled suite
-that raises on a tile, or whose tiles make different whole-batch choices, is
+the CPU count).  The smooth, hyper and affine suites are cut into row tiles of
+about ``TILE_SITES`` sites, and each tile is one work unit: it takes its rows
+of the jets (views of given jets, or jets of its own rows of a sampled grid,
+stencil halo included) and keeps each residual field unreduced.  The tiles of
+a suite are then joined and each identity reduced once, so the report is the
+same bytes at any thread count.  The ``discrete`` suites, on lattice windows,
+are the only whole-suite units, submitted first so that the tiles fill in
+around them.  A tiled suite that raises on a tile, or whose tiles make
+different whole-batch choices (the jet order of ``affine_forms`` is one), is
 run again over the whole batch, so its errors and results are those of an
 untiled run.
 """
@@ -38,7 +36,7 @@ from itertools import count
 import numpy as np
 
 from . import __version__
-from .affine import AffineSurfacePair, affine_forms, closure_residual
+from .affine import AffineSurfacePair, _jet_order, affine_forms, closure_residual
 from .discrete import (
     DiscreteSurfacePair,
     discrete_affine_integrate,
@@ -99,8 +97,9 @@ _TAKES = {
 # Defaults that would hide whether an option was given: applied after the check.
 _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
 
-# Sites per row tile of a pointwise suite: a tile's temporaries, the
-# largest a (sites, 6) float array of packed bivectors, stay within a 2 MiB L2.
+# Sites per row tile of a tiled suite: a tile's temporaries, the largest a
+# (sites, 6) float array of packed bivectors, stay within a 2 MiB L2.  An
+# affine tile lifts and differentiates only its rows of the pair, halo included.
 TILE_SITES = 16384
 
 
@@ -200,8 +199,9 @@ def _grid_spec(args):
 class _Suite:
     """One suite of the report; ``seq`` is its place in the report.
 
-    ``run(f, nu, report=None)`` computes the suite on a pair of inputs, and
-    ``args`` is the pair over the whole batch.
+    ``run(*inputs, report=None)`` computes the suite on its inputs (a pair
+    of jets, or an affine pair and its rows), and ``args`` are the inputs
+    over the whole batch.
     """
 
     name: str
@@ -296,6 +296,26 @@ def _smooth_units(suite, f_obj, nu_obj, stencil, seq):
     return whole, tiles
 
 
+def _affine_units(paira, stencil, seq):
+    def forms(pairg, rows, report=None):
+        return affine_forms(pairg, stencil=stencil, rows=rows, report=report)[1]
+
+    def closure(pairg, rows, report=None):
+        rep = InvariantReport() if report is None else report
+        rep.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], 1e-8)
+        return rep
+
+    # the form identities take jets of the grid's own order, the closure order-2 jets
+    groups = [(_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure)]
+    whole, tiles = [], []
+    for order, name, fn in groups:
+        suite = _Suite(f"affine/{name}", next(seq), fn, (paira, None))
+        shape = _common_shape(*(_jet_shape(grid, order, stencil) for grid in (paira.f, paira.nu)))
+        w, t = _tiled_units(f"affine/{name}", [suite], shape, lambda rows: (paira, rows))
+        whole, tiles = whole + w, tiles + t
+    return whole, tiles
+
+
 def _collect_tasks(args, scn):
     """(name, thunk) work units for every suite applicable to the inputs.
 
@@ -338,17 +358,7 @@ def _collect_tasks(args, scn):
                 _Suite("discrete/moutard_closure", next(seq), moutard_rep, ()),
             ]), []
         elif suite == "affine" and scn.f3_grid is not None:
-            paira = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
-
-            def closure_rep():
-                rep = InvariantReport()
-                rep.add("conormal_closure", closure_residual(scn.nu3_grid, stencil=args.stencil)[0], 1e-8)
-                return rep
-
-            units = _whole_units([
-                _Suite("affine/form_identities", next(seq), lambda: affine_forms(paira, stencil=args.stencil)[1], ()),
-                _Suite("affine/conormal_closure", next(seq), closure_rep, ()),
-            ]), []
+            units = _affine_units(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil, seq)
         whole, tiles = whole + units[0], tiles + units[1]
     return whole + tiles
 

@@ -29,6 +29,16 @@ def saddle_nu(X, Y):
     return np.stack([-Y, -X, np.ones_like(X)], axis=-1)
 
 
+def paraboloid_pair(x0=-0.3, x1=0.3, y0=-0.2, y1=0.4, h=0.05):
+    """The conormal nu = (x, y, 1 + x^2 + y^2), which closes with U4 = 0, and
+    its exact Lelieuvre integral bf: F = 1 - x^2 - y^2, A = -2y, B = 2x."""
+    xs, ys = (a + h * np.arange(int(round((b - a) / h)) + 1) for a, b in ((x0, x1), (y0, y1)))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = lambda v: FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=v)  # noqa: E731
+    f = np.stack([X**2 * Y + Y - Y**3 / 3, X - X**3 / 3 + X * Y**2, -X * Y], axis=-1)
+    return AffineSurfacePair(f=grid(f), nu=grid(np.stack([X, Y, 1 + X**2 + Y**2], axis=-1)))
+
+
 def test_closure_holds_on_saddle_conormal():
     res, u4 = closure_residual(HYPAR.nu3_grid)
     assert np.max(res) < 1e-12
@@ -78,6 +88,32 @@ def test_forms_report_includes_squared_relations():
         "lift_mixed_det_is_F_squared",
     ):
         assert rep[name].passed, name
+
+
+def test_forms_identities_hold_with_varying_F_and_nonzero_cubics():
+    # on the hypar F is constant and both cubics vanish, so a wrong sign in a
+    # cubic pairing or a misplaced F in the lifted factorization goes unseen
+    pairg = paraboloid_pair()
+    forms, rep = affine_forms(pairg, stencil=4)
+    assert rep.metadata["jet_order"] == 3
+    xs, ys = (c[3:-3] for c in pairg.f.axes)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    assert np.max(np.abs(forms.F - (1 - X**2 - Y**2))) < 1e-12
+    assert np.max(np.abs(forms.A_cubic + 2 * Y)) < 1e-12
+    assert np.max(np.abs(forms.B_cubic - 2 * X)) < 1e-12
+    assert np.ptp(forms.F) > 0.05 and np.max(np.abs(forms.B_cubic)) > 0.1
+    assert [rec.name for rec in rep.records] == [
+        "blaschke_pairing",
+        "cubic_pairing_x",
+        "cubic_pairing_y",
+        "blaschke_squared",
+        "cubic_squared_x",
+        "cubic_squared_y",
+        "lift_mixed_det_is_F_squared",
+    ]
+    for rec in rep.records:
+        assert rec.passed, (rec.name, rec.max_residual)
+    assert np.max(np.abs(closure_residual(pairg.nu, stencil=4)[1])) < 1e-10  # U4 = 0
 
 
 def test_forms_wrong_sign_cubic_radicand_rejected():

@@ -1,6 +1,6 @@
 """Row-tiled verify: the joined tiles give the report of one call per suite.
 
-``verify`` cuts the pointwise suites into row tiles of about
+``verify`` cuts the smooth, hyper and affine suites into row tiles of about
 ``cli.TILE_SITES`` sites.  These tests shrink the tile to a few rows and
 compare the tiled report, byte for byte, with the report built from one
 call of each suite function on the full inputs; an input that makes the
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plmkit import cli
-from plmkit.errors import DegeneratePointError
-from plmkit.fields import JetGrid
+from plmkit.affine import AffineSurfacePair, affine_forms, closure_residual
+from plmkit.errors import ChartMismatchError, DegeneratePointError
+from plmkit.fields import FieldGrid, JetGrid, _margin
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
 from plmkit.report import InvariantReport
 from plmkit.scenarios import Scenario, scenario
@@ -61,6 +63,18 @@ def _hyper_untiled(fj, nj, A):
     return _untiled([
         ("hyper/defining_relation", lambda: hyper_plm_residual(fj, nj, A)),
         ("hyper/compatibility", lambda: hyper_compat_residual(nj, A)),
+    ])
+
+
+def _affine_untiled(pairg, stencil):
+    def closure():
+        rep = InvariantReport()
+        rep.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil)[0], 1e-8)
+        return rep
+
+    return _untiled([
+        ("affine/form_identities", lambda: affine_forms(pairg, stencil=stencil)[1]),
+        ("affine/conormal_closure", closure),
     ])
 
 
@@ -136,6 +150,71 @@ def test_tiled_hyper_report_is_byte_identical(extents):
         scn = dataclasses.replace(scn, hyper_f_jet=scn.hyper_f_jet[0:0], hyper_nu_jet=scn.hyper_nu_jet[0:0])
     expected = _outcome(lambda: _hyper_untiled(scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix))
     assert _outcome(lambda: _tiled(per_tile, cols, "hyper", scn=scn)) == expected
+
+
+def _affine_scenario(name, nx, ny):
+    """An affine pair on an nx x ny box of spacing _H: the hypar, whose F is
+    constant and whose cubics vanish, or nu = (x, y, 1 + x^2 + y^2) with its
+    Lelieuvre integral, where neither holds."""
+    if name == "hypar":
+        return _box("hypar", nx, ny)
+    xs, ys = -0.3 + _H * np.arange(nx), -0.2 + _H * np.arange(ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = lambda v: FieldGrid(origin=(xs[0], ys[0]), spacing=(_H, _H), values=v)  # noqa: E731
+    f = np.stack([X**2 * Y + Y - Y**3 / 3, X - X**3 / 3 + X * Y**2, -X * Y], axis=-1)
+    return Scenario(name=name, f3_grid=grid(f), nu3_grid=grid(np.stack([X, Y, 1 + X**2 + Y**2], axis=-1)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    extents=_extents(),
+    cols=st.integers(4, 7),
+    name=st.sampled_from(["hypar", "paraboloid"]),
+    stencil=st.sampled_from([2, 4]),
+)
+def test_tiled_affine_report_is_byte_identical(extents, cols, name, stencil):
+    per_tile, rows, _ = extents
+    # ``cols`` sites across, on both sides of the order-3 switch of the form
+    # identities; ``rows`` counts the rows of their sites at the order the box takes
+    m3 = _margin(stencil, 3)
+    m = m3 if cols >= 2 * m3 + 1 and rows > 0 else _margin(stencil, 2)
+    scn = _affine_scenario(name, rows + 2 * m, cols)
+    pairg = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
+    expected = _outcome(lambda: _affine_untiled(pairg, stencil))
+    assert _outcome(lambda: _tiled(per_tile, max(1, cols - 2 * m), "affine", stencil, scn=scn)) == expected
+    if rows == 0:
+        assert isinstance(expected, tuple)  # no sites is an error, tiled or not
+
+
+def test_tiled_affine_sign_test_raises_the_untiled_error():
+    # at stencil 4 the hypar's vanishing cubics give roundoff radicands that
+    # fail the x-cubic sign test; a failing tile reruns the suite over the
+    # whole batch, which raises the untiled error
+    scn = scenario("hypar")
+    pairg = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
+    with pytest.raises(ChartMismatchError) as whole:
+        affine_forms(pairg, stencil=4)
+    with pytest.raises(ChartMismatchError) as tiled:
+        _tiled(3, scn.f3_grid.dims[1] - 6, "affine", 4, scn=scn)
+    assert str(tiled.value) == str(whole.value)
+
+
+def test_tiled_affine_suite_peaks_below_half_a_whole_grid_call(monkeypatch):
+    # the tiles lift and take jets of their own rows: no whole-grid temporaries
+    monkeypatch.setenv("PLM_NUM_THREADS", "1")
+    scn = scenario("hypar", h=0.005)
+    pairg = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
+    units = cli._collect_tasks(argparse.Namespace(suite="affine", stencil=2), scn)
+    tracemalloc.start()
+    try:
+        affine_forms(pairg)
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli._run_units(units)
+        tiled = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tiled < whole / 2, (tiled, whole)
 
 
 def _hyper_pair(rows, cols, flat_rows, seed=0):
