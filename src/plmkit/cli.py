@@ -11,16 +11,17 @@ alone writes the mesh without the degenerate points and exits 0).
 
 ``verify`` runs its suites on a pool of ``PLM_NUM_THREADS`` workers (default:
 the CPU count).  The smooth, hyper and affine suites are cut into row tiles of
-about ``TILE_SITES`` sites, and each tile is one work unit: it takes its rows
-of the jets (views of given jets, or jets of its own rows of a sampled grid,
-stencil halo included) and keeps each residual field unreduced.  The tiles of
-a suite are then joined and each identity reduced once, so the report is the
-same bytes at any thread count.  The ``discrete`` suites, on lattice windows,
-are the only whole-suite units, submitted first so that the tiles fill in
-around them.  A tiled suite that raises on a tile, or whose tiles make
-different whole-batch choices (the jet order of ``affine_forms`` is one), is
-run again over the whole batch, so its errors and results are those of an
-untiled run.
+about ``TILE_SITES`` sites, and each tile is one work unit: it takes the jets
+of its own rows (a fixture's closed form evaluated on those rows, views of
+given jets, or the jets of those rows of a sampled grid, stencil halo
+included), so no whole-grid jet is built, and keeps each residual field
+unreduced.  The tiles of a suite are then joined and each identity reduced
+once, so the report is the same bytes at any thread count.  The ``discrete``
+suites, on lattice windows, are the only whole-suite units, submitted first
+so that the tiles fill in around them.  A tiled suite that raises on a tile,
+or whose tiles make different whole-batch choices (the jet order of
+``affine_forms`` is one), is run again over the whole batch, so its errors
+and results are those of an untiled run.
 """
 
 import argparse
@@ -53,7 +54,6 @@ from .errors import (
     PlmError,
 )
 from .fields import (
-    FieldGrid,
     _margin,
     _write_table,
     grid_on_sites,
@@ -200,18 +200,18 @@ class _Suite:
     """One suite of the report; ``seq`` is its place in the report.
 
     ``run(*inputs, report=None)`` computes the suite on its inputs (a pair
-    of jets, or an affine pair and its rows), and ``args`` are the inputs
-    over the whole batch.
+    of jets, or an affine pair and its rows), and ``inputs()`` gives the
+    inputs over the whole batch, built only when a suite runs untiled.
     """
 
     name: str
     seq: int
     run: Callable
-    args: tuple
+    inputs: Callable = tuple  # a suite without inputs
     tiled: bool = False
 
     def whole(self):
-        return self.run(*self.args)
+        return self.run(*self.inputs())
 
 
 def _attempt(fn, *args, **kwargs):
@@ -259,38 +259,36 @@ def _tiled_units(name, suites, shape, jets):
     return [], [(f"{name}[{rows.start}:{rows.stop}]", partial(unit, rows)) for rows in _row_tiles(shape)]
 
 
-def _jet_rows(obj, order, stencil, rows):
-    """The rows of a jet object, or the jets of a sampled grid on those rows."""
-    if isinstance(obj, FieldGrid):
-        return jet_grid(obj, order=order, stencil=stencil, rows=rows)
-    return obj[rows]
+def _interior(grid, order, stencil):
+    """The batch shape of a sampled grid's jets of this order."""
+    return tuple(N - 2 * _margin(stencil, order) for N in grid.dims)
 
 
-def _jet_shape(obj, order, stencil):
-    if isinstance(obj, FieldGrid):
-        return tuple(N - 2 * _margin(stencil, order) for N in obj.dims)
-    return obj.shape
-
-
-def _smooth_units(suite, f_obj, nu_obj, stencil, seq):
+def _smooth_units(suite, scn, stencil, seq):
     chart = _chart_of(suite)
-    args = (f_obj, nu_obj)
+    pair = scn.jet_pair()
+    inputs = (lambda: (scn.f_jets, scn.nu_jets)) if pair else (lambda: (scn.f_grid, scn.nu_grid))
     plm, orth, det = (
-        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil), args)
+        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil), inputs)
         for name, fn in (("defining_relation", plm_residual), ("orthogonality", orthogonality_report),
                          ("det_invariance", det_invariance_report))
     )
+    if pair:
+        # jets have no stencil margin: one set per tile serves every identity
+        rows, shapes = pair
+        return _tiled_units(f"{suite}/jets", [plm, orth, det], _common_shape(*shapes), rows)
     # one set of order-2 jets per tile serves every order-2 identity; the
     # asymptotic determinants need order-3 jets, whose wider margin covers
     # fewer sites of a sampled grid
+    grids = scn.f_grid, scn.nu_grid
     groups = [(2, [plm, orth]), (3, [det])] if chart is ChartKind.ASYMPTOTIC else [(2, [plm, orth, det])]
     whole, tiles = [], []
     for order, suites in groups:
 
         def jets(rows, order=order):
-            return tuple(_jet_rows(obj, order, stencil, rows) for obj in args)
+            return tuple(jet_grid(grid, order=order, stencil=stencil, rows=rows) for grid in grids)
 
-        shape = _common_shape(*(_jet_shape(obj, order, stencil) for obj in args))
+        shape = _common_shape(*(_interior(grid, order, stencil) for grid in grids))
         w, t = _tiled_units(f"{suite}/order{order}", suites, shape, jets)
         whole, tiles = whole + w, tiles + t
     return whole, tiles
@@ -309,8 +307,8 @@ def _affine_units(paira, stencil, seq):
     groups = [(_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure)]
     whole, tiles = [], []
     for order, name, fn in groups:
-        suite = _Suite(f"affine/{name}", next(seq), fn, (paira, None))
-        shape = _common_shape(*(_jet_shape(grid, order, stencil) for grid in (paira.f, paira.nu)))
+        suite = _Suite(f"affine/{name}", next(seq), fn, lambda: (paira, None))
+        shape = _common_shape(*(_interior(grid, order, stencil) for grid in (paira.f, paira.nu)))
         w, t = _tiled_units(f"affine/{name}", [suite], shape, lambda rows: (paira, rows))
         whole, tiles = whole + w, tiles + t
     return whole, tiles
@@ -329,19 +327,21 @@ def _collect_tasks(args, scn):
     for suite in suites:
         units = ([], [])
         if suite in _SMOOTH:
-            # closed-form jets of a fixture, else the jets of each tile's rows of the sampled grids
-            f, nu = (scn.f_jets, scn.nu_jets) if scn.f_jets is not None else (scn.f_grid, scn.nu_grid)
-            if f is not None and scn.chart is _chart_of(suite):
-                units = _smooth_units(suite, f, nu, args.stencil, seq)
-        elif suite == "hyper" and scn.hyper_f_jet is not None:
-            fj, nj, A = scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix
+            # jets (a fixture's closed form, or given), else the sampled grids
+            if scn.chart is _chart_of(suite) and (scn.jet_pair() or scn.f_grid is not None):
+                units = _smooth_units(suite, scn, args.stencil, seq)
+        elif suite == "hyper" and (pair := scn.jet_pair(hyper=True)):
+            (rows, shapes), A = pair, scn.amatrix
+
+            def inputs():
+                return scn.hyper_f_jet, scn.hyper_nu_jet
+
             hyper = [
-                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A), (fj, nj)),
+                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A), inputs),
                 _Suite("hyper/compatibility", next(seq), lambda f, nu, report=None: hyper_compat_residual(
-                    nu, A, report=report), (fj, nj)),
+                    nu, A, report=report), inputs),
             ]
-            shape = _common_shape(fj.shape, nj.shape)
-            units = _tiled_units("hyper", hyper, shape, lambda rows: (fj[rows], nj[rows]))
+            units = _tiled_units("hyper", hyper, _common_shape(*shapes), rows)
         elif suite == "discrete" and scn.nu_lattice is not None:
             pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
             paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
@@ -352,10 +352,10 @@ def _collect_tasks(args, scn):
                 return rep
 
             units = _whole_units([
-                _Suite("discrete/defining_relation", next(seq), lambda: discrete_residual(pairp), ()),
-                _Suite("discrete/volume_invariance", next(seq), lambda: discrete_det_invariance(paira), ()),
-                _Suite("discrete/form_identities", next(seq), lambda: discrete_forms(paira)[1], ()),
-                _Suite("discrete/moutard_closure", next(seq), moutard_rep, ()),
+                _Suite("discrete/defining_relation", next(seq), lambda: discrete_residual(pairp)),
+                _Suite("discrete/volume_invariance", next(seq), lambda: discrete_det_invariance(paira)),
+                _Suite("discrete/form_identities", next(seq), lambda: discrete_forms(paira)[1]),
+                _Suite("discrete/moutard_closure", next(seq), moutard_rep),
             ]), []
         elif suite == "affine" and scn.f3_grid is not None:
             units = _affine_units(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil, seq)
@@ -510,11 +510,12 @@ def cmd_forms(args):
         cols = {name: _pad_full(getattr(forms, name), ext)
                 for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")}
     else:
-        if scn.f_jets is None:
+        fj, nj = scn.f_jets, scn.nu_jets  # a fixture computes each on access
+        if fj is None:
             raise DomainError("scenario has no smooth jets")
-        forms = fubini_forms(scn.f_jets, scn.nu_jets, stencil=args.stencil)
+        forms = fubini_forms(fj, nj, stencil=args.stencil)
         missing = np.full_like(forms.F2_coeff, np.nan)
-        coords = scn.f_jets.axes
+        coords = fj.axes
         cols = {"F2": forms.F2_coeff, "F3": missing if forms.F3_coeff is None else forms.F3_coeff,
                 "F3tilde": missing if forms.F3tilde_coeff is None else forms.F3tilde_coeff}
     names = ["n1", "n2"] if args.which == "discrete" else ["x", "y"]

@@ -254,9 +254,12 @@ def _jets(v, spacing, m, order, stencil):
             _difference(v, spacing, m, stencil, parts, out=out[k])
         return out
 
-    d1 = slots([((a, 1),) for a in range(n)])
-    d2 = slots([((a, 2),) if a == c else ((a, 1), (c, 1)) for a in range(n) for c in range(a, n)])
-    d3 = slots([((a, 3),) for a in range(n)]) if order >= 3 else None
+    # JetGrid rejects what overflows or divides by an underflowed spacing;
+    # the error state is per thread
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d1 = slots([((a, 1),) for a in range(n)])
+        d2 = slots([((a, 2),) if a == c else ((a, 1), (c, 1)) for a in range(n) for c in range(a, n)])
+        d3 = slots([((a, 3),) for a in range(n)]) if order >= 3 else None
     return value, d1, d2, d3
 
 

@@ -235,7 +235,7 @@ def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
         name = f"compat_{a + 1}{b + 1}{g + 1}{d + 1}"
         size = _norm(w)
         if rep.decide(np.max(size, initial=0.0) == 0.0):
-            rep.add(name, np.zeros(np.shape(size)), tol)
+            rep.add(name, np.broadcast_to(0.0, np.shape(size)), tol)  # a tile keeps no bytes of it
             continue
         if span is None:
             span = _span_basis([nu_jet.value, *nu_jet.d1], name)

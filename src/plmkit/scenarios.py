@@ -1,13 +1,18 @@
 """Fixture surfaces with known ground truth, shared by tests and the CLI.
 
-Each scenario bundles sampled grids, analytic jets where closed forms
-exist (so convention errors are separable from finite-difference
-truncation), and a dictionary of expected invariant values.  Generated
-scenarios are seeded and reproducible.
+Each scenario bundles sampled grids or lattices, closed-form jets where
+they exist (so convention errors are separable from finite-difference
+truncation), and a dictionary of expected invariant values.  A closed-form
+fixture stores its jets as a ``ClosedForm``, a function of the site
+coordinates, and evaluates them where they are asked for: ``verify``'s row
+tiles evaluate their own rows, and the whole-grid fields of the
+``Scenario`` are computed on each access.  Generated scenarios are seeded
+and reproducible.
 """
 
 import inspect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,31 +30,108 @@ from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, grid_on_sites
 from .hyper import AMatrix
 from .smooth import ChartKind
 
-__all__ = ["Scenario", "scenario", "list_scenarios"]
+__all__ = ["ClosedForm", "Scenario", "scenario", "list_scenarios"]
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A fixture's (f, nu) jet pair in closed form, on the sites ``axes``.
+
+    ``jets(xs, ys)`` returns the two JetGrids on the sites xs x ys; ``h``
+    is the spacing the axes were sampled with.  Every component is
+    elementwise in the site coordinates, so the jets of some rows equal
+    those rows of the whole-grid jets bit for bit.
+    """
+
+    jets: Callable
+    axes: tuple
+    h: float
+
+    @property
+    def shape(self):
+        return tuple(len(c) for c in self.axes)
+
+    def rows(self, rows=slice(None)):
+        """The pair on ``rows`` of the first axis; an overflow is a DomainError."""
+        xs, ys = self.axes
+        # JetGrid rejects the non-finite entries; the error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.jets(xs[rows], ys)
+
+
+class _Derived:
+    """A Scenario field: the value given to the constructor or, when none is
+    given, ``make`` of the scenario's closed form ``source`` (None without
+    one), computed on each access."""
+
+    def __init__(self, source, make):
+        self.source, self.make = source, make
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, scn, owner=None):
+        if scn is None:
+            return None  # the field's default
+        given, closed = scn.__dict__[self.key], getattr(scn, self.source)
+        return self.make(closed) if given is None and closed is not None else given
+
+    def __set__(self, scn, value):
+        scn.__dict__[self.key] = value
+
+
+def _values_grid(jets):
+    return grid_on_sites(jets, jets.value)
 
 
 @dataclass
 class Scenario:
-    """Bundle of sampled fields, analytic jets and expected values."""
+    """Bundle of sampled fields, jets and expected values.
+
+    A smooth pair comes as jets (``f_jets``, ``nu_jets``), as sampled
+    grids (``f_grid``, ``nu_grid``) or both; an n = 2 hypersurface pair as
+    ``hyper_f_jet``, ``hyper_nu_jet`` and ``hyper_nu_grid``.  A closed-form
+    fixture gives ``closed`` (or ``hyper_closed``) instead, and each of
+    these fields that is not given is then computed from it on every
+    access: bind it once.  ``jet_pair`` reads the jets by rows without
+    building the whole grid.
+    """
 
     name: str
     chart: Optional[ChartKind] = None
-    f_grid: Optional[FieldGrid] = None
-    nu_grid: Optional[FieldGrid] = None
-    f_jets: Optional[JetGrid] = None
-    nu_jets: Optional[JetGrid] = None
+    f_grid: Optional[FieldGrid] = _Derived("closed", lambda c: _values_grid(c.rows()[0]))
+    nu_grid: Optional[FieldGrid] = _Derived("closed", lambda c: _values_grid(c.rows()[1]))
+    f_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[0])
+    nu_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[1])
     f3_grid: Optional[FieldGrid] = None
     nu3_grid: Optional[FieldGrid] = None
     f_lattice: Optional[LatticeField] = None
     nu_lattice: Optional[LatticeField] = None
     f3_lattice: Optional[LatticeField] = None
     nu3_lattice: Optional[LatticeField] = None
-    hyper_f_jet: Optional[JetGrid] = None
-    hyper_nu_jet: Optional[JetGrid] = None
-    hyper_nu_grid: Optional[FieldGrid] = None
+    hyper_f_jet: Optional[JetGrid] = _Derived("hyper_closed", lambda c: c.rows()[0])
+    hyper_nu_jet: Optional[JetGrid] = _Derived("hyper_closed", lambda c: c.rows()[1])
+    hyper_nu_grid: Optional[FieldGrid] = _Derived("hyper_closed", lambda c: FieldGrid(
+        origin=tuple(a[0] for a in c.axes), spacing=(c.h, c.h), values=c.rows()[1].value))
     amatrix: Optional[AMatrix] = None
+    closed: Optional[ClosedForm] = None
+    hyper_closed: Optional[ClosedForm] = None
     ground_truth: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    def jet_pair(self, hyper=False):
+        """The (f, nu) jets by rows: ``(rows, shapes)``, or None without jets.
+
+        ``rows(r)`` gives the pair on rows ``r`` of the batch: views of
+        given JetGrids, else the closed form evaluated on those rows only.
+        ``shapes`` are the batch shapes of f and nu.
+        """
+        names = ("hyper_f_jet", "hyper_nu_jet") if hyper else ("f_jets", "nu_jets")
+        f, nu = (self.__dict__["_" + name] for name in names)  # given, not derived
+        if f is not None:
+            return (lambda rows: (f[rows], nu[rows])), (f.shape, nu.shape)
+        closed = self.hyper_closed if hyper else self.closed
+        return None if closed is None else (closed.rows, (closed.shape, closed.shape))
 
 
 def _axes(x0, x1, y0, y1, h):
@@ -91,10 +173,13 @@ def _closed_jets(xs, ys, order, value, **partials):
     return JetGrid(value=_stack(shape[:2], value), axes=(xs, ys), **arrays)
 
 
-def _smooth_pair(name, chart, fj, nj, **rest):
-    """Scenario of a smooth pair whose sampled grids are the values of its jets."""
-    return Scenario(name=name, chart=chart, f_grid=grid_on_sites(fj, fj.value), nu_grid=grid_on_sites(nj, nj.value),
-                    f_jets=fj, nu_jets=nj, **rest)
+def _hypar_jets(xs, ys):
+    """f = (u, v, uv, -1) and nu = (-v, -u, 1, -uv) on the sites xs x ys."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fj = _closed_jets(xs, ys, 3, value=[X, Y, X * Y, -1], d_x=[1, 0, Y, 0], d_y=[0, 1, X, 0], d_xy=[0, 0, 1, 0])
+    nj = _closed_jets(xs, ys, 3, value=[-Y, -X, 1, -X * Y], d_x=[0, -1, 0, -Y], d_y=[-1, 0, 0, -X],
+                      d_xy=[0, 0, 0, -1])
+    return fj, nj
 
 
 def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
@@ -104,11 +189,10 @@ def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
     """
     xs, ys = _axes(x0, x1, y0, y1, h)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    fj = _closed_jets(xs, ys, 3, value=[X, Y, X * Y, -1], d_x=[1, 0, Y, 0], d_y=[0, 1, X, 0], d_xy=[0, 0, 1, 0])
-    nj = _closed_jets(xs, ys, 3, value=[-Y, -X, 1, -X * Y], d_x=[0, -1, 0, -Y], d_y=[-1, 0, 0, -X],
-                      d_xy=[0, 0, 0, -1])
-    return _smooth_pair(
-        "hypar", ChartKind.ASYMPTOTIC, fj, nj,
+    return Scenario(
+        name="hypar",
+        chart=ChartKind.ASYMPTOTIC,
+        closed=ClosedForm(_hypar_jets, (xs, ys), h),
         f3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [X, Y, X * Y])),
         nu3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [-Y, -X, 1])),
         ground_truth={
@@ -122,15 +206,8 @@ def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
     )
 
 
-def _cubic_graph(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
-    """Cubic saddle z = xy + x^3/6 in asymptotic parameters.
-
-    The parametrization f = (u, v - u^2/4, uv - u^3/12, -1) keeps the
-    mixed determinant equal to 1, so the conormal [f, f_u, f_v] =
-    (u^2/4 + v, u, -1, u^3/12 + uv) is polynomial and the cubic form
-    coefficient along u is nonzero (1/2).
-    """
-    xs, ys = _axes(x0, x1, y0, y1, h)
+def _cubic_graph_jets(xs, ys):
+    """f = (u, v - u^2/4, uv - u^3/12, -1) and its conormal on the sites xs x ys."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     fj = _closed_jets(
         xs, ys, 3,
@@ -142,11 +219,34 @@ def _cubic_graph(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
         value=[(1 / 4) * X**2 + Y, X, -1, (1 / 12) * X**3 + X * Y], d_x=[(1 / 2) * X, 1, 0, (1 / 4) * X**2 + Y],
         d_y=[1, 0, 0, X], d_xx=[1 / 2, 0, 0, (1 / 2) * X], d_xy=[0, 0, 0, 1], d_xxx=[0, 0, 0, 1 / 2],
     )
-    return _smooth_pair(
-        "cubic-graph", ChartKind.ASYMPTOTIC, fj, nj,
+    return fj, nj
+
+
+def _cubic_graph(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
+    """Cubic saddle z = xy + x^3/6 in asymptotic parameters.
+
+    The parametrization f = (u, v - u^2/4, uv - u^3/12, -1) keeps the
+    mixed determinant equal to 1, so the conormal [f, f_u, f_v] =
+    (u^2/4 + v, u, -1, u^3/12 + uv) is polynomial and the cubic form
+    coefficient along u is nonzero (1/2).
+    """
+    return Scenario(
+        name="cubic-graph",
+        chart=ChartKind.ASYMPTOTIC,
+        closed=ClosedForm(_cubic_graph_jets, _axes(x0, x1, y0, y1, h), h),
         ground_truth={"det_mixed": 1.0, "det_xx": 0.25, "F3_abs": 0.5},
         meta={"h": h, "box": [x0, x1, y0, y1]},
     )
+
+
+def _conj_paraboloid_jets(xs, ys):
+    """f = (x, -y, (x^2 + y^2)/2, -1) and nu = (-x, y, 1, -(x^2 + y^2)/2) on the sites xs x ys."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fj = _closed_jets(xs, ys, 2, value=[X, -Y, (1 / 2) * X**2 + (1 / 2) * Y**2, -1], d_x=[1, 0, X, 0],
+                      d_y=[0, -1, Y, 0], d_xx=[0, 0, 1, 0], d_yy=[0, 0, 1, 0])
+    nj = _closed_jets(xs, ys, 2, value=[-X, Y, 1, -1 / 2 * X**2 - 1 / 2 * Y**2], d_x=[-1, 0, 0, -X],
+                      d_y=[0, 1, 0, -Y], d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
+    return fj, nj
 
 
 def _conj_paraboloid(x0=0.2, x1=1.2, y0=0.2, y1=1.2, h=0.05):
@@ -156,33 +256,31 @@ def _conj_paraboloid(x0=0.2, x1=1.2, y0=0.2, y1=1.2, h=0.05):
     the y reflection flips the orientation from the asymptotic-type
     pairing to the conjugate one.
     """
-    xs, ys = _axes(x0, x1, y0, y1, h)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    fj = _closed_jets(xs, ys, 2, value=[X, -Y, (1 / 2) * X**2 + (1 / 2) * Y**2, -1], d_x=[1, 0, X, 0],
-                      d_y=[0, -1, Y, 0], d_xx=[0, 0, 1, 0], d_yy=[0, 0, 1, 0])
-    nj = _closed_jets(xs, ys, 2, value=[-X, Y, 1, -1 / 2 * X**2 - 1 / 2 * Y**2], d_x=[-1, 0, 0, -X],
-                      d_y=[0, 1, 0, -Y], d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
-    return _smooth_pair(
-        "conj-paraboloid", ChartKind.CONJUGATE, fj, nj,
+    return Scenario(
+        name="conj-paraboloid",
+        chart=ChartKind.CONJUGATE,
+        closed=ClosedForm(_conj_paraboloid_jets, _axes(x0, x1, y0, y1, h), h),
         ground_truth={"det_conj_xx": 1.0},
         meta={"h": h, "box": [x0, x1, y0, y1]},
     )
 
 
-def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
-    """Elliptic paraboloid as an n = 2 hypersurface pair with A = I."""
-    xs, ys = _axes(x0, x1, y0, y1, h)
+def _ell_paraboloid_jets(xs, ys):
+    """f = (x, y, R, -1) and nu = (-x, -y, 1, -R), R = (x^2 + y^2)/2, on the sites xs x ys."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     R = (X**2 + Y**2) / 2
     fj = _closed_jets(xs, ys, 2, value=[X, Y, R, -1], d_x=[1, 0, X, 0], d_y=[0, 1, Y, 0], d_xx=[0, 0, 1, 0],
                       d_yy=[0, 0, 1, 0])
     nj = _closed_jets(xs, ys, 2, value=[-X, -Y, 1, -R], d_x=[-1, 0, 0, -X], d_y=[0, -1, 0, -Y],
                       d_xx=[0, 0, 0, -1], d_yy=[0, 0, 0, -1])
+    return fj, nj
+
+
+def _ell_paraboloid(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.1):
+    """Elliptic paraboloid as an n = 2 hypersurface pair with A = I."""
     return Scenario(
         name="ell-paraboloid",
-        hyper_f_jet=fj,
-        hyper_nu_jet=nj,
-        hyper_nu_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=nj.value),
+        hyper_closed=ClosedForm(_ell_paraboloid_jets, _axes(x0, x1, y0, y1, h), h),
         amatrix=AMatrix(np.eye(2)),
         ground_truth={"A": [[1.0, 0.0], [0.0, 1.0]]},
         meta={"h": h, "box": [x0, x1, y0, y1]},
@@ -272,4 +370,7 @@ def scenario(name, **params) -> Scenario:
         raise DomainError(
             f"scenario {name!r} does not take {', '.join(rejected)}; it takes {', '.join(accepted)}"
         )
-    return build(**params)
+    # every field the builders make rejects non-finite entries; an overflow
+    # on the way there is that error, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return build(**params)

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -154,6 +156,26 @@ def test_verify_degenerate_hypar_lattice_is_usage_error(capsys, h):
     assert code == 2
     assert "Traceback" not in err and "PASS" not in out
     assert err.startswith("error: lattice spacing h")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--scenario hypar-lattice --h 1e308 --size 4", "lattice contains non-finite entries"),
+        ("--scenario moutard-random --size 4 --h 1e200", "lattice contains non-finite entries"),
+        ("--scenario ell-paraboloid --grid 0:1e300:1e299", "jet contains non-finite entries"),
+        ("--scenario cubic-graph --grid 0:1e300:1e299", "jet contains non-finite entries"),
+        ("--scenario hypar --h 1e-300 --grid 0:1e-299:1e-300", "jet contains non-finite entries"),
+    ],
+)
+def test_overflowing_fixture_input_prints_one_error_line(argv, message):
+    # a fresh process prints each floating-point warning, from any worker
+    # thread, to stderr; the finiteness check that follows is the only line
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "plmkit.cli", "verify", *argv.split()], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "two"])

@@ -4,7 +4,10 @@
 ``cli.TILE_SITES`` sites.  These tests shrink the tile to a few rows and
 compare the tiled report, byte for byte, with the report built from one
 call of each suite function on the full inputs; an input that makes the
-untiled suites raise must make the tiled run raise the same error.
+untiled suites raise must make the tiled run raise the same error.  A
+closed-form fixture's tiles evaluate the jets of their own rows, which must
+equal those rows of the whole-grid jets, so no tiled suite holds a
+whole-grid jet.
 """
 
 import argparse
@@ -215,6 +218,55 @@ def test_tiled_affine_suite_peaks_below_half_a_whole_grid_call(monkeypatch):
     finally:
         tracemalloc.stop()
     assert tiled < whole / 2, (tiled, whole)
+
+
+@pytest.mark.parametrize("name, suite", [("ell-paraboloid", "hyper"), ("hypar", "smooth-asymptotic")])
+def test_tiled_closed_form_suite_peaks_below_one_whole_grid_jet(monkeypatch, name, suite):
+    # each tile evaluates the closed form on its own rows: no whole-grid jet is built
+    monkeypatch.setenv("PLM_NUM_THREADS", "1")
+    scn = scenario(name, h=0.005)
+    jet = scn.hyper_nu_jet if suite == "hyper" else scn.f_jets
+    whole = sum(a.nbytes for a in (jet.value, jet.d1, jet.d2, jet.d3) if a is not None)
+    del jet
+    units = cli._collect_tasks(argparse.Namespace(suite=suite, stencil=2), scn)
+    tracemalloc.start()
+    try:
+        cli._run_units(units)
+        tiled = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tiled < whole, (tiled, whole)
+
+
+_CLOSED = {"hypar": "closed", "cubic-graph": "closed", "conj-paraboloid": "closed", "ell-paraboloid": "hyper_closed"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CLOSED)),
+    corner=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    extent=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    h=st.floats(0.01, 0.5),
+    kind=st.sampled_from(["empty", "one row", "to the last row"]),
+    data=st.data(),
+)
+def test_closed_form_rows_equal_the_rows_of_the_whole_grid_jets(name, corner, extent, h, kind, data):
+    (x0, y0), (nx, ny) = corner, extent
+    scn = scenario(name, x0=x0, x1=x0 + (nx - 1) * h, y0=y0, y1=y0 + (ny - 1) * h, h=h)
+    closed = getattr(scn, _CLOSED[name])
+    n = closed.shape[0]
+    start = data.draw(st.integers(0, n if kind == "empty" else n - 1))
+    rows = {"empty": slice(start, start), "one row": slice(start, start + 1), "to the last row": slice(start, n)}[kind]
+    whole = (scn.hyper_f_jet, scn.hyper_nu_jet) if name == "ell-paraboloid" else (scn.f_jets, scn.nu_jets)
+    for part, full in zip(closed.rows(rows), whole):
+        full = full[rows]
+        for k in ("value", "d1", "d2", "d3"):
+            a, b = getattr(part, k), getattr(full, k)
+            if b is None:
+                assert a is None
+                continue
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+        assert [a.tobytes() for a in part.axes] == [b.tobytes() for b in full.axes]
 
 
 def _hyper_pair(rows, cols, flat_rows, seed=0):
