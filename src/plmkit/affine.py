@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
 from .fields import FieldGrid, _margin, jet_grid
-from .multilinear import _norm, det_n, pair
-from .report import InvariantReport
+from .multilinear import _norm, _norm_product, det_n, pair
+from .report import InvariantReport, _check_residual
 
 __all__ = [
     "AffineSurfacePair",
@@ -76,6 +76,12 @@ def _lelieuvre_sum(v, f0):
     return f
 
 
+def _check_closure(res, tol, what, cell):
+    """The closure check of both integrators: ClosureError at the worst cell
+    of ``res`` unless every cell is within ``tol`` (a NaN cell fails)."""
+    _check_residual(res, tol, lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
+
+
 def _homogeneous_lift(bf, bn):
     """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
     f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
@@ -114,12 +120,7 @@ def classical_lelieuvre_integrate(nu: FieldGrid, f0, sigma: int = 1, closure_tol
     if nu.ncomp != 3:
         raise DomainError("classical integration needs a 3-component conormal")
     res, _ = closure_residual(nu, stencil=stencil)
-    if res.size and np.max(res) > closure_tol:
-        k = np.unravel_index(int(np.argmax(res)), res.shape)
-        raise ClosureError(
-            f"closure condition violated (residual {float(np.max(res)):.3e}) near interior cell {tuple(int(i) for i in k)}",
-            site=tuple(int(i) for i in k),
-        )
+    _check_closure(res, closure_tol, "closure condition violated", "interior cell")
     return FieldGrid(origin=nu.origin, spacing=nu.spacing, values=_lelieuvre_sum(nu.values, f0))
 
 
@@ -160,7 +161,6 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
     """
     order = _jet_order(pairg.f.dims, stencil)
     rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order}) if report is None else report
-    rep.decide(order)
     fj = jet_grid(pairg.f, order=order, stencil=stencil, rows=rows)
     nj = jet_grid(pairg.nu, order=order, stencil=stencil, rows=rows)
     F = np.asarray(det_n([nj.value, nj.d_x, nj.d_y]), dtype=float)
@@ -180,8 +180,8 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
     if order >= 3:
         dfx = np.asarray(det_n([fj.d_x, fj.d_xx, fj.d_xxx]), dtype=float)
         dfy = np.asarray(det_n([fj.d_y, fj.d_yy, fj.d_yyy]), dtype=float)
-        scale_x = _norm(fj.d_x) * _norm(fj.d_xx) * _norm(fj.d_xxx)
-        scale_y = _norm(fj.d_y) * _norm(fj.d_yy) * _norm(fj.d_yyy)
+        scale_x = _norm_product(fj.d_x, fj.d_xx, fj.d_xxx)
+        scale_y = _norm_product(fj.d_y, fj.d_yy, fj.d_yyy)
         if np.any(dfx < -sign_tol * np.maximum(scale_x, 1e-300)):
             raise ChartMismatchError("det|bf_x, bf_xx, bf_xxx| < 0: wrong-sign radicand for the x cubic")
         if np.any(dfy > sign_tol * np.maximum(scale_y, 1e-300)):

@@ -19,9 +19,9 @@ unreduced.  The tiles of a suite are then joined and each identity reduced
 once, so the report is the same bytes at any thread count.  The ``discrete``
 suites, on lattice windows, are the only whole-suite units, submitted first
 so that the tiles fill in around them.  A tiled suite that raises on a tile,
-or whose tiles make different whole-batch choices (the jet order of
-``affine_forms`` is one), is run again over the whole batch, so its errors
-and results are those of an untiled run.
+or whose tiles make different whole-batch choices (the one such choice is
+the zero shortcut of ``hyper_compat_residual``), is run again over the whole
+batch, so its errors and results are those of an untiled run.
 """
 
 import argparse

@@ -22,10 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .affine import _homogeneous_lift, _lelieuvre_sum
+from .affine import _check_closure, _homogeneous_lift, _lelieuvre_sum
 from .errors import (
     BoundaryError,
-    ClosureError,
     DegeneratePointError,
     DomainError,
     EvolutionOverflowError,
@@ -33,8 +32,10 @@ from .errors import (
     NotCompatibleError,
 )
 from .fields import LatticeField
-from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
-from .report import InvariantReport
+from .multilinear import (
+    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+)
+from .report import InvariantReport, _check_residual
 
 __all__ = [
     "MoutardCoeff",
@@ -207,13 +208,7 @@ def discrete_affine_integrate(nu: LatticeField, f0, tol: float = 1e-10) -> Latti
     """
     if nu.ncomp != 3:
         raise DomainError("affine integration needs a 3-component conormal")
-    res = moutard_residual(nu)
-    if res.size and np.max(res) > tol:
-        site = np.unravel_index(int(np.argmax(res)), res.shape)
-        raise ClosureError(
-            f"Moutard closure violated (residual {float(np.max(res)):.3e}) at plaquette {tuple(int(s) for s in site)}",
-            site=tuple(int(s) for s in site),
-        )
+    _check_closure(moutard_residual(nu), tol, "Moutard closure violated", "plaquette")
     return LatticeField(values=_lelieuvre_sum(nu.values, f0), base=nu.base)
 
 
@@ -241,28 +236,34 @@ def discrete_direction(nu: LatticeField, site, eps_deg: float = 1e-10):
     b = nu.values[n1 + 1, n2]
     c = nu.values[n1, n2 + 1]
     m = cross_n([a, b, c])
-    scale = float(_norm(a) * _norm(b) * _norm(c))
+    scale = float(_norm_product(a, b, c))
     if float(_norm(m)) <= eps_deg * max(scale, 1e-300):
         raise DegeneratePointError(f"degenerate conormal triple at site {site}")
     return m
 
 
 def _span_residual(basis, rhs):
-    """Relative distance of rhs from the pointwise span of the basis."""
-    M = np.stack(np.broadcast_arrays(*basis), axis=-1)
-    G = np.swapaxes(M, -1, -2) @ M
-    detG = np.linalg.det(G)
-    scale2 = np.ones(np.asarray(detG).shape)
-    for v in basis:
-        scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
-    if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
-        raise DegeneratePointError("rank-deficient basis in lattice span test")
-    b = np.swapaxes(M, -1, -2) @ rhs[..., :, None]
-    coeff = np.linalg.solve(G, b)
-    recon = (M @ coeff)[..., 0]
-    basis_norm = np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / len(basis))
-    resid = _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * basis_norm)
-    return coeff[..., 0], resid
+    """Coefficients of rhs in the pointwise span of the basis, and its
+    relative distance from it."""
+    return _Span(basis, "rank-deficient basis in lattice span test").fit(rhs)
+
+
+def _lattice_compat(nu: LatticeField, span_tol):
+    """Coefficients (A, B, C) of nu11 = A nu12 + B nu1 + C nu at the row
+    sites and of nu22 = A nu12 + B nu2 + C nu at the column sites.
+
+    Raises NotCompatibleError at the worst site of the first system whose
+    span residual is above ``span_tol`` or not finite.
+    """
+    v = nu.values
+    if min(nu.extent) < 3:
+        raise BoundaryError("the lattice compatibility system needs at least a 3x3 lattice")
+    fits = [_span_residual([v[1:-1, 1:], v[1:-1, :-1], v[:-2, :-1]], v[2:, :-1]),
+            _span_residual([v[1:, 1:-1], v[:-1, 1:-1], v[:-1, :-2]], v[:-1, 2:])]
+    for name, (_, resid) in zip(("nu11", "nu22"), fits):
+        _check_residual(resid, span_tol, lambda site, r: NotCompatibleError(
+            f"lattice fails the compatibility span test of {name} at site {site} (residual {r:.3e})"))
+    return [coeff for coeff, _ in fits]
 
 
 def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8, tol: float = 1e-8) -> LatticeField:
@@ -283,17 +284,9 @@ def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8
         raise DomainError("scale propagation needs a 4-component conormal")
     if s0 == 0:
         raise DomainError("s0 must be nonzero")
+    _lattice_compat(nu, span_tol)
     v = nu.values
-    m1, m2 = nu.extent
-    if m1 < 3 or m2 < 3:
-        raise BoundaryError("scale propagation needs at least a 3x3 lattice")
-    # compatibility: nu11 in span{nu12, nu1, nu} and nu22 in span{nu12, nu2, nu}
-    _, r1 = _span_residual([v[1:-1, 1:], v[1:-1, :-1], v[:-2, :-1]], v[2:, :-1])
-    _, r2 = _span_residual([v[1:, 1:-1], v[:-1, 1:-1], v[:-1, :-2]], v[:-1, 2:])
-    worst = max(np.max(r1, initial=0.0), np.max(r2, initial=0.0))
-    if worst > span_tol:
-        raise NotCompatibleError(f"conormal fails the lattice compatibility span test (residual {worst:.3e})")
-    w1, w2 = m1 - 1, m2 - 1
+    w1, w2 = nu.extent[0] - 1, nu.extent[1] - 1
     mvec = cross_n([v[:-1, :-1], v[1:, :-1], v[:-1, 1:]])  # (w1, w2, 4)
     # row recursion dets at (n1, n2); the nu11 column needs n1+2 in range
     rowdet = np.asarray(
@@ -316,11 +309,8 @@ def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8
     lhs = s[:-1, :] * s[1:, :]
     rhs = rowdet[: w1 - 1, :]
     denom = np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
-    mismatch = np.abs(lhs - rhs) / denom
-    if mismatch.size and np.max(mismatch) > tol:
-        raise GaugeObstructionError(
-            f"row and column scale propagation disagree (residual {float(np.max(mismatch)):.3e})"
-        )
+    _check_residual(np.abs(lhs - rhs) / denom, tol, lambda site, r: GaugeObstructionError(
+        f"row and column scale propagation disagree at site {site} (residual {r:.3e})"))
     return LatticeField(values=mvec / s[..., None], base=nu.base)
 
 
@@ -343,22 +333,11 @@ def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> Invaria
         pairn = lift_to_projective(pairn)
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     rep = InvariantReport(metadata={"gauge": "projective", "extent": list(pairn.extent)})
-    for name, lhs, rhs in (
-        ("bivector_1", wedge2(f, f1), star_of_wedge([n, n1])),
-        ("bivector_2", wedge2(f, f2), -star_of_wedge([n, n2])),
-    ):
-        denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
-        rep.add(name, _fro(lhs - rhs) / denom, tol)
-
-    def addp(name, a, b):
-        denom = np.maximum(_norm(a) * _norm(b), 1e-300)
-        rep.add(name, pair(a, b) / denom, tol)
-
-    addp("<f,nu>", f, n)
-    addp("<f1,nu>", f1, n)
-    addp("<f2,nu>", f2, n)
-    addp("<f,nu1>", f, n1)
-    addp("<f,nu2>", f, n2)
+    rep.add("bivector_1", _bivector_gap(wedge2(f, f1), star_of_wedge([n, n1])), tol)
+    rep.add("bivector_2", _bivector_gap(wedge2(f, f2), -star_of_wedge([n, n2])), tol)
+    for name, a, b in (("<f,nu>", f, n), ("<f1,nu>", f1, n), ("<f2,nu>", f2, n), ("<f,nu1>", f, n1),
+                       ("<f,nu2>", f, n2)):
+        rep.add(name, _pairing_gap(a, b), tol)
     for name, a, b, c, d in (
         ("<f1,nu2>-<f2,nu1>", f1, n2, f2, n1),
         ("<f,nu12>-<f12,nu>", f, n12, f12, n),
@@ -388,7 +367,7 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> I
         dr = det_n([bn[:-1, :-1], bn[1:, :-1], bn[1:, 1:]]) * det_n([bn[:-1, :-1], bn[1:, :-1], bn[:-1, 1:]])
         # both dets can cancel below their factor scale; normalize by it
         scale = np.maximum(
-            _norm(e1) * _norm(e2) * _norm(e12),
+            _norm_product(e1, e2, e12),
             _norm(bn[:-1, :-1]) ** 2 * _norm(bn[1:, :-1]) ** 2 * _norm(bn[1:, 1:]) * _norm(bn[:-1, 1:]),
         )
         denom = np.maximum(np.maximum(np.abs(dl), np.abs(dr)), np.maximum(scale, 1e-300))
@@ -398,8 +377,8 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> I
     df = np.asarray(det_n([f, f1, f2, f12]), dtype=float)
     dn = np.asarray(det_n([n, n1, n2, n12]), dtype=float)
     scale = np.maximum(
-        _norm(f) * _norm(f1) * _norm(f2) * _norm(f12),
-        _norm(n) * _norm(n1) * _norm(n2) * _norm(n12),
+        _norm_product(f, f1, f2, f12),
+        _norm_product(n, n1, n2, n12),
     )
     denom = np.maximum(np.maximum(np.abs(df), np.abs(dn)), np.maximum(scale, 1e-300))
     rep.add("volume_invariance", (df - dn) / denom, tol)
@@ -476,17 +455,8 @@ def discrete_compat_coeffs(nu: LatticeField, f: Optional[LatticeField] = None, s
     """
     if nu.ncomp != 4:
         raise DomainError("compatibility coefficients need a 4-component conormal")
+    c1, c2 = _lattice_compat(nu, span_tol)
     v = nu.values
-    m1, m2 = nu.extent
-    if m1 < 3 or m2 < 3:
-        raise BoundaryError("need at least a 3x3 lattice")
-    b1 = [v[1:-1, 1:], v[1:-1, :-1], v[:-2, :-1]]  # nu12, nu1, nu at row sites
-    c1, r1 = _span_residual(b1, v[2:, :-1])
-    b2 = [v[1:, 1:-1], v[:-1, 1:-1], v[:-1, :-2]]  # nu12, nu2, nu at column sites
-    c2, r2 = _span_residual(b2, v[:-1, 2:])
-    worst = max(np.max(r1, initial=0.0), np.max(r2, initial=0.0))
-    if worst > span_tol:
-        raise NotCompatibleError(f"lattice fails the compatibility span test (residual {worst:.3e})")
     out = DiscreteCompat(
         A1=c1[..., 0], B1=c1[..., 1], C1=c1[..., 2],
         A2=c2[..., 0], B2=c2[..., 1], C2=c2[..., 2],

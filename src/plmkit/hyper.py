@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
 from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
-from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
+from .multilinear import (
+    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+)
 from .report import InvariantReport
 
 __all__ = [
@@ -125,9 +127,7 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1), eps_deg: float = 1e-10):
     m = _conormal_cross(jet)
     second = jet.partial2(a - 1, c - 1)
     det = np.asarray(det_n([second, jet.value, *jet.d1]), dtype=float)
-    scale = _norm(second) * _norm(jet.value)
-    for r in range(n):
-        scale = scale * _norm(jet.d1[r])
+    scale = _norm_product(second, jet.value, *jet.d1)
     if np.any(np.abs(det) <= eps_deg * np.maximum(scale, 1e-300)):
         raise DegeneratePointError(f"degenerate pivot determinant for pivot {pivot}")
     ratio = Av[..., a - 1, c - 1] / det
@@ -147,9 +147,7 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid, eps_deg: float = 1e-10):
     n = _params(f_jet, nu_jet)
     m = _conormal_cross(nu_jet)
     mm = (m * m).sum(axis=-1)
-    scale = _norm(nu_jet.value)
-    for r in range(n):
-        scale = scale * _norm(nu_jet.d1[r])
+    scale = _norm_product(nu_jet.value, *nu_jet.d1)
     if np.any(np.sqrt(mm) <= eps_deg * np.maximum(scale, 1e-300)):
         raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")
     c = pair(f_jet.value, m) / mm
@@ -177,41 +175,16 @@ def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, tol: float = 1e-8, re
         for b in range(n):
             term = Av[..., a, b, None] * stars[b]
             rhs = term if rhs is None else rhs + term
-        denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
-        rep.add(f"bivector_x{a + 1}", _fro(lhs - rhs) / denom, tol)
+        rep.add(f"bivector_x{a + 1}", _bivector_gap(lhs, rhs), tol)
     for a in range(n):
-        fa = f_jet.d1[a]
-        na = nu_jet.d1[a]
-        denom = np.maximum(_norm(fa) * _norm(nu_jet.value), 1e-300)
-        rep.add(f"<f_x{a + 1},nu>", pair(fa, nu_jet.value) / denom, tol)
-        denom = np.maximum(_norm(f_jet.value) * _norm(na), 1e-300)
-        rep.add(f"<f,nu_x{a + 1}>", pair(f_jet.value, na) / denom, tol)
+        rep.add(f"<f_x{a + 1},nu>", _pairing_gap(f_jet.d1[a], nu_jet.value), tol)
+        rep.add(f"<f,nu_x{a + 1}>", _pairing_gap(f_jet.value, nu_jet.d1[a]), tol)
     return rep
 
 
-def _span_basis(basis, what):
-    """The stacked basis, its Gram matrix and its scale, once per basis.
-
-    Raises when the basis is rank deficient at some point, naming ``what``.
-    """
-    M = np.stack(np.broadcast_arrays(*basis), axis=-1)  # (..., d, k)
-    G = np.swapaxes(M, -1, -2) @ M
-    detG = np.linalg.det(G)
-    scale2 = np.ones(np.asarray(detG).shape)
-    for v in basis:
-        scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
-    if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
-        raise DegeneratePointError(f"rank-deficient span while testing {what}")
-    return M, G, np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / len(basis))
-
-
 def _span_distance(span, rhs):
-    """Relative distance of rhs from the pointwise span of a ``_span_basis``."""
-    M, G, basis_norm = span
-    b = (np.swapaxes(M, -1, -2) @ rhs[..., :, None])
-    coeff = np.linalg.solve(G, b)
-    recon = (M @ coeff)[..., 0]
-    return _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * basis_norm)
+    """Relative distance of rhs from the pointwise span of a factored ``_Span``."""
+    return span.fit(rhs)[1]
 
 
 def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
@@ -238,7 +211,7 @@ def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
             rep.add(name, np.broadcast_to(0.0, np.shape(size)), tol)  # a tile keeps no bytes of it
             continue
         if span is None:
-            span = _span_basis([nu_jet.value, *nu_jet.d1], name)
+            span = _Span([nu_jet.value, *nu_jet.d1], f"rank-deficient span while testing {name}")
         rep.add(name, _span_distance(span, w), tol)
     return rep
 

@@ -8,7 +8,11 @@ the broadcast inputs (no stacked matrix, no copied minors) and memoizes the
 minors of the trailing vectors, so the column sets of one call share them.
 Everything is written with plain +, -, * and indexing only, so the same
 code runs on float arrays, on ``fractions.Fraction`` scalars and on numpy
-object arrays (the exact-rational test mode).
+object arrays (the exact-rational test mode).  The one exception is the span
+solver ``_Span``, which calls ``np.linalg`` and so runs on floats only.  The
+norms (``_norm``, ``_fro``) return floats, and so do the residual rules of
+every suite built on them: ``_bivector_gap``, ``_pairing_gap`` and the
+degeneracy scale ``_norm_product``.
 
 A bivector in dimension d is packed: an array of shape ``(..., d(d-1)/2)``
 holding its Plücker coordinates P_kl = B[k, l] for k < l, pairs in
@@ -30,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegeneratePointError, DomainError
 
 __all__ = [
     "levi_civita_sign",
@@ -67,6 +71,15 @@ def _norm(a):
     """Euclidean norm over the last axis, in floats."""
     a = np.asarray(a, dtype=float)
     return np.sqrt(_dot(a, a))
+
+
+def _norm_product(*vecs):
+    """|v1| |v2| ... |vk|, multiplied left to right: the degeneracy scale of
+    a determinant or cross product of these vectors."""
+    scale = _norm(vecs[0])
+    for v in vecs[1:]:
+        scale = scale * _norm(v)
+    return scale
 
 
 def _add(x, y):
@@ -125,6 +138,22 @@ def _fro(P):
     terms = [None if k == l else sq[slot[min(k, l), max(k, l)]] for k in range(d) for l in range(d)]
     total = _pairwise_sum(terms)
     return np.sqrt(np.zeros(P.shape[:-1]) if total is None else total)
+
+
+def _bivector_gap(lhs, rhs):
+    """Residual of the packed bivector relation lhs = rhs: the norm of the
+    difference over the mean of the two norms."""
+    denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
+    return _fro(lhs - rhs) / denom
+
+
+def _pairing_gap(a, b, floor=1e-300):
+    """Residual of the vanishing pairing <a, b> = 0, relative to |a| |b|.
+
+    ``floor`` bounds the scale from below (a scalar or a per-site array).
+    """
+    denom = np.maximum(_norm(a) * _norm(b), floor)
+    return pair(a, b) / denom
 
 
 def perm_sign(indices):
@@ -286,3 +315,32 @@ def star_of_wedge(vectors):
         det = _det_cols(rows, cols, memo)
         comps.append(det if sign > 0 else sign * det)
     return np.stack(comps, axis=-1)
+
+
+class _Span:
+    """The pointwise span of k vectors of dimension d, factored once for any
+    number of right-hand sides: the stacked basis, its Gram matrix and its
+    scale (the geometric mean of the basis norms).  Raises
+    DegeneratePointError(``message``) where the Gram determinant is not above
+    1e-24 times the product of the squared basis norms."""
+
+    def __init__(self, basis, message):
+        M = np.stack(np.broadcast_arrays(*basis), axis=-1)  # (..., d, k)
+        G = np.swapaxes(M, -1, -2) @ M
+        detG = np.linalg.det(G)
+        scale2 = np.ones(np.asarray(detG).shape)
+        for v in basis:
+            scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
+        if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
+            raise DegeneratePointError(message)
+        self.M, self.G = M, G
+        self.scale = np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / len(basis))
+
+    def fit(self, rhs):
+        """Least-squares coefficients (..., k) of rhs (..., d) in the span and
+        the distance of rhs from it, relative to |rhs| (floored at 1e-12 times
+        the basis scale)."""
+        b = np.swapaxes(self.M, -1, -2) @ rhs[..., :, None]
+        coeff = np.linalg.solve(self.G, b)
+        recon = (self.M @ coeff)[..., 0]
+        return coeff[..., 0], _norm(rhs - recon) / np.maximum(_norm(rhs), 1e-12 * self.scale)

@@ -16,6 +16,17 @@ CONVENTIONS = {
 }
 
 
+def _check_residual(residual, tolerance, error):
+    """Raise ``error(site, value)`` at the worst site of a residual field
+    unless every site is within ``tolerance``.  As in ``IdentityRecord.passed``
+    a site passes only when its residual is at most the tolerance, so NaN
+    fails, and the first NaN is the worst site."""
+    r = np.asarray(residual)
+    if r.size and not np.max(r) <= tolerance:
+        site = tuple(int(i) for i in np.unravel_index(int(np.argmax(r)), r.shape))
+        raise error(site, float(r[site]))
+
+
 @dataclass
 class IdentityRecord:
     name: str

@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import FieldGrid, JetGrid, jet_grid
-from .multilinear import _fro, _norm, cross_n, det_n, pair, star_of_wedge, wedge2
-from .report import InvariantReport
+from .multilinear import (
+    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+)
+from .report import InvariantReport, _check_residual
 
 __all__ = [
     "ChartKind",
@@ -56,13 +58,6 @@ def as_jets(obj, order=2, stencil=2):
     raise DomainError(f"expected FieldGrid or JetGrid, got {type(obj).__name__}")
 
 
-def _degeneracy_scale(*vecs):
-    s = 1.0
-    for v in vecs:
-        s = s * _norm(v)
-    return s
-
-
 def _reconstruct_arrays(value, d_x, d_y, last):
     """Shared core of point and field reconstruction: cross / sqrt(det).
 
@@ -71,7 +66,7 @@ def _reconstruct_arrays(value, d_x, d_y, last):
     """
     num = cross_n([value, d_x, d_y])
     det = det_n([value, d_x, d_y, last])
-    scale = _degeneracy_scale(value, d_x, d_y, last)
+    scale = _norm_product(value, d_x, d_y, last)
     det = np.asarray(det, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         res = num / np.sqrt(det)[..., None]
@@ -114,7 +109,7 @@ def reconstruct_point_alt(jet: JetGrid, axis: str, eps_deg: float = 1e-10):
         radicand = -det
     else:
         raise DomainError("axis must be 'x' or 'y'")
-    scale = float(_degeneracy_scale(jet.value, a, b, c))
+    scale = float(_norm_product(jet.value, a, b, c))
     if abs(radicand) <= eps_deg * max(scale, 1e-300):
         raise DegeneratePointError("degenerate third-order discriminant (ruled/quadric locus)")
     if radicand < 0:
@@ -174,8 +169,7 @@ def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float =
         pairs = [("bivector_x", wfx, -sny), ("bivector_y", wfy, snx)]
     rep = _report(report, chart)
     for name, lhs, rhs in pairs:
-        denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
-        rep.add(name, _fro(lhs - rhs) / denom, tol)
+        rep.add(name, _bivector_gap(lhs, rhs), tol)
     return rep
 
 
@@ -189,8 +183,7 @@ def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol:
     floor = np.maximum(_norm(fj.value) * _norm(nj.value), 1e-300)
 
     def add(name, a, b):
-        denom = np.maximum(_norm(a) * _norm(b), floor)
-        rep.add(name, pair(a, b) / denom, tol)
+        rep.add(name, _pairing_gap(a, b, floor), tol)
 
     if chart is ChartKind.ASYMPTOTIC:
         add("<f_x,nu>", fj.d_x, nj.value)
@@ -267,7 +260,7 @@ def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol
             denom = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
             rep.add(f"det_{name}_sign_flip", (df + dn) / denom, tol)
         dmix = det_families(nj, "mixed")
-        scale = np.maximum(_degeneracy_scale(nj.value, nj.d_x, nj.d_y, nj.d_xy), 1e-300)
+        scale = np.maximum(_norm_product(nj.value, nj.d_x, nj.d_y, nj.d_xy), 1e-300)
         rep.add("det_mixed_vanishes", dmix / scale, tol)
         dxx = det_families(nj, "conj_xx")
         dyy = det_families(nj, "conj_yy")
@@ -299,12 +292,12 @@ def fubini_forms(f_obj, nu_obj, stencil: int = 2, sign_tol: float = 1e-10) -> Fu
     F2 = 2.0 * np.asarray(pair(fj.d_x, nj.d_y), dtype=float)
     F3 = F3t = None
     if nj.d_xxx is not None:
-        scale = np.maximum(_degeneracy_scale(nj.value, nj.d_x, nj.d_xx, nj.d_xxx), 1e-300)
+        scale = np.maximum(_norm_product(nj.value, nj.d_x, nj.d_xx, nj.d_xxx), 1e-300)
         det = det_families(nj, "xx")
         if np.any(det < -sign_tol * scale):
             raise ChartMismatchError("det|nu,nu_x,nu_xx,nu_xxx| < 0: not an asymptotic chart for F3")
         F3 = np.sign(pair(fj.d_x, nj.d_xx)) * np.sqrt(np.maximum(det, 0.0))
-        scale = np.maximum(_degeneracy_scale(nj.value, nj.d_y, nj.d_yy, nj.d_yyy), 1e-300)
+        scale = np.maximum(_norm_product(nj.value, nj.d_y, nj.d_yy, nj.d_yyy), 1e-300)
         det = det_families(nj, "yy")
         if np.any(det > sign_tol * scale):
             raise ChartMismatchError("det|nu,nu_y,nu_yy,nu_yyy| > 0: wrong-sign radicand for F3~")
@@ -312,34 +305,24 @@ def fubini_forms(f_obj, nu_obj, stencil: int = 2, sign_tol: float = 1e-10) -> Fu
     return FubiniForms(F2_coeff=F2, F3_coeff=F3, F3tilde_coeff=F3t)
 
 
-def _solve_span(basis, rhs, span_tol, what):
-    """Least-squares coefficients of rhs in a pointwise 3-vector basis.
+def _solve_span(span, rhs, span_tol, what):
+    """Least-squares coefficients of rhs in a factored ``_Span``, and the
+    relative residual orthogonal to it.
 
-    basis: list of three (..., 4) arrays; rhs: (..., 4).  Raises when the
-    basis is rank deficient or the residual orthogonal to the span is
-    above ``span_tol`` relative to the basis scale.
+    Raises NotCompatibleError, naming ``what``, when the residual at some
+    point is above ``span_tol`` or not finite.
     """
-    M = np.stack(basis, axis=-1)  # (..., 4, 3)
-    G = np.swapaxes(M, -1, -2) @ M[..., :, :]
-    b = (np.swapaxes(M, -1, -2) @ rhs[..., :, None])[..., 0]
-    detG = np.linalg.det(G)
-    scale2 = 1.0
-    for v in basis:
-        scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
-    if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
-        raise DegeneratePointError(f"rank-deficient span while solving {what}")
-    coeff = np.linalg.solve(G, b[..., :, None])[..., 0]
-    recon = (M @ coeff[..., :, None])[..., 0]
-    rhs_norm = _norm(rhs)
-    basis_norm = np.sqrt(np.maximum(scale2, 1e-300)) ** (1.0 / 3.0)
-    resid = _norm(rhs - recon) / np.maximum(rhs_norm, 1e-12 * basis_norm)
-    if np.any(resid > span_tol):
-        k = int(np.argmax(resid))
-        raise NotCompatibleError(
-            f"{what}: span residual {float(resid.reshape(-1)[k]):.3e} exceeds {span_tol:.1e} "
-            "(input is not a compatible conormal)"
-        )
+    coeff, resid = span.fit(rhs)
+    _check_residual(resid, span_tol, lambda site, r: NotCompatibleError(
+        f"{what}: span residual {r:.3e} exceeds {span_tol:.1e} (input is not a compatible conormal)"))
     return coeff, resid
+
+
+def _solve_spans(basis, span_tol, *systems):
+    """Coefficients of each (rhs, what) system in one basis, factored once;
+    a rank-deficient basis is reported under the first system's name."""
+    span = _Span(basis, f"rank-deficient span while solving {systems[0][1]}")
+    return [_solve_span(span, rhs, span_tol, what)[0] for rhs, what in systems]
 
 
 @dataclass
@@ -386,8 +369,8 @@ def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None, span_t
     fj = None if f_obj is None else as_jets(f_obj, order=order, stencil=stencil)
     basis = [nj.d_x, nj.d_y, nj.value]
     if chart is ChartKind.ASYMPTOTIC:
-        c1, _ = _solve_span(basis, nj.d_xx, span_tol, "nu_xx in span{nu_x, nu_y, nu}")
-        c2, _ = _solve_span(basis, nj.d_yy, span_tol, "nu_yy in span{nu_x, nu_y, nu}")
+        c1, c2 = _solve_spans(basis, span_tol, (nj.d_xx, "nu_xx in span{nu_x, nu_y, nu}"),
+                              (nj.d_yy, "nu_yy in span{nu_x, nu_y, nu}"))
         out = AsymptoticCompat(
             U1=c1[..., 0], V1=c1[..., 1], W1=c1[..., 2],
             U2=c2[..., 0], V2=c2[..., 1], W2=c2[..., 2],
@@ -402,22 +385,20 @@ def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None, span_t
             out.v1_sq_residual = np.abs(out.V1**2 - ratio1) / denom1
             out.u2_sq_residual = np.abs(out.U2**2 - ratio2) / denom2
         if fj is not None:
-            fb = [fj.d_x, fj.d_y, fj.value]
-            d1, _ = _solve_span(fb, fj.d_xx, span_tol, "f_xx in span{f_x, f_y, f}")
-            d2, _ = _solve_span(fb, fj.d_yy, span_tol, "f_yy in span{f_x, f_y, f}")
+            d1, d2 = _solve_spans([fj.d_x, fj.d_y, fj.value], span_tol, (fj.d_xx, "f_xx in span{f_x, f_y, f}"),
+                                  (fj.d_yy, "f_yy in span{f_x, f_y, f}"))
             out.Wt1 = d1[..., 2]
             out.Wt2 = d2[..., 2]
         return out
-    cm, _ = _solve_span(basis, nj.d_xy, span_tol, "nu_xy in span{nu_x, nu_y, nu}")
-    ct, _ = _solve_span(basis, nj.d_yy - nj.d_xx, span_tol, "nu_yy - nu_xx in span{nu_x, nu_y, nu}")
+    cm, ct = _solve_spans(basis, span_tol, (nj.d_xy, "nu_xy in span{nu_x, nu_y, nu}"),
+                          (nj.d_yy - nj.d_xx, "nu_yy - nu_xx in span{nu_x, nu_y, nu}"))
     out = ConjugateCompat(
         U=cm[..., 0], V=cm[..., 1], W=cm[..., 2],
         Vt=-0.5 * ct[..., 0], Ut=0.5 * ct[..., 1], C=ct[..., 2],
     )
     if fj is not None:
-        fb = [fj.d_x, fj.d_y, fj.value]
-        dm, _ = _solve_span(fb, fj.d_xy, span_tol, "f_xy in span{f_x, f_y, f}")
-        dt, _ = _solve_span(fb, fj.d_yy - fj.d_xx, span_tol, "f_yy - f_xx in span{f_x, f_y, f}")
+        dm, dt = _solve_spans([fj.d_x, fj.d_y, fj.value], span_tol, (fj.d_xy, "f_xy in span{f_x, f_y, f}"),
+                              (fj.d_yy - fj.d_xx, "f_yy - f_xx in span{f_x, f_y, f}"))
         out.Wt = dm[..., 2]
         out.Ct = dt[..., 2]
     return out

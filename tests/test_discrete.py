@@ -167,6 +167,21 @@ def test_integration_requires_closure():
     assert err.value.site is not None
 
 
+def test_integration_fails_on_a_nan_closure_residual():
+    # a conormal 1e200 * s * e1 + (0, 1 + n1, 2 + n2): the huge parts cancel in
+    # nu12 + nu off the diagonal (residual exactly 1.0) and overflow the products
+    # of the diagonal plaquettes (residual nan); every edge product stays finite
+    s = np.array([[1, 1, 0, 0], [1, 1, -1, 0], [0, -1, 1, 1], [0, 0, 1, 1]], dtype=float)
+    n1, n2 = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    nu = LatticeField(values=np.stack([1e200 * s, 1.0 + n1, 2.0 + n2], axis=-1))
+    with np.errstate(all="ignore"):
+        res = moutard_residual(nu)
+        assert np.array_equal(np.isnan(res), np.eye(3, dtype=bool)) and np.all(res[~np.eye(3, dtype=bool)] == 1.0)
+        with pytest.raises(ClosureError, match=r"\(residual nan\) at plaquette \(0, 0\)$") as err:
+            discrete_affine_integrate(nu, np.zeros(3))
+    assert err.value.site == (0, 0)
+
+
 def test_integration_exact_on_hypar_lattice():
     h = HL.meta["h"]
     n1, n2 = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
