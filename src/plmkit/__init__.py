@@ -50,7 +50,6 @@ from .fields import (
     FieldGrid,
     JetGrid,
     LatticeField,
-    jet_at,
     jet_grid,
     read_grid,
     read_lattice,

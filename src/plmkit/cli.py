@@ -10,18 +10,19 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 alone writes the mesh without the degenerate points and exits 0).
 
 ``verify`` runs its suites on a pool of ``PLM_NUM_THREADS`` workers (default:
-the CPU count).  The smooth, hyper and affine suites are cut into row tiles of
-about ``TILE_SITES`` sites, and each tile is one work unit: it takes the jets
-of its own rows (a fixture's closed form evaluated on those rows, views of
-given jets, or the jets of those rows of a sampled grid, stencil halo
+the CPU count).  Suites that share their inputs form a group, and each unit of
+work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
+inputs of its own rows (a fixture's closed form evaluated on those rows, views
+of given jets, or the jets of those rows of a sampled grid, stencil halo
 included), so no whole-grid jet is built, and keeps each residual field
-unreduced.  The tiles of a suite are then joined and each identity reduced
-once, so the report is the same bytes at any thread count.  The ``discrete``
-suites, on lattice windows, are the only whole-suite units, submitted first
-so that the tiles fill in around them.  A tiled suite that raises on a tile,
-or whose tiles make different whole-batch choices (the one such choice is
-the zero shortcut of ``hyper_compat_residual``), is run again over the whole
-batch, so its errors and results are those of an untiled run.
+unreduced in a ResidualTile.  A suite's tiles are then joined and each identity
+reduced once, so the report is the same bytes at any thread count.  A group
+not cut into rows (each ``discrete`` suite, or a mismatched, empty or too small
+input) is one tile over the whole batch, submitted first so that the row tiles
+fill in around it: the untiled run is the one-tile run.  A tiled suite that
+raises on a tile, or whose tiles make different whole-batch choices (the one
+such choice is the zero shortcut of ``hyper_compat_residual``), runs again as
+its group's one tile over the whole batch, in the calling thread.
 """
 
 import argparse
@@ -197,21 +198,42 @@ def _grid_spec(args):
 
 @dataclass(eq=False)
 class _Suite:
-    """One suite of the report; ``seq`` is its place in the report.
-
-    ``run(*inputs, report=None)`` computes the suite on its inputs (a pair
-    of jets, or an affine pair and its rows), and ``inputs()`` gives the
-    inputs over the whole batch, built only when a suite runs untiled.
-    """
+    """One suite of the report, ``seq`` its place there: ``run(*inputs,
+    report=)`` adds its residual fields on its group's inputs to ``report``."""
 
     name: str
     seq: int
     run: Callable
-    inputs: Callable = tuple  # a suite without inputs
-    tiled: bool = False
+    group: "_Group" = None
 
-    def whole(self):
-        return self.run(*self.inputs())
+
+@dataclass(eq=False)
+class _Group:
+    """Suites that share their inputs, ``inputs(rows)`` on those rows of a
+    batch of ``shape``.  Its units are its row tiles; with ``shape`` None
+    (a lattice, or a mismatched, empty or too small input, on which each
+    suite raises its own error) it is one tile over the whole batch."""
+
+    name: str
+    suites: list
+    shape: tuple
+    inputs: Callable
+
+    def __post_init__(self):
+        for suite in self.suites:
+            suite.group = self
+
+    def run(self, rows, suites):
+        """(suite, part) for ``suites`` on ``rows``: the suite's
+        ResidualTile, or the PlmError that it or the inputs raised."""
+        inputs = _attempt(self.inputs, rows)
+        if isinstance(inputs, PlmError):
+            return [(s, inputs) for s in suites]
+        return [(s, _attempt(_tile, s, inputs)) for s in suites]
+
+    def units(self):
+        return [(f"{self.name}[{r.start}:{r.stop}]", partial(self.run, r, self.suites))
+                for r in _row_tiles(self.shape)]
 
 
 def _attempt(fn, *args, **kwargs):
@@ -222,12 +244,17 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
-def _whole_units(suites):
-    return [(s.name, lambda s=s: [(s, _attempt(s.whole))]) for s in suites]
+def _tile(suite, inputs):
+    tile = ResidualTile()
+    suite.run(*inputs, report=tile)
+    return tile
 
 
 def _row_tiles(shape):
-    """Row slices of about TILE_SITES sites that cover a batch of ``shape``."""
+    """Row slices of about TILE_SITES sites that cover a batch of ``shape``;
+    the whole batch when ``shape`` is None."""
+    if shape is None:
+        return [slice(None)]
     step = max(1, TILE_SITES // int(np.prod(shape[1:])))
     return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
 
@@ -237,141 +264,106 @@ def _common_shape(a, b):
     return a if a == b and len(a) > 0 and min(a) > 0 else None
 
 
-def _tiled_units(name, suites, shape, jets):
-    """(whole, tiles) units for ``suites``, which share their inputs.
-
-    With ``shape`` None each suite is a whole-suite unit (and raises its own
-    error on a mismatched, empty or too small input); else there is one
-    unit per row tile, which gets the pair ``jets(rows)`` and runs every
-    suite on it into a ResidualTile.
-    """
-    if shape is None:
-        return _whole_units(suites), []
-    for s in suites:
-        s.tiled = True
-
-    def unit(rows):
-        pair = _attempt(jets, rows)
-        if isinstance(pair, PlmError):
-            return [(s, pair) for s in suites]
-        return [(s, _attempt(s.run, *pair, report=ResidualTile())) for s in suites]
-
-    return [], [(f"{name}[{rows.start}:{rows.stop}]", partial(unit, rows)) for rows in _row_tiles(shape)]
+def _interior(grids, order, stencil):
+    """The batch shape of the jets of this order that sampled grids share, or None."""
+    return _common_shape(*(tuple(N - 2 * _margin(stencil, order) for N in grid.dims) for grid in grids))
 
 
-def _interior(grid, order, stencil):
-    """The batch shape of a sampled grid's jets of this order."""
-    return tuple(N - 2 * _margin(stencil, order) for N in grid.dims)
+def _grid_jets(grids, order, stencil, rows):
+    return tuple(jet_grid(grid, order=order, stencil=stencil, rows=rows) for grid in grids)
 
 
-def _smooth_units(suite, scn, stencil, seq):
+def _smooth_groups(suite, scn, stencil, seq):
     chart = _chart_of(suite)
-    pair = scn.jet_pair()
-    inputs = (lambda: (scn.f_jets, scn.nu_jets)) if pair else (lambda: (scn.f_grid, scn.nu_grid))
     plm, orth, det = (
-        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil), inputs)
+        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil))
         for name, fn in (("defining_relation", plm_residual), ("orthogonality", orthogonality_report),
                          ("det_invariance", det_invariance_report))
     )
-    if pair:
+    if pair := scn.jet_pair():
         # jets have no stencil margin: one set per tile serves every identity
         rows, shapes = pair
-        return _tiled_units(f"{suite}/jets", [plm, orth, det], _common_shape(*shapes), rows)
+        return [_Group(f"{suite}/jets", [plm, orth, det], _common_shape(*shapes), rows)]
     # one set of order-2 jets per tile serves every order-2 identity; the
     # asymptotic determinants need order-3 jets, whose wider margin covers
     # fewer sites of a sampled grid
     grids = scn.f_grid, scn.nu_grid
-    groups = [(2, [plm, orth]), (3, [det])] if chart is ChartKind.ASYMPTOTIC else [(2, [plm, orth, det])]
-    whole, tiles = [], []
-    for order, suites in groups:
-
-        def jets(rows, order=order):
-            return tuple(jet_grid(grid, order=order, stencil=stencil, rows=rows) for grid in grids)
-
-        shape = _common_shape(*(_interior(grid, order, stencil) for grid in grids))
-        w, t = _tiled_units(f"{suite}/order{order}", suites, shape, jets)
-        whole, tiles = whole + w, tiles + t
-    return whole, tiles
+    orders = [(2, [plm, orth]), (3, [det])] if chart is ChartKind.ASYMPTOTIC else [(2, [plm, orth, det])]
+    return [_Group(f"{suite}/order{order}", suites, _interior(grids, order, stencil),
+                   partial(_grid_jets, grids, order, stencil)) for order, suites in orders]
 
 
-def _affine_units(paira, stencil, seq):
-    def forms(pairg, rows, report=None):
-        return affine_forms(pairg, stencil=stencil, rows=rows, report=report)[1]
+def _affine_groups(paira, stencil, seq):
+    def forms(pairg, rows, report):
+        affine_forms(pairg, stencil=stencil, rows=rows, report=report)
 
-    def closure(pairg, rows, report=None):
-        rep = InvariantReport() if report is None else report
-        rep.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], 1e-8)
-        return rep
+    def closure(pairg, rows, report):
+        report.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], 1e-8)
 
     # the form identities take jets of the grid's own order, the closure order-2 jets
-    groups = [(_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure)]
-    whole, tiles = [], []
-    for order, name, fn in groups:
-        suite = _Suite(f"affine/{name}", next(seq), fn, lambda: (paira, None))
-        shape = _common_shape(*(_interior(grid, order, stencil) for grid in (paira.f, paira.nu)))
-        w, t = _tiled_units(f"affine/{name}", [suite], shape, lambda rows: (paira, rows))
-        whole, tiles = whole + w, tiles + t
-    return whole, tiles
+    groups = ((_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure))
+    return [_Group(f"affine/{name}", [_Suite(f"affine/{name}", next(seq), fn)],
+                   _interior((paira.f, paira.nu), order, stencil), lambda rows: (paira, rows))
+            for order, name, fn in groups]
+
+
+def _discrete_groups(scn, seq):
+    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
+    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+
+    def closure(nu, report):
+        report.add("moutard_closure", moutard_residual(nu), 1e-10)
+
+    # each suite is a one-tile group of its own, so the four run in parallel
+    suites = (("defining_relation", discrete_residual, pairp), ("volume_invariance", discrete_det_invariance, paira),
+              ("form_identities", discrete_forms, paira), ("moutard_closure", closure, scn.nu3_lattice))
+    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", next(seq), fn)], None, lambda rows, x=x: (x,))
+            for name, fn, x in suites]
 
 
 def _collect_tasks(args, scn):
     """(name, thunk) work units for every suite applicable to the inputs.
 
-    Each thunk returns (suite, part) pairs: an InvariantReport of a whole
-    suite, a ResidualTile of one row tile, or the PlmError it raised.
-    Whole-suite units come first.
+    Each thunk runs one unit of a group and returns (suite, part) pairs:
+    the suite's ResidualTile on the unit's rows, or the PlmError it raised.
+    Groups of one unit come first, so that the row tiles fill in around them.
     """
     suites = [args.suite] if args.suite != "all" else list(_SUITES[:-1])
     seq = count()
-    whole, tiles = [], []
+    groups = []
     for suite in suites:
-        units = ([], [])
         if suite in _SMOOTH:
             # jets (a fixture's closed form, or given), else the sampled grids
             if scn.chart is _chart_of(suite) and (scn.jet_pair() or scn.f_grid is not None):
-                units = _smooth_units(suite, scn, args.stencil, seq)
+                groups += _smooth_groups(suite, scn, args.stencil, seq)
         elif suite == "hyper" and (pair := scn.jet_pair(hyper=True)):
             (rows, shapes), A = pair, scn.amatrix
-
-            def inputs():
-                return scn.hyper_f_jet, scn.hyper_nu_jet
-
             hyper = [
-                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A), inputs),
-                _Suite("hyper/compatibility", next(seq), lambda f, nu, report=None: hyper_compat_residual(
-                    nu, A, report=report), inputs),
+                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A)),
+                _Suite("hyper/compatibility", next(seq), lambda f, nu, report: hyper_compat_residual(
+                    nu, A, report=report)),
             ]
-            units = _tiled_units("hyper", hyper, _common_shape(*shapes), rows)
+            groups.append(_Group("hyper", hyper, _common_shape(*shapes), rows))
         elif suite == "discrete" and scn.nu_lattice is not None:
-            pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
-            paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
-
-            def moutard_rep():
-                rep = InvariantReport()
-                rep.add("moutard_closure", moutard_residual(scn.nu3_lattice), 1e-10)
-                return rep
-
-            units = _whole_units([
-                _Suite("discrete/defining_relation", next(seq), lambda: discrete_residual(pairp)),
-                _Suite("discrete/volume_invariance", next(seq), lambda: discrete_det_invariance(paira)),
-                _Suite("discrete/form_identities", next(seq), lambda: discrete_forms(paira)[1]),
-                _Suite("discrete/moutard_closure", next(seq), moutard_rep),
-            ]), []
+            groups += _discrete_groups(scn, seq)
         elif suite == "affine" and scn.f3_grid is not None:
-            units = _affine_units(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil, seq)
-        whole, tiles = whole + units[0], tiles + units[1]
-    return whole + tiles
+            groups += _affine_groups(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil, seq)
+    return [unit for group in sorted(groups, key=lambda g: g.shape is not None) for unit in group.units()]
 
 
 def _suite_report(suite, parts):
-    """The suite's InvariantReport from its units' parts (tiles in row order)."""
-    if not suite.tiled:
-        (part,) = parts
-        if isinstance(part, PlmError):
-            raise part
-        return part
-    if any(isinstance(p, PlmError) or p.decisions != parts[0].decisions for p in parts):
-        return suite.whole()
+    """The suite's InvariantReport: the join of its parts (tiles in row order).
+
+    A tiled suite with a part that raised, or whose tiles made different
+    whole-batch choices, first runs again as its group's one tile over the
+    whole batch, so its errors and results are those of an untiled run.
+    """
+    if suite.group.shape is not None and any(
+            isinstance(p, PlmError) or p.decisions != parts[0].decisions for p in parts):
+        ((_, part),) = suite.group.run(slice(None), [suite])
+        parts = [part]
+    if isinstance(parts[0], PlmError):  # the one part of an untiled run
+        raise parts[0]
     rep = InvariantReport()
     for k, (name, _, tol) in enumerate(parts[0].fields):
         rep.add(name, np.concatenate([p.fields[k][1] for p in parts]), tol)
@@ -531,9 +523,10 @@ def cmd_scenario_dump(args):
     scn = _input(args)
     prefix = args.out or scn.name
     written = []
+    f, nu = scn.value_grids()
     pairs = [
-        ("f", scn.f_grid, write_grid),
-        ("nu", scn.nu_grid, write_grid),
+        ("f", f, write_grid),
+        ("nu", nu, write_grid),
         ("f3", scn.f3_grid, write_grid),
         ("nu3", scn.nu3_grid, write_grid),
         ("f_lat", scn.f_lattice, write_lattice),

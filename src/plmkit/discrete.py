@@ -327,12 +327,17 @@ def _proj_windows(pairn):
     return f, f1, f2, f12, n, n1, n2, n12
 
 
-def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> InvariantReport:
-    """Residuals of the defining lattice relations and their pairing laws."""
+def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None) -> InvariantReport:
+    """Residuals of the defining lattice relations and their pairing laws.
+
+    Like every suite, it adds its records to ``report`` when one is given
+    (an InvariantReport, or a ResidualTile to keep the fields unreduced)
+    and to a new InvariantReport otherwise, and returns that report.
+    """
     if pairn.gauge != "projective":
         pairn = lift_to_projective(pairn)
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
-    rep = InvariantReport(metadata={"gauge": "projective", "extent": list(pairn.extent)})
+    rep = InvariantReport(metadata={"gauge": "projective", "extent": list(pairn.extent)}) if report is None else report
     rep.add("bivector_1", _bivector_gap(wedge2(f, f1), star_of_wedge([n, n1])), tol)
     rep.add("bivector_2", _bivector_gap(wedge2(f, f2), -star_of_wedge([n, n2])), tol)
     for name, a, b in (("<f,nu>", f, n), ("<f1,nu>", f1, n), ("<f2,nu>", f2, n), ("<f,nu1>", f, n1),
@@ -350,14 +355,15 @@ def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> Invaria
     return rep
 
 
-def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> InvariantReport:
+def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None) -> InvariantReport:
     """Equality of the four-point volume on both sides of the map.
 
     Projective: det|f, f1, f2, f12| = det|nu, nu1, nu2, nu12|.  In the
     affine gauge additionally the factorized form
     det|bf1-bf, bf2-bf, bf12-bf| = det|bnu, bnu1, bnu12| det|bnu, bnu1, bnu2|.
+    Adds to ``report`` when one is given (as ``discrete_residual`` does).
     """
-    rep = InvariantReport(metadata={"gauge": pairn.gauge})
+    rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     if pairn.gauge == "affine":
         bf, bn = pairn.f.values, pairn.nu.values
         e1 = bf[1:, :-1] - bf[:-1, :-1]
@@ -385,7 +391,7 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> I
     return rep
 
 
-def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10):
+def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None):
     """Lattice form fields plus the report of their determinant identities.
 
     Omega2 = <bf2 - bf, bnu1 - bnu> (equals det|bnu, bnu1, bnu2|);
@@ -395,8 +401,10 @@ def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10):
     expressions with the forward index replaced along the other axis,
     which do NOT close in general.  F2d/F3d/F3dtilde are sqrt|det| of the
     homogeneous four-point determinants with signs reported separately.
+    The records and that metadata go to ``report`` when one is given (as
+    ``discrete_residual`` does).
     """
-    rep = InvariantReport(metadata={"gauge": pairn.gauge})
+    rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     Omega2 = Omega3 = Omega3t = None
     if pairn.gauge == "affine":
         bf, bn = pairn.f.values, pairn.nu.values

@@ -14,8 +14,7 @@ pure third partial along x_{a+1}, so every partial is one C-contiguous
 (..., d) array; the n = 2 views ``d_x`` ... ``xs``, ``ys`` raise on other
 jets.  ``jet_grid`` computes the central-difference jets of a
 ``FieldGrid`` at 2nd or 4th accuracy order, over the whole interior or
-some of its rows, with one n-axis stencil engine; ``jet_at`` computes the
-jet at one site from its stencil window.
+some of its rows, with one n-axis stencil engine.
 
 Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
@@ -43,7 +42,6 @@ __all__ = [
     "FieldGrid",
     "JetGrid",
     "LatticeField",
-    "jet_at",
     "jet_grid",
     "grid_on_sites",
     "shift",
@@ -261,25 +259,6 @@ def _jets(v, spacing, m, order, stencil):
         d2 = slots([((a, 2),) if a == c else ((a, 1), (c, 1)) for a in range(n) for c in range(a, n)])
         d3 = slots([((a, 3),) for a in range(n)]) if order >= 3 else None
     return value, d1, d2, d3
-
-
-def jet_at(grid, *index, order: int = 2, stencil: int = 2) -> JetGrid:
-    """Finite-difference jet at the interior site ``index`` of a FieldGrid,
-    with batch shape ().
-
-    ``order`` is the highest derivative (2 or 3); ``stencil`` the design
-    accuracy order (2 or 4).  Only the stencil window around the site is
-    evaluated.  Raises :class:`BoundaryError` when the stencil does not
-    fit.
-    """
-    m = _margin(stencil, order)
-    if len(index) != len(grid.dims):
-        raise DomainError(f"site {index} needs {len(grid.dims)} indices")
-    if not all(m <= i < N - m for i, N in zip(index, grid.dims)):
-        raise BoundaryError(f"point {index} too close to the boundary for stencil {stencil}, order {order}")
-    window = grid.values[tuple(slice(i - m, i + m + 1) for i in index)]
-    axes = tuple(c[i : i + 1] for c, i in zip(grid.axes, index))
-    return JetGrid(*_jets(window, grid.spacing, m, order, stencil), axes)[(0,) * len(index)]
 
 
 def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:

@@ -117,10 +117,13 @@ class ResidualTile:
     and every identity reduced once, exactly as over the whole batch.
     ``decisions`` lists the whole-batch choices the suite made on this
     tile; the join is exact only if every tile made the same ones.
+    ``metadata`` takes what a suite notes beside its records, as in an
+    InvariantReport.
     """
 
     fields: list = field(default_factory=list)
     decisions: list = field(default_factory=list)
+    metadata: dict = field(default_factory=dict)
 
     def add(self, name, residual, tolerance):
         self.fields.append((name, np.asarray(residual, dtype=float), tolerance))

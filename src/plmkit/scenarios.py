@@ -94,7 +94,8 @@ class Scenario:
     fixture gives ``closed`` (or ``hyper_closed``) instead, and each of
     these fields that is not given is then computed from it on every
     access: bind it once.  ``jet_pair`` reads the jets by rows without
-    building the whole grid.
+    building the whole grid, and ``value_grids`` gives both value grids of
+    one evaluation.
     """
 
     name: str
@@ -132,6 +133,12 @@ class Scenario:
             return (lambda rows: (f[rows], nu[rows])), (f.shape, nu.shape)
         closed = self.hyper_closed if hyper else self.closed
         return None if closed is None else (closed.rows, (closed.shape, closed.shape))
+
+    def value_grids(self):
+        """``(f_grid, nu_grid)``, from one evaluation of the closed form when both derive from it."""
+        if self.closed is None or self.__dict__["_f_grid"] is not None or self.__dict__["_nu_grid"] is not None:
+            return self.f_grid, self.nu_grid
+        return tuple(_values_grid(jets) for jets in self.closed.rows())
 
 
 def _axes(x0, x1, y0, y1, h):

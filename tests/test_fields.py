@@ -8,7 +8,6 @@ from plmkit.fields import (
     FieldGrid,
     LatticeField,
     grid_on_sites,
-    jet_at,
     jet_grid,
     read_grid,
     read_lattice,
@@ -71,38 +70,14 @@ def test_stencil_convergence_order(stencil, order_expected):
     assert min(orders) >= order_expected - 0.3
 
 
-def test_jet_at_matches_jet_grid_and_boundary_guard():
-    g = poly_grid(trig=True)
-    jg = jet_grid(g, order=2, stencil=2)
-    rec = jet_at(g, 3, 4, order=2, stencil=2)
-    assert np.allclose(rec.d_xy, jg.d_xy[2, 3])
-    names = ("value", "d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
-    for order in (2, 3):
-        for stencil in (2, 4):
-            jg = jet_grid(g, order=order, stencil=stencil)
-            m = (g.dims[0] - jg.shape[0]) // 2
-            for i, j in ((m, m), (5, 4), (g.dims[0] - 1 - m, g.dims[1] - 1 - m)):
-                rec, ref = jet_at(g, i, j, order=order, stencil=stencil), jg[i - m, j - m]
-                assert rec.order == ref.order == order
-                for name in names:
-                    a, b = getattr(rec, name), getattr(ref, name)
-                    assert (a is None and b is None) or np.array_equal(a, b), (order, stencil, i, j, name)
-            with pytest.raises(BoundaryError):
-                jet_at(g, m - 1, 5, order=order, stencil=stencil)
-            with pytest.raises(BoundaryError):
-                jet_at(g, 5, g.dims[1] - m, order=order, stencil=stencil)
-    with pytest.raises(BoundaryError):
-        jet_at(g, 0, 5, order=2, stencil=2)
-    with pytest.raises(BoundaryError):
-        jet_grid(poly_grid(n=3), order=3, stencil=4)
-
-
 def test_jet_grid_rejects_bad_options():
     g = poly_grid()
     with pytest.raises(DomainError):
         jet_grid(g, order=4)
     with pytest.raises(DomainError):
         jet_grid(g, stencil=3)
+    with pytest.raises(BoundaryError):
+        jet_grid(poly_grid(n=3), order=3, stencil=4)
 
 
 def test_grid_validation():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmkit.errors import DomainError
-from plmkit.fields import _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_at, jet_grid
+from plmkit.fields import _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_grid
 
 _NAMES = ("d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
 
@@ -151,32 +151,6 @@ def test_every_partial_equals_its_reference_slot(case):
         _same(np.moveaxis(jets.d1, 0, -2), hd1, "hyper d1")
         full = np.stack([np.stack([jets.partial2(a, c) for c in range(2)], axis=-2) for a in range(2)], axis=-3)
         _same(full, hd2, "hyper d2")
-
-
-@pytest.mark.parametrize("order", [2, 3])
-@pytest.mark.parametrize("stencil", [2, 4])
-def test_jet_at_is_the_batch_index_of_jet_grid(order, stencil):
-    rng = np.random.default_rng(10 * order + stencil)
-    m = _margin(stencil, order)
-    grids = [
-        FieldGrid(origin=(0.1, -0.2), spacing=(0.1, 0.2), values=rng.standard_normal((2 * m + 3, 2 * m + 2, 3))),
-        FieldGrid(origin=(0.0, 0.5, -1.0), spacing=(0.1, 0.2, 0.3),
-                  values=rng.standard_normal((2 * m + 2,) * 3 + (5,))),
-    ]
-    for grid in grids:
-        full = jet_grid(grid, order=order, stencil=stencil)
-        for site in (tuple(m for _ in grid.dims), tuple(N - 1 - m for N in grid.dims)):
-            point = jet_at(grid, *site, order=order, stencil=stencil)
-            want = full[tuple(i - m for i in site)]
-            assert point.shape == () and point.n == len(grid.dims) and point.order == order
-            for name in ("value", "d1", "d2", "d3"):
-                if getattr(want, name) is None:
-                    assert getattr(point, name) is None
-                else:
-                    _same(getattr(point, name), getattr(want, name), name)
-            assert point.axes == want.axes
-    with pytest.raises(DomainError):
-        jet_at(grids[1], m, m, order=order, stencil=stencil)
 
 
 def test_batch_index_is_a_view():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from plmkit import cli, scenarios
 from plmkit.affine import AffineSurfacePair, affine_forms
 from plmkit.discrete import DiscreteSurfacePair, discrete_residual
 from plmkit.errors import DomainError
@@ -197,6 +198,25 @@ def test_cubic_graph_conormal_is_the_symbolic_cross_product():
     f = _cubic_f()
     fu, fv = [sp.diff(e, U) for e in f], [sp.diff(e, V) for e in f]
     assert sp.Matrix([f, fu, fv, _cubic_nu()]).det() != 0  # the conormal is not in span(f, f_u, f_v)
+
+
+@pytest.mark.parametrize("name", ["hypar", "cubic-graph", "conj-paraboloid"])
+def test_value_grids_are_the_grids_of_one_closed_form_evaluation(name, monkeypatch, tmp_path, capsys):
+    evaluations = []
+    key = f"_{name.replace('-', '_')}_jets"
+    jets = getattr(scenarios, key)
+    monkeypatch.setattr(scenarios, key, lambda xs, ys: evaluations.append(len(xs)) or jets(xs, ys))
+    scn = scenario(name)
+    rows = len(scn.closed.axes[0])
+    f, nu = scn.value_grids()
+    assert evaluations == [rows]
+    for got, want in ((f, scn.f_grid), (nu, scn.nu_grid)):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.origin, got.spacing) == (want.origin, want.spacing)
+    evaluations.clear()
+    assert cli.main(["scenario-dump", "--scenario", name, "--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+    assert evaluations == [rows]  # one evaluation gives both dumped value grids
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, 1e-320])

@@ -1,10 +1,12 @@
 """Row-tiled verify: the joined tiles give the report of one call per suite.
 
-``verify`` cuts the smooth, hyper and affine suites into row tiles of about
-``cli.TILE_SITES`` sites.  These tests shrink the tile to a few rows and
-compare the tiled report, byte for byte, with the report built from one
-call of each suite function on the full inputs; an input that makes the
-untiled suites raise must make the tiled run raise the same error.  A
+``verify`` runs every suite as tiles of a group of suites that share their
+inputs.  The smooth, hyper and affine groups are cut into row tiles of about
+``cli.TILE_SITES`` sites; each ``discrete`` suite is a group of its own with
+one tile, the whole lattice.  These tests shrink the tile to a few rows (or
+sites) and compare the joined report, byte for byte, with the report built
+from one call of each suite function on the full inputs; an input that makes
+the untiled suites raise must make the tiled run raise the same error.  A
 closed-form fixture's tiles evaluate the jets of their own rows, which must
 equal those rows of the whole-grid jets, so no tiled suite holds a
 whole-grid jet.
@@ -12,6 +14,7 @@ whole-grid jet.
 
 import argparse
 import dataclasses
+import os
 import sys
 import threading
 import tracemalloc
@@ -24,6 +27,13 @@ from hypothesis import strategies as st
 
 from plmkit import cli
 from plmkit.affine import AffineSurfacePair, affine_forms, closure_residual
+from plmkit.discrete import (
+    DiscreteSurfacePair,
+    discrete_det_invariance,
+    discrete_forms,
+    discrete_residual,
+    moutard_residual,
+)
 from plmkit.errors import ChartMismatchError, DegeneratePointError
 from plmkit.fields import FieldGrid, JetGrid, _margin
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
@@ -78,6 +88,23 @@ def _affine_untiled(pairg, stencil):
     return _untiled([
         ("affine/form_identities", lambda: affine_forms(pairg, stencil=stencil)[1]),
         ("affine/conormal_closure", closure),
+    ])
+
+
+def _discrete_untiled(scn):
+    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
+    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+
+    def closure():
+        rep = InvariantReport()
+        rep.add("moutard_closure", moutard_residual(scn.nu3_lattice), 1e-10)
+        return rep
+
+    return _untiled([
+        ("discrete/defining_relation", lambda: discrete_residual(pairp)),
+        ("discrete/volume_invariance", lambda: discrete_det_invariance(paira)),
+        ("discrete/form_identities", lambda: discrete_forms(paira)[1]),
+        ("discrete/moutard_closure", closure),
     ])
 
 
@@ -153,6 +180,26 @@ def test_tiled_hyper_report_is_byte_identical(extents):
         scn = dataclasses.replace(scn, hyper_f_jet=scn.hyper_f_jet[0:0], hyper_nu_jet=scn.hyper_nu_jet[0:0])
     expected = _outcome(lambda: _hyper_untiled(scn.hyper_f_jet, scn.hyper_nu_jet, scn.amatrix))
     assert _outcome(lambda: _tiled(per_tile, cols, "hyper", scn=scn)) == expected
+
+
+_LATTICE_H = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lattice=st.tuples(st.just("moutard-random"), st.integers(3, 16), st.integers(0, 2**32 - 1))
+    | st.tuples(st.just("hypar-lattice"), st.integers(3, 16), _LATTICE_H),
+    sites_per_tile=st.integers(1, 3),
+)
+def test_discrete_records_equal_direct_calls_of_the_four_suites(lattice, sites_per_tile):
+    name, size, param = lattice
+    scn = scenario(name, size=size, **{"seed" if name == "moutard-random" else "h": param})
+    expected = _outcome(lambda: _discrete_untiled(scn))
+    # each suite is a one-tile group of its own: four units for the pool
+    assert len(cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)) == 4
+    for threads in ("1", "2"):
+        with mock.patch.dict(os.environ, {"PLM_NUM_THREADS": threads}):
+            assert _outcome(lambda: _tiled(1, sites_per_tile, "discrete", scn=scn)) == expected
 
 
 def _affine_scenario(name, nx, ny):
