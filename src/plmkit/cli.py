@@ -13,13 +13,15 @@ alone writes the mesh without the degenerate points and exits 0).
 the CPU count).  Suites that share their inputs form a group, and each unit of
 work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
-of given jets, or the jets of those rows of a sampled grid, stencil halo
-included), so no whole-grid jet is built, and keeps each residual field
-unreduced in a ResidualTile.  A suite's tiles are then joined and each identity
-reduced once, so the report is the same bytes at any thread count.  A group
-not cut into rows (each ``discrete`` suite, or a mismatched, empty or too small
-input) is one tile over the whole batch, submitted first so that the row tiles
-fill in around it: the untiled run is the one-tile run.  A tiled suite that
+of given jets, the jets of those rows of a sampled grid, stencil halo
+included, or the rows of a lattice that hold its base sites and the rows past
+them that its stencils reach), so no whole-grid jet or whole-lattice
+temporary is built, and keeps each residual field unreduced in a
+ResidualTile.  A suite's tiles are then joined and each identity reduced
+once, so the report is the same bytes at any thread count.  A group not cut
+into rows (a mismatched, empty or too small input) is one tile over the whole
+batch, submitted first so that the row tiles fill in around it: the untiled
+run is the one-tile run.  A tiled suite that
 raises on a tile, or whose tiles make different whole-batch choices (the one
 such choice is the zero shortcut of ``hyper_compat_residual``), runs again as
 its group's one tile over the whole batch, in the calling thread.
@@ -41,6 +43,7 @@ from . import __version__
 from .affine import AffineSurfacePair, _jet_order, affine_forms, closure_residual
 from .discrete import (
     DiscreteSurfacePair,
+    _omega_identities,
     discrete_affine_integrate,
     discrete_det_invariance,
     discrete_forms,
@@ -55,6 +58,7 @@ from .errors import (
     PlmError,
 )
 from .fields import (
+    LatticeField,
     _margin,
     _write_table,
     grid_on_sites,
@@ -124,6 +128,8 @@ def _chart_of(suite):
 def _scenario_from_args(args):
     params = dict(_grid_spec(args))
     if args.seed is not None:
+        if args.seed < 0:  # the generator takes no negative seed
+            raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
         params["seed"] = args.seed
     if args.size is not None:
         params["size"] = args.size
@@ -210,9 +216,10 @@ class _Suite:
 @dataclass(eq=False)
 class _Group:
     """Suites that share their inputs, ``inputs(rows)`` on those rows of a
-    batch of ``shape``.  Its units are its row tiles; with ``shape`` None
-    (a lattice, or a mismatched, empty or too small input, on which each
-    suite raises its own error) it is one tile over the whole batch."""
+    batch of ``shape`` (a lattice's rows of base sites).  Its units are its
+    row tiles; with ``shape`` None (a mismatched, empty or too small input,
+    on which each suite raises its own error) it is one tile over the whole
+    batch."""
 
     name: str
     suites: list
@@ -307,18 +314,41 @@ def _affine_groups(paira, stencil, seq):
             for order, name, fn in groups]
 
 
+def _lattice_rows(pairn, rows, halo):
+    """``pairn`` on the lattice rows of the base sites n1 in ``rows`` and on
+    ``halo`` rows past them, as views."""
+    rows = slice(rows.start, None if rows.stop is None else rows.stop + halo)
+    n1 = rows.indices(pairn.extent[0])[0]
+    nu, f = (LatticeField(values=lat.values[rows], base=(lat.base[0] + n1, lat.base[1])) for lat in (pairn.nu, pairn.f))
+    return DiscreteSurfacePair(nu=nu, f=f, gauge=pairn.gauge)
+
+
 def _discrete_groups(scn, seq):
     pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
     paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
 
-    def closure(nu, report):
-        report.add("moutard_closure", moutard_residual(nu), 1e-10)
+    def relation(pairp, rows, report):
+        discrete_residual(pairp, report=report)
 
-    # each suite is a one-tile group of its own, so the four run in parallel
-    suites = (("defining_relation", discrete_residual, pairp), ("volume_invariance", discrete_det_invariance, paira),
-              ("form_identities", discrete_forms, paira), ("moutard_closure", closure, scn.nu3_lattice))
-    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", next(seq), fn)], None, lambda rows, x=x: (x,))
-            for name, fn, x in suites]
+    def volume(paira, pairp, rows, report):
+        # the scenario's projective lattices are the lift of its affine ones
+        discrete_det_invariance(paira, report=report, lift=pairp)
+
+    def forms(paira, rows, report):
+        # each field keeps the sites anchored in the tile's own rows
+        _omega_identities(paira, 1e-10, report, rows=None if rows.stop is None else rows.stop - rows.start)
+
+    def closure(paira, rows, report):
+        report.add("moutard_closure", moutard_residual(paira.nu), 1e-10)
+
+    # a tile owns the base sites n1 in its rows and reads the rows past them
+    # that its stencils reach: one for a plaquette, two for Omega3
+    suites = (("defining_relation", relation, [pairp], 1), ("volume_invariance", volume, [paira, pairp], 1),
+              ("form_identities", forms, [paira], 2), ("moutard_closure", closure, [paira], 1))
+    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", next(seq), fn)],
+                   _common_shape(pairs[0].extent, pairs[-1].extent),
+                   lambda rows, pairs=pairs, halo=halo: (*(_lattice_rows(p, rows, halo) for p in pairs), rows))
+            for name, fn, pairs, halo in suites]
 
 
 def _collect_tasks(args, scn):

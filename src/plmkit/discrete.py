@@ -140,8 +140,8 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
     """Fill the rectangle from two boundary strips by the Moutard rule.
 
     initial_row is nu(n1, 0) for n1 = 0..M1-1, initial_col is nu(0, n2)
-    for n2 = 0..M2-1 (they must share the corner value); the interior is
-    nu(n1+1, n2+1) = H (nu(n1+1, n2) + nu(n1, n2+1)) - nu(n1, n2).
+    for n2 = 0..M2-1 (they must be finite and share the corner value); the
+    interior is nu(n1+1, n2+1) = H (nu(n1+1, n2) + nu(n1, n2+1)) - nu(n1, n2).
     H is a scalar or an array of shape at least (M1-1, M2-1), indexed by
     the plaquette's lower corner (n1, n2).
 
@@ -155,7 +155,11 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
     col = np.asarray(initial_col, dtype=float)
     if row.ndim != 2 or col.ndim != 2 or row.shape[1] != col.shape[1]:
         raise DomainError("initial strips must be (M, d) arrays with equal d")
-    if np.max(np.abs(row[0] - col[0])) > 1e-12 * max(np.max(np.abs(row[0])), 1e-300):
+    for name, strip in (("initial_row", row), ("initial_col", col)):
+        bad = ~np.isfinite(strip).all(axis=-1)
+        if bad.any():
+            raise DomainError(f"non-finite value in {name} at index {int(np.argmax(bad))}")
+    if not np.max(np.abs(row[0] - col[0])) <= 1e-12 * max(np.max(np.abs(row[0])), 1e-300):
         raise DomainError("initial strips disagree at the shared corner")
     if not isinstance(H, MoutardCoeff):
         H = MoutardCoeff(np.asarray(H, dtype=float))
@@ -355,13 +359,15 @@ def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=Non
     return rep
 
 
-def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None) -> InvariantReport:
+def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None, lift=None) -> InvariantReport:
     """Equality of the four-point volume on both sides of the map.
 
     Projective: det|f, f1, f2, f12| = det|nu, nu1, nu2, nu12|.  In the
     affine gauge additionally the factorized form
-    det|bf1-bf, bf2-bf, bf12-bf| = det|bnu, bnu1, bnu12| det|bnu, bnu1, bnu2|.
-    Adds to ``report`` when one is given (as ``discrete_residual`` does).
+    det|bf1-bf, bf2-bf, bf12-bf| = det|bnu, bnu1, bnu12| det|bnu, bnu1, bnu2|,
+    and the projective form on ``lift``, the homogeneous lift of the affine
+    pair when the caller holds it (a scenario builds it once), or on a lift
+    made here.  Adds to ``report`` when one is given (as ``discrete_residual`` does).
     """
     rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     if pairn.gauge == "affine":
@@ -378,7 +384,7 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, repo
         )
         denom = np.maximum(np.maximum(np.abs(dl), np.abs(dr)), np.maximum(scale, 1e-300))
         rep.add("affine_volume_factorization", (dl - dr) / denom, tol)
-        pairn = lift_to_projective(pairn)
+        pairn = lift_to_projective(pairn) if lift is None else lift
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     df = np.asarray(det_n([f, f1, f2, f12]), dtype=float)
     dn = np.asarray(det_n([n, n1, n2, n12]), dtype=float)
@@ -391,6 +397,37 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, repo
     return rep
 
 
+def _omega_identities(pairn: DiscreteSurfacePair, tol: float, report, rows=None):
+    """Add the three Omega determinant identities of ``discrete_forms`` for
+    an affine pair to ``report``.
+
+    Each field is anchored at the base site of its stencil and kept on the
+    base rows n1 < ``rows`` (every row by default): a tile of base rows
+    passes its count and the rows after them that the stencils reach, one
+    for Omega2 and two for Omega3.  Returns (Omega, det, scale) of each
+    identity by record name; the residual is (Omega - det) / scale.
+    """
+    bf, bn = pairn.f.values, pairn.nu.values
+    n = len(bf) if rows is None else rows
+    # identity residuals are scaled by the pairing-factor norms, which
+    # stay meaningful where both sides of the identity vanish
+    f, nu = bf[: n + 1], bn[: n + 1]
+    a, b = f[:-1, 1:] - f[:-1, :-1], nu[1:, :-1] - nu[:-1, :-1]
+    terms = {"omega2_det_identity": (pair(a, b), det_n([nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:]]),
+                                     np.maximum(_norm(a) * _norm(b), 1e-300))}
+    f, nu = bf[: n + 2], bn[: n + 2]
+    a, b = f[2:, :] - f[:-2, :], nu[1:-1, :] - nu[:-2, :]
+    terms["omega3_det_identity"] = (pair(a, b), -det_n([nu[:-2, :], nu[1:-1, :], nu[2:, :]]),
+                                    np.maximum(_norm(a) * _norm(b), 1e-300))
+    f, nu = bf[:n], bn[:n]
+    a, b = f[:, 2:] - f[:, :-2], nu[:, 1:-1] - nu[:, :-2]
+    terms["omega3tilde_det_identity"] = (pair(a, b), det_n([nu[:, :-2], nu[:, 1:-1], nu[:, 2:]]),
+                                         np.maximum(_norm(a) * _norm(b), 1e-300))
+    for name, (omega, d, scale) in terms.items():
+        report.add(name, (omega - d) / scale, tol)
+    return terms
+
+
 def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None):
     """Lattice form fields plus the report of their determinant identities.
 
@@ -401,27 +438,18 @@ def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None):
     expressions with the forward index replaced along the other axis,
     which do NOT close in general.  F2d/F3d/F3dtilde are sqrt|det| of the
     homogeneous four-point determinants with signs reported separately.
+    Only this function builds the F fields, for ``forms --which discrete``
+    (lifting an affine pair to do so); ``verify`` checks the Omega
+    identities alone, through ``_omega_identities``.
     The records and that metadata go to ``report`` when one is given (as
     ``discrete_residual`` does).
     """
     rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     Omega2 = Omega3 = Omega3t = None
     if pairn.gauge == "affine":
-        bf, bn = pairn.f.values, pairn.nu.values
-        # identity residuals are scaled by the pairing-factor norms, which
-        # stay meaningful where both sides of the identity vanish
-        Omega2 = pair(bf[:-1, 1:] - bf[:-1, :-1], bn[1:, :-1] - bn[:-1, :-1])
-        d2 = det_n([bn[:-1, :-1], bn[1:, :-1], bn[:-1, 1:]])
-        denom = np.maximum(_norm(bf[:-1, 1:] - bf[:-1, :-1]) * _norm(bn[1:, :-1] - bn[:-1, :-1]), 1e-300)
-        rep.add("omega2_det_identity", (Omega2 - d2) / denom, tol)
-        Omega3 = pair(bf[2:, :] - bf[:-2, :], bn[1:-1, :] - bn[:-2, :])
-        d3 = -det_n([bn[:-2, :], bn[1:-1, :], bn[2:, :]])
-        denom3 = np.maximum(_norm(bf[2:, :] - bf[:-2, :]) * _norm(bn[1:-1, :] - bn[:-2, :]), 1e-300)
-        rep.add("omega3_det_identity", (Omega3 - d3) / denom3, tol)
-        Omega3t = pair(bf[:, 2:] - bf[:, :-2], bn[:, 1:-1] - bn[:, :-2])
-        d3t = det_n([bn[:, :-2], bn[:, 1:-1], bn[:, 2:]])
-        denom3t = np.maximum(_norm(bf[:, 2:] - bf[:, :-2]) * _norm(bn[:, 1:-1] - bn[:, :-2]), 1e-300)
-        rep.add("omega3tilde_det_identity", (Omega3t - d3t) / denom3t, tol)
+        terms = _omega_identities(pairn, tol, rep)
+        (Omega2, _, _), (Omega3, _, denom3), (Omega3t, d3t, denom3t) = terms.values()
+        bn = pairn.nu.values
         # variant readings with nu2 (resp. the opposite sign) in place; informational only
         v3 = -det_n([bn[:-2, :-1], bn[1:-1, :-1], bn[1:-1, 1:]])
         rep.metadata["omega3_variant_nu2_max_residual"] = float(

@@ -105,11 +105,18 @@ def _pairwise_sum(terms):
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
-    r = list(terms[:8])
     stop = n - n % 8
-    for i in range(8, stop, 8):
-        r = [_add(r[j], terms[i + j]) for j in range(8)]
-    res = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])), _add(_add(r[4], r[5]), _add(r[6], r[7])))
+
+    def lane(j):
+        # accumulator j; built when the combination needs it, so that at
+        # most four partial sums are held at a time
+        res = terms[j]
+        for i in range(j + 8, stop, 8):
+            res = _add(res, terms[i])
+        return res
+
+    res = _add(_add(_add(lane(0), lane(1)), _add(lane(2), lane(3))),
+               _add(_add(lane(4), lane(5)), _add(lane(6), lane(7))))
     for t in terms[stop:]:
         res = _add(res, t)
     return res

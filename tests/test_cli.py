@@ -125,6 +125,18 @@ def test_verify_tiny_lattice_is_usage_error(capsys, name, size):
     assert "at least 3" in err
 
 
+_SEEDED = sorted(cmd for cmd, takes in cli._TAKES.items() if any("seed" in opts for opts in takes.values()))
+
+
+@pytest.mark.parametrize("cmd", _SEEDED)
+def test_negative_seed_is_usage_error(capsys, tmp_path, cmd):
+    # the generator takes no negative seed: a usage error naming the option (exit 2), not a traceback
+    extra = {"forms": ["--which", "discrete"], "scenario-dump": ["--out", str(tmp_path / "d")]}
+    code, out, err = run(capsys, cmd, "--scenario", "moutard-random", "--seed", "-5", *extra.get(cmd, []))
+    assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer, got -5\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv,rejected",
     [(["hypar", "--size", "5"], "size"), (["moutard-random", "--grid", "0:1:0.1"], "x0")],
@@ -156,6 +168,13 @@ def test_verify_degenerate_hypar_lattice_is_usage_error(capsys, h):
     assert code == 2
     assert "Traceback" not in err and "PASS" not in out
     assert err.startswith("error: lattice spacing h")
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_non_finite_moutard_strip_spacing_is_usage_error(capsys, h):
+    # -0 * h is not finite: the error is at the first strip site, before any site evolves
+    code, out, err = run(capsys, "verify", "--scenario", "moutard-random", "--h", h)
+    assert (code, out, err) == (2, "", "error: non-finite value in initial_row at index 0\n")
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,26 @@ def test_moutard_corner_mismatch_rejected():
         moutard_evolve(row, col, MoutardCoeff(np.ones((3, 3))))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_moutard_non_finite_corner_rejected(value):
+    # a NaN corner compares false with the tolerance; it must not be
+    # accepted and then overwritten by the column's corner
+    row = np.ones((4, 3))
+    col = np.ones((4, 3))
+    row[0, 1] = value
+    with pytest.raises(DomainError, match=r"^non-finite value in initial_row at index 0$"):
+        moutard_evolve(row, col, MoutardCoeff(np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("strip", ["initial_row", "initial_col"])
+def test_moutard_non_finite_strip_is_a_domain_error_not_an_overflow(strip):
+    # the strips are input: a NaN there is not an overflow of the evolution
+    strips = {"initial_row": np.ones((5, 3)), "initial_col": np.ones((5, 3))}
+    strips[strip][3, 2] = np.nan
+    with pytest.raises(DomainError, match=rf"^non-finite value in {strip} at index 3$"):
+        moutard_evolve(strips["initial_row"], strips["initial_col"], MoutardCoeff(np.ones((4, 4))))
+
+
 def _moutard_evolve_loop(initial_row, initial_col, H):
     """Site-by-site Moutard fill, n2 outer and n1 inner: the reference."""
     row = np.asarray(initial_row, dtype=float)
@@ -204,6 +224,16 @@ def test_volume_invariance(scn):
     rep = discrete_det_invariance(aff_pair(scn))
     assert rep.passed
     assert rep.max_residual() < 1e-12
+
+
+@pytest.mark.parametrize("scn", [HL, MR], ids=lambda s: s.name)
+def test_scenario_lattices_are_the_lift_of_its_affine_pair(scn):
+    # verify hands them to discrete_det_invariance as its lift: the same bits as lifting again
+    lifted = lift_to_projective(aff_pair(scn))
+    for mine, fresh in ((scn.f_lattice, lifted.f), (scn.nu_lattice, lifted.nu)):
+        assert mine.values.tobytes() == fresh.values.tobytes() and mine.base == fresh.base
+    given = discrete_det_invariance(aff_pair(scn), lift=proj_pair(scn))
+    assert given.to_json() == discrete_det_invariance(aff_pair(scn)).to_json()
 
 
 def test_hypar_lattice_volume_value():

@@ -5,7 +5,8 @@ report, it returns an InvariantReport of its own.  ``verify`` builds every
 record it prints from the kept fields, so they must reduce, byte for byte,
 to the records of the suite's own report: same names, same order, same
 tolerances, same statistics.  ``closure_residual`` returns its field, and
-``verify``'s conormal-closure suite keeps it under its record's name.
+``verify``'s conormal-closure suite keeps it under its record's name;
+``verify``'s lattice form suite keeps the records of ``discrete_forms``.
 """
 
 import json
@@ -64,6 +65,16 @@ def _conormal_closure(report):
     return report
 
 
+def _lattice_form_identities(report):
+    # verify's lattice form suite: the records of discrete_forms, on tiles
+    # that build none of its F fields
+    if report is None:
+        return discrete_forms(_lattice_pairs()[1])[1]
+    (suite,) = cli._discrete_groups(scenario("moutard-random", size=12), count())[2].suites
+    suite.run(*suite.group.inputs(slice(None)), report=report)
+    return report
+
+
 def _smooth(fn, fixture, chart):
     return lambda report: fn(*_sampled(fixture), chart, report=report)
 
@@ -89,7 +100,10 @@ CASES = {
     "closure_residual": _conormal_closure,
     "discrete_residual": lambda report: discrete_residual(_lattice_pairs()[0], report=report),
     "discrete_det_invariance": lambda report: discrete_det_invariance(_lattice_pairs()[1], report=report),
+    "discrete_det_invariance-lift": lambda report: discrete_det_invariance(
+        _lattice_pairs()[1], report=report, lift=_lattice_pairs()[0]),
     "discrete_forms": lambda report: discrete_forms(_lattice_pairs()[1], report=report)[1],
+    "form_identities": _lattice_form_identities,
 }
 
 

@@ -1,15 +1,16 @@
 """Row-tiled verify: the joined tiles give the report of one call per suite.
 
 ``verify`` runs every suite as tiles of a group of suites that share their
-inputs.  The smooth, hyper and affine groups are cut into row tiles of about
-``cli.TILE_SITES`` sites; each ``discrete`` suite is a group of its own with
-one tile, the whole lattice.  These tests shrink the tile to a few rows (or
-sites) and compare the joined report, byte for byte, with the report built
-from one call of each suite function on the full inputs; an input that makes
-the untiled suites raise must make the tiled run raise the same error.  A
-closed-form fixture's tiles evaluate the jets of their own rows, which must
-equal those rows of the whole-grid jets, so no tiled suite holds a
-whole-grid jet.
+inputs, cut into row tiles of about ``cli.TILE_SITES`` sites.  A ``discrete``
+tile owns the base sites of its lattice rows and reads the rows past them
+that its stencils reach: one for a plaquette, two for Omega3.  These tests
+shrink the tile to a few rows (or sites) and compare the joined report, byte
+for byte, with the report built from one call of each suite function on the
+full inputs; an input that makes the untiled suites raise must make the
+tiled run raise the same error.  A closed-form fixture's tiles evaluate the
+jets of their own rows, which must equal those rows of the whole-grid jets,
+so no tiled suite holds a whole-grid jet, and no lattice tile builds a
+temporary over the whole lattice.
 """
 
 import argparse
@@ -187,19 +188,54 @@ _LATTICE_H = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
 
 @settings(max_examples=40, deadline=None)
 @given(
-    lattice=st.tuples(st.just("moutard-random"), st.integers(3, 16), st.integers(0, 2**32 - 1))
-    | st.tuples(st.just("hypar-lattice"), st.integers(3, 16), _LATTICE_H),
-    sites_per_tile=st.integers(1, 3),
+    lattice=st.tuples(st.just("moutard-random"), st.integers(3, 40), st.integers(0, 2**32 - 1))
+    | st.tuples(st.just("hypar-lattice"), st.integers(3, 40), _LATTICE_H),
+    rows_per_tile=st.integers(1, 6),
 )
-def test_discrete_records_equal_direct_calls_of_the_four_suites(lattice, sites_per_tile):
+def test_discrete_records_equal_direct_calls_of_the_four_suites(lattice, rows_per_tile):
     name, size, param = lattice
     scn = scenario(name, size=size, **{"seed" if name == "moutard-random" else "h": param})
     expected = _outcome(lambda: _discrete_untiled(scn))
-    # each suite is a one-tile group of its own: four units for the pool
-    assert len(cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)) == 4
+    # four groups of row tiles; the halos of the plaquettes and of Omega3
+    # reach past the last rows of every tile but the last
+    with mock.patch.object(cli, "TILE_SITES", rows_per_tile * size):
+        units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+    assert len(units) == 4 * -(-size // rows_per_tile)
     for threads in ("1", "2"):
         with mock.patch.dict(os.environ, {"PLM_NUM_THREADS": threads}):
-            assert _outcome(lambda: _tiled(1, sites_per_tile, "discrete", scn=scn)) == expected
+            assert _outcome(lambda: _tiled(rows_per_tile, size, "discrete", scn=scn)) == expected
+
+
+def test_discrete_records_at_the_real_tile_size_equal_direct_calls(monkeypatch):
+    # 300 rows make five tiles of 54 rows and one of 30 per suite; the
+    # golden lattice reports are of one tile
+    scn = scenario("moutard-random", size=300, seed=42)
+    expected = _discrete_untiled(scn).to_json()
+    units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+    assert len(units) == 4 * 6
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLM_NUM_THREADS", threads)
+        assert InvariantReport(records=cli._run_units(units)).to_json() == expected
+
+
+def test_tiled_discrete_units_peak_below_one_whole_lattice_temporary():
+    # each tile reads its own rows and a halo: no unit builds a temporary over
+    # the whole lattice, such as the packed bivectors of its plaquettes
+    scn = scenario("moutard-random", size=300)
+    m1, m2 = scn.nu_lattice.extent
+    whole = (m1 - 1) * (m2 - 1) * 6 * np.dtype(float).itemsize
+    units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _, unit in units:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            unit()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < whole, (max(peaks), whole)
 
 
 def _affine_scenario(name, nx, ny):
