@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
 from .fields import FieldGrid, _margin, jet_grid
-from .multilinear import _norm, _norm_product, det_n, pair
-from .report import InvariantReport, _check_residual
+from .multilinear import _degeneracy_bound, _norm, _norm_product, _rejection_gap, _scalar_gap, det_n, pair
+from .report import AFFINE_TOL, InvariantReport, _check_residual
 
 __all__ = [
     "AffineSurfacePair",
@@ -76,10 +76,11 @@ def _lelieuvre_sum(v, f0):
     return f
 
 
-def _check_closure(res, tol, what, cell):
+def _check_closure(res, tolerance, what, cell):
     """The closure check of both integrators: ClosureError at the worst cell
-    of ``res`` unless every cell is within ``tol`` (a NaN cell fails)."""
-    _check_residual(res, tol, lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
+    of ``res`` unless every cell is within ``tolerance`` (a NaN cell fails)."""
+    _check_residual(res, tolerance,
+                    lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
 
 
 def _homogeneous_lift(bf, bn):
@@ -98,29 +99,23 @@ def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
     those rows of the interior, as in ``jet_grid``.
     """
     jg = jet_grid(nu, order=2, stencil=stencil, rows=rows)
-    v = jg.value
-    vv = np.maximum((v * v).sum(axis=-1), 1e-300)
-    u4 = (jg.d_xy * v).sum(axis=-1) / vv
-    defect = jg.d_xy - u4[..., None] * v
-    scale = np.maximum(_norm(jg.d_xy), 1e-12 * np.sqrt(vv))
-    return _norm(defect) / scale, u4
+    return _rejection_gap(jg.d_xy, jg.value, floor=1e-12)
 
 
-def classical_lelieuvre_integrate(nu: FieldGrid, f0, sigma: int = 1, closure_tol: float = 1e-8, stencil: int = 2) -> FieldGrid:
+def classical_lelieuvre_integrate(nu: FieldGrid, f0, stencil: int = 2) -> FieldGrid:
     """Integrate bf_x = bnu x bnu_x, bf_y = -(bnu x bnu_y) from a corner.
 
     Edge increments use the symmetric product nu(p) x nu(q) of adjacent
     samples, which equals the trapezoid rule for this system because
     nu x nu = 0; accumulation follows the canonical path (x first, then
     y).  The closure condition bnu_xy parallel to bnu is checked first and
-    a violation reports the worst interior cell.
+    a violation reports the worst interior cell.  This is the system of the
+    indefinite-metric (hyperbolic) branch, the only one implemented.
     """
-    if sigma != 1:
-        raise DomainError("only the indefinite-metric branch (sigma = 1) is implemented")
     if nu.ncomp != 3:
         raise DomainError("classical integration needs a 3-component conormal")
     res, _ = closure_residual(nu, stencil=stencil)
-    _check_closure(res, closure_tol, "closure condition violated", "interior cell")
+    _check_closure(res, AFFINE_TOL, "closure condition violated", "interior cell")
     return FieldGrid(origin=nu.origin, spacing=nu.spacing, values=_lelieuvre_sum(nu.values, f0))
 
 
@@ -141,8 +136,7 @@ def _jet_order(dims, stencil: int = 2):
     return 3 if min(dims) >= 2 * _margin(stencil, 3) + 1 else 2
 
 
-def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, sign_tol: float = 1e-10,
-                 rows: slice = None, report=None):
+def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None, report=None):
     """Affine form coefficients plus the report of their identities.
 
     F = det|bnu, bnu_x, bnu_y|, A_cubic = det|bnu, bnu_x, bnu_xx|,
@@ -167,27 +161,21 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
     A = np.asarray(det_n([nj.value, nj.d_x, nj.d_xx]), dtype=float)
     B = np.asarray(det_n([nj.value, nj.d_y, nj.d_yy]), dtype=float)
 
-    def scaled(name, lhs, rhs, scale):
-        denom = np.maximum(scale, 1e-300)
-        rep.add(name, (lhs - rhs) / denom, tol)
-
     # bf_xx = bnu x bnu_xx and bf_yy = -(bnu x bnu_yy), so <bf_xx, bnu_x> = -A and <bf_yy, bnu_y> = B
-    scaled("blaschke_pairing", pair(fj.d_x, nj.d_y), F, _norm(fj.d_x) * _norm(nj.d_y) + np.abs(F))
-    scaled("cubic_pairing_x", pair(fj.d_xx, nj.d_x), -A, _norm(fj.d_xx) * _norm(nj.d_x) + np.abs(A))
-    scaled("cubic_pairing_y", pair(fj.d_yy, nj.d_y), B, _norm(fj.d_yy) * _norm(nj.d_y) + np.abs(B))
+    for name, a, b, rhs in (("blaschke_pairing", fj.d_x, nj.d_y, F), ("cubic_pairing_x", fj.d_xx, nj.d_x, -A),
+                            ("cubic_pairing_y", fj.d_yy, nj.d_y, B)):
+        rep.add(name, _scalar_gap(pair(a, b), rhs, _norm(a) * _norm(b) + np.abs(rhs)), AFFINE_TOL)
     dfmix = np.asarray(det_n([fj.d_x, fj.d_y, fj.d_xy]), dtype=float)
-    scaled("blaschke_squared", dfmix, F**2, np.abs(dfmix) + F**2 + 1e-12)
+    rep.add("blaschke_squared", _scalar_gap(dfmix, F**2, np.abs(dfmix) + F**2 + 1e-12), AFFINE_TOL)
     if order >= 3:
         dfx = np.asarray(det_n([fj.d_x, fj.d_xx, fj.d_xxx]), dtype=float)
         dfy = np.asarray(det_n([fj.d_y, fj.d_yy, fj.d_yyy]), dtype=float)
-        scale_x = _norm_product(fj.d_x, fj.d_xx, fj.d_xxx)
-        scale_y = _norm_product(fj.d_y, fj.d_yy, fj.d_yyy)
-        if np.any(dfx < -sign_tol * np.maximum(scale_x, 1e-300)):
+        if np.any(dfx < -_degeneracy_bound(_norm_product(fj.d_x, fj.d_xx, fj.d_xxx))):
             raise ChartMismatchError("det|bf_x, bf_xx, bf_xxx| < 0: wrong-sign radicand for the x cubic")
-        if np.any(dfy > sign_tol * np.maximum(scale_y, 1e-300)):
+        if np.any(dfy > _degeneracy_bound(_norm_product(fj.d_y, fj.d_yy, fj.d_yyy))):
             raise ChartMismatchError("det|bf_y, bf_yy, bf_yyy| > 0: wrong-sign radicand for the y cubic")
-        scaled("cubic_squared_x", dfx, A**2, np.abs(dfx) + A**2 + 1e-12)
-        scaled("cubic_squared_y", dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12)
+        rep.add("cubic_squared_x", _scalar_gap(dfx, A**2, np.abs(dfx) + A**2 + 1e-12), AFFINE_TOL)
+        rep.add("cubic_squared_y", _scalar_gap(dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12), AFFINE_TOL)
     # lifted factorization: the homogeneous mixed determinant is F^2.  The
     # lift is pointwise, so only the window of order-2 jets on fj's sites is lifted
     m, m2 = _margin(stencil, order), _margin(stencil, 2)
@@ -197,5 +185,5 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, tol: float = 1e-8, 
     origin = tuple(float(c[w.start]) for c, w in zip(pairg.f.axes, window))
     n4j = jet_grid(FieldGrid(origin=origin, spacing=pairg.f.spacing, values=nu4), order=2, stencil=stencil)
     d4 = np.asarray(det_n([n4j.value, n4j.d_x, n4j.d_y, n4j.d_xy]), dtype=float)
-    scaled("lift_mixed_det_is_F_squared", d4, F**2, np.abs(d4) + F**2 + 1e-12)
+    rep.add("lift_mixed_det_is_F_squared", _scalar_gap(d4, F**2, np.abs(d4) + F**2 + 1e-12), AFFINE_TOL)
     return AffineForms(F=F, A_cubic=A, B_cubic=B), rep

@@ -69,7 +69,7 @@ from .fields import (
     write_lattice,
 )
 from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
-from .report import InvariantReport, ResidualTile
+from .report import AFFINE_TOL, LATTICE_TOL, InvariantReport, ResidualTile
 from .scenarios import Scenario, scenario
 from .smooth import (
     ChartKind,
@@ -102,9 +102,10 @@ _TAKES = {
 # Defaults that would hide whether an option was given: applied after the check.
 _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
 
-# Sites per row tile of a tiled suite: a tile's temporaries, the largest a
-# (sites, 6) float array of packed bivectors, stay within a 2 MiB L2.  An
-# affine tile lifts and differentiates only its rows of the pair, halo included.
+# Sites per row tile of a tiled suite.  Of 4096, 16384 and 65536 sites, 16384
+# gave the best wall time on the 401^2 hypar at one and two threads (ROADMAP,
+# item 5).  It is not sized to a cache: a unit's traced peak is 3.8 to 13.7 MiB.
+# An affine tile lifts and differentiates only its rows of the pair, halo included.
 TILE_SITES = 16384
 
 
@@ -305,7 +306,7 @@ def _affine_groups(paira, stencil, seq):
         affine_forms(pairg, stencil=stencil, rows=rows, report=report)
 
     def closure(pairg, rows, report):
-        report.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], 1e-8)
+        report.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], AFFINE_TOL)
 
     # the form identities take jets of the grid's own order, the closure order-2 jets
     groups = ((_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure))
@@ -336,10 +337,10 @@ def _discrete_groups(scn, seq):
 
     def forms(paira, rows, report):
         # each field keeps the sites anchored in the tile's own rows
-        _omega_identities(paira, 1e-10, report, rows=None if rows.stop is None else rows.stop - rows.start)
+        _omega_identities(paira, report, rows=None if rows.stop is None else rows.stop - rows.start)
 
     def closure(paira, rows, report):
-        report.add("moutard_closure", moutard_residual(paira.nu), 1e-10)
+        report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)
 
     # a tile owns the base sites n1 in its rows and reads the rows past them
     # that its stencils reach: one for a plaquette, two for Omega3

@@ -33,9 +33,10 @@ from .errors import (
 )
 from .fields import LatticeField
 from .multilinear import (
-    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _rejection_gap, _scalar_gap, _Span, cross_n,
+    det_n, pair, star_of_wedge, wedge2,
 )
-from .report import InvariantReport, _check_residual
+from .report import LATTICE_TOL, SCALE_TOL, SPAN_TOL, InvariantReport, _check_residual
 
 __all__ = [
     "MoutardCoeff",
@@ -156,6 +157,8 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
     if row.ndim != 2 or col.ndim != 2 or row.shape[1] != col.shape[1]:
         raise DomainError("initial strips must be (M, d) arrays with equal d")
     for name, strip in (("initial_row", row), ("initial_col", col)):
+        if not len(strip):
+            raise DomainError(f"{name} is empty: a strip holds at least the corner")
         bad = ~np.isfinite(strip).all(axis=-1)
         if bad.any():
             raise DomainError(f"non-finite value in {name} at index {int(np.argmax(bad))}")
@@ -194,15 +197,10 @@ def moutard_residual(nu: LatticeField):
     closure condition of the affine difference system.
     """
     v = nu.values
-    a = v[1:, 1:] + v[:-1, :-1]
-    b = v[1:, :-1] + v[:-1, 1:]
-    bb = np.maximum((b * b).sum(axis=-1), 1e-300)
-    proj = (a * b).sum(axis=-1) / bb
-    defect = a - proj[..., None] * b
-    return _norm(defect) / np.maximum(_norm(a), 1e-300)
+    return _rejection_gap(v[1:, 1:] + v[:-1, :-1], v[1:, :-1] + v[:-1, 1:])[0]
 
 
-def discrete_affine_integrate(nu: LatticeField, f0, tol: float = 1e-10) -> LatticeField:
+def discrete_affine_integrate(nu: LatticeField, f0) -> LatticeField:
     """Integrate the affine difference system from the corner value f0.
 
     Increments are D1 = bnu x T1 bnu along axis 1 and D2 = -(bnu x T2 bnu)
@@ -212,7 +210,7 @@ def discrete_affine_integrate(nu: LatticeField, f0, tol: float = 1e-10) -> Latti
     """
     if nu.ncomp != 3:
         raise DomainError("affine integration needs a 3-component conormal")
-    _check_closure(moutard_residual(nu), tol, "Moutard closure violated", "plaquette")
+    _check_closure(moutard_residual(nu), LATTICE_TOL, "Moutard closure violated", "plaquette")
     return LatticeField(values=_lelieuvre_sum(nu.values, f0), base=nu.base)
 
 
@@ -228,7 +226,7 @@ def lift_to_projective(pairn: DiscreteSurfacePair) -> DiscreteSurfacePair:
     )
 
 
-def discrete_direction(nu: LatticeField, site, eps_deg: float = 1e-10):
+def discrete_direction(nu: LatticeField, site):
     """The surface point at a site, up to scale: [nu, T1 nu, T2 nu]."""
     if nu.ncomp != 4:
         raise DomainError("discrete_direction needs a 4-component conormal")
@@ -240,8 +238,7 @@ def discrete_direction(nu: LatticeField, site, eps_deg: float = 1e-10):
     b = nu.values[n1 + 1, n2]
     c = nu.values[n1, n2 + 1]
     m = cross_n([a, b, c])
-    scale = float(_norm_product(a, b, c))
-    if float(_norm(m)) <= eps_deg * max(scale, 1e-300):
+    if float(_norm(m)) <= _degeneracy_bound(float(_norm_product(a, b, c))):
         raise DegeneratePointError(f"degenerate conormal triple at site {site}")
     return m
 
@@ -252,12 +249,12 @@ def _span_residual(basis, rhs):
     return _Span(basis, "rank-deficient basis in lattice span test").fit(rhs)
 
 
-def _lattice_compat(nu: LatticeField, span_tol):
+def _lattice_compat(nu: LatticeField, tolerance):
     """Coefficients (A, B, C) of nu11 = A nu12 + B nu1 + C nu at the row
     sites and of nu22 = A nu12 + B nu2 + C nu at the column sites.
 
     Raises NotCompatibleError at the worst site of the first system whose
-    span residual is above ``span_tol`` or not finite.
+    span residual is above ``tolerance`` or not finite.
     """
     v = nu.values
     if min(nu.extent) < 3:
@@ -265,12 +262,12 @@ def _lattice_compat(nu: LatticeField, span_tol):
     fits = [_span_residual([v[1:-1, 1:], v[1:-1, :-1], v[:-2, :-1]], v[2:, :-1]),
             _span_residual([v[1:, 1:-1], v[:-1, 1:-1], v[:-1, :-2]], v[:-1, 2:])]
     for name, (_, resid) in zip(("nu11", "nu22"), fits):
-        _check_residual(resid, span_tol, lambda site, r: NotCompatibleError(
+        _check_residual(resid, tolerance, lambda site, r: NotCompatibleError(
             f"lattice fails the compatibility span test of {name} at site {site} (residual {r:.3e})"))
     return [coeff for coeff, _ in fits]
 
 
-def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8, tol: float = 1e-8) -> LatticeField:
+def discrete_scale_propagate(nu: LatticeField, s0: float) -> LatticeField:
     """Normalized surface lattice f = [nu, T1 nu, T2 nu] / s.
 
     The scalar s = <T1 f, T2 nu> obeys the two-step recursions
@@ -288,7 +285,7 @@ def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8
         raise DomainError("scale propagation needs a 4-component conormal")
     if s0 == 0:
         raise DomainError("s0 must be nonzero")
-    _lattice_compat(nu, span_tol)
+    _lattice_compat(nu, SCALE_TOL)
     v = nu.values
     w1, w2 = nu.extent[0] - 1, nu.extent[1] - 1
     mvec = cross_n([v[:-1, :-1], v[1:, :-1], v[:-1, 1:]])  # (w1, w2, 4)
@@ -312,8 +309,8 @@ def discrete_scale_propagate(nu: LatticeField, s0: float, span_tol: float = 1e-8
     # cross-check: the row recursion must also hold away from column 0
     lhs = s[:-1, :] * s[1:, :]
     rhs = rowdet[: w1 - 1, :]
-    denom = np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
-    _check_residual(np.abs(lhs - rhs) / denom, tol, lambda site, r: GaugeObstructionError(
+    gap = np.abs(_scalar_gap(lhs, rhs, np.abs(lhs) + np.abs(rhs)))
+    _check_residual(gap, SCALE_TOL, lambda site, r: GaugeObstructionError(
         f"row and column scale propagation disagree at site {site} (residual {r:.3e})"))
     return LatticeField(values=mvec / s[..., None], base=nu.base)
 
@@ -331,7 +328,7 @@ def _proj_windows(pairn):
     return f, f1, f2, f12, n, n1, n2, n12
 
 
-def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None) -> InvariantReport:
+def discrete_residual(pairn: DiscreteSurfacePair, report=None) -> InvariantReport:
     """Residuals of the defining lattice relations and their pairing laws.
 
     Like every suite, it adds its records to ``report`` when one is given
@@ -342,24 +339,21 @@ def discrete_residual(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=Non
         pairn = lift_to_projective(pairn)
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     rep = InvariantReport(metadata={"gauge": "projective", "extent": list(pairn.extent)}) if report is None else report
-    rep.add("bivector_1", _bivector_gap(wedge2(f, f1), star_of_wedge([n, n1])), tol)
-    rep.add("bivector_2", _bivector_gap(wedge2(f, f2), -star_of_wedge([n, n2])), tol)
+    rep.add("bivector_1", _bivector_gap(wedge2(f, f1), star_of_wedge([n, n1])), LATTICE_TOL)
+    rep.add("bivector_2", _bivector_gap(wedge2(f, f2), -star_of_wedge([n, n2])), LATTICE_TOL)
     for name, a, b in (("<f,nu>", f, n), ("<f1,nu>", f1, n), ("<f2,nu>", f2, n), ("<f,nu1>", f, n1),
                        ("<f,nu2>", f, n2)):
-        rep.add(name, _pairing_gap(a, b), tol)
+        rep.add(name, _pairing_gap(a, b), LATTICE_TOL)
     for name, a, b, c, d in (
         ("<f1,nu2>-<f2,nu1>", f1, n2, f2, n1),
         ("<f,nu12>-<f12,nu>", f, n12, f12, n),
     ):
-        pa = pair(a, b)
-        pb = pair(c, d)
         # scale by the factor norms: both pairings can cancel to near zero
-        denom = np.maximum(_norm(a) * _norm(b) + _norm(c) * _norm(d), 1e-300)
-        rep.add(name, (pa - pb) / denom, tol)
+        rep.add(name, _scalar_gap(pair(a, b), pair(c, d), _norm(a) * _norm(b) + _norm(c) * _norm(d)), LATTICE_TOL)
     return rep
 
 
-def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None, lift=None) -> InvariantReport:
+def discrete_det_invariance(pairn: DiscreteSurfacePair, report=None, lift=None) -> InvariantReport:
     """Equality of the four-point volume on both sides of the map.
 
     Projective: det|f, f1, f2, f12| = det|nu, nu1, nu2, nu12|.  In the
@@ -382,8 +376,8 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, repo
             _norm_product(e1, e2, e12),
             _norm(bn[:-1, :-1]) ** 2 * _norm(bn[1:, :-1]) ** 2 * _norm(bn[1:, 1:]) * _norm(bn[:-1, 1:]),
         )
-        denom = np.maximum(np.maximum(np.abs(dl), np.abs(dr)), np.maximum(scale, 1e-300))
-        rep.add("affine_volume_factorization", (dl - dr) / denom, tol)
+        gap = _scalar_gap(dl, dr, np.maximum(np.maximum(np.abs(dl), np.abs(dr)), scale))
+        rep.add("affine_volume_factorization", gap, LATTICE_TOL)
         pairn = lift_to_projective(pairn) if lift is None else lift
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     df = np.asarray(det_n([f, f1, f2, f12]), dtype=float)
@@ -392,12 +386,12 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, tol: float = 1e-10, repo
         _norm_product(f, f1, f2, f12),
         _norm_product(n, n1, n2, n12),
     )
-    denom = np.maximum(np.maximum(np.abs(df), np.abs(dn)), np.maximum(scale, 1e-300))
-    rep.add("volume_invariance", (df - dn) / denom, tol)
+    rep.add("volume_invariance", _scalar_gap(df, dn, np.maximum(np.maximum(np.abs(df), np.abs(dn)), scale)),
+            LATTICE_TOL)
     return rep
 
 
-def _omega_identities(pairn: DiscreteSurfacePair, tol: float, report, rows=None):
+def _omega_identities(pairn: DiscreteSurfacePair, report, rows=None):
     """Add the three Omega determinant identities of ``discrete_forms`` for
     an affine pair to ``report``.
 
@@ -405,7 +399,7 @@ def _omega_identities(pairn: DiscreteSurfacePair, tol: float, report, rows=None)
     base rows n1 < ``rows`` (every row by default): a tile of base rows
     passes its count and the rows after them that the stencils reach, one
     for Omega2 and two for Omega3.  Returns (Omega, det, scale) of each
-    identity by record name; the residual is (Omega - det) / scale.
+    identity by record name; the residual is their ``_scalar_gap``.
     """
     bf, bn = pairn.f.values, pairn.nu.values
     n = len(bf) if rows is None else rows
@@ -413,22 +407,19 @@ def _omega_identities(pairn: DiscreteSurfacePair, tol: float, report, rows=None)
     # stay meaningful where both sides of the identity vanish
     f, nu = bf[: n + 1], bn[: n + 1]
     a, b = f[:-1, 1:] - f[:-1, :-1], nu[1:, :-1] - nu[:-1, :-1]
-    terms = {"omega2_det_identity": (pair(a, b), det_n([nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:]]),
-                                     np.maximum(_norm(a) * _norm(b), 1e-300))}
+    terms = {"omega2_det_identity": (pair(a, b), det_n([nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:]]), _norm(a) * _norm(b))}
     f, nu = bf[: n + 2], bn[: n + 2]
     a, b = f[2:, :] - f[:-2, :], nu[1:-1, :] - nu[:-2, :]
-    terms["omega3_det_identity"] = (pair(a, b), -det_n([nu[:-2, :], nu[1:-1, :], nu[2:, :]]),
-                                    np.maximum(_norm(a) * _norm(b), 1e-300))
+    terms["omega3_det_identity"] = (pair(a, b), -det_n([nu[:-2, :], nu[1:-1, :], nu[2:, :]]), _norm(a) * _norm(b))
     f, nu = bf[:n], bn[:n]
     a, b = f[:, 2:] - f[:, :-2], nu[:, 1:-1] - nu[:, :-2]
-    terms["omega3tilde_det_identity"] = (pair(a, b), det_n([nu[:, :-2], nu[:, 1:-1], nu[:, 2:]]),
-                                         np.maximum(_norm(a) * _norm(b), 1e-300))
+    terms["omega3tilde_det_identity"] = (pair(a, b), det_n([nu[:, :-2], nu[:, 1:-1], nu[:, 2:]]), _norm(a) * _norm(b))
     for name, (omega, d, scale) in terms.items():
-        report.add(name, (omega - d) / scale, tol)
+        report.add(name, _scalar_gap(omega, d, scale), LATTICE_TOL)
     return terms
 
 
-def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None):
+def discrete_forms(pairn: DiscreteSurfacePair, report=None):
     """Lattice form fields plus the report of their determinant identities.
 
     Omega2 = <bf2 - bf, bnu1 - bnu> (equals det|bnu, bnu1, bnu2|);
@@ -447,41 +438,27 @@ def discrete_forms(pairn: DiscreteSurfacePair, tol: float = 1e-10, report=None):
     rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     Omega2 = Omega3 = Omega3t = None
     if pairn.gauge == "affine":
-        terms = _omega_identities(pairn, tol, rep)
-        (Omega2, _, _), (Omega3, _, denom3), (Omega3t, d3t, denom3t) = terms.values()
+        terms = _omega_identities(pairn, rep)
+        (Omega2, _, _), (Omega3, _, scale3), (Omega3t, d3t, scale3t) = terms.values()
         bn = pairn.nu.values
         # variant readings with nu2 (resp. the opposite sign) in place; informational only
         v3 = -det_n([bn[:-2, :-1], bn[1:-1, :-1], bn[1:-1, 1:]])
         rep.metadata["omega3_variant_nu2_max_residual"] = float(
-            np.max(np.abs(Omega3[:, :-1] - v3) / denom3[:, :-1], initial=0.0)
+            np.max(np.abs(_scalar_gap(Omega3[:, :-1], v3, scale3[:, :-1])), initial=0.0)
         )
         rep.metadata["omega3tilde_variant_sign_max_residual"] = float(
-            np.max(np.abs(Omega3t + d3t) / denom3t, initial=0.0)
+            np.max(np.abs(_scalar_gap(Omega3t, -d3t, scale3t)), initial=0.0)
         )
         pairn = lift_to_projective(pairn)
     fv = pairn.f.values
     f, f1, f2, f12, *_ = _proj_windows(pairn)
-    d = np.asarray(det_n([f, f1, f2, f12]), dtype=float)
-    F2d, F2s = np.sqrt(np.abs(d)), np.sign(d)
-    d = np.asarray(det_n([fv[:-3, :], fv[1:-2, :], fv[2:-1, :], fv[3:, :]]), dtype=float)
-    F3d, F3s = np.sqrt(np.abs(d)), np.sign(d)
-    d = np.asarray(det_n([fv[:, :-3], fv[:, 1:-2], fv[:, 2:-1], fv[:, 3:]]), dtype=float)
-    F3t, F3ts = np.sqrt(np.abs(d)), np.sign(d)
-    forms = DiscreteForms(
-        Omega2=Omega2,
-        Omega3=Omega3,
-        Omega3tilde=Omega3t,
-        F2d=F2d,
-        F3d=F3d,
-        F3dtilde=F3t,
-        F2d_sign=F2s,
-        F3d_sign=F3s,
-        F3dtilde_sign=F3ts,
-    )
-    return forms, rep
+    # the determinants of F2d, F3d and F3dtilde
+    dets = [np.asarray(det_n(vecs), dtype=float) for vecs in ([f, f1, f2, f12],
+            [fv[:-3, :], fv[1:-2, :], fv[2:-1, :], fv[3:, :]], [fv[:, :-3], fv[:, 1:-2], fv[:, 2:-1], fv[:, 3:]])]
+    return DiscreteForms(Omega2, Omega3, Omega3t, *(np.sqrt(np.abs(d)) for d in dets), *(np.sign(d) for d in dets)), rep
 
 
-def discrete_compat_coeffs(nu: LatticeField, f: Optional[LatticeField] = None, span_tol: float = 1e-6) -> DiscreteCompat:
+def discrete_compat_coeffs(nu: LatticeField, f: Optional[LatticeField] = None) -> DiscreteCompat:
     """Solve the lattice compatibility system per site.
 
     nu11 = A1 nu12 + B1 nu1 + C1 nu over sites with (n1+2, n2+1) inside,
@@ -491,7 +468,7 @@ def discrete_compat_coeffs(nu: LatticeField, f: Optional[LatticeField] = None, s
     """
     if nu.ncomp != 4:
         raise DomainError("compatibility coefficients need a 4-component conormal")
-    c1, c2 = _lattice_compat(nu, span_tol)
+    c1, c2 = _lattice_compat(nu, SPAN_TOL)
     v = nu.values
     out = DiscreteCompat(
         A1=c1[..., 0], B1=c1[..., 1], C1=c1[..., 2],
@@ -502,25 +479,23 @@ def discrete_compat_coeffs(nu: LatticeField, f: Optional[LatticeField] = None, s
             raise DomainError("dual lattice must match the conormal extent with 4 components")
         fv = f.values
         p12_r = pair(fv[1:-1, 1:], v[:-2, :-1])
-
-        def rel(x, y):
-            # absolute below unit scale, relative above (coefficients are O(1))
-            return np.abs(x - y) / np.maximum(np.abs(x) + np.abs(y), 1.0)
-
-        out.a1_pairing_residual = rel(out.A1, -pair(fv[2:, :-1], v[:-2, :-1]) / p12_r)
-        out.c1_pairing_residual = rel(out.C1, pair(fv[2:, :-1], v[1:-1, 1:]) / p12_r)
         p12_c = pair(fv[1:, 1:-1], v[:-1, :-2])
-        out.a2_pairing_residual = rel(out.A2, -pair(fv[:-1, 2:], v[:-1, :-2]) / p12_c)
         # the sign of the C2 quotient is pinned by pairing the nu22 relation
         # with f12 (all other pairings vanish), not guessed
-        out.c2_pairing_residual = rel(out.C2, pair(fv[:-1, 2:], v[1:, 1:-1]) / p12_c)
+        quotients = {"a1": (out.A1, -pair(fv[2:, :-1], v[:-2, :-1]) / p12_r),
+                     "c1": (out.C1, pair(fv[2:, :-1], v[1:-1, 1:]) / p12_r),
+                     "a2": (out.A2, -pair(fv[:-1, 2:], v[:-1, :-2]) / p12_c),
+                     "c2": (out.C2, pair(fv[:-1, 2:], v[1:, 1:-1]) / p12_c)}
+        for key, (x, y) in quotients.items():
+            # absolute below unit scale, relative above (coefficients are O(1))
+            setattr(out, f"{key}_pairing_residual", np.abs(_scalar_gap(x, y, np.maximum(np.abs(x) + np.abs(y), 1.0))))
     return out
 
 
-def affine_sphere_check(pairn: DiscreteSurfacePair, tol: float = 1e-10) -> InvariantReport:
+def affine_sphere_check(pairn: DiscreteSurfacePair) -> InvariantReport:
     """Residual of the affine-sphere normalization <bf, bnu> = 1."""
     if pairn.gauge != "affine":
         raise DomainError("affine_sphere_check expects an affine pair")
     rep = InvariantReport(metadata={"gauge": "affine"})
-    rep.add("<bf,bnu>-1", (pairn.f.values * pairn.nu.values).sum(axis=-1) - 1.0, tol)
+    rep.add("<bf,bnu>-1", (pairn.f.values * pairn.nu.values).sum(axis=-1) - 1.0, LATTICE_TOL)
     return rep

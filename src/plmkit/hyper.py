@@ -34,9 +34,10 @@ import numpy as np
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
 from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import (
-    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge,
+    wedge2,
 )
-from .report import InvariantReport
+from .report import HYPER_TOL, InvariantReport
 
 __all__ = [
     "AMatrix",
@@ -109,7 +110,7 @@ def _slot_star(jet: JetGrid, beta):
     return star_of_wedge(vecs)
 
 
-def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1), eps_deg: float = 1e-10):
+def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
     """Surface point from a conormal jet and weight matrix.
 
     f = -sqrt(A[a, c] / det|nu_{x_a x_c}, nu, nu_{x_1}, ..., nu_{x_n}|)
@@ -127,8 +128,7 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1), eps_deg: float = 1e-10):
     m = _conormal_cross(jet)
     second = jet.partial2(a - 1, c - 1)
     det = np.asarray(det_n([second, jet.value, *jet.d1]), dtype=float)
-    scale = _norm_product(second, jet.value, *jet.d1)
-    if np.any(np.abs(det) <= eps_deg * np.maximum(scale, 1e-300)):
+    if np.any(np.abs(det) <= _degeneracy_bound(_norm_product(second, jet.value, *jet.d1))):
         raise DegeneratePointError(f"degenerate pivot determinant for pivot {pivot}")
     ratio = Av[..., a - 1, c - 1] / det
     if np.any(ratio <= 0):
@@ -136,7 +136,7 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1), eps_deg: float = 1e-10):
     return -np.sqrt(ratio)[..., None] * m
 
 
-def recover_A(f_jet: JetGrid, nu_jet: JetGrid, eps_deg: float = 1e-10):
+def recover_A(f_jet: JetGrid, nu_jet: JetGrid):
     """Weight matrix from a dual pair of jets.
 
     From the pairing law  <f_{x_a}, nu_{x_c}> f = -A[a, c] [nu, nu_{x_1},
@@ -147,8 +147,7 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid, eps_deg: float = 1e-10):
     n = _params(f_jet, nu_jet)
     m = _conormal_cross(nu_jet)
     mm = (m * m).sum(axis=-1)
-    scale = _norm_product(nu_jet.value, *nu_jet.d1)
-    if np.any(np.sqrt(mm) <= eps_deg * np.maximum(scale, 1e-300)):
+    if np.any(np.sqrt(mm) <= _degeneracy_bound(_norm_product(nu_jet.value, *nu_jet.d1))):
         raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")
     c = pair(f_jet.value, m) / mm
     rows = []
@@ -158,7 +157,7 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid, eps_deg: float = 1e-10):
     return np.stack(rows, axis=-2)
 
 
-def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
+def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, report=None):
     """Residuals of the defining bivector system and its pairing laws.
 
     Adds to ``report`` when one is given (as the smooth suites do).
@@ -175,10 +174,10 @@ def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, tol: float = 1e-8, re
         for b in range(n):
             term = Av[..., a, b, None] * stars[b]
             rhs = term if rhs is None else rhs + term
-        rep.add(f"bivector_x{a + 1}", _bivector_gap(lhs, rhs), tol)
+        rep.add(f"bivector_x{a + 1}", _bivector_gap(lhs, rhs), HYPER_TOL)
     for a in range(n):
-        rep.add(f"<f_x{a + 1},nu>", _pairing_gap(f_jet.d1[a], nu_jet.value), tol)
-        rep.add(f"<f,nu_x{a + 1}>", _pairing_gap(f_jet.value, nu_jet.d1[a]), tol)
+        rep.add(f"<f_x{a + 1},nu>", _pairing_gap(f_jet.d1[a], nu_jet.value), HYPER_TOL)
+        rep.add(f"<f,nu_x{a + 1}>", _pairing_gap(f_jet.value, nu_jet.d1[a]), HYPER_TOL)
     return rep
 
 
@@ -187,7 +186,7 @@ def _span_distance(span, rhs):
     return span.fit(rhs)[1]
 
 
-def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
+def hyper_compat_residual(nu_jet: JetGrid, A, report=None):
     """Span test of the compatibility system.
 
     For each index quadruple (a, b, g, d) the combination
@@ -208,11 +207,11 @@ def hyper_compat_residual(nu_jet: JetGrid, A, tol: float = 1e-8, report=None):
         name = f"compat_{a + 1}{b + 1}{g + 1}{d + 1}"
         size = _norm(w)
         if rep.decide(np.max(size, initial=0.0) == 0.0):
-            rep.add(name, np.broadcast_to(0.0, np.shape(size)), tol)  # a tile keeps no bytes of it
+            rep.add(name, np.broadcast_to(0.0, np.shape(size)), HYPER_TOL)  # a tile keeps no bytes of it
             continue
         if span is None:
             span = _Span([nu_jet.value, *nu_jet.d1], f"rank-deficient span while testing {name}")
-        rep.add(name, _span_distance(span, w), tol)
+        rep.add(name, _span_distance(span, w), HYPER_TOL)
     return rep
 
 

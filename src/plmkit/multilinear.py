@@ -10,9 +10,13 @@ Everything is written with plain +, -, * and indexing only, so the same
 code runs on float arrays, on ``fractions.Fraction`` scalars and on numpy
 object arrays (the exact-rational test mode).  The one exception is the span
 solver ``_Span``, which calls ``np.linalg`` and so runs on floats only.  The
-norms (``_norm``, ``_fro``) return floats, and so do the residual rules of
-every suite built on them: ``_bivector_gap``, ``_pairing_gap`` and the
-degeneracy scale ``_norm_product``.
+norms (``_norm``, ``_fro``) return floats, and so do the rules of every
+suite, one per kind of relation: ``_bivector_gap`` (packed bivectors lhs =
+rhs), ``_pairing_gap`` (<a, b> = 0), ``_scalar_gap`` (scalars lhs = rhs, over
+a scale the caller gives), ``_rejection_gap`` (a vector on the line of
+another) and ``_degeneracy_bound`` (the size at or below which a determinant
+of vectors is degenerate, from their ``_norm_product``).  Each floors its
+scale at 1e-300; the tolerances the residuals are judged by are ``report``'s.
 
 A bivector in dimension d is packed: an array of shape ``(..., d(d-1)/2)``
 holding its Plücker coordinates P_kl = B[k, l] for k < l, pairs in
@@ -35,6 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError
+from .report import DEGENERACY
 
 __all__ = [
     "levi_civita_sign",
@@ -154,13 +159,36 @@ def _bivector_gap(lhs, rhs):
     return _fro(lhs - rhs) / denom
 
 
-def _pairing_gap(a, b, floor=1e-300):
-    """Residual of the vanishing pairing <a, b> = 0, relative to |a| |b|.
+def _pairing_gap(a, b, floor=None):
+    """Residual of the vanishing pairing <a, b> = 0, relative to |a| |b|,
+    which ``floor`` (a scalar or a per-site array), if given, bounds below."""
+    scale = _norm(a) * _norm(b)
+    if floor is not None:
+        scale = np.maximum(scale, floor)
+    return pair(a, b) / np.maximum(scale, 1e-300)
 
-    ``floor`` bounds the scale from below (a scalar or a per-site array).
-    """
-    denom = np.maximum(_norm(a) * _norm(b), floor)
-    return pair(a, b) / denom
+
+def _scalar_gap(lhs, rhs, scale):
+    """Residual of the scalar relation lhs = rhs: (lhs - rhs) / scale.  A
+    caller that needs a floor above 1e-300 folds it into ``scale``."""
+    return (lhs - rhs) / np.maximum(scale, 1e-300)
+
+
+def _rejection_gap(a, b, floor=0.0):
+    """Residual of a on the line of b, |a - c b| over |a| floored at ``floor``
+    |b|, and c = <a, b> / |b|^2 (|b|^2 floored at 1e-300)."""
+    bb = np.maximum((b * b).sum(axis=-1), 1e-300)
+    c = (a * b).sum(axis=-1) / bb
+    defect = a - c[..., None] * b
+    # the defect's norm first, then the scale, none kept: another order raised
+    # the peak RSS of a 300^2 lattice build (glibc's allocator) by about 1 MiB
+    return _norm(defect) / np.maximum(np.maximum(_norm(a), floor * np.sqrt(bb)) if floor else _norm(a), 1e-300), c
+
+
+def _degeneracy_bound(scale):
+    """``report.DEGENERACY`` times the norm product ``scale``: a determinant at
+    or below it in size is degenerate, a radicand below minus it of wrong sign."""
+    return DEGENERACY * np.maximum(scale, 1e-300)
 
 
 def perm_sign(indices):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .errors import DomainError
+from .report import PROJECTIVE_TOL
 
 __all__ = ["projective_distance", "normalized_last_distance", "projectively_equal"]
 
@@ -37,5 +38,6 @@ def normalized_last_distance(u, v):
     return np.max(np.abs(du - dv), axis=-1)
 
 
-def projectively_equal(u, v, tol=1e-10):
-    return bool(np.all(projective_distance(u, v) <= tol))
+def projectively_equal(u, v):
+    """Whether ``projective_distance(u, v)`` is at most ``report.PROJECTIVE_TOL``."""
+    return bool(np.all(projective_distance(u, v) <= PROJECTIVE_TOL))

@@ -16,6 +16,18 @@ CONVENTIONS = {
 }
 
 
+# The threshold of every verdict, each defined once: a residual passes at or
+# below its tolerance, and multilinear._degeneracy_bound scales DEGENERACY.
+SMOOTH_TOL = 1e-8  # smooth-chart identities
+HYPER_TOL = 1e-8  # hypersurface defining system and compatibility
+AFFINE_TOL = 1e-8  # affine-gauge identities and closure, classical integration
+LATTICE_TOL = 1e-10  # lattice identities and Moutard closure, lattice integration
+DEGENERACY = 1e-10  # degenerate points and radicand signs
+SPAN_TOL = 1e-6  # compatibility span tests, smooth and lattice
+SCALE_TOL = 1e-8  # discrete_scale_propagate: its span test and its recursion cross-check
+PROJECTIVE_TOL = 1e-10  # projectively_equal: sine of the angle of the two lines
+
+
 def _check_residual(residual, tolerance, error):
     """Raise ``error(site, value)`` at the worst site of a residual field
     unless every site is within ``tolerance``.  As in ``IdentityRecord.passed``

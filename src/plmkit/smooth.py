@@ -23,9 +23,10 @@ import numpy as np
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import FieldGrid, JetGrid, jet_grid
 from .multilinear import (
-    _bivector_gap, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge, wedge2,
+    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, cross_n, det_n, pair,
+    star_of_wedge, wedge2,
 )
-from .report import InvariantReport, _check_residual
+from .report import SMOOTH_TOL, SPAN_TOL, InvariantReport, _check_residual
 
 __all__ = [
     "ChartKind",
@@ -58,22 +59,21 @@ def as_jets(obj, order=2, stencil=2):
     raise DomainError(f"expected FieldGrid or JetGrid, got {type(obj).__name__}")
 
 
-def _reconstruct_arrays(value, d_x, d_y, last):
+def _reconstruct_arrays(jet, chart):
     """Shared core of point and field reconstruction: cross / sqrt(det).
 
-    Returns (result, det, scale); result entries are NaN where the
-    discriminant is degenerate or negative.
+    Returns (result, det, bound); result entries are NaN where the
+    discriminant is negative, and |det| at or below ``bound`` is degenerate.
     """
-    num = cross_n([value, d_x, d_y])
-    det = det_n([value, d_x, d_y, last])
-    scale = _norm_product(value, d_x, d_y, last)
-    det = np.asarray(det, dtype=float)
+    last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
+    num = cross_n([jet.value, jet.d_x, jet.d_y])
+    det = np.asarray(det_n([jet.value, jet.d_x, jet.d_y, last]), dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         res = num / np.sqrt(det)[..., None]
-    return res, det, scale
+    return res, det, _degeneracy_bound(_norm_product(jet.value, jet.d_x, jet.d_y, last))
 
 
-def reconstruct_point(jet: JetGrid, chart: ChartKind, eps_deg: float = 1e-10):
+def reconstruct_point(jet: JetGrid, chart: ChartKind):
     """Surface point from a conormal jet: cross(v, v_x, v_y) / sqrt(det).
 
     The discriminant is det|v, v_x, v_y, v_xy| in the asymptotic chart
@@ -81,16 +81,15 @@ def reconstruct_point(jet: JetGrid, chart: ChartKind, eps_deg: float = 1e-10):
     positive at a generic point.  By projective duality the same formula
     applied to a surface jet gives the conormal.
     """
-    last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
-    res, det, scale = _reconstruct_arrays(jet.value, jet.d_x, jet.d_y, last)
-    if abs(det) <= eps_deg * max(scale, 1e-300):
+    res, det, bound = _reconstruct_arrays(jet, chart)
+    if abs(det) <= bound:
         raise DegeneratePointError("non-generic point: planar/parabolic locus (discriminant ~ 0)")
     if det < 0:
         raise ChartMismatchError(f"negative discriminant {det:.3e} for chart {chart.value}")
     return res
 
 
-def reconstruct_point_alt(jet: JetGrid, axis: str, eps_deg: float = 1e-10):
+def reconstruct_point_alt(jet: JetGrid, axis: str):
     """Single-coordinate reconstruction from third-order data.
 
     axis 'x': f = -cross(v, v_x, v_xx) / sqrt(det|v, v_x, v_xx, v_xxx|);
@@ -110,26 +109,24 @@ def reconstruct_point_alt(jet: JetGrid, axis: str, eps_deg: float = 1e-10):
     else:
         raise DomainError("axis must be 'x' or 'y'")
     scale = float(_norm_product(jet.value, a, b, c))
-    if abs(radicand) <= eps_deg * max(scale, 1e-300):
+    if abs(radicand) <= _degeneracy_bound(scale):
         raise DegeneratePointError("degenerate third-order discriminant (ruled/quadric locus)")
     if radicand < 0:
         raise ChartMismatchError(f"wrong-sign radicand {radicand:.3e} for axis {axis}")
     return -cross_n([jet.value, a, b]) / np.sqrt(radicand)
 
 
-def reconstruct_field(jets, chart: ChartKind, eps_deg: float = 1e-10, strict: bool = False):
+def reconstruct_field(jets, chart: ChartKind, strict: bool = False):
     """Vectorized reconstruction over a JetGrid.
 
     Returns (f, degenerate_mask); degenerate or chart-mismatched points
     are NaN in f.  With ``strict`` the first bad point raises.
     """
-    jets = as_jets(jets)
-    last = jets.d_xy if chart is ChartKind.ASYMPTOTIC else jets.d_xx
-    res, det, scale = _reconstruct_arrays(jets.value, jets.d_x, jets.d_y, last)
-    bad = ~(det > eps_deg * np.maximum(scale, 1e-300))
+    res, det, bound = _reconstruct_arrays(as_jets(jets), chart)
+    bad = ~(det > bound)
     if strict and np.any(bad):
         i, j = np.argwhere(bad)[0]
-        if abs(det[i, j]) <= eps_deg * max(scale[i, j], 1e-300):
+        if abs(det[i, j]) <= bound[i, j]:
             raise DegeneratePointError(f"degenerate point at grid index ({i}, {j})")
         raise ChartMismatchError(f"negative discriminant at grid index ({i}, {j})")
     res = np.where(bad[..., None], np.nan, res)
@@ -150,7 +147,7 @@ def _report(report, chart):
     return InvariantReport(metadata={"chart": chart.value}) if report is None else report
 
 
-def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
+def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
     """Residual of the two defining bivector relations, normalized by the
     pointwise bivector magnitude.
 
@@ -169,21 +166,21 @@ def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float =
         pairs = [("bivector_x", wfx, -sny), ("bivector_y", wfy, snx)]
     rep = _report(report, chart)
     for name, lhs, rhs in pairs:
-        rep.add(name, _bivector_gap(lhs, rhs), tol)
+        rep.add(name, _bivector_gap(lhs, rhs), SMOOTH_TOL)
     return rep
 
 
-def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
+def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
     """Vanishing-pairing relations of the correspondence."""
     fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
     rep = _report(report, chart)
 
     # floor the scale at |f||nu| so a jet that vanishes identically (and is
     # pure roundoff under finite differences) does not divide noise by noise
-    floor = np.maximum(_norm(fj.value) * _norm(nj.value), 1e-300)
+    floor = _norm(fj.value) * _norm(nj.value)
 
     def add(name, a, b):
-        rep.add(name, _pairing_gap(a, b, floor), tol)
+        rep.add(name, _pairing_gap(a, b, floor), SMOOTH_TOL)
 
     if chart is ChartKind.ASYMPTOTIC:
         add("<f_x,nu>", fj.d_x, nj.value)
@@ -208,8 +205,7 @@ def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol:
         # equality of the two diagonal pairings (these do not vanish)
         a = pair(fj.d_x, nj.d_x)
         b = pair(fj.d_y, nj.d_y)
-        denom = np.maximum(np.abs(a) + np.abs(b), 1e-300)
-        rep.add("<f_x,nu_x>-<f_y,nu_y>", (a - b) / denom, tol)
+        rep.add("<f_x,nu_x>-<f_y,nu_y>", _scalar_gap(a, b, np.abs(a) + np.abs(b)), SMOOTH_TOL)
     return rep
 
 
@@ -237,7 +233,7 @@ def det_families(jets, which: str):
     return np.asarray(table[which](), dtype=float)
 
 
-def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol: float = 1e-8, report=None):
+def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
     """Determinant invariance (asymptotic: equal; conjugate: sign-flipped,
     plus the vanishing mixed determinant and equality of the xx/yy
     determinants, which follows from the equal diagonal pairings)."""
@@ -245,27 +241,23 @@ def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, tol
     fj, nj = _pair_jets(f_obj, nu_obj, order=order, stencil=stencil)
     rep = _report(report, chart)
     if chart is ChartKind.ASYMPTOTIC:
-        fams = [("mixed", "mixed"), ("xx", "xx"), ("yy", "yy")]
-        for name, which in fams:
-            if which in ("xx", "yy") and fj.d_xxx is None:
-                continue
+        for which in ("mixed", "xx", "yy") if fj.d_xxx is not None else ("mixed",):
             df = det_families(fj, which)
             dn = det_families(nj, which)
-            denom = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
-            rep.add(f"det_{name}_invariance", (df - dn) / denom, tol)
+            scale = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
+            rep.add(f"det_{which}_invariance", _scalar_gap(df, dn, scale), SMOOTH_TOL)
     else:
         for name in ("conj_xx", "conj_yy"):
             df = det_families(fj, name)
             dn = det_families(nj, name)
-            denom = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
-            rep.add(f"det_{name}_sign_flip", (df + dn) / denom, tol)
+            scale = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
+            rep.add(f"det_{name}_sign_flip", _scalar_gap(df, -dn, scale), SMOOTH_TOL)
         dmix = det_families(nj, "mixed")
-        scale = np.maximum(_norm_product(nj.value, nj.d_x, nj.d_y, nj.d_xy), 1e-300)
-        rep.add("det_mixed_vanishes", dmix / scale, tol)
+        rep.add("det_mixed_vanishes", _scalar_gap(dmix, 0.0, _norm_product(nj.value, nj.d_x, nj.d_y, nj.d_xy)),
+                SMOOTH_TOL)
         dxx = det_families(nj, "conj_xx")
         dyy = det_families(nj, "conj_yy")
-        denom = np.maximum(np.maximum(np.abs(dxx), np.abs(dyy)), 1e-300)
-        rep.add("det_xx_yy_equal", (dxx - dyy) / denom, tol)
+        rep.add("det_xx_yy_equal", _scalar_gap(dxx, dyy, np.maximum(np.abs(dxx), np.abs(dyy))), SMOOTH_TOL)
     return rep
 
 
@@ -278,7 +270,7 @@ class FubiniForms:
     F3tilde_coeff: Optional[np.ndarray]
 
 
-def fubini_forms(f_obj, nu_obj, stencil: int = 2, sign_tol: float = 1e-10) -> FubiniForms:
+def fubini_forms(f_obj, nu_obj, stencil: int = 2) -> FubiniForms:
     """Projective form coefficients in the asymptotic chart.
 
     F2 = 2 <f_x, nu_y>.  F3 = sign(<f_x, nu_xx>) * sqrt(det|nu, nu_x,
@@ -292,37 +284,35 @@ def fubini_forms(f_obj, nu_obj, stencil: int = 2, sign_tol: float = 1e-10) -> Fu
     F2 = 2.0 * np.asarray(pair(fj.d_x, nj.d_y), dtype=float)
     F3 = F3t = None
     if nj.d_xxx is not None:
-        scale = np.maximum(_norm_product(nj.value, nj.d_x, nj.d_xx, nj.d_xxx), 1e-300)
         det = det_families(nj, "xx")
-        if np.any(det < -sign_tol * scale):
+        if np.any(det < -_degeneracy_bound(_norm_product(nj.value, nj.d_x, nj.d_xx, nj.d_xxx))):
             raise ChartMismatchError("det|nu,nu_x,nu_xx,nu_xxx| < 0: not an asymptotic chart for F3")
         F3 = np.sign(pair(fj.d_x, nj.d_xx)) * np.sqrt(np.maximum(det, 0.0))
-        scale = np.maximum(_norm_product(nj.value, nj.d_y, nj.d_yy, nj.d_yyy), 1e-300)
         det = det_families(nj, "yy")
-        if np.any(det > sign_tol * scale):
+        if np.any(det > _degeneracy_bound(_norm_product(nj.value, nj.d_y, nj.d_yy, nj.d_yyy))):
             raise ChartMismatchError("det|nu,nu_y,nu_yy,nu_yyy| > 0: wrong-sign radicand for F3~")
         F3t = np.sign(pair(fj.d_y, nj.d_yy)) * np.sqrt(np.maximum(-det, 0.0))
     return FubiniForms(F2_coeff=F2, F3_coeff=F3, F3tilde_coeff=F3t)
 
 
-def _solve_span(span, rhs, span_tol, what):
+def _solve_span(span, rhs, tolerance, what):
     """Least-squares coefficients of rhs in a factored ``_Span``, and the
     relative residual orthogonal to it.
 
     Raises NotCompatibleError, naming ``what``, when the residual at some
-    point is above ``span_tol`` or not finite.
+    point is above ``tolerance`` or not finite.
     """
     coeff, resid = span.fit(rhs)
-    _check_residual(resid, span_tol, lambda site, r: NotCompatibleError(
-        f"{what}: span residual {r:.3e} exceeds {span_tol:.1e} (input is not a compatible conormal)"))
+    _check_residual(resid, tolerance, lambda site, r: NotCompatibleError(
+        f"{what}: span residual {r:.3e} exceeds {tolerance:.1e} (input is not a compatible conormal)"))
     return coeff, resid
 
 
-def _solve_spans(basis, span_tol, *systems):
+def _solve_spans(basis, tolerance, *systems):
     """Coefficients of each (rhs, what) system in one basis, factored once;
     a rank-deficient basis is reported under the first system's name."""
     span = _Span(basis, f"rank-deficient span while solving {systems[0][1]}")
-    return [_solve_span(span, rhs, span_tol, what)[0] for rhs, what in systems]
+    return [_solve_span(span, rhs, tolerance, what)[0] for rhs, what in systems]
 
 
 @dataclass
@@ -355,7 +345,7 @@ class ConjugateCompat:
     Ct: Optional[np.ndarray] = None
 
 
-def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None, span_tol: float = 1e-6):
+def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None):
     """Per-point compatibility coefficients of the conormal field.
 
     Asymptotic chart: v_xx = U1 v_x + V1 v_y + W1 v and v_yy = U2 v_x +
@@ -369,7 +359,7 @@ def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None, span_t
     fj = None if f_obj is None else as_jets(f_obj, order=order, stencil=stencil)
     basis = [nj.d_x, nj.d_y, nj.value]
     if chart is ChartKind.ASYMPTOTIC:
-        c1, c2 = _solve_spans(basis, span_tol, (nj.d_xx, "nu_xx in span{nu_x, nu_y, nu}"),
+        c1, c2 = _solve_spans(basis, SPAN_TOL, (nj.d_xx, "nu_xx in span{nu_x, nu_y, nu}"),
                               (nj.d_yy, "nu_yy in span{nu_x, nu_y, nu}"))
         out = AsymptoticCompat(
             U1=c1[..., 0], V1=c1[..., 1], W1=c1[..., 2],
@@ -380,24 +370,22 @@ def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None, span_t
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio1 = det_families(nj, "xx") / dmix
                 ratio2 = -det_families(nj, "yy") / dmix
-            denom1 = np.maximum(np.abs(out.V1) ** 2 + np.abs(ratio1), 1e-12)
-            denom2 = np.maximum(np.abs(out.U2) ** 2 + np.abs(ratio2), 1e-12)
-            out.v1_sq_residual = np.abs(out.V1**2 - ratio1) / denom1
-            out.u2_sq_residual = np.abs(out.U2**2 - ratio2) / denom2
+            for name, c, ratio in (("v1_sq_residual", out.V1, ratio1), ("u2_sq_residual", out.U2, ratio2)):
+                setattr(out, name, np.abs(_scalar_gap(c**2, ratio, np.maximum(np.abs(c) ** 2 + np.abs(ratio), 1e-12))))
         if fj is not None:
-            d1, d2 = _solve_spans([fj.d_x, fj.d_y, fj.value], span_tol, (fj.d_xx, "f_xx in span{f_x, f_y, f}"),
+            d1, d2 = _solve_spans([fj.d_x, fj.d_y, fj.value], SPAN_TOL, (fj.d_xx, "f_xx in span{f_x, f_y, f}"),
                                   (fj.d_yy, "f_yy in span{f_x, f_y, f}"))
             out.Wt1 = d1[..., 2]
             out.Wt2 = d2[..., 2]
         return out
-    cm, ct = _solve_spans(basis, span_tol, (nj.d_xy, "nu_xy in span{nu_x, nu_y, nu}"),
+    cm, ct = _solve_spans(basis, SPAN_TOL, (nj.d_xy, "nu_xy in span{nu_x, nu_y, nu}"),
                           (nj.d_yy - nj.d_xx, "nu_yy - nu_xx in span{nu_x, nu_y, nu}"))
     out = ConjugateCompat(
         U=cm[..., 0], V=cm[..., 1], W=cm[..., 2],
         Vt=-0.5 * ct[..., 0], Ut=0.5 * ct[..., 1], C=ct[..., 2],
     )
     if fj is not None:
-        dm, dt = _solve_spans([fj.d_x, fj.d_y, fj.value], span_tol, (fj.d_xy, "f_xy in span{f_x, f_y, f}"),
+        dm, dt = _solve_spans([fj.d_x, fj.d_y, fj.value], SPAN_TOL, (fj.d_xy, "f_xy in span{f_x, f_y, f}"),
                               (fj.d_yy - fj.d_xx, "f_yy - f_xx in span{f_x, f_y, f}"))
         out.Wt = dm[..., 2]
         out.Ct = dt[..., 2]

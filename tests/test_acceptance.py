@@ -93,7 +93,7 @@ def test_criterion_03_defining_relation_and_duality(capsys):
 
 def test_criterion_04_elliptic_chart(capsys):
     ok = bool(np.max(np.abs(det_families(CONJ.nu_jets, "mixed"))) < 1e-8)
-    rep = det_invariance_report(CONJ.f_jets, CONJ.nu_jets, chart=ChartKind.CONJUGATE, tol=1e-8)
+    rep = det_invariance_report(CONJ.f_jets, CONJ.nu_jets, chart=ChartKind.CONJUGATE)
     ok &= rep["det_mixed_vanishes"].max_residual < 1e-8
     ok &= rep["det_conj_xx_sign_flip"].max_residual < 1e-8
     ok &= rep["det_conj_yy_sign_flip"].max_residual < 1e-8

@@ -63,11 +63,6 @@ def test_integration_rejects_nonintegrable_conormal():
     assert exc.value.site is not None
 
 
-def test_integration_rejects_unsupported_signature():
-    with pytest.raises(DomainError):
-        classical_lelieuvre_integrate(HYPAR.nu3_grid, np.zeros(3), sigma=-1)
-
-
 def test_forms_ground_truth_on_saddle():
     forms, rep = affine_forms(AffineSurfacePair(f=HYPAR.f3_grid, nu=HYPAR.nu3_grid))
     assert rep.passed

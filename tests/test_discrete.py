@@ -161,6 +161,13 @@ def test_moutard_coefficient_shape_rejected(shape):
         moutard_evolve(np.ones((4, 3)), np.ones((4, 3)), MoutardCoeff(np.ones(shape)))
 
 
+@pytest.mark.parametrize("rows, cols, name", [(0, 0, "initial_row"), (0, 3, "initial_row"), (3, 0, "initial_col")])
+def test_moutard_empty_strip_rejected(rows, cols, name):
+    # an empty strip has no corner to compare; it used to raise IndexError
+    with pytest.raises(DomainError, match=f"^{name} is empty"):
+        moutard_evolve(np.ones((rows, 3)), np.ones((cols, 3)), 1.0)
+
+
 # --- affine integration ---------------------------------------------------
 
 

@@ -1,6 +1,11 @@
 """Exterior-algebra kernel: oracles, exact-arithmetic anchors, properties."""
 
+import ast
+import importlib
+import inspect
 import itertools
+import pathlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import plmkit
 from plmkit.errors import DomainError
 from plmkit.multilinear import (
+    _degeneracy_bound,
     _fro,
     _norm,
+    _pairing_gap,
+    _rejection_gap,
+    _scalar_gap,
     cross_n,
     det_n,
     hodge_star,
@@ -522,3 +532,185 @@ def test_dimension_guards():
     for kernel in (det_n, cross_n, star_of_wedge):
         with pytest.raises(DomainError):
             kernel([])
+
+
+# --- residual rules: reference, the inline expressions each one replaced ---
+
+_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-320, 1e300, -1e300])
+
+
+def _operands(rng, shape):
+    """Signed 10**e with e uniform in [-320, 300]; a fifth of the entries
+    are zeros of either sign, NaN, infinities or extremes."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    special = rng.random(shape) < 0.2
+    x[special] = rng.choice(_SPECIALS, int(special.sum()))
+    return x
+
+
+def _vectors(rng, n, d):
+    """n vectors of dimension d from ``_operands``, a tenth of them zero."""
+    v = _operands(rng, (n, d))
+    v[rng.random(n) < 0.1] = 0.0
+    return v
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_scalar_gap_equals_the_inline_denominators_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    x, y, s = (_operands(rng, 4000) for _ in range(3))
+    s[:400] = 0.0  # a zero scale
+    ax, ay = np.abs(x), np.abs(y)
+    with np.errstate(all="ignore"):
+        pairs = [
+            # smooth pairing equality, discrete pairings, Omega identities, affine forms
+            ((x - y) / np.maximum(s, 1e-300), _scalar_gap(x, y, s)),
+            # det_mixed_vanishes
+            (x / np.maximum(s, 1e-300), _scalar_gap(x, 0.0, s)),
+            # asymptotic det invariance: floor 1
+            ((x - y) / np.maximum(np.maximum(ax, ay), 1.0), _scalar_gap(x, y, np.maximum(np.maximum(ax, ay), 1.0))),
+            # lattice volume identities: a scale beside the two sides
+            ((x - y) / np.maximum(np.maximum(ax, ay), np.maximum(s, 1e-300)),
+             _scalar_gap(x, y, np.maximum(np.maximum(ax, ay), s))),
+        ]
+        for ref, got in pairs:
+            assert_same_bits(got, ref)
+        # an absolute residual, taken before or after the division, and a sum
+        # written as a difference: the same bits but for the sign of a NaN
+        pairs = [
+            # discrete_compat_coeffs and the scale-propagation cross-check
+            (np.abs(x - y) / np.maximum(ax + ay, 1.0), np.abs(_scalar_gap(x, y, np.maximum(ax + ay, 1.0)))),
+            (np.abs(x - y) / np.maximum(ax + ay, 1e-300), np.abs(_scalar_gap(x, y, ax + ay))),
+            # compat_coeffs' squared-coefficient checks: floor 1e-12
+            (np.abs(x - y) / np.maximum(s, 1e-12), np.abs(_scalar_gap(x, y, np.maximum(s, 1e-12)))),
+            # the Omega variant readings in discrete_forms
+            (np.abs(x - y) / np.maximum(s, 1e-300), np.abs(_scalar_gap(x, y, s))),
+            (np.abs(x + y) / np.maximum(s, 1e-300), np.abs(_scalar_gap(x, -y, s))),
+            # the conjugate det sign flip
+            ((x + y) / np.maximum(np.maximum(ax, ay), 1.0), _scalar_gap(x, -y, np.maximum(np.maximum(ax, ay), 1.0))),
+        ]
+        for ref, got in pairs:
+            assert_same_bits_but_nan_sign(got, ref)
+
+
+def assert_same_bits_but_nan_sign(ours, ref):
+    """Equal bits, except that a NaN may differ in its sign bit: inf / inf
+    makes a NaN with the sign bit set, which abs clears, and x - (-y) keeps
+    the sign a NaN y had after the negation.  No output shows that bit:
+    ``IdentityRecord.from_field`` takes abs, and either NaN prints as nan."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert_same_bits(np.where(nan, np.nan, ours), np.where(nan, np.nan, ref))
+
+
+def _moutard_ref(a, b):
+    """moutard_residual before the rejection rule."""
+    bb = np.maximum((b * b).sum(axis=-1), 1e-300)
+    proj = (a * b).sum(axis=-1) / bb
+    defect = a - proj[..., None] * b
+    return _norm(defect) / np.maximum(_norm(a), 1e-300)
+
+
+def _closure_ref(d_xy, v):
+    """closure_residual before the rejection rule."""
+    vv = np.maximum((v * v).sum(axis=-1), 1e-300)
+    u4 = (d_xy * v).sum(axis=-1) / vv
+    defect = d_xy - u4[..., None] * v
+    scale = np.maximum(_norm(d_xy), 1e-12 * np.sqrt(vv))
+    return _norm(defect) / scale, u4
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.sampled_from([3, 4]))
+def test_rejection_gap_equals_the_moutard_and_closure_residuals_bitwise(seed, d):
+    rng = np.random.default_rng(seed)
+    a, b = _vectors(rng, 1000, d), _vectors(rng, 1000, d)
+    b[:50] = 3.0 * a[:50]  # a on the line of b
+    with np.errstate(all="ignore"):
+        assert_same_bits(_rejection_gap(a, b)[0], _moutard_ref(a, b))
+        got, ref = _rejection_gap(a, b, floor=1e-12), _closure_ref(a, b)
+        assert_same_bits(got[0], ref[0])
+        assert_same_bits(got[1], ref[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_degeneracy_bound_gives_the_inline_verdicts(seed):
+    rng = np.random.default_rng(seed)
+    det, s = _operands(rng, 4000), _operands(rng, 4000)
+    s[:400] = 0.0
+    with np.errstate(all="ignore"):
+        ref = 1e-10 * np.maximum(s, 1e-300)
+        assert_same_bits(_degeneracy_bound(s), ref)
+        # the sign tests of fubini_forms and affine_forms, and the
+        # degeneracy tests of reconstruct_*, hyper_reconstruct and recover_A
+        assert np.array_equal(det < -_degeneracy_bound(s), det < -1e-10 * np.maximum(s, 1e-300))
+        assert np.array_equal(det > _degeneracy_bound(s), det > ref)
+        assert np.array_equal(np.abs(det) <= _degeneracy_bound(s), np.abs(det) <= ref)
+        # the point tests of reconstruct_point(_alt) and discrete_direction took Python's max
+        for v in s[:200].tolist():
+            assert_same_bits(_degeneracy_bound(v), np.float64(1e-10 * max(v, 1e-300)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(2, 6))
+def test_pairing_gap_equals_the_inline_floors_bitwise(seed, d):
+    rng = np.random.default_rng(seed)
+    a, b = _vectors(rng, 1000, d), _vectors(rng, 1000, d)
+    floor = np.abs(_operands(rng, 1000))
+    floor[:100] = 0.0
+    with np.errstate(all="ignore"):
+        assert_same_bits(_pairing_gap(a, b), pair(a, b) / np.maximum(_norm(a) * _norm(b), 1e-300))
+        # orthogonality_report's floor |f| |nu|, itself floored at 1e-300
+        ref = pair(a, b) / np.maximum(_norm(a) * _norm(b), np.maximum(floor, 1e-300))
+        assert_same_bits(_pairing_gap(a, b, floor), ref)
+
+
+# --- one threshold table ---
+
+_KNOBS = {"tol", "eps_deg", "sign_tol", "span_tol", "closure_tol", "sigma"}
+
+
+def _public_callables():
+    """(qualified name, callable) for every name in a plmkit module's
+    ``__all__``, and the public methods of the classes among them."""
+    for info in pkgutil.iter_modules(plmkit.__path__):
+        module = importlib.import_module(f"plmkit.{info.name}")
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_threshold():
+    found = []
+    for qualname, fn in _public_callables():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        found += [f"{qualname}({p})" for p in params if p in _KNOBS]
+    assert found == []
+    assert len(list(_public_callables())) > 50
+
+
+def test_each_threshold_is_written_once_in_the_table():
+    from plmkit import report
+    table = {report.SMOOTH_TOL, report.HYPER_TOL, report.AFFINE_TOL, report.LATTICE_TOL, report.DEGENERACY,
+             report.SPAN_TOL, report.SCALE_TOL, report.PROJECTIVE_TOL}
+    assert table == {1e-6, 1e-8, 1e-10}
+    for path in pathlib.Path(plmkit.__file__).parent.glob("*.py"):
+        if path.name == "report.py":
+            continue
+        literals = [node.value for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+        assert table.isdisjoint(literals), path.name
