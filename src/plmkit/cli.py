@@ -17,14 +17,14 @@ of given jets, the jets of those rows of a sampled grid, stencil halo
 included, or the rows of a lattice that hold its base sites and the rows past
 them that its stencils reach), so no whole-grid jet or whole-lattice
 temporary is built, and keeps each residual field unreduced in a
-ResidualTile.  A suite's tiles are then joined and each identity reduced
-once, so the report is the same bytes at any thread count.  A group not cut
-into rows (a mismatched, empty or too small input) is one tile over the whole
-batch, submitted first so that the row tiles fill in around it: the untiled
-run is the one-tile run.  A tiled suite that
-raises on a tile, or whose tiles make different whole-batch choices (the one
-such choice is the zero shortcut of ``hyper_compat_residual``), runs again as
-its group's one tile over the whole batch, in the calling thread.
+ResidualTile.  The units run in report order, and a group's suites are
+joined, each identity reduced once, as its last tile arrives, so the report
+is the same bytes at any thread count.  A group not cut into rows (a
+mismatched, empty or too small input) is one tile over the whole batch: the
+untiled run is the one-tile run.  A tiled suite that raises on a tile, or
+whose tiles make different whole-batch choices (the one such choice is the
+zero shortcut of ``hyper_compat_residual``), runs again as its group's one
+tile over the whole batch, in the calling thread.
 """
 
 import argparse
@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
 
 import numpy as np
 
@@ -116,7 +115,9 @@ def _worker_count(n_units):
         try:
             cap = int(env)
         except ValueError:
-            raise DomainError(f"PLM_NUM_THREADS must be an integer, got {env!r}") from None
+            cap = 0
+        if cap < 1:
+            raise DomainError(f"PLM_NUM_THREADS must be a positive integer, got {env!r}")
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_units))
@@ -205,11 +206,10 @@ def _grid_spec(args):
 
 @dataclass(eq=False)
 class _Suite:
-    """One suite of the report, ``seq`` its place there: ``run(*inputs,
-    report=)`` adds its residual fields on its group's inputs to ``report``."""
+    """One suite of the report: ``run(*inputs, report=)`` adds its residual
+    fields on its group's inputs to ``report``."""
 
     name: str
-    seq: int
     run: Callable
     group: "_Group" = None
 
@@ -281,10 +281,10 @@ def _grid_jets(grids, order, stencil, rows):
     return tuple(jet_grid(grid, order=order, stencil=stencil, rows=rows) for grid in grids)
 
 
-def _smooth_groups(suite, scn, stencil, seq):
+def _smooth_groups(suite, scn, stencil):
     chart = _chart_of(suite)
     plm, orth, det = (
-        _Suite(f"{suite}/{name}", next(seq), partial(fn, chart=chart, stencil=stencil))
+        _Suite(f"{suite}/{name}", partial(fn, chart=chart))
         for name, fn in (("defining_relation", plm_residual), ("orthogonality", orthogonality_report),
                          ("det_invariance", det_invariance_report))
     )
@@ -301,7 +301,7 @@ def _smooth_groups(suite, scn, stencil, seq):
                    partial(_grid_jets, grids, order, stencil)) for order, suites in orders]
 
 
-def _affine_groups(paira, stencil, seq):
+def _affine_groups(paira, stencil):
     def forms(pairg, rows, report):
         affine_forms(pairg, stencil=stencil, rows=rows, report=report)
 
@@ -310,7 +310,7 @@ def _affine_groups(paira, stencil, seq):
 
     # the form identities take jets of the grid's own order, the closure order-2 jets
     groups = ((_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure))
-    return [_Group(f"affine/{name}", [_Suite(f"affine/{name}", next(seq), fn)],
+    return [_Group(f"affine/{name}", [_Suite(f"affine/{name}", fn)],
                    _interior((paira.f, paira.nu), order, stencil), lambda rows: (paira, rows))
             for order, name, fn in groups]
 
@@ -324,7 +324,7 @@ def _lattice_rows(pairn, rows, halo):
     return DiscreteSurfacePair(nu=nu, f=f, gauge=pairn.gauge)
 
 
-def _discrete_groups(scn, seq):
+def _discrete_groups(scn):
     pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
     paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
 
@@ -346,40 +346,39 @@ def _discrete_groups(scn, seq):
     # that its stencils reach: one for a plaquette, two for Omega3
     suites = (("defining_relation", relation, [pairp], 1), ("volume_invariance", volume, [paira, pairp], 1),
               ("form_identities", forms, [paira], 2), ("moutard_closure", closure, [paira], 1))
-    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", next(seq), fn)],
+    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", fn)],
                    _common_shape(pairs[0].extent, pairs[-1].extent),
                    lambda rows, pairs=pairs, halo=halo: (*(_lattice_rows(p, rows, halo) for p in pairs), rows))
             for name, fn, pairs, halo in suites]
 
 
 def _collect_tasks(args, scn):
-    """(name, thunk) work units for every suite applicable to the inputs.
+    """(name, thunk) work units for every suite applicable to the inputs, in
+    report order: group by group, each group's suites next in the report.
 
     Each thunk runs one unit of a group and returns (suite, part) pairs:
     the suite's ResidualTile on the unit's rows, or the PlmError it raised.
-    Groups of one unit come first, so that the row tiles fill in around them.
     """
     suites = [args.suite] if args.suite != "all" else list(_SUITES[:-1])
-    seq = count()
     groups = []
     for suite in suites:
         if suite in _SMOOTH:
             # jets (a fixture's closed form, or given), else the sampled grids
             if scn.chart is _chart_of(suite) and (scn.jet_pair() or scn.f_grid is not None):
-                groups += _smooth_groups(suite, scn, args.stencil, seq)
+                groups += _smooth_groups(suite, scn, args.stencil)
         elif suite == "hyper" and (pair := scn.jet_pair(hyper=True)):
             (rows, shapes), A = pair, scn.amatrix
             hyper = [
-                _Suite("hyper/defining_relation", next(seq), partial(hyper_plm_residual, A=A)),
-                _Suite("hyper/compatibility", next(seq), lambda f, nu, report: hyper_compat_residual(
+                _Suite("hyper/defining_relation", partial(hyper_plm_residual, A=A)),
+                _Suite("hyper/compatibility", lambda f, nu, report: hyper_compat_residual(
                     nu, A, report=report)),
             ]
             groups.append(_Group("hyper", hyper, _common_shape(*shapes), rows))
         elif suite == "discrete" and scn.nu_lattice is not None:
-            groups += _discrete_groups(scn, seq)
+            groups += _discrete_groups(scn)
         elif suite == "affine" and scn.f3_grid is not None:
-            groups += _affine_groups(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil, seq)
-    return [unit for group in sorted(groups, key=lambda g: g.shape is not None) for unit in group.units()]
+            groups += _affine_groups(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil)
+    return [unit for group in groups for unit in group.units()]
 
 
 def _suite_report(suite, parts):
@@ -402,18 +401,20 @@ def _suite_report(suite, parts):
 
 
 def _run_units(units):
-    """Run the work units on the pool; every suite's records, in report order."""
+    """Run the work units, given in report order, on the pool; every suite's
+    records, in report order.  A group's suites are joined as its last tile
+    arrives, so the parts of one group at most are held."""
+    records, parts = [], {}
     with ThreadPoolExecutor(max_workers=_worker_count(len(units))) as pool:
-        results = list(pool.map(lambda u: u[1](), units))
-    parts = {}
-    for result in results:
-        for suite, part in result:
-            parts.setdefault(suite, []).append(part)
-    records = []
-    for suite in sorted(parts, key=lambda s: s.seq):
-        for rec in _suite_report(suite, parts.pop(suite)).records:
-            rec.name = f"{suite.name}/{rec.name}"
-            records.append(rec)
+        for result in pool.map(lambda u: u[1](), units):
+            for suite, part in result:
+                parts.setdefault(suite, []).append(part)
+            group = result[0][0].group
+            if len(parts[group.suites[0]]) == len(_row_tiles(group.shape)):  # the group's last tile
+                for suite in group.suites:
+                    for rec in _suite_report(suite, parts.pop(suite)).records:
+                        rec.name = f"{suite.name}/{rec.name}"
+                        records.append(rec)
     return records
 
 
@@ -536,7 +537,7 @@ def cmd_forms(args):
         fj, nj = scn.f_jets, scn.nu_jets  # a fixture computes each on access
         if fj is None:
             raise DomainError("scenario has no smooth jets")
-        forms = fubini_forms(fj, nj, stencil=args.stencil)
+        forms = fubini_forms(fj, nj)
         missing = np.full_like(forms.F2_coeff, np.nan)
         coords = fj.axes
         cols = {"F2": forms.F2_coeff, "F3": missing if forms.F3_coeff is None else forms.F3_coeff,

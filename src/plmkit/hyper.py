@@ -6,9 +6,9 @@ weight matrix A:
     f ^ f_{x_a} = sum_b A[a, b] * star(nu_{x_1} ^ ... ^ nu[slot b] ^ ... ^ nu_{x_n})
 
 where the b-th wedge factor is nu itself and the others are the first
-partials.  For n = 2 an anti-diagonal A reduces to the asymptotic chart
-of the surface module and a diagonal A to the conjugate chart (up to a
-projective rescaling of f).
+partials.  For n = 2 this is the surface system: ``smooth.plm_residual``
+runs this module's one kernel, ``_defining_system``, with A = [[0, -1],
+[-1, 0]] in the asymptotic chart and -I in the conjugate chart.
 
 The module reconstructs f from a second-order conormal jet, recovers A
 from a dual pair, and reports the defining-system, pairing and
@@ -34,8 +34,8 @@ import numpy as np
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
 from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import (
-    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair, star_of_wedge,
-    wedge2,
+    _add, _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair,
+    star_of_wedge, wedge2,
 )
 from .report import HYPER_TOL, InvariantReport
 
@@ -78,14 +78,16 @@ class AMatrix:
         return self.values.shape[0]
 
 
-def _a_values(A, n):
-    """Normalize an AMatrix or a per-point (..., n, n) array of weights."""
-    if isinstance(A, AMatrix):
-        v = A.values
-    else:
-        v = np.asarray(A, dtype=float)
+def _a_values(A, n, shape):
+    """Normalize an AMatrix, or a finite (n, n) or per-point (*shape, n, n)
+    array of weights for jets of batch ``shape``."""
+    v = A.values if isinstance(A, AMatrix) else np.asarray(A, dtype=float)
     if v.shape[-2:] != (n, n):
         raise DomainError(f"weight matrix shape {v.shape[-2:]} does not match n = {n}")
+    if v.ndim > 2 and v.shape[:-2] != shape:
+        raise DomainError(f"weight matrices of batch shape {v.shape[:-2]} do not fit jets of batch shape {shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("weight matrix contains non-finite entries")
     return v
 
 
@@ -124,7 +126,7 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
     a, c = pivot
     if not (1 <= a <= n and 1 <= c <= n):
         raise DomainError(f"pivot {pivot} out of range 1..{n}")
-    Av = _a_values(A, n)
+    Av = _a_values(A, n, jet.shape)
     m = _conormal_cross(jet)
     second = jet.partial2(a - 1, c - 1)
     det = np.asarray(det_n([second, jet.value, *jet.d1]), dtype=float)
@@ -157,6 +159,21 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid):
     return np.stack(rows, axis=-2)
 
 
+def _defining_system(f_jet: JetGrid, nu_jet: JetGrid, Av, names, tolerance, report):
+    """Add the ``_bivector_gap`` of f ^ f_{x_a} = sum_b Av[a, b] * star(slot b)
+    to ``report`` as record ``names[a]``, for each a; ``Av`` is (n, n) or
+    per-point.  A weight that is zero at every site adds no term: it costs no
+    product, and a non-finite star under it does not reach the residual."""
+    stars = [_slot_star(nu_jet, b) for b in range(nu_jet.n)]
+    for a, name in enumerate(names):
+        lhs = wedge2(f_jet.value, f_jet.d1[a])
+        rhs = None
+        for b, star in enumerate(stars):
+            if np.any(Av[..., a, b] != 0):
+                rhs = _add(rhs, Av[..., a, b, None] * star)
+        report.add(name, _bivector_gap(lhs, np.zeros_like(lhs) if rhs is None else rhs), tolerance)
+
+
 def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, report=None):
     """Residuals of the defining bivector system and its pairing laws.
 
@@ -165,16 +182,9 @@ def hyper_plm_residual(f_jet: JetGrid, nu_jet: JetGrid, A, report=None):
     n = _params(f_jet, nu_jet)
     if f_jet.shape != nu_jet.shape:
         raise DomainError(f"batch shape mismatch: {f_jet.shape} vs {nu_jet.shape}")
-    Av = _a_values(A, n)
-    stars = [_slot_star(nu_jet, b) for b in range(n)]
+    Av = _a_values(A, n, nu_jet.shape)
     rep = InvariantReport(metadata={"n": n}) if report is None else report
-    for a in range(n):
-        lhs = wedge2(f_jet.value, f_jet.d1[a])
-        rhs = None
-        for b in range(n):
-            term = Av[..., a, b, None] * stars[b]
-            rhs = term if rhs is None else rhs + term
-        rep.add(f"bivector_x{a + 1}", _bivector_gap(lhs, rhs), HYPER_TOL)
+    _defining_system(f_jet, nu_jet, Av, [f"bivector_x{a + 1}" for a in range(n)], HYPER_TOL, rep)
     for a in range(n):
         rep.add(f"<f_x{a + 1},nu>", _pairing_gap(f_jet.d1[a], nu_jet.value), HYPER_TOL)
         rep.add(f"<f,nu_x{a + 1}>", _pairing_gap(f_jet.value, nu_jet.d1[a]), HYPER_TOL)
@@ -197,7 +207,7 @@ def hyper_compat_residual(nu_jet: JetGrid, A, report=None):
     rank checked, at the first combination that is not zero.
     """
     n = _params(nu_jet)
-    Av = _a_values(A, n)
+    Av = _a_values(A, n, nu_jet.shape)
     rep = InvariantReport(metadata={"n": n}) if report is None else report
     span = None
     for a, b, g, d in product(range(n), repeat=4):

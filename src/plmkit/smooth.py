@@ -3,11 +3,14 @@
 Two charts are supported.  In the asymptotic chart the defining relations
 are ``f ^ f_x = *(nu ^ nu_x)`` and ``f ^ f_y = -*(nu ^ nu_y)``; in the
 conjugate-line (elliptic) chart they are ``f ^ f_x = -*(nu ^ nu_y)`` and
-``f ^ f_y = *(nu ^ nu_x)``.  The module reconstructs the surface point
-from a conormal jet, runs the inverse map by symmetry, and turns each
-identity of the correspondence (orthogonality relations, determinant
-invariance, quadratic/cubic form expressions, compatibility systems)
-into a residual report.
+``f ^ f_y = *(nu ^ nu_x)``: the n = 2 hypersurface system of ``hyper`` with
+the chart's matrix ``_CHART_A[chart]``, which ``plm_residual`` hands to that
+module's one kernel.  The module reconstructs the surface point from a
+conormal jet, runs the inverse map by symmetry, and turns each identity of
+the correspondence (orthogonality relations, determinant invariance,
+quadratic/cubic form expressions, compatibility systems) into a residual
+report.  Like the hyper suites, every suite takes ``JetGrid``s; third-order
+jets add the cubic forms and determinants.
 
 All reconstruction radicals take the positive square root; the resulting
 global sign of f is projectively irrelevant because every defining
@@ -21,11 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
-from .fields import FieldGrid, JetGrid, jet_grid
-from .multilinear import (
-    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, cross_n, det_n, pair,
-    star_of_wedge, wedge2,
-)
+from .fields import JetGrid
+from .hyper import AMatrix, _conormal_cross, _defining_system
+from .multilinear import _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, cross_n, det_n, pair
 from .report import SMOOTH_TOL, SPAN_TOL, InvariantReport, _check_residual
 
 __all__ = [
@@ -50,13 +51,15 @@ class ChartKind(enum.Enum):
     CONJUGATE = "conjugate"
 
 
-def as_jets(obj, order=2, stencil=2):
-    """Accept a FieldGrid (finite differences) or precomputed jets."""
-    if isinstance(obj, JetGrid):
-        return obj
-    if isinstance(obj, FieldGrid):
-        return jet_grid(obj, order=order, stencil=stencil)
-    raise DomainError(f"expected FieldGrid or JetGrid, got {type(obj).__name__}")
+# Each chart's weight matrix A in f ^ f_{x_a} = sum_b A[a, b] * star(slot b),
+# whose slot stars are star(nu ^ nu_y) and star(nu_x ^ nu)
+_CHART_A = {ChartKind.ASYMPTOTIC: AMatrix([[0.0, -1.0], [-1.0, 0.0]]), ChartKind.CONJUGATE: AMatrix(-np.eye(2))}
+
+
+def _jets(obj):
+    if not isinstance(obj, JetGrid):
+        raise DomainError(f"expected a JetGrid, got {type(obj).__name__} (fields.jet_grid takes the jets of a grid)")
+    return obj
 
 
 def _reconstruct_arrays(jet, chart):
@@ -66,7 +69,7 @@ def _reconstruct_arrays(jet, chart):
     discriminant is negative, and |det| at or below ``bound`` is degenerate.
     """
     last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
-    num = cross_n([jet.value, jet.d_x, jet.d_y])
+    num = _conormal_cross(jet)
     det = np.asarray(det_n([jet.value, jet.d_x, jet.d_y, last]), dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         res = num / np.sqrt(det)[..., None]
@@ -98,16 +101,11 @@ def reconstruct_point_alt(jet: JetGrid, axis: str):
     """
     if jet.order < 3:
         raise DomainError("reconstruct_point_alt needs third derivatives")
-    if axis == "x":
-        a, b, c = jet.d_x, jet.d_xx, jet.d_xxx
-        det = float(det_n([jet.value, a, b, c]))
-        radicand = det
-    elif axis == "y":
-        a, b, c = jet.d_y, jet.d_yy, jet.d_yyy
-        det = float(det_n([jet.value, a, b, c]))
-        radicand = -det
-    else:
+    if axis not in ("x", "y"):
         raise DomainError("axis must be 'x' or 'y'")
+    a, b, c = (jet.d_x, jet.d_xx, jet.d_xxx) if axis == "x" else (jet.d_y, jet.d_yy, jet.d_yyy)
+    det = float(det_n([jet.value, a, b, c]))
+    radicand = det if axis == "x" else -det
     scale = float(_norm_product(jet.value, a, b, c))
     if abs(radicand) <= _degeneracy_bound(scale):
         raise DegeneratePointError("degenerate third-order discriminant (ruled/quadric locus)")
@@ -122,7 +120,7 @@ def reconstruct_field(jets, chart: ChartKind, strict: bool = False):
     Returns (f, degenerate_mask); degenerate or chart-mismatched points
     are NaN in f.  With ``strict`` the first bad point raises.
     """
-    res, det, bound = _reconstruct_arrays(as_jets(jets), chart)
+    res, det, bound = _reconstruct_arrays(_jets(jets), chart)
     bad = ~(det > bound)
     if strict and np.any(bad):
         i, j = np.argwhere(bad)[0]
@@ -133,9 +131,8 @@ def reconstruct_field(jets, chart: ChartKind, strict: bool = False):
     return res, bad
 
 
-def _pair_jets(f_obj, nu_obj, order=2, stencil=2):
-    fj = as_jets(f_obj, order=order, stencil=stencil)
-    nj = as_jets(nu_obj, order=order, stencil=stencil)
+def _pair_jets(f_obj, nu_obj):
+    fj, nj = _jets(f_obj), _jets(nu_obj)
     if fj.shape != nj.shape:
         raise DomainError(f"grid mismatch: {fj.shape} vs {nj.shape}")
     if fj.shape[0] == 0 or fj.shape[1] == 0:
@@ -147,32 +144,24 @@ def _report(report, chart):
     return InvariantReport(metadata={"chart": chart.value}) if report is None else report
 
 
-def plm_residual(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
+def plm_residual(f_obj, nu_obj, chart: ChartKind, report=None):
     """Residual of the two defining bivector relations, normalized by the
-    pointwise bivector magnitude.
+    pointwise bivector magnitude: the hypersurface system with the chart's
+    matrix, records ``bivector_x`` and ``bivector_y``.
 
     Like every suite, it adds its records to ``report`` when one is given
     (an InvariantReport, or a ResidualTile to keep the fields of one tile)
     and to a new InvariantReport otherwise, and returns that report.
     """
-    fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
-    wfx = wedge2(fj.value, fj.d_x)
-    wfy = wedge2(fj.value, fj.d_y)
-    snx = star_of_wedge([nj.value, nj.d_x])
-    sny = star_of_wedge([nj.value, nj.d_y])
-    if chart is ChartKind.ASYMPTOTIC:
-        pairs = [("bivector_x", wfx, snx), ("bivector_y", wfy, -sny)]
-    else:
-        pairs = [("bivector_x", wfx, -sny), ("bivector_y", wfy, snx)]
+    fj, nj = _pair_jets(f_obj, nu_obj)
     rep = _report(report, chart)
-    for name, lhs, rhs in pairs:
-        rep.add(name, _bivector_gap(lhs, rhs), SMOOTH_TOL)
+    _defining_system(fj, nj, _CHART_A[chart].values, ("bivector_x", "bivector_y"), SMOOTH_TOL, rep)
     return rep
 
 
-def orthogonality_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
+def orthogonality_report(f_obj, nu_obj, chart: ChartKind, report=None):
     """Vanishing-pairing relations of the correspondence."""
-    fj, nj = _pair_jets(f_obj, nu_obj, stencil=stencil)
+    fj, nj = _pair_jets(f_obj, nu_obj)
     rep = _report(report, chart)
 
     # floor the scale at |f||nu| so a jet that vanishes identically (and is
@@ -233,25 +222,23 @@ def det_families(jets, which: str):
     return np.asarray(table[which](), dtype=float)
 
 
-def det_invariance_report(f_obj, nu_obj, chart: ChartKind, stencil: int = 2, report=None):
+def det_invariance_report(f_obj, nu_obj, chart: ChartKind, report=None):
     """Determinant invariance (asymptotic: equal; conjugate: sign-flipped,
     plus the vanishing mixed determinant and equality of the xx/yy
-    determinants, which follows from the equal diagonal pairings)."""
-    order = 3 if chart is ChartKind.ASYMPTOTIC else 2
-    fj, nj = _pair_jets(f_obj, nu_obj, order=order, stencil=stencil)
+    determinants, which follows from the equal diagonal pairings).  The
+    asymptotic xx and yy families are checked on third-order jets only."""
+    fj, nj = _pair_jets(f_obj, nu_obj)
     rep = _report(report, chart)
     if chart is ChartKind.ASYMPTOTIC:
-        for which in ("mixed", "xx", "yy") if fj.d_xxx is not None else ("mixed",):
-            df = det_families(fj, which)
-            dn = det_families(nj, which)
-            scale = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
-            rep.add(f"det_{which}_invariance", _scalar_gap(df, dn, scale), SMOOTH_TOL)
+        third = ("xx", "yy") if fj.d_xxx is not None else ()
+        families = [(f"det_{w}_invariance", w, False) for w in ("mixed", *third)]
     else:
-        for name in ("conj_xx", "conj_yy"):
-            df = det_families(fj, name)
-            dn = det_families(nj, name)
-            scale = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
-            rep.add(f"det_{name}_sign_flip", _scalar_gap(df, -dn, scale), SMOOTH_TOL)
+        families = [(f"det_{w}_sign_flip", w, True) for w in ("conj_xx", "conj_yy")]
+    for name, which, flip in families:
+        df, dn = det_families(fj, which), det_families(nj, which)
+        scale = np.maximum(np.maximum(np.abs(df), np.abs(dn)), 1.0)
+        rep.add(name, _scalar_gap(df, -dn if flip else dn, scale), SMOOTH_TOL)
+    if chart is ChartKind.CONJUGATE:
         dmix = det_families(nj, "mixed")
         rep.add("det_mixed_vanishes", _scalar_gap(dmix, 0.0, _norm_product(nj.value, nj.d_x, nj.d_y, nj.d_xy)),
                 SMOOTH_TOL)
@@ -270,7 +257,7 @@ class FubiniForms:
     F3tilde_coeff: Optional[np.ndarray]
 
 
-def fubini_forms(f_obj, nu_obj, stencil: int = 2) -> FubiniForms:
+def fubini_forms(f_obj, nu_obj) -> FubiniForms:
     """Projective form coefficients in the asymptotic chart.
 
     F2 = 2 <f_x, nu_y>.  F3 = sign(<f_x, nu_xx>) * sqrt(det|nu, nu_x,
@@ -280,7 +267,7 @@ def fubini_forms(f_obj, nu_obj, stencil: int = 2) -> FubiniForms:
     which is inconsistent with the derivation and not used here).
     Cubic coefficients need third-order jets and are None otherwise.
     """
-    fj, nj = _pair_jets(f_obj, nu_obj, order=3, stencil=stencil)
+    fj, nj = _pair_jets(f_obj, nu_obj)
     F2 = 2.0 * np.asarray(pair(fj.d_x, nj.d_y), dtype=float)
     F3 = F3t = None
     if nj.d_xxx is not None:
@@ -345,7 +332,7 @@ class ConjugateCompat:
     Ct: Optional[np.ndarray] = None
 
 
-def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None):
+def compat_coeffs(nu_obj, chart: ChartKind, f_obj=None):
     """Per-point compatibility coefficients of the conormal field.
 
     Asymptotic chart: v_xx = U1 v_x + V1 v_y + W1 v and v_yy = U2 v_x +
@@ -354,9 +341,8 @@ def compat_coeffs(nu_obj, chart: ChartKind, stencil: int = 2, f_obj=None):
     U v_x + V v_y + W v and v_yy - v_xx = -2 Vt v_x + 2 Ut v_y + C v.
     Supplying the dual field adds the coefficients only visible on it.
     """
-    order = 3 if chart is ChartKind.ASYMPTOTIC else 2
-    nj = as_jets(nu_obj, order=order, stencil=stencil)
-    fj = None if f_obj is None else as_jets(f_obj, order=order, stencil=stencil)
+    nj = _jets(nu_obj)
+    fj = None if f_obj is None else _jets(f_obj)
     basis = [nj.d_x, nj.d_y, nj.value]
     if chart is ChartKind.ASYMPTOTIC:
         c1, c2 = _solve_spans(basis, SPAN_TOL, (nj.d_xx, "nu_xx in span{nu_x, nu_y, nu}"),

@@ -130,7 +130,7 @@ def test_pair_validation():
 
 def test_lift_satisfies_projective_relations():
     f4, nu4 = lift_affine(AffineSurfacePair(f=HYPAR.f3_grid, nu=HYPAR.nu3_grid))
-    rep = plm_residual(f4, nu4, chart=ChartKind.ASYMPTOTIC)
+    rep = plm_residual(jet_grid(f4), jet_grid(nu4), chart=ChartKind.ASYMPTOTIC)
     assert rep.max_residual() < 1e-10
     jets = jet_grid(nu4, order=2)
     # homogeneous mixed determinant equals F^2 = 1 on the saddle

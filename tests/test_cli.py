@@ -207,11 +207,21 @@ def test_non_integer_thread_count_is_usage_error(capsys, monkeypatch, value):
     assert "PLM_NUM_THREADS" in err and repr(value) in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_thread_count_is_usage_error(capsys, monkeypatch, value):
+    # README: the value must be a positive integer; one worker is not a fallback
+    monkeypatch.setenv("PLM_NUM_THREADS", value)
+    code, out, err = run(capsys, "verify", "--scenario", "hypar")
+    assert code == 2
+    assert "PASS" not in out
+    assert err.splitlines() == [f"error: PLM_NUM_THREADS must be a positive integer, got {value!r}"]
+
+
 def test_worker_count_is_capped_by_the_units(monkeypatch):
     # checked without a pool: no thread is started for a huge value
     monkeypatch.setenv("PLM_NUM_THREADS", str(10**18))
     assert cli._worker_count(7) == 7
-    monkeypatch.setenv("PLM_NUM_THREADS", "0")
+    monkeypatch.setenv("PLM_NUM_THREADS", "1")
     assert cli._worker_count(7) == 1
     monkeypatch.delenv("PLM_NUM_THREADS")
     assert 1 <= cli._worker_count(3) <= 3

@@ -358,3 +358,28 @@ def test_jets_without_n_plus_2_components_are_rejected():
                  lambda: hyper_reconstruct(jets, A), lambda: recover_A(jets, jets)):
         with pytest.raises(DomainError, match="need 4 components"):
             call()
+
+
+@pytest.mark.parametrize("case", ["batch shape", "nan entry"])
+def test_per_point_weights_are_validated(case):
+    # AMatrix rejects a non-finite entry; a per-point array of weights must too,
+    # and one whose batch shape does not fit the jets is a DomainError, not
+    # numpy's broadcasting ValueError
+    fj, nj = ELL.hyper_f_jet, ELL.hyper_nu_jet
+    if case == "batch shape":
+        A, match = np.broadcast_to(ELL.amatrix.values, (5, 5, 2, 2)), r"batch shape \(5, 5\) .* \(21, 21\)"
+    else:
+        A, match = np.broadcast_to(ELL.amatrix.values, nj.shape + (2, 2)).copy(), "non-finite"
+        A[3, 4, 0, 1] = np.nan
+    for call in (lambda: hyper_plm_residual(fj, nj, A), lambda: hyper_compat_residual(nj, A),
+                 lambda: hyper_reconstruct(nj, A)):
+        with pytest.raises(DomainError, match=match):
+            call()
+
+
+def test_per_point_weights_of_the_jets_batch_shape_are_taken():
+    fj, nj = ELL.hyper_f_jet, ELL.hyper_nu_jet
+    whole = hyper_plm_residual(fj, nj, ELL.amatrix).to_json()
+    for shape in (nj.shape, ()):
+        A = np.broadcast_to(ELL.amatrix.values, shape + (2, 2))
+        assert hyper_plm_residual(fj, nj, A).to_json() == whole

@@ -212,10 +212,22 @@ def test_incompatible_conormal_rejected():
     vals = rng.standard_normal((9, 9, 4)) + 3.0
     grid = FieldGrid(origin=(0.0, 0.0), spacing=(h, h), values=vals)
     with pytest.raises(NotCompatibleError):
-        compat_coeffs(grid, ChartKind.CONJUGATE)
+        compat_coeffs(jet_grid(grid, order=2), ChartKind.CONJUGATE)
 
 
 def test_grid_shape_mismatch_rejected():
     small = FieldGrid(origin=(0, 0), spacing=(0.05, 0.05), values=HYPAR.nu_grid.values[:-2])
     with pytest.raises(DomainError):
-        plm_residual(HYPAR.f_grid, small, chart=ChartKind.ASYMPTOTIC)
+        plm_residual(jet_grid(HYPAR.f_grid), jet_grid(small), chart=ChartKind.ASYMPTOTIC)
+
+
+def test_suites_take_jets_not_sampled_grids():
+    # as the hyper suites do: fields.jet_grid takes the jets of a grid first
+    fj, nj, grid = HYPAR.f_jets, HYPAR.nu_jets, HYPAR.nu_grid
+    chart = ChartKind.ASYMPTOTIC
+    calls = [lambda fn=fn: fn(fj, grid, chart) for fn in (plm_residual, orthogonality_report, det_invariance_report)]
+    calls += [lambda: plm_residual(grid, nj, chart), lambda: fubini_forms(fj, grid), lambda: compat_coeffs(grid, chart),
+              lambda: compat_coeffs(nj, chart, f_obj=grid), lambda: reconstruct_field(grid, chart)]
+    for call in calls:
+        with pytest.raises(DomainError, match="expected a JetGrid, got FieldGrid"):
+            call()

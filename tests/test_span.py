@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from plmkit import discrete, hyper, smooth
 from plmkit.discrete import DiscreteSurfacePair, discrete_compat_coeffs, discrete_scale_propagate, lift_to_projective
 from plmkit.errors import DegeneratePointError, NotCompatibleError, PlmError
-from plmkit.fields import LatticeField
+from plmkit.fields import LatticeField, jet_grid
 from plmkit.multilinear import _norm, _Span, pair
 from plmkit.scenarios import scenario
 from plmkit.smooth import ChartKind, compat_coeffs
@@ -205,11 +205,12 @@ def test_compat_coeffs_equal_the_reference_run(name, chart, source, monkeypatch)
     # closed-form jets pass the span tests; finite-difference grids fail them
     # where the exact rhs is zero and its round-off meets the 1e-12 floor
     scn = scenario(name)
-    nu, f = (scn.nu_jets, scn.f_jets) if source == "jets" else (scn.nu_grid, scn.f_grid)
+    order = 3 if chart is ChartKind.ASYMPTOTIC else 2
+    nu, f = ((scn.nu_jets, scn.f_jets) if source == "jets"
+             else (jet_grid(scn.nu_grid, order=order), jet_grid(scn.f_grid, order=order)))
     got = _outcome(lambda: dataclasses.asdict(compat_coeffs(nu, chart, f_obj=f)))
     assert isinstance(got, dict) == (source == "jets")
-    order = 3 if chart is ChartKind.ASYMPTOTIC else 2
-    ref = _outcome(lambda: _compat_coeffs_ref(smooth.as_jets(nu, order), smooth.as_jets(f, order), chart))
+    ref = _outcome(lambda: _compat_coeffs_ref(nu, f, chart))
     assert ({k: got[k] for k in ref} if isinstance(got, dict) else got) == ref
     monkeypatch.setattr(smooth, "_solve_spans", _solve_spans_ref)  # and every derived field
     assert got == _outcome(lambda: dataclasses.asdict(compat_coeffs(nu, chart, f_obj=f)))

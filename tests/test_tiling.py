@@ -36,7 +36,7 @@ from plmkit.discrete import (
     moutard_residual,
 )
 from plmkit.errors import ChartMismatchError, DegeneratePointError
-from plmkit.fields import FieldGrid, JetGrid, _margin
+from plmkit.fields import FieldGrid, JetGrid, _margin, jet_grid
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
 from plmkit.report import InvariantReport
 from plmkit.scenarios import Scenario, scenario
@@ -65,11 +65,20 @@ def _untiled(calls):
 
 
 def _smooth_untiled(suite, f, nu, stencil):
+    """Sampled grids take whole-grid jets first: order 2, and order 3 for the
+    asymptotic determinants."""
     chart = ChartKind.ASYMPTOTIC if suite == "smooth-asymptotic" else ChartKind.CONJUGATE
+
+    def jets(order):
+        if isinstance(f, JetGrid):
+            return f, nu
+        return tuple(jet_grid(g, order=order, stencil=stencil) for g in (f, nu))
+
+    det_order = 3 if chart is ChartKind.ASYMPTOTIC else 2
     return _untiled([
-        (f"{suite}/defining_relation", lambda: plm_residual(f, nu, chart, stencil=stencil)),
-        (f"{suite}/orthogonality", lambda: orthogonality_report(f, nu, chart, stencil=stencil)),
-        (f"{suite}/det_invariance", lambda: det_invariance_report(f, nu, chart, stencil=stencil)),
+        (f"{suite}/defining_relation", lambda: plm_residual(*jets(2), chart)),
+        (f"{suite}/orthogonality", lambda: orthogonality_report(*jets(2), chart)),
+        (f"{suite}/det_invariance", lambda: det_invariance_report(*jets(det_order), chart)),
     ])
 
 
