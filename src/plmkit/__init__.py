@@ -92,6 +92,5 @@ from .smooth import (
     orthogonality_report,
     plm_residual,
     reconstruct_field,
-    reconstruct_point,
     reconstruct_point_alt,
 )

@@ -13,23 +13,24 @@ alone writes the mesh without the degenerate points and exits 0).
 the CPU count).  Suites that share their inputs form a group, and each unit of
 work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
-of given jets, the jets of those rows of a sampled grid, stencil halo
-included, or the rows of a lattice that hold its base sites and the rows past
-them that its stencils reach), so no whole-grid jet or whole-lattice
-temporary is built, and keeps each residual field unreduced in a
-ResidualTile.  The units run in report order, and a group's suites are
-joined, each identity reduced once, as its last tile arrives, so the report
+of given jets, the jets of those rows of a sampled grid, stencil halo included,
+or the rows of a lattice that hold its base sites and the rows past them that
+its stencils reach), so no whole-grid jet or whole-lattice temporary is built,
+and keeps each residual field unreduced in a ResidualTile.  The units run in
+report order, at most two per worker ahead of the join, and a group's suites
+are joined, each identity reduced once, as its last tile arrives, so the report
 is the same bytes at any thread count.  A group not cut into rows (a
 mismatched, empty or too small input) is one tile over the whole batch: the
-untiled run is the one-tile run.  A tiled suite that raises on a tile, or
-whose tiles make different whole-batch choices (the one such choice is the
-zero shortcut of ``hyper_compat_residual``), runs again as its group's one
-tile over the whole batch, in the calling thread.
+untiled run is the one-tile run.  A tiled suite that raises on a tile, or whose
+tiles make different whole-batch choices (the one such choice is the zero
+shortcut of ``hyper_compat_residual``), runs again as its group's one tile over
+the whole batch, in the calling thread.
 """
 
 import argparse
 import os
 import sys
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -400,13 +401,25 @@ def _suite_report(suite, parts):
     return rep
 
 
+def _in_order(pool, units, ahead):
+    """Each unit's result, in order; up to ``ahead`` later units are submitted before it is joined."""
+    futures = deque()
+    for _, thunk in units:
+        futures.append(pool.submit(thunk))
+        if len(futures) > ahead:
+            yield futures.popleft().result()
+    while futures:
+        yield futures.popleft().result()
+
+
 def _run_units(units):
     """Run the work units, given in report order, on the pool; every suite's
     records, in report order.  A group's suites are joined as its last tile
     arrives, so the parts of one group at most are held."""
     records, parts = [], {}
-    with ThreadPoolExecutor(max_workers=_worker_count(len(units))) as pool:
-        for result in pool.map(lambda u: u[1](), units):
+    workers = _worker_count(len(units))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for result in _in_order(pool, units, 2 * workers):
             for suite, part in result:
                 parts.setdefault(suite, []).append(part)
             group = result[0][0].group

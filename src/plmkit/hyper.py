@@ -10,12 +10,12 @@ partials.  For n = 2 this is the surface system: ``smooth.plm_residual``
 runs this module's one kernel, ``_defining_system``, with A = [[0, -1],
 [-1, 0]] in the asymptotic chart and -I in the conjugate chart.
 
-The module reconstructs f from a second-order conormal jet, recovers A
-from a dual pair, and reports the defining-system, pairing and
-compatibility residuals.  The sign convention of A is fixed by the
-round-trip law: ``recover_A`` followed by ``hyper_reconstruct`` must
-reproduce f projectively, and the recovered A must zero the defining
-residual.
+The module reconstructs f from a second-order conormal jet with the one
+reconstruction kernel, ``_reconstruct``, which ``smooth`` runs too, recovers
+A from a dual pair, and reports the defining-system, pairing and
+compatibility residuals.  The sign convention of A is fixed by the round-trip
+law: ``recover_A`` followed by ``hyper_reconstruct`` must reproduce f
+projectively, and the recovered A must zero the defining residual.
 
 Jets are the :class:`~plmkit.fields.JetGrid` of every other module: the
 code reads the first partials ``d1[a]`` and the second partials of the
@@ -26,6 +26,7 @@ are.  ``read_hyper_grid`` and ``write_hyper_grid`` store such a grid with
 the coordinate columns x1..xn.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -101,15 +102,22 @@ def _params(*jets):
     return n
 
 
-def _conormal_cross(jet: JetGrid):
-    """[nu, nu_{x_1}, ..., nu_{x_n}] via the generalized cross product."""
-    return cross_n([jet.value, *jet.d1])
-
-
 def _slot_star(jet: JetGrid, beta):
     """star(nu_{x_1} ^ ... ^ nu in slot beta ^ ... ^ nu_{x_n}), 0-based beta."""
     vecs = [jet.value if a == beta else jet.d1[a] for a in range(jet.n)]
     return star_of_wedge(vecs)
+
+
+def _reconstruct(frame, last, w):
+    """The one reconstruction f = cross_n(frame) / sqrt(det / w), det = det|frame,
+    last|, for n + 1 vectors ``frame`` and a weight ``w`` (scalar or per site),
+    the root taken as sqrt(sign(w) det) / sqrt(|w|) so that no det / w over- or
+    underflows.  Returns (f, det, bound): f is NaN where det / w < 0, and
+    |det| at or below ``bound`` is degenerate."""
+    det = np.asarray(det_n([*frame, last]), dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = cross_n(frame) / (np.sqrt(np.sign(w) * det) / np.sqrt(np.abs(w)))[..., None]
+    return f, det, _degeneracy_bound(_norm_product(*frame, last))
 
 
 def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
@@ -118,24 +126,25 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
     f = -sqrt(A[a, c] / det|nu_{x_a x_c}, nu, nu_{x_1}, ..., nu_{x_n}|)
         * [nu, nu_{x_1}, ..., nu_{x_n}]
 
-    with a 1-based ``pivot`` (a, c).  When the compatibility system holds
-    the result does not depend on the pivot; that is something to verify
-    on data, not an assumption made here.
+    with a 1-based ``pivot`` (a, c), two integers: ``_reconstruct`` with the
+    weight (-1)^(n+1) A[a, c], nu_{x_a x_c} moved last.  When the compatibility
+    system holds the result does not depend on the pivot; that is something
+    to verify on data, not an assumption made here.
     """
     n = _params(jet)
-    a, c = pivot
+    try:
+        a, c = (operator.index(i) for i in pivot)
+    except (TypeError, ValueError):
+        raise DomainError(f"pivot {pivot!r} must be two integers in 1..{n}") from None
     if not (1 <= a <= n and 1 <= c <= n):
         raise DomainError(f"pivot {pivot} out of range 1..{n}")
-    Av = _a_values(A, n, jet.shape)
-    m = _conormal_cross(jet)
-    second = jet.partial2(a - 1, c - 1)
-    det = np.asarray(det_n([second, jet.value, *jet.d1]), dtype=float)
-    if np.any(np.abs(det) <= _degeneracy_bound(_norm_product(second, jet.value, *jet.d1))):
+    w = (-1) ** (n + 1) * _a_values(A, n, jet.shape)[..., a - 1, c - 1]
+    f, det, bound = _reconstruct([jet.value, *jet.d1], jet.partial2(a - 1, c - 1), w)
+    if not np.all(np.abs(det) > bound):  # a NaN bound (inf * 0 norms) or det included
         raise DegeneratePointError(f"degenerate pivot determinant for pivot {pivot}")
-    ratio = Av[..., a - 1, c - 1] / det
-    if np.any(ratio <= 0):
+    if not np.all(w / det > 0):
         raise PivotMismatchError(f"negative radicand A{pivot}/det at pivot {pivot}; choose another pivot")
-    return -np.sqrt(ratio)[..., None] * m
+    return -f
 
 
 def recover_A(f_jet: JetGrid, nu_jet: JetGrid):
@@ -147,7 +156,7 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid):
     array (an AMatrix for single-point input would lose the batch).
     """
     n = _params(f_jet, nu_jet)
-    m = _conormal_cross(nu_jet)
+    m = cross_n([nu_jet.value, *nu_jet.d1])
     mm = (m * m).sum(axis=-1)
     if np.any(np.sqrt(mm) <= _degeneracy_bound(_norm_product(nu_jet.value, *nu_jet.d1))):
         raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")

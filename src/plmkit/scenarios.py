@@ -148,7 +148,8 @@ def _axes(x0, x1, y0, y1, h):
     if not all(map(math.isfinite, (x0, x1, y0, y1))) or x1 < x0 or y1 < y0:
         raise DomainError(f"{box} needs finite endpoints with x0 <= x1 and y0 <= y1")
     steps = [(x1 - x0) / h, (y1 - y0) / h]
-    if not all(map(math.isfinite, steps)):
+    # or more sites than numpy's index type holds
+    if not all(map(math.isfinite, steps)) or math.prod(int(round(n)) + 1 for n in steps) > np.iinfo(np.intp).max:
         raise DomainError(f"{box} holds too many steps of h = {h}")
     xs, ys = (a + h * np.arange(int(round(n)) + 1) for a, n in zip((x0, y0), steps))
     return xs, ys
@@ -298,6 +299,8 @@ def _check_lattice_size(size):
     # the Omega3 identities pair three consecutive sites along each axis
     if size < 3:
         raise DomainError(f"lattice size must be at least 3, got {size}")
+    if size * size > np.iinfo(np.intp).max:
+        raise DomainError(f"a lattice of size {size} holds more sites than numpy can index")
 
 
 def _hypar_lattice(h=0.1, size=8):

@@ -5,12 +5,12 @@ are ``f ^ f_x = *(nu ^ nu_x)`` and ``f ^ f_y = -*(nu ^ nu_y)``; in the
 conjugate-line (elliptic) chart they are ``f ^ f_x = -*(nu ^ nu_y)`` and
 ``f ^ f_y = *(nu ^ nu_x)``: the n = 2 hypersurface system of ``hyper`` with
 the chart's matrix ``_CHART_A[chart]``, which ``plm_residual`` hands to that
-module's one kernel.  The module reconstructs the surface point from a
-conormal jet, runs the inverse map by symmetry, and turns each identity of
-the correspondence (orthogonality relations, determinant invariance,
-quadratic/cubic form expressions, compatibility systems) into a residual
-report.  Like the hyper suites, every suite takes ``JetGrid``s; third-order
-jets add the cubic forms and determinants.
+module's one kernel.  The module reconstructs the surface point with that
+module's one reconstruction kernel, runs the inverse map by symmetry, and
+turns each identity of the correspondence (orthogonality relations,
+determinant invariance, quadratic/cubic form expressions, compatibility
+systems) into a residual report.  Like the hyper suites, every suite takes
+``JetGrid``s; third-order jets add the cubic forms and determinants.
 
 All reconstruction radicals take the positive square root; the resulting
 global sign of f is projectively irrelevant because every defining
@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import JetGrid
-from .hyper import AMatrix, _conormal_cross, _defining_system
-from .multilinear import _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, cross_n, det_n, pair
+from .hyper import AMatrix, _defining_system, _reconstruct
+from .multilinear import _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, det_n, pair
 from .report import SMOOTH_TOL, SPAN_TOL, InvariantReport, _check_residual
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "FubiniForms",
     "AsymptoticCompat",
     "ConjugateCompat",
-    "reconstruct_point",
     "reconstruct_point_alt",
     "reconstruct_field",
     "plm_residual",
@@ -62,34 +61,19 @@ def _jets(obj):
     return obj
 
 
-def _reconstruct_arrays(jet, chart):
-    """Shared core of point and field reconstruction: cross / sqrt(det).
-
-    Returns (result, det, bound); result entries are NaN where the
-    discriminant is negative, and |det| at or below ``bound`` is degenerate.
-    """
-    last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
-    num = _conormal_cross(jet)
-    det = np.asarray(det_n([jet.value, jet.d_x, jet.d_y, last]), dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        res = num / np.sqrt(det)[..., None]
-    return res, det, _degeneracy_bound(_norm_product(jet.value, jet.d_x, jet.d_y, last))
-
-
-def reconstruct_point(jet: JetGrid, chart: ChartKind):
-    """Surface point from a conormal jet: cross(v, v_x, v_y) / sqrt(det).
-
-    The discriminant is det|v, v_x, v_y, v_xy| in the asymptotic chart
-    and det|v, v_x, v_y, v_xx| in the conjugate chart; both must be
-    positive at a generic point.  By projective duality the same formula
-    applied to a surface jet gives the conormal.
-    """
-    res, det, bound = _reconstruct_arrays(jet, chart)
-    if abs(det) <= bound:
-        raise DegeneratePointError("non-generic point: planar/parabolic locus (discriminant ~ 0)")
-    if det < 0:
-        raise ChartMismatchError(f"negative discriminant {det:.3e} for chart {chart.value}")
-    return res
+def _bad_sites(radicand, bound, messages=None):
+    """The sites whose radicand is not above ``bound``.  Given ``messages``, the
+    first in C order raises, named by its index in the batch: DegeneratePointError
+    (messages[0]) where |radicand| <= bound, else ChartMismatchError (messages[1]
+    formatted with the radicand)."""
+    bad = ~(radicand > bound)
+    if messages and np.any(bad):
+        site = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        at = f" at grid index {site}" if site else ""
+        if abs(radicand[site]) <= bound[site]:
+            raise DegeneratePointError(messages[0] + at)
+        raise ChartMismatchError(messages[1].format(radicand[site]) + at)
+    return bad
 
 
 def reconstruct_point_alt(jet: JetGrid, axis: str):
@@ -97,38 +81,35 @@ def reconstruct_point_alt(jet: JetGrid, axis: str):
 
     axis 'x': f = -cross(v, v_x, v_xx) / sqrt(det|v, v_x, v_xx, v_xxx|);
     axis 'y': the analogous formula where the valid radicand is
-    -det|v, v_y, v_yy, v_yyy|.  Asymptotic chart only.
+    -det|v, v_y, v_yy, v_yyy|.  Asymptotic chart only.  Jets of any batch
+    shape; the first bad site raises, as in ``reconstruct_field(strict=True)``.
     """
-    if jet.order < 3:
+    if _jets(jet).order < 3:
         raise DomainError("reconstruct_point_alt needs third derivatives")
     if axis not in ("x", "y"):
         raise DomainError("axis must be 'x' or 'y'")
-    a, b, c = (jet.d_x, jet.d_xx, jet.d_xxx) if axis == "x" else (jet.d_y, jet.d_yy, jet.d_yyy)
-    det = float(det_n([jet.value, a, b, c]))
-    radicand = det if axis == "x" else -det
-    scale = float(_norm_product(jet.value, a, b, c))
-    if abs(radicand) <= _degeneracy_bound(scale):
-        raise DegeneratePointError("degenerate third-order discriminant (ruled/quadric locus)")
-    if radicand < 0:
-        raise ChartMismatchError(f"wrong-sign radicand {radicand:.3e} for axis {axis}")
-    return -cross_n([jet.value, a, b]) / np.sqrt(radicand)
+    a, w = (0, 1) if axis == "x" else (1, -1)
+    f, det, bound = _reconstruct([jet.value, jet.d1[a], jet.partial2(a, a)], jet.d3[a], w)
+    _bad_sites(det / w, bound, ("degenerate third-order discriminant (ruled/quadric locus)",
+                                f"wrong-sign radicand {{:.3e}} for axis {axis}"))
+    return -f
 
 
 def reconstruct_field(jets, chart: ChartKind, strict: bool = False):
-    """Vectorized reconstruction over a JetGrid.
+    """Surface points cross(v, v_x, v_y) / sqrt(det) from conormal jets of any
+    batch shape: det is det|v, v_x, v_y, v_xy| in the asymptotic chart and
+    det|v, v_x, v_y, v_xx| in the conjugate chart, so f is minus the n = 2
+    ``hyper_reconstruct`` with the chart's ``_CHART_A`` and pivot (1, 2) or
+    (1, 1), whose weight is 1.  Applied to surface jets it gives the conormal.
 
     Returns (f, degenerate_mask); degenerate or chart-mismatched points
-    are NaN in f.  With ``strict`` the first bad point raises.
+    are NaN in f.  With ``strict`` the first bad point in C order raises.
     """
-    res, det, bound = _reconstruct_arrays(_jets(jets), chart)
-    bad = ~(det > bound)
-    if strict and np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        if abs(det[i, j]) <= bound[i, j]:
-            raise DegeneratePointError(f"degenerate point at grid index ({i}, {j})")
-        raise ChartMismatchError(f"negative discriminant at grid index ({i}, {j})")
-    res = np.where(bad[..., None], np.nan, res)
-    return res, bad
+    jet = _jets(jets)
+    last = jet.d_xy if chart is ChartKind.ASYMPTOTIC else jet.d_xx
+    f, det, bound = _reconstruct([jet.value, *jet.d1], last, 1)
+    bad = _bad_sites(det, bound, ("degenerate point", "negative discriminant") if strict else None)
+    return np.where(bad[..., None], np.nan, f), bad
 
 
 def _pair_jets(f_obj, nu_obj):
@@ -207,19 +188,13 @@ def det_families(jets, which: str):
             'conj_xx'-> det|v, v_x, v_y, v_xx|
             'conj_yy'-> det|v, v_x, v_y, v_yy|
     """
-    j = jets
-    table = {
-        "mixed": lambda: det_n([j.value, j.d_x, j.d_y, j.d_xy]),
-        "xx": lambda: det_n([j.value, j.d_x, j.d_xx, j.d_xxx]),
-        "yy": lambda: det_n([j.value, j.d_y, j.d_yy, j.d_yyy]),
-        "conj_xx": lambda: det_n([j.value, j.d_x, j.d_y, j.d_xx]),
-        "conj_yy": lambda: det_n([j.value, j.d_x, j.d_y, j.d_yy]),
-    }
-    if which not in table:
+    slots = {"mixed": ("d_x", "d_y", "d_xy"), "xx": ("d_x", "d_xx", "d_xxx"), "yy": ("d_y", "d_yy", "d_yyy"),
+             "conj_xx": ("d_x", "d_y", "d_xx"), "conj_yy": ("d_x", "d_y", "d_yy")}
+    if which not in slots:
         raise DomainError(f"unknown determinant family {which!r}")
-    if which in ("xx", "yy") and j.d_xxx is None:
+    if which in ("xx", "yy") and jets.d_xxx is None:
         raise DomainError(f"family {which!r} needs third-order jets")
-    return np.asarray(table[which](), dtype=float)
+    return np.asarray(det_n([jets.value, *(getattr(jets, slot) for slot in slots[which])]), dtype=float)
 
 
 def det_invariance_report(f_obj, nu_obj, chart: ChartKind, report=None):

@@ -30,7 +30,6 @@ from plmkit.smooth import (
     det_invariance_report,
     plm_residual,
     reconstruct_field,
-    reconstruct_point,
 )
 
 HYPAR = scenario("hypar")
@@ -84,8 +83,8 @@ def test_criterion_03_defining_relation_and_duality(capsys):
     rep = plm_residual(HYPAR.f_jets, HYPAR.nu_jets, chart=ChartKind.ASYMPTOTIC)
     ok = rep.max_residual() < 1e-12
     for i, j in ((3, 4), (10, 17), (25, 2)):
-        f = reconstruct_point(HYPAR.nu_jets[i, j], ChartKind.ASYMPTOTIC)
-        nu = reconstruct_point(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC)
+        f, _ = reconstruct_field(HYPAR.nu_jets[i, j], ChartKind.ASYMPTOTIC, strict=True)
+        nu, _ = reconstruct_field(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC, strict=True)
         ok &= projective_distance(f, HYPAR.f_jets.value[i, j]) < 1e-9
         ok &= projective_distance(nu, HYPAR.nu_jets.value[i, j]) < 1e-9
     announce(capsys, 3, "defining relation + duality", ok)

@@ -198,6 +198,42 @@ def test_overflowing_fixture_input_prints_one_error_line(argv, message):
     assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --scenario hypar --h 1e-300", "grid box [-1.0, 1.0] x [-1.0, 1.0] holds too many steps of h = 1e-300"),
+        ("verify --scenario hypar --grid 0:1e300:1",
+         "grid box [0.0, 1e+300] x [0.0, 1e+300] holds too many steps of h = 1.0"),
+        ("scenario-dump --scenario ell-paraboloid --h 1e-300",
+         "grid box [-1.0, 1.0] x [-1.0, 1.0] holds too many steps of h = 1e-300"),
+        ("verify --scenario moutard-random --size 10000000000000000000",
+         "a lattice of size 10000000000000000000 holds more sites than numpy can index"),
+        ("verify --scenario hypar-lattice --size 10000000000000000000",
+         "a lattice of size 10000000000000000000 holds more sites than numpy can index"),
+    ],
+)
+def test_a_grid_numpy_cannot_index_is_usage_error(capsys, tmp_path, argv, message):
+    # each site count is past numpy's index type, so the check comes before any allocation
+    code, out, err = run(capsys, *argv.split(), *(["--out", str(tmp_path / "d")] if "dump" in argv else []))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_pool_runs_at_most_two_units_per_worker_ahead_of_the_join():
+    submitted = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def submit(self, fn):
+            submitted.append(fn)
+            return super().submit(fn)
+
+    units = [(str(k), lambda k=k: k) for k in range(20)]
+    with Pool(max_workers=2) as pool:
+        for joined, result in enumerate(cli._in_order(pool, units, 4)):
+            # while unit k is joined, units k + 1 .. k + 4 are submitted, no more
+            assert result == joined and len(submitted) == min(joined + 5, 20)
+
+
 @pytest.mark.parametrize("value", ["abc", "2.5", "two"])
 def test_non_integer_thread_count_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("PLM_NUM_THREADS", value)

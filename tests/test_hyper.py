@@ -1,5 +1,7 @@
 """Hypersurface correspondence in dimensions n = 2 and 3."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,18 @@ def test_pivot_sign_mismatch_rejected():
     A = AMatrix([[-1.0, 0.5], [0.5, -1.0]])
     with pytest.raises(PivotMismatchError):
         hyper_reconstruct(ELL.hyper_nu_jet, A, pivot=(1, 1))
+
+
+@pytest.mark.parametrize("pivot", [(1.5, 1), (1,), "11", (1, 2, 1), 1, (0, 1), (1, 3), (None, 1)])
+def test_a_pivot_that_is_not_two_integers_in_range_is_a_domain_error(pivot):
+    with pytest.raises(DomainError, match="^pivot " + re.escape(repr(pivot))):
+        hyper_reconstruct(ELL.hyper_nu_jet, ELL.amatrix, pivot=pivot)
+
+
+def test_a_pivot_of_numpy_integers_is_taken():
+    f = hyper_reconstruct(ELL.hyper_nu_jet, ELL.amatrix)
+    for pivot in ((np.int64(1), np.int32(1)), np.array([1, 1])):
+        assert np.array_equal(hyper_reconstruct(ELL.hyper_nu_jet, ELL.amatrix, pivot=pivot), f)
 
 
 def test_homogeneity_of_reconstruction():

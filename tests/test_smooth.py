@@ -21,7 +21,6 @@ from plmkit.smooth import (
     orthogonality_report,
     plm_residual,
     reconstruct_field,
-    reconstruct_point,
     reconstruct_point_alt,
 )
 
@@ -76,7 +75,7 @@ def test_det_invariance_conjugate():
 def test_reconstruct_point_matches_surface():
     jets = HYPAR.nu_jets
     i, j = 7, 11
-    f = reconstruct_point(jets[i, j], ChartKind.ASYMPTOTIC)
+    f, _ = reconstruct_field(jets[i, j], ChartKind.ASYMPTOTIC, strict=True)
     expect = HYPAR.f_jets.value[i, j]
     assert normalized_last_distance(f, expect) < 1e-12
 
@@ -96,14 +95,14 @@ def test_reconstruct_conjugate_chart():
 def test_duality_round_trip():
     """reconstruct(inverse(f-jet)) returns the original point."""
     i, j = 5, 9
-    nu = reconstruct_point(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC)
+    nu, _ = reconstruct_field(HYPAR.f_jets[i, j], ChartKind.ASYMPTOTIC, strict=True)
     assert np.max(projective_distance(nu, HYPAR.nu_jets.value[i, j])) < 1e-12
 
 
 def test_reconstruct_alt_axis_agrees_projectively():
     jets = CUBIC.nu_jets
     i, j = 6, 6
-    f_main = reconstruct_point(jets[i, j], ChartKind.ASYMPTOTIC)
+    f_main, _ = reconstruct_field(jets[i, j], ChartKind.ASYMPTOTIC, strict=True)
     f_alt = reconstruct_point_alt(jets[i, j], "x")
     assert projective_distance(f_main, f_alt) < 1e-10
 
@@ -123,20 +122,20 @@ def _unit_jet(d_xx_sign):
 
 def test_chart_mismatch_raises():
     with pytest.raises(ChartMismatchError):
-        reconstruct_point(_unit_jet(-1.0), ChartKind.CONJUGATE)
+        reconstruct_field(_unit_jet(-1.0), ChartKind.CONJUGATE, strict=True)
     # same data is fine in the asymptotic chart
-    reconstruct_point(_unit_jet(-1.0), ChartKind.ASYMPTOTIC)
+    reconstruct_field(_unit_jet(-1.0), ChartKind.ASYMPTOTIC, strict=True)
 
 
 def test_degenerate_point_raises():
     with pytest.raises(DegeneratePointError):
-        reconstruct_point(_unit_jet(0.0), ChartKind.CONJUGATE)
+        reconstruct_field(_unit_jet(0.0), ChartKind.CONJUGATE, strict=True)
 
 
 def test_conjugate_chart_on_asymptotic_data_is_rejected():
     jets = CONJ.nu_jets
     with pytest.raises((DegeneratePointError, ChartMismatchError)):
-        reconstruct_point(jets[4, 4], ChartKind.ASYMPTOTIC)
+        reconstruct_field(jets[4, 4], ChartKind.ASYMPTOTIC, strict=True)
 
 
 # --- finite-difference path ----------------------------------------------
