@@ -25,7 +25,6 @@ from .discrete import (
     discrete_affine_integrate,
     discrete_compat_coeffs,
     discrete_det_invariance,
-    discrete_direction,
     discrete_forms,
     discrete_residual,
     discrete_scale_propagate,
@@ -53,7 +52,6 @@ from .fields import (
     jet_grid,
     read_grid,
     read_lattice,
-    shift,
     write_grid,
     write_lattice,
 )
@@ -72,12 +70,11 @@ from .multilinear import (
     cross_n,
     det_n,
     hodge_star,
-    levi_civita_sign,
     pair,
     star_of_wedge,
     wedge2,
 )
-from .projective import normalized_last_distance, projective_distance, projectively_equal
+from .projective import normalized_last_distance, projective_distance
 from .report import CONVENTIONS, IdentityRecord, InvariantReport
 from .scenarios import Scenario, list_scenarios, scenario
 from .smooth import (

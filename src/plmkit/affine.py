@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
 from .fields import FieldGrid, _margin, jet_grid
-from .multilinear import _degeneracy_bound, _norm, _norm_product, _rejection_gap, _scalar_gap, det_n, pair
+from .multilinear import _degeneracy_bound, _dot, _norm, _norm_product, _rejection_gap, _scalar_gap, det_n, pair
 from .report import AFFINE_TOL, InvariantReport, _check_residual
 
 __all__ = [
@@ -86,7 +86,7 @@ def _check_closure(res, tolerance, what, cell):
 def _homogeneous_lift(bf, bn):
     """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
     f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
-    nu4 = np.concatenate([bn, (bf * bn).sum(axis=-1)[..., None]], axis=-1)
+    nu4 = np.concatenate([bn, _dot(bf, bn)[..., None]], axis=-1)
     return f4, nu4
 
 

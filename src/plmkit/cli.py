@@ -234,11 +234,16 @@ class _Group:
 
     def run(self, rows, suites):
         """(suite, part) for ``suites`` on ``rows``: the suite's
-        ResidualTile, or the PlmError that it or the inputs raised."""
-        inputs = _attempt(self.inputs, rows)
-        if isinstance(inputs, PlmError):
-            return [(s, inputs) for s in suites]
-        return [(s, _attempt(_tile, s, inputs)) for s in suites]
+        ResidualTile, or the PlmError that it or the inputs raised.
+
+        Every value that over- or underflows here is judged afterwards, as a
+        failing NaN record or a bad site, so numpy's warnings are off (the
+        error state is per thread, and this is where every unit runs)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inputs = _attempt(self.inputs, rows)
+            if isinstance(inputs, PlmError):
+                return [(s, inputs) for s in suites]
+            return [(s, _attempt(_tile, s, inputs)) for s in suites]
 
     def units(self):
         return [(f"{self.name}[{r.start}:{r.stop}]", partial(self.run, r, self.suites))
@@ -320,14 +325,12 @@ def _lattice_rows(pairn, rows, halo):
     """``pairn`` on the lattice rows of the base sites n1 in ``rows`` and on
     ``halo`` rows past them, as views."""
     rows = slice(rows.start, None if rows.stop is None else rows.stop + halo)
-    n1 = rows.indices(pairn.extent[0])[0]
-    nu, f = (LatticeField(values=lat.values[rows], base=(lat.base[0] + n1, lat.base[1])) for lat in (pairn.nu, pairn.f))
-    return DiscreteSurfacePair(nu=nu, f=f, gauge=pairn.gauge)
+    return DiscreteSurfacePair(*(LatticeField(values=lat.values[rows]) for lat in (pairn.nu, pairn.f)))
 
 
 def _discrete_groups(scn):
-    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
-    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice)
+    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
 
     def relation(pairp, rows, report):
         discrete_residual(pairp, report=report)
@@ -539,7 +542,7 @@ def cmd_forms(args):
     elif args.which == "discrete":
         if scn.nu3_lattice is None:
             raise DomainError("scenario has no lattice fields")
-        pairn = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+        pairn = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
         forms, _ = discrete_forms(pairn)
         ext = pairn.extent
         note += "; forms anchored at the base site of their stencil, nan outside"

@@ -15,6 +15,11 @@ nu12 + nu = H (nu1 + nu2).  The module evolves Moutard data, integrates
 the affine difference system, lifts to homogeneous coordinates, recovers
 the projective normalization by a scale recursion, and reports every
 lattice identity as a residual.
+
+A lattice is its values: T1 and T2 are slices of them, and a pair's gauge
+is the component count of its fields (3 affine, 4 projective).  The
+surface point [nu, T1 nu, T2 nu] up to scale is the numerator that
+``discrete_scale_propagate`` computes at every site.
 """
 
 from dataclasses import dataclass
@@ -33,8 +38,8 @@ from .errors import (
 )
 from .fields import LatticeField
 from .multilinear import (
-    _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _rejection_gap, _scalar_gap, _Span, cross_n,
-    det_n, pair, star_of_wedge, wedge2,
+    _bivector_gap, _dot, _norm, _norm_product, _pairing_gap, _rejection_gap, _scalar_gap, _Span, cross_n, det_n, pair,
+    star_of_wedge, wedge2,
 )
 from .report import LATTICE_TOL, SCALE_TOL, SPAN_TOL, InvariantReport, _check_residual
 
@@ -47,7 +52,6 @@ __all__ = [
     "moutard_residual",
     "discrete_affine_integrate",
     "lift_to_projective",
-    "discrete_direction",
     "discrete_scale_propagate",
     "discrete_residual",
     "discrete_det_invariance",
@@ -74,22 +78,24 @@ class MoutardCoeff:
 class DiscreteSurfacePair:
     """A lattice surface together with its conormal lattice.
 
-    gauge 'affine': 3-component fields with f4 = -1 semantics;
-    gauge 'projective': 4-component homogeneous fields, <f, nu> = 0.
+    The component count the two share fixes the gauge: 3 is 'affine'
+    (f4 = -1 semantics), 4 is 'projective' (homogeneous fields,
+    <f, nu> = 0).
     """
 
     nu: LatticeField
     f: LatticeField
-    gauge: str
 
     def __post_init__(self):
-        if self.gauge not in ("affine", "projective"):
-            raise DomainError("gauge must be 'affine' or 'projective'")
-        want = 3 if self.gauge == "affine" else 4
-        if self.nu.ncomp != want or self.f.ncomp != want:
-            raise DomainError(f"{self.gauge} gauge needs {want}-component fields")
+        if self.nu.ncomp != self.f.ncomp:
+            raise DomainError(f"component count mismatch: {self.nu.ncomp}-component conormal, "
+                              f"{self.f.ncomp}-component surface")
         if self.nu.extent != self.f.extent:
             raise DomainError(f"extent mismatch: {self.nu.extent} vs {self.f.extent}")
+
+    @property
+    def gauge(self):
+        return "affine" if self.nu.ncomp == 3 else "projective"
 
     @property
     def extent(self):
@@ -211,7 +217,7 @@ def discrete_affine_integrate(nu: LatticeField, f0) -> LatticeField:
     if nu.ncomp != 3:
         raise DomainError("affine integration needs a 3-component conormal")
     _check_closure(moutard_residual(nu), LATTICE_TOL, "Moutard closure violated", "plaquette")
-    return LatticeField(values=_lelieuvre_sum(nu.values, f0), base=nu.base)
+    return LatticeField(values=_lelieuvre_sum(nu.values, f0))
 
 
 def lift_to_projective(pairn: DiscreteSurfacePair) -> DiscreteSurfacePair:
@@ -219,28 +225,7 @@ def lift_to_projective(pairn: DiscreteSurfacePair) -> DiscreteSurfacePair:
     if pairn.gauge != "affine":
         raise DomainError("lift_to_projective expects an affine pair")
     f4, nu4 = _homogeneous_lift(pairn.f.values, pairn.nu.values)
-    return DiscreteSurfacePair(
-        nu=LatticeField(values=nu4, base=pairn.nu.base),
-        f=LatticeField(values=f4, base=pairn.f.base),
-        gauge="projective",
-    )
-
-
-def discrete_direction(nu: LatticeField, site):
-    """The surface point at a site, up to scale: [nu, T1 nu, T2 nu]."""
-    if nu.ncomp != 4:
-        raise DomainError("discrete_direction needs a 4-component conormal")
-    n1, n2 = site
-    m1, m2 = nu.extent
-    if not (0 <= n1 < m1 - 1 and 0 <= n2 < m2 - 1):
-        raise BoundaryError(f"site {site} lacks forward neighbors in extent {nu.extent}")
-    a = nu.values[n1, n2]
-    b = nu.values[n1 + 1, n2]
-    c = nu.values[n1, n2 + 1]
-    m = cross_n([a, b, c])
-    if float(_norm(m)) <= _degeneracy_bound(float(_norm_product(a, b, c))):
-        raise DegeneratePointError(f"degenerate conormal triple at site {site}")
-    return m
+    return DiscreteSurfacePair(nu=LatticeField(values=nu4), f=LatticeField(values=f4))
 
 
 def _span_residual(basis, rhs):
@@ -312,7 +297,7 @@ def discrete_scale_propagate(nu: LatticeField, s0: float) -> LatticeField:
     gap = np.abs(_scalar_gap(lhs, rhs, np.abs(lhs) + np.abs(rhs)))
     _check_residual(gap, SCALE_TOL, lambda site, r: GaugeObstructionError(
         f"row and column scale propagation disagree at site {site} (residual {r:.3e})"))
-    return LatticeField(values=mvec / s[..., None], base=nu.base)
+    return LatticeField(values=mvec / s[..., None])
 
 
 def _proj_windows(pairn):
@@ -497,5 +482,5 @@ def affine_sphere_check(pairn: DiscreteSurfacePair) -> InvariantReport:
     if pairn.gauge != "affine":
         raise DomainError("affine_sphere_check expects an affine pair")
     rep = InvariantReport(metadata={"gauge": "affine"})
-    rep.add("<bf,bnu>-1", (pairn.f.values * pairn.nu.values).sum(axis=-1) - 1.0, LATTICE_TOL)
+    rep.add("<bf,bnu>-1", _dot(pairn.f.values, pairn.nu.values) - 1.0, LATTICE_TOL)
     return rep

@@ -2,8 +2,9 @@
 
 ``FieldGrid`` is the one uniform-grid type: a d-component field over an
 n-parameter box (n = 2 for a surface, up to 4 for a hypersurface), whose
-``axes`` give the site coordinates.  ``LatticeField`` is a field over
-integer sites with shift operators.
+``axes`` give the site coordinates.  ``LatticeField`` is a field over the
+integer sites (n1, n2), each index counted from 0: it is its values, and
+the shifts T1, T2 of the lattice relations are slices of them.
 
 ``JetGrid`` is the one jet type, for a surface (n = 2 parameters) and a
 hypersurface (n up to 4) alike: a field with its partials at a batch of
@@ -44,7 +45,6 @@ __all__ = [
     "LatticeField",
     "jet_grid",
     "grid_on_sites",
-    "shift",
     "read_grid",
     "write_grid",
     "read_lattice",
@@ -287,14 +287,10 @@ def grid_on_sites(jets: JetGrid, values) -> FieldGrid:
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Map from integer lattice sites to 3- or 4-component vectors.
-
-    values[n1, n2] is the sample at site (base[0] + n1, base[1] + n2);
-    ``base`` tracks the window origin so shifted views stay aligned.
-    """
+    """Map from integer lattice sites to 3- or 4-component vectors:
+    values[n1, n2] is the sample at the site (n1, n2)."""
 
     values: np.ndarray  # (M1, M2, d)
-    base: tuple = (0, 0)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -313,29 +309,6 @@ class LatticeField:
     @property
     def ncomp(self):
         return self.values.shape[2]
-
-
-def shift(lat: LatticeField, direction: int, steps: int) -> LatticeField:
-    """View of the lattice advanced ``steps`` sites along axis 1 or 2.
-
-    The value of the result at window index (n1, n2) equals the original
-    at the shifted site; the window shrinks by |steps| along ``direction``.
-    T1 and T2 commute.
-    """
-    if direction not in (1, 2):
-        raise DomainError("direction must be 1 or 2")
-    ax = direction - 1
-    n = lat.extent[ax]
-    if abs(steps) >= n:
-        raise BoundaryError(f"shift by {steps} leaves the lattice extent {lat.extent}")
-    sl = [slice(None), slice(None), slice(None)]
-    if steps >= 0:
-        sl[ax] = slice(steps, n)
-    else:
-        sl[ax] = slice(0, n + steps)
-    base = list(lat.base)
-    base[ax] += max(steps, 0)
-    return LatticeField(values=lat.values[tuple(sl)], base=tuple(base))
 
 
 def _names(prefix, k):

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
 from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import (
-    _add, _bivector_gap, _degeneracy_bound, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair,
+    _add, _bivector_gap, _degeneracy_bound, _dot, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair,
     star_of_wedge, wedge2,
 )
 from .report import HYPER_TOL, InvariantReport
@@ -113,11 +113,13 @@ def _reconstruct(frame, last, w):
     last|, for n + 1 vectors ``frame`` and a weight ``w`` (scalar or per site),
     the root taken as sqrt(sign(w) det) / sqrt(|w|) so that no det / w over- or
     underflows.  Returns (f, det, bound): f is NaN where det / w < 0, and
-    |det| at or below ``bound`` is degenerate."""
-    det = np.asarray(det_n([*frame, last]), dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    |det| at or below ``bound`` is degenerate.  What over- or underflows here
+    is judged by the caller's test of det against the bound, so numpy's
+    warnings are off; the error state is per thread."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = np.asarray(det_n([*frame, last]), dtype=float)
         f = cross_n(frame) / (np.sqrt(np.sign(w) * det) / np.sqrt(np.abs(w)))[..., None]
-    return f, det, _degeneracy_bound(_norm_product(*frame, last))
+        return f, det, _degeneracy_bound(_norm_product(*frame, last))
 
 
 def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
@@ -157,7 +159,7 @@ def recover_A(f_jet: JetGrid, nu_jet: JetGrid):
     """
     n = _params(f_jet, nu_jet)
     m = cross_n([nu_jet.value, *nu_jet.d1])
-    mm = (m * m).sum(axis=-1)
+    mm = _dot(m, m)
     if np.any(np.sqrt(mm) <= _degeneracy_bound(_norm_product(nu_jet.value, *nu_jet.d1))):
         raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")
     c = pair(f_jet.value, m) / mm

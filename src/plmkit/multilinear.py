@@ -1,6 +1,6 @@
 """Exact small-dimension exterior algebra.
 
-Levi-Civita signs, generalized cross products, wedge products, the Hodge
+Permutation signs, generalized cross products, wedge products, the Hodge
 star on bivectors in dimension 4, determinants and the dual pairing.
 ``det_n``, ``cross_n`` and ``star_of_wedge`` share one cofactor engine,
 ``_det_cols``: it expands along the first vector, reads columns as views of
@@ -9,14 +9,16 @@ minors of the trailing vectors, so the column sets of one call share them.
 Everything is written with plain +, -, * and indexing only, so the same
 code runs on float arrays, on ``fractions.Fraction`` scalars and on numpy
 object arrays (the exact-rational test mode).  The one exception is the span
-solver ``_Span``, which calls ``np.linalg`` and so runs on floats only.  The
-norms (``_norm``, ``_fro``) return floats, and so do the rules of every
-suite, one per kind of relation: ``_bivector_gap`` (packed bivectors lhs =
-rhs), ``_pairing_gap`` (<a, b> = 0), ``_scalar_gap`` (scalars lhs = rhs, over
-a scale the caller gives), ``_rejection_gap`` (a vector on the line of
-another) and ``_degeneracy_bound`` (the size at or below which a determinant
-of vectors is degenerate, from their ``_norm_product``).  Each floors its
-scale at 1e-300; the tolerances the residuals are judged by are ``report``'s.
+solver ``_Span``, which calls ``np.linalg`` and so runs on floats only.
+Every dot product and squared norm of the package is one function,
+``_dot``, which adds in numpy's own order.  The norms (``_norm``, ``_fro``)
+return floats, and so do the rules of every suite, one per kind of
+relation: ``_bivector_gap`` (packed bivectors lhs = rhs), ``_pairing_gap``
+(<a, b> = 0), ``_scalar_gap`` (scalars lhs = rhs, over a scale the caller
+gives), ``_rejection_gap`` (a vector on the line of another) and
+``_degeneracy_bound`` (the size at or below which a determinant of vectors
+is degenerate, from their ``_norm_product``).  Each floors its scale at
+1e-300; the tolerances the residuals are judged by are ``report``'s.
 
 A bivector in dimension d is packed: an array of shape ``(..., d(d-1)/2)``
 holding its Plücker coordinates P_kl = B[k, l] for k < l, pairs in
@@ -34,6 +36,8 @@ All functions accept either a single vector of shape ``(d,)`` or a batch
 with arbitrary leading axes, shape ``(..., d)``.
 """
 
+import operator
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -42,7 +46,6 @@ from .errors import DegeneratePointError, DomainError
 from .report import DEGENERACY
 
 __all__ = [
-    "levi_civita_sign",
     "perm_sign",
     "wedge2",
     "hodge_star",
@@ -58,10 +61,12 @@ def _dot(a, b):
 
     For float vectors of dimension below 8 the sum is unrolled into one
     array operation per component, ``0.0 + a0*b0 + a1*b1 + ...``: this is
-    the order numpy's ``.sum(axis=-1)`` adds so short an axis in, signed
-    zeros included, so the result is bit-identical, without the per-site
-    inner loop.  Other inputs (object arrays of ``Fraction``, integers,
-    empty or longer vectors) keep ``.sum``, exact on ``Fraction``.
+    the order in which numpy's sum over the last axis adds so short an axis,
+    signed zeros included, so the result is bit-identical, without the
+    per-site inner loop.  Other inputs (object arrays of ``Fraction``,
+    integers, empty or longer vectors) keep numpy's sum, exact on
+    ``Fraction``.  Every dot product and squared norm of the package is
+    this one function.
     """
     d = a.shape[-1]
     if not 0 < d < 8 or np.result_type(a, b).kind != "f":
@@ -80,11 +85,11 @@ def _norm(a):
 
 def _norm_product(*vecs):
     """|v1| |v2| ... |vk|, multiplied left to right: the degeneracy scale of
-    a determinant or cross product of these vectors."""
-    scale = _norm(vecs[0])
-    for v in vecs[1:]:
-        scale = scale * _norm(v)
-    return scale
+    a determinant or cross product of these vectors.  A zero factor gives a
+    zero product, also where the product of the others overflowed to inf
+    (inf * 0 is NaN)."""
+    norms = [_norm(v) for v in vecs]
+    return np.where(reduce(np.logical_or, [n == 0 for n in norms]), 0.0, reduce(operator.mul, norms))
 
 
 def _add(x, y):
@@ -177,8 +182,8 @@ def _scalar_gap(lhs, rhs, scale):
 def _rejection_gap(a, b, floor=0.0):
     """Residual of a on the line of b, |a - c b| over |a| floored at ``floor``
     |b|, and c = <a, b> / |b|^2 (|b|^2 floored at 1e-300)."""
-    bb = np.maximum((b * b).sum(axis=-1), 1e-300)
-    c = (a * b).sum(axis=-1) / bb
+    bb = np.maximum(_dot(b, b), 1e-300)
+    c = _dot(a, b) / bb
     defect = a - c[..., None] * b
     # the defect's norm first, then the scale, none kept: another order raised
     # the peak RSS of a 300^2 lattice build (glibc's allocator) by about 1 MiB
@@ -208,20 +213,6 @@ def perm_sign(indices):
             idx[i], idx[j] = idx[j], idx[i]
             sign = -sign
     return sign
-
-
-def levi_civita_sign(p):
-    """Levi-Civita symbol eps_p for a 1-based index tuple.
-
-    eps(1, 2, ..., d) = +1; repeated indices give 0; indices outside
-    1..d raise :class:`DomainError`.
-    """
-    p = tuple(int(i) for i in p)
-    d = len(p)
-    for i in p:
-        if not 1 <= i <= d:
-            raise DomainError(f"index {i} out of range 1..{d}")
-    return perm_sign(tuple(i - 1 for i in p))
 
 
 def _as_vec(a):
@@ -365,7 +356,8 @@ class _Span:
         detG = np.linalg.det(G)
         scale2 = np.ones(np.asarray(detG).shape)
         for v in basis:
-            scale2 = scale2 * (np.asarray(v, dtype=float) ** 2).sum(axis=-1)
+            v = np.asarray(v, dtype=float)
+            scale2 = scale2 * _dot(v, v)
         if np.any(detG <= 1e-24 * np.maximum(scale2, 1e-300)):
             raise DegeneratePointError(message)
         self.M, self.G = M, G

@@ -3,9 +3,9 @@
 import numpy as np
 
 from .errors import DomainError
-from .report import PROJECTIVE_TOL
+from .multilinear import _dot, _norm
 
-__all__ = ["projective_distance", "normalized_last_distance", "projectively_equal"]
+__all__ = ["projective_distance", "normalized_last_distance"]
 
 
 def projective_distance(u, v):
@@ -16,15 +16,15 @@ def projective_distance(u, v):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.sqrt((u * u).sum(axis=-1))
-    nv = np.sqrt((v * v).sum(axis=-1))
+    nu = _norm(u)
+    nv = _norm(v)
     if np.any(nu == 0) or np.any(nv == 0):
         raise DomainError("projective comparison of a zero vector")
     # rejection norm, accurate near zero (1 - cos^2 cancels there)
     uh = u / nu[..., None]
     vh = v / nv[..., None]
-    rej = uh - (uh * vh).sum(axis=-1)[..., None] * vh
-    return np.minimum(np.sqrt((rej * rej).sum(axis=-1)), 1.0)
+    rej = uh - _dot(uh, vh)[..., None] * vh
+    return np.minimum(_norm(rej), 1.0)
 
 
 def normalized_last_distance(u, v):
@@ -36,8 +36,3 @@ def normalized_last_distance(u, v):
     du = u / u[..., -1:]
     dv = v / v[..., -1:]
     return np.max(np.abs(du - dv), axis=-1)
-
-
-def projectively_equal(u, v):
-    """Whether ``projective_distance(u, v)`` is at most ``report.PROJECTIVE_TOL``."""
-    return bool(np.all(projective_distance(u, v) <= PROJECTIVE_TOL))

@@ -25,7 +25,6 @@ LATTICE_TOL = 1e-10  # lattice identities and Moutard closure, lattice integrati
 DEGENERACY = 1e-10  # degenerate points and radicand signs
 SPAN_TOL = 1e-6  # compatibility span tests, smooth and lattice
 SCALE_TOL = 1e-8  # discrete_scale_propagate: its span test and its recursion cross-check
-PROJECTIVE_TOL = 1e-10  # projectively_equal: sine of the angle of the two lines
 
 
 def _check_residual(residual, tolerance, error):

@@ -313,7 +313,7 @@ def _hypar_lattice(h=0.1, size=8):
     bn = np.stack([-n2 * h, -n1 * h, np.ones_like(n1, dtype=float)], axis=-1)
     nu3 = LatticeField(values=bn)
     f3 = discrete_affine_integrate(nu3, np.zeros(3))
-    pair3 = DiscreteSurfacePair(nu=nu3, f=f3, gauge="affine")
+    pair3 = DiscreteSurfacePair(nu=nu3, f=f3)
     lifted = lift_to_projective(pair3)
     return Scenario(
         name="hypar-lattice",
@@ -342,7 +342,7 @@ def _moutard_random(seed=42, size=32, hmin=0.9, hmax=1.1, h=0.1, amp=0.01):
     col[0] = row[0]
     nu3 = moutard_evolve(row, col, H)
     f3 = discrete_affine_integrate(nu3, np.zeros(3))
-    pair3 = DiscreteSurfacePair(nu=nu3, f=f3, gauge="affine")
+    pair3 = DiscreteSurfacePair(nu=nu3, f=f3)
     lifted = lift_to_projective(pair3)
     return Scenario(
         name="moutard-random",

@@ -165,10 +165,10 @@ def test_criterion_07_discrete_closure(capsys):
 
 def test_criterion_08_discrete_forms(capsys):
     h = HL.meta["h"]
-    forms, _ = discrete_forms(DiscreteSurfacePair(nu=HL.nu3_lattice, f=HL.f3_lattice, gauge="affine"))
+    forms, _ = discrete_forms(DiscreteSurfacePair(nu=HL.nu3_lattice, f=HL.f3_lattice))
     ok = bool(np.max(np.abs(forms.Omega2 + h * h)) < 1e-15)
     ok &= bool(np.max(np.abs(forms.F2d - h * h)) < 1e-12)
-    mforms, mrep = discrete_forms(DiscreteSurfacePair(nu=MR.nu3_lattice, f=MR.f3_lattice, gauge="affine"))
+    mforms, mrep = discrete_forms(DiscreteSurfacePair(nu=MR.nu3_lattice, f=MR.f3_lattice))
     ok &= mrep["omega2_det_identity"].max_residual < 1e-12
     announce(capsys, 8, "discrete forms", ok)
 
@@ -178,7 +178,7 @@ def test_criterion_09_continuum_limit(capsys):
     for h in (0.1, 0.05, 0.025):
         scn = scenario("hypar-lattice", h=h)
         forms, _ = discrete_forms(
-            DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+            DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
         )
         errs.append(np.max(np.abs(forms.Omega2 / h**2 - (-1.0))))
     if max(errs) > FLOOR:

@@ -199,6 +199,31 @@ def test_overflowing_fixture_input_prints_one_error_line(argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        ("reconstruct --nu {nu} --out {dir}/r.csv", 4,
+         ["error: 9 degenerate/mismatched points (first at x=0.25, y=0.25); a grid CSV cannot leave them out (--obj can)"]),
+        ("verify --nu {nu} --f {nu} --suite smooth-conjugate --no-meta", 1, []),
+    ],
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_grid_files_print_no_numpy_warning(tmp_path, argv, code, stderr, threads):
+    # conormal entries near 1e150 overflow the determinants, norms and
+    # bivector norms of every site; each such value is judged afterwards, as a
+    # bad site or a failing NaN record, and numpy's warnings stay off stderr,
+    # in the worker threads as in the calling one
+    rng = np.random.default_rng(0)
+    nu = tmp_path / "big.csv"
+    write_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.25, 0.25), values=1e150 * (1 + rng.standard_normal((5, 5, 4)))),
+               nu)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "plmkit.cli", *argv.format(nu=nu, dir=tmp_path).split()],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src), "PLM_NUM_THREADS": threads})
+    assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("verify --scenario hypar --h 1e-300", "grid box [-1.0, 1.0] x [-1.0, 1.0] holds too many steps of h = 1e-300"),

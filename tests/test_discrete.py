@@ -1,11 +1,15 @@
 """Lattice correspondence: Moutard evolution, integration, invariants."""
 
+import argparse
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from plmkit import cli
 from plmkit.discrete import (
     DiscreteSurfacePair,
     MoutardCoeff,
@@ -13,7 +17,6 @@ from plmkit.discrete import (
     discrete_affine_integrate,
     discrete_compat_coeffs,
     discrete_det_invariance,
-    discrete_direction,
     discrete_forms,
     discrete_residual,
     discrete_scale_propagate,
@@ -22,7 +25,6 @@ from plmkit.discrete import (
     moutard_residual,
 )
 from plmkit.errors import (
-    BoundaryError,
     ClosureError,
     DomainError,
     EvolutionOverflowError,
@@ -31,18 +33,19 @@ from plmkit.errors import (
 from plmkit.fields import LatticeField
 from plmkit.multilinear import det_n, pair
 from plmkit.projective import projective_distance
-from plmkit.scenarios import scenario
+from plmkit.report import LATTICE_TOL, InvariantReport
+from plmkit.scenarios import Scenario, scenario
 
 HL = scenario("hypar-lattice")
 MR = scenario("moutard-random", size=12)
 
 
 def proj_pair(scn):
-    return DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
+    return DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice)
 
 
 def aff_pair(scn):
-    return DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+    return DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
 
 
 # --- Moutard evolution ----------------------------------------------------
@@ -238,7 +241,7 @@ def test_scenario_lattices_are_the_lift_of_its_affine_pair(scn):
     # verify hands them to discrete_det_invariance as its lift: the same bits as lifting again
     lifted = lift_to_projective(aff_pair(scn))
     for mine, fresh in ((scn.f_lattice, lifted.f), (scn.nu_lattice, lifted.nu)):
-        assert mine.values.tobytes() == fresh.values.tobytes() and mine.base == fresh.base
+        assert mine.values.tobytes() == fresh.values.tobytes()
     given = discrete_det_invariance(aff_pair(scn), lift=proj_pair(scn))
     assert given.to_json() == discrete_det_invariance(aff_pair(scn)).to_json()
 
@@ -321,14 +324,6 @@ def test_scale_propagation_rejects_incompatible():
         discrete_scale_propagate(lift_to_projective(aff_pair(MR)).nu, 0.0)
 
 
-def test_discrete_direction_matches_surface():
-    lifted = lift_to_projective(aff_pair(MR))
-    m = discrete_direction(lifted.nu, (2, 3))
-    assert projective_distance(m, lifted.f.values[2, 3]) < 1e-10
-    with pytest.raises(BoundaryError):
-        discrete_direction(lifted.nu, (11, 3))
-
-
 # --- compatibility coefficients -------------------------------------------
 
 
@@ -366,7 +361,65 @@ def test_affine_sphere_check():
     vals = np.zeros((4, 4, 3))
     vals[..., 0] = 1.0
     lat = LatticeField(values=vals)
-    pairn = DiscreteSurfacePair(nu=lat, f=lat, gauge="affine")
+    pairn = DiscreteSurfacePair(nu=lat, f=lat)
     assert affine_sphere_check(pairn).passed
     rep = affine_sphere_check(aff_pair(HL))
     assert not rep.passed  # the saddle pair is not an affine sphere
+
+
+def test_a_pair_of_three_and_four_components_is_a_domain_error():
+    lifted = lift_to_projective(aff_pair(HL))
+    with pytest.raises(DomainError, match="^component count mismatch: 3-component conormal, 4-component surface$"):
+        DiscreteSurfacePair(nu=HL.nu3_lattice, f=lifted.f)
+    with pytest.raises(DomainError, match="^component count mismatch: 4-component conormal, 3-component surface$"):
+        DiscreteSurfacePair(nu=lifted.nu, f=HL.f3_lattice)
+
+
+# --- random Moutard data --------------------------------------------------
+
+
+@st.composite
+def moutard_data(draw):
+    """Boundary strips near the bilinear saddle's, with drawn noise and
+    spacing, and a drawn plaquette coefficient H, on an extent in 3..8."""
+    m1, m2, h = draw(st.integers(3, 8)), draw(st.integers(3, 8)), draw(st.floats(0.05, 0.5))
+    noise = st.floats(-0.05, 0.05)
+
+    def strip(m, axis):
+        n = np.arange(m) * h
+        base = np.stack([-n if axis else np.zeros(m), np.zeros(m) if axis else -n, np.ones(m)], axis=-1)
+        return base + draw(hnp.arrays(np.float64, (m, 3), elements=noise))
+
+    row, col = strip(m1, 0), strip(m2, 1)
+    col[0] = row[0]
+    return row, col, draw(hnp.arrays(np.float64, (m1 - 1, m2 - 1), elements=st.floats(0.8, 1.2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moutard_data(), st.integers(1, 8))
+def test_random_moutard_pairs_take_their_gauge_from_the_data_and_tile_to_the_whole(data, rows_per_tile):
+    nu3 = moutard_evolve(*data)
+    paira = DiscreteSurfacePair(nu=nu3, f=discrete_affine_integrate(nu3, np.zeros(3)))
+    pairp = lift_to_projective(paira)
+    assert (paira.gauge, pairp.gauge) == ("affine", "projective")
+    assert discrete_residual(paira).to_json() == discrete_residual(pairp).to_json()
+    with pytest.raises(DomainError):
+        DiscreteSurfacePair(nu=nu3, f=pairp.f)
+    # verify's row tiles, each cut by cli._lattice_rows, join to the records
+    # of one call of each suite on the whole lattice
+    whole = InvariantReport()
+    for prefix, rep in (("defining_relation", discrete_residual(pairp)),
+                        ("volume_invariance", discrete_det_invariance(paira)),
+                        ("form_identities", discrete_forms(paira)[1]),
+                        ("moutard_closure", None)):
+        if rep is None:
+            rep = InvariantReport()
+            rep.add("moutard_closure", moutard_residual(nu3), LATTICE_TOL)
+        for rec in rep.records:
+            rec.name = f"discrete/{prefix}/{rec.name}"
+            whole.records.append(rec)
+    scn = Scenario(name="random", f3_lattice=paira.f, nu3_lattice=nu3, f_lattice=pairp.f, nu_lattice=pairp.nu)
+    with mock.patch.object(cli, "TILE_SITES", rows_per_tile * nu3.extent[1]):
+        units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+        assert len(units) == 4 * -(-nu3.extent[0] // rows_per_tile)
+        assert InvariantReport(records=cli._run_units(units)).to_json() == whole.to_json()

@@ -11,7 +11,6 @@ from plmkit.fields import (
     jet_grid,
     read_grid,
     read_lattice,
-    shift,
     write_grid,
     write_lattice,
 )
@@ -122,22 +121,6 @@ def test_grid_csv_parse_errors(tmp_path):
     p.write_text("x,y,v1\n0,0,1\n0.1,0,1\n0.3,0,1\n")
     with pytest.raises(ParseError):
         read_grid(p)
-
-
-def test_lattice_shift_semantics_and_commutation():
-    vals = np.arange(4 * 5 * 3, dtype=float).reshape(4, 5, 3)
-    lat = LatticeField(values=vals)
-    t1 = shift(lat, 1, 1)
-    assert np.array_equal(t1.values[0, 0], vals[1, 0])
-    assert t1.base == (1, 0)
-    t12 = shift(shift(lat, 1, 1), 2, 2)
-    t21 = shift(shift(lat, 2, 2), 1, 1)
-    assert np.array_equal(t12.values, t21.values)
-    assert t12.base == t21.base == (1, 2)
-    with pytest.raises(BoundaryError):
-        shift(lat, 1, 4)
-    with pytest.raises(DomainError):
-        shift(lat, 3, 1)
 
 
 def test_lattice_csv_round_trip(tmp_path):

@@ -15,23 +15,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import plmkit
-from plmkit.errors import DomainError
+from plmkit import affine, discrete, hyper, report
+from plmkit.errors import DegeneratePointError, DomainError
+from plmkit.fields import JetGrid, LatticeField
 from plmkit.multilinear import (
     _degeneracy_bound,
     _fro,
     _norm,
+    _norm_product,
     _pairing_gap,
     _rejection_gap,
     _scalar_gap,
     cross_n,
     det_n,
     hodge_star,
-    levi_civita_sign,
     pair,
     perm_sign,
     star_of_wedge,
     wedge2,
 )
+from plmkit.projective import projective_distance
+from plmkit.report import IdentityRecord
 
 
 def det_oracle(rows):
@@ -173,11 +177,9 @@ def e(i, d=4):
 
 
 def test_levi_civita_identity_permutation():
-    assert levi_civita_sign((1, 2, 3, 4)) == 1
-    assert levi_civita_sign((2, 1, 3, 4)) == -1
-    assert levi_civita_sign((1, 1, 3, 4)) == 0
-    with pytest.raises(DomainError):
-        levi_civita_sign((0, 1, 2, 3))
+    assert perm_sign((0, 1, 2, 3)) == 1
+    assert perm_sign((1, 0, 2, 3)) == -1
+    assert perm_sign((0, 0, 2, 3)) == 0
 
 
 def test_cross_anchor_is_minus_e4():
@@ -652,7 +654,7 @@ def test_degeneracy_bound_gives_the_inline_verdicts(seed):
         assert np.array_equal(det < -_degeneracy_bound(s), det < -1e-10 * np.maximum(s, 1e-300))
         assert np.array_equal(det > _degeneracy_bound(s), det > ref)
         assert np.array_equal(np.abs(det) <= _degeneracy_bound(s), np.abs(det) <= ref)
-        # the point tests of reconstruct_point(_alt) and discrete_direction took Python's max
+        # the point tests of reconstruct_point(_alt) took Python's max
         for v in s[:200].tolist():
             assert_same_bits(_degeneracy_bound(v), np.float64(1e-10 * max(v, 1e-300)))
 
@@ -669,6 +671,132 @@ def test_pairing_gap_equals_the_inline_floors_bitwise(seed, d):
         # orthogonality_report's floor |f| |nu|, itself floored at 1e-300
         ref = pair(a, b) / np.maximum(_norm(a) * _norm(b), np.maximum(floor, 1e-300))
         assert_same_bits(_pairing_gap(a, b, floor), ref)
+
+
+# --- the one dot product: the inline axis sums ``_dot`` and ``_norm`` replaced ---
+
+
+def _finite_vectors(rng, n, d, spread=150):
+    """n finite vectors of dimension d, entries 10**e with |e| <= ``spread``,
+    a fifth of the entries zeros of either sign and a tenth of the vectors zero."""
+    v = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-spread, spread, (n, d))
+    v[rng.random((n, d)) < 0.2] = rng.choice([0.0, -0.0])
+    v[rng.random(n) < 0.1] = 0.0
+    return v
+
+
+def _homogeneous_lift_ref(bf, bn):
+    f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
+    return f4, np.concatenate([bn, (bf * bn).sum(axis=-1)[..., None]], axis=-1)
+
+
+def _projective_distance_ref(u, v):
+    nu, nv = np.sqrt((u * u).sum(axis=-1)), np.sqrt((v * v).sum(axis=-1))
+    uh, vh = u / nu[..., None], v / nv[..., None]
+    rej = uh - (uh * vh).sum(axis=-1)[..., None] * vh
+    return np.minimum(np.sqrt((rej * rej).sum(axis=-1)), 1.0)
+
+
+def _recover_A_ref(f_jet, nu_jet):
+    m = cross_n([nu_jet.value, *nu_jet.d1])
+    mm = (m * m).sum(axis=-1)
+    if np.any(np.sqrt(mm) <= _degeneracy_bound(_norm_product(nu_jet.value, *nu_jet.d1))):
+        raise DegeneratePointError("conormal frame is degenerate: [nu, nu_x1, ..., nu_xn] ~ 0")
+    c = pair(f_jet.value, m) / mm
+    return np.stack([np.stack(np.broadcast_arrays(*[-pair(f_jet.d1[a], nu_jet.d1[g]) * c for g in range(nu_jet.n)]),
+                              axis=-1) for a in range(nu_jet.n)], axis=-2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_homogeneous_lift_equals_the_axis_sum_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    bf, bn = (_finite_vectors(rng, 60, 3).reshape(6, 10, 3) for _ in range(2))
+    with np.errstate(all="ignore"):
+        for got, ref in zip(affine._homogeneous_lift(bf, bn), _homogeneous_lift_ref(bf, bn)):
+            assert_same_bits(got, ref)
+        # the windows affine_forms lifts are strided views
+        for got, ref in zip(affine._homogeneous_lift(bf[1:, ::2], bn[:-1, 1::2]),
+                            _homogeneous_lift_ref(bf[1:, ::2], bn[:-1, 1::2])):
+            assert_same_bits(got, ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.sampled_from([3, 4]))
+def test_projective_distance_equals_the_axis_sum_bitwise(seed, d):
+    rng = np.random.default_rng(seed)
+    u, v = _finite_vectors(rng, 400, d), _finite_vectors(rng, 400, d)
+    keep = (np.abs(u).max(axis=-1) > 0) & (np.abs(v).max(axis=-1) > 0)  # a zero vector is a DomainError
+    u, v = u[keep], v[keep]
+    v[:40] = -2.5 * u[:40]  # projectively equal
+    with np.errstate(all="ignore"):
+        assert_same_bits(projective_distance(u, v), _projective_distance_ref(u, v))
+        assert_same_bits(projective_distance(u[0], v[0]), _projective_distance_ref(u[0], v[0]))
+    with pytest.raises(DomainError):
+        projective_distance(np.zeros(d), np.ones(d))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(2, 4))
+def test_recover_A_equals_the_axis_sum_bitwise(seed, n):
+    rng = np.random.default_rng(seed)
+    d, k = n + 2, 50
+
+    def jet():
+        return JetGrid(_finite_vectors(rng, k, d, 60), _finite_vectors(rng, n * k, d, 60).reshape(n, k, d),
+                       np.zeros((n * (n + 1) // 2, k, d)))
+
+    f_jet, nu_jet = jet(), jet()
+    with np.errstate(all="ignore"):
+        for index in (slice(None), 0):  # a batch and one site
+            f, nu = f_jet[index], nu_jet[index]
+            try:
+                ref = _recover_A_ref(f, nu)
+            except DegeneratePointError:
+                with pytest.raises(DegeneratePointError):
+                    hyper.recover_A(f, nu)
+                continue
+            assert_same_bits(hyper.recover_A(f, nu), ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_affine_sphere_check_equals_the_axis_sum_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    bf, bn = (_finite_vectors(rng, 48, 3, 100).reshape(6, 8, 3) for _ in range(2))
+    with np.errstate(all="ignore"):
+        got = discrete.affine_sphere_check(discrete.DiscreteSurfacePair(nu=LatticeField(bn), f=LatticeField(bf)))
+        ref = IdentityRecord.from_field("<bf,bnu>-1", (bf * bn).sum(axis=-1) - 1.0, report.LATTICE_TOL)
+    assert got.records[0].to_dict() == ref.to_dict()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(2, 5), st.sampled_from([3, 4]))
+def test_norm_product_is_the_left_to_right_product_but_zero_at_a_zero_factor(seed, k, d):
+    # an inf norm, or an overflowing product of the other norms, times a zero
+    # norm was inf * 0 = NaN; a zero factor now gives a zero product, and every
+    # other site keeps the bits of the product of norm_ref, NaN and inf included
+    rng = np.random.default_rng(seed)
+    vecs = [_vectors(rng, 500, d) for _ in range(k)]
+    vecs[0][:20] = 1e200  # its norm overflows
+    for v in vecs[:-1]:
+        v[20:30] = 1e150  # finite norms whose product overflows from the third on
+    vecs[-1][:30] = 0.0
+    with np.errstate(all="ignore"):
+        norms = [norm_ref(v) for v in vecs]
+        ref = norms[0]
+        for nrm in norms[1:]:
+            ref = ref * nrm
+        got = _norm_product(*vecs)
+        zero = np.any([nrm == 0 for nrm in norms], axis=0)
+    assert np.isnan(ref[:20 if k < 4 else 30]).all() and zero[:30].all()
+    assert_same_bits(got[zero], np.zeros(int(zero.sum())))
+    assert_same_bits(got[~zero], ref[~zero])
+    # so the product keeps its bits wherever it was not inf * 0
+    kept = ~np.isnan(ref)
+    assert_same_bits(got[kept], ref[kept])
+    with np.errstate(all="ignore"):  # one vector per factor
+        assert_same_bits(np.asarray(_norm_product(*(v[0] for v in vecs))), np.asarray(0.0))
 
 
 # --- one threshold table ---
@@ -704,9 +832,8 @@ def test_no_public_callable_takes_a_threshold():
 
 
 def test_each_threshold_is_written_once_in_the_table():
-    from plmkit import report
     table = {report.SMOOTH_TOL, report.HYPER_TOL, report.AFFINE_TOL, report.LATTICE_TOL, report.DEGENERACY,
-             report.SPAN_TOL, report.SCALE_TOL, report.PROJECTIVE_TOL}
+             report.SPAN_TOL, report.SCALE_TOL}
     assert table == {1e-6, 1e-8, 1e-10}
     for path in pathlib.Path(plmkit.__file__).parent.glob("*.py"):
         if path.name == "report.py":

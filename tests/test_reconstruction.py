@@ -36,7 +36,6 @@ from plmkit.fields import JetGrid
 from plmkit.hyper import _a_values, _params, hyper_reconstruct
 from plmkit.multilinear import _degeneracy_bound, _norm_product, cross_n, det_n
 from plmkit.projective import projective_distance
-from plmkit.report import PROJECTIVE_TOL
 from plmkit.scenarios import scenario
 from plmkit.smooth import _CHART_A, ChartKind, reconstruct_field, reconstruct_point_alt
 
@@ -307,7 +306,7 @@ def test_hyper_ends_as_the_reference_on_random_jets(case):
         def unit(f):  # each point scaled to max-norm 1, so no square underflows
             return f / np.max(np.abs(f), axis=-1, keepdims=True)
 
-        assert np.all(projective_distance(unit(got[1]), unit(ref[1])) <= PROJECTIVE_TOL)
+        assert np.all(projective_distance(unit(got[1]), unit(ref[1])) <= 1e-10)
 
 
 @pytest.mark.parametrize("weight, lam", [(1e-3, 10.0**76.5), (1e6, 10.0**-76.5)])
@@ -324,8 +323,8 @@ def test_hyper_forms_no_radicand_that_overflows_or_underflows(weight, lam):
 
 def test_hyper_with_a_zero_pivot_partial_beside_overflowing_norms_is_degenerate():
     # nu_x1x1 is zero and |nu| |nu_x1| |nu_x2| overflows: the kernel's norm
-    # product is inf * 0 = NaN, and the reference's determinant, with the zero
-    # row first, 0 * inf = NaN, so it returned a NaN point
+    # product is 0 at the zero factor, and the reference's determinant, with
+    # the zero row first, 0 * inf = NaN, so it returned a NaN point
     jet = JetGrid(np.array([1e150, 2e149, 0.0, 0.0]), np.array([[0.0, 1e150, 3e149, 0.0], [0.0, 0.0, 1e10, 2e9]]),
                   np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
     A = np.array([[-1.0, 2.0], [3.0, 4.0]])
@@ -333,6 +332,18 @@ def test_hyper_with_a_zero_pivot_partial_beside_overflowing_norms_is_degenerate(
         assert np.all(np.isnan(_hyper_reconstruct_ref(jet, A, (1, 1))))
         with pytest.raises(DegeneratePointError):
             hyper_reconstruct(jet, A, (1, 1))
+
+
+def test_a_zero_last_slot_beside_overflowing_norms_is_degenerate():
+    # |nu| |nu_x| |nu_y| overflows and the slot moved last is zero, so det = 0;
+    # the norm product was inf * 0 = NaN, and det = 0 a wrong-sign radicand
+    nu, zero = np.array([1e150, 2e149, 0.0, 0.0]), np.zeros(4)
+    d1 = np.array([[0.0, 1e150, 3e149, 0.0], [0.0, 0.0, 1e10, 2e9]])
+    with pytest.raises(DegeneratePointError, match="^degenerate point$"):
+        reconstruct_field(JetGrid(nu, d1, np.stack([zero, zero, zero])), ChartKind.CONJUGATE, strict=True)
+    # the frame [nu, nu_x, nu_xx] with nu_xx = nu_y, and nu_xxx = 0
+    with pytest.raises(DegeneratePointError, match=r"\(ruled/quadric locus\)$"):
+        reconstruct_point_alt(JetGrid(nu, d1, np.stack([d1[1], zero, zero]), np.stack([zero, zero])), "x")
 
 
 @pytest.mark.parametrize("name", ["hypar", "cubic-graph", "conj-paraboloid"])

@@ -56,7 +56,7 @@ def test_every_scenario_passes_its_own_residual_check(name):
         assert rep.max_residual() < 1e-12, name
         checked = True
     if scn.nu_lattice is not None:
-        pairn = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
+        pairn = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice)
         rep = discrete_residual(pairn)
         assert rep.max_residual() < 1e-12, name
         checked = True

@@ -219,7 +219,7 @@ def test_compat_coeffs_equal_the_reference_run(name, chart, source, monkeypatch)
 @pytest.mark.parametrize("name, kwargs", [("hypar-lattice", {}), ("moutard-random", {"size": 12})])
 def test_lattice_compat_and_scale_propagation_equal_the_reference_run(name, kwargs, monkeypatch):
     scn = scenario(name, **kwargs)
-    lifted = lift_to_projective(DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine"))
+    lifted = lift_to_projective(DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice))
     s0 = float(pair(lifted.f.values[1, 0], lifted.nu.values[0, 1]))
 
     def run():
@@ -255,7 +255,7 @@ def test_smooth_span_check_fails_on_a_nan_residual():
 def test_lattice_span_check_fails_on_a_nan_residual_and_names_its_site():
     # lattice row 4, column 0 enters only the nu11 system, as the rhs of site (2, 0)
     scn = scenario("moutard-random", size=12)
-    v = lift_to_projective(DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")).nu.values
+    v = lift_to_projective(DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)).nu.values
     v = v[:5, :5].copy()
     v[4, 0] = 1e200
     with np.errstate(all="ignore"):

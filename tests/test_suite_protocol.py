@@ -40,8 +40,8 @@ def _random_hyper_pair():
 
 def _lattice_pairs():
     scn = scenario("moutard-random", size=12)
-    return (DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective"),
-            DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine"))
+    return (DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice),
+            DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice))
 
 
 def _affine_pair():

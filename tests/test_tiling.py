@@ -102,8 +102,8 @@ def _affine_untiled(pairg, stencil):
 
 
 def _discrete_untiled(scn):
-    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice, gauge="projective")
-    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice, gauge="affine")
+    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice)
+    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
 
     def closure():
         rep = InvariantReport()
