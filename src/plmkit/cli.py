@@ -9,9 +9,13 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
 ``reconstruct --out``, since a grid CSV cannot leave a point out (``--obj``
 alone writes the mesh without the degenerate points and exits 0).
 
-``verify`` runs its suites on a pool of ``PLM_NUM_THREADS`` workers (default:
-the CPU count).  Suites that share their inputs form a group, and each unit of
-work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
+``verify``'s suites are the rows of one table, ``_SUITES``, in report order:
+each row names a suite's ``--suite`` family and name, its input source (jets,
+the affine pair or lattice rows), its jet order or lattice halo, its chart (for
+a smooth suite) and its runner.  ``verify`` runs them on a pool of
+``PLM_NUM_THREADS`` workers (default: the CPU count).  Consecutive suites of one
+family whose source gives one group key share their inputs as a group, and each
+unit of work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
 of given jets, the jets of those rows of a sampled grid, stencil halo included,
 or the rows of a lattice that hold its base sites and the rows past them that
@@ -70,7 +74,7 @@ from .fields import (
 )
 from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
 from .report import AFFINE_TOL, LATTICE_TOL, InvariantReport, ResidualTile
-from .scenarios import Scenario, scenario
+from .scenarios import Scenario, list_scenarios, scenario
 from .smooth import (
     ChartKind,
     det_invariance_report,
@@ -81,9 +85,6 @@ from .smooth import (
 )
 
 __all__ = ["main"]
-
-_SMOOTH = ("smooth-asymptotic", "smooth-conjugate")
-_SUITES = (*_SMOOTH, "hyper", "discrete", "affine", "all")
 
 # For each command, its sources in order of precedence, each with the options
 # it takes among those that depend on the source.  A second source, or an
@@ -124,10 +125,6 @@ def _worker_count(n_units):
     return max(1, min(cap, n_units))
 
 
-def _chart_of(suite):
-    return ChartKind.ASYMPTOTIC if suite == "smooth-asymptotic" else ChartKind.CONJUGATE
-
-
 def _scenario_from_args(args):
     params = dict(_grid_spec(args))
     if args.seed is not None:
@@ -161,11 +158,11 @@ def _input(args):
         args.f0 = _base_point(args.f0)  # named before the file is read
         return Scenario(name=args.lattice, nu3_lattice=read_lattice(args.lattice))
     # sampled grids carry no chart: verify takes it from --suite, reconstruct from --chart
-    suite = getattr(args, "suite", None)
-    if suite not in (None, *_SMOOTH):
-        raise DomainError(f"--nu takes --suite {' or '.join(_SMOOTH)}, not {suite!r}")
+    suite, charts = getattr(args, "suite", None), {s.family: s.chart for s in _SUITES if s.chart}
+    if suite not in (None, *charts):
+        raise DomainError(f"--nu takes --suite {' or '.join(charts)}, not {suite!r}")
     f = getattr(args, "f", None)
-    return Scenario(name=args.nu, chart=suite and _chart_of(suite), nu_grid=read_grid(args.nu),
+    return Scenario(name=args.nu, chart=suite and charts[suite], nu_grid=read_grid(args.nu),
                     f_grid=read_grid(f) if f else None)
 
 
@@ -205,36 +202,41 @@ def _grid_spec(args):
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Suite:
-    """One suite of the report: ``run(*inputs, report=)`` adds its residual
-    fields on its group's inputs to ``report``."""
+    """A row of the suite table: ``verify --suite family`` runs suite
+    ``family/name``, whose ``run(*inputs, report=)`` adds its residual fields
+    to ``report``.  ``source(suite, scn, stencil)`` gives None when the
+    scenario lacks the suite's inputs, else ``(key, shape, inputs)``: the
+    group key and batch shape, and ``inputs(rows)`` on those rows of the
+    batch.  The source reads ``reach``: the order of the jets of sampled grids
+    (``_jets``) or of the pair (``_affine_grids``; None: its own), or the rows
+    past its own that a ``_lattices`` tile reads; else None.  ``chart``: a smooth suite's."""
 
+    family: str
     name: str
+    source: Callable
+    reach: int | None
+    chart: ChartKind | None
     run: Callable
-    group: "_Group" = None
 
 
 @dataclass(eq=False)
 class _Group:
-    """Suites that share their inputs, ``inputs(rows)`` on those rows of a
-    batch of ``shape`` (a lattice's rows of base sites).  Its units are its
-    row tiles; with ``shape`` None (a mismatched, empty or too small input,
-    on which each suite raises its own error) it is one tile over the whole
-    batch."""
+    """Consecutive suites of one family whose sources give one key share
+    ``inputs(rows)`` on those rows of a batch of ``shape`` (a lattice's rows
+    of base sites).  Its units are its row tiles; with ``shape`` None (a
+    mismatched, empty or too small input, on which each suite raises its own
+    error) it is one tile over the whole batch."""
 
     name: str
     suites: list
     shape: tuple
     inputs: Callable
 
-    def __post_init__(self):
-        for suite in self.suites:
-            suite.group = self
-
     def run(self, rows, suites):
-        """(suite, part) for ``suites`` on ``rows``: the suite's
-        ResidualTile, or the PlmError that it or the inputs raised.
+        """The part of each of ``suites`` on ``rows``: its ResidualTile, or
+        the PlmError that it or the inputs raised.
 
         Every value that over- or underflows here is judged afterwards, as a
         failing NaN record or a bad site, so numpy's warnings are off (the
@@ -242,11 +244,11 @@ class _Group:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inputs = _attempt(self.inputs, rows)
             if isinstance(inputs, PlmError):
-                return [(s, inputs) for s in suites]
-            return [(s, _attempt(_tile, s, inputs)) for s in suites]
+                return [inputs] * len(suites)
+            return [_attempt(_tile, s, inputs) for s in suites]
 
     def units(self):
-        return [(f"{self.name}[{r.start}:{r.stop}]", partial(self.run, r, self.suites))
+        return [(f"{self.name}[{r.start}:{r.stop}]", lambda r=r: (self, self.run(r, self.suites)))
                 for r in _row_tiles(self.shape)]
 
 
@@ -283,119 +285,116 @@ def _interior(grids, order, stencil):
     return _common_shape(*(tuple(N - 2 * _margin(stencil, order) for N in grid.dims) for grid in grids))
 
 
-def _grid_jets(grids, order, stencil, rows):
-    return tuple(jet_grid(grid, order=order, stencil=stencil, rows=rows) for grid in grids)
-
-
-def _smooth_groups(suite, scn, stencil):
-    chart = _chart_of(suite)
-    plm, orth, det = (
-        _Suite(f"{suite}/{name}", partial(fn, chart=chart))
-        for name, fn in (("defining_relation", plm_residual), ("orthogonality", orthogonality_report),
-                         ("det_invariance", det_invariance_report))
-    )
-    if pair := scn.jet_pair():
-        # jets have no stencil margin: one set per tile serves every identity
+def _jets(suite, scn, stencil):
+    """Jets, given or a fixture's closed form, else a smooth suite's jets of
+    the sampled grids: (f, nu, A) for a hyper suite, (f, nu, chart) for a
+    smooth one on the scenario's chart."""
+    if suite.chart is None:
+        pair, param = scn.jet_pair(hyper=True), scn.amatrix
+    elif scn.chart is suite.chart:
+        pair, param = scn.jet_pair(), suite.chart
+    else:
+        return None
+    if pair:  # jets have no stencil margin: one set per tile serves the family
         rows, shapes = pair
-        return [_Group(f"{suite}/jets", [plm, orth, det], _common_shape(*shapes), rows)]
-    # one set of order-2 jets per tile serves every order-2 identity; the
-    # asymptotic determinants need order-3 jets, whose wider margin covers
-    # fewer sites of a sampled grid
-    grids = scn.f_grid, scn.nu_grid
-    orders = [(2, [plm, orth]), (3, [det])] if chart is ChartKind.ASYMPTOTIC else [(2, [plm, orth, det])]
-    return [_Group(f"{suite}/order{order}", suites, _interior(grids, order, stencil),
-                   partial(_grid_jets, grids, order, stencil)) for order, suites in orders]
+        return f"{suite.family}/jets", _common_shape(*shapes), lambda r: (*rows(r), param)
+    if suite.chart is None or scn.f_grid is None:
+        return None
+    # one set of jets per tile serves every suite of its order; the asymptotic
+    # determinants take order-3 jets, whose wider margin covers fewer sites
+    grids, order = (scn.f_grid, scn.nu_grid), suite.reach
+    return (f"{suite.family}/order{order}", _interior(grids, order, stencil),
+            lambda r: (*(jet_grid(g, order=order, stencil=stencil, rows=r) for g in grids), param))
 
 
-def _affine_groups(paira, stencil):
-    def forms(pairg, rows, report):
-        affine_forms(pairg, stencil=stencil, rows=rows, report=report)
-
-    def closure(pairg, rows, report):
-        report.add("conormal_closure", closure_residual(pairg.nu, stencil=stencil, rows=rows)[0], AFFINE_TOL)
-
-    # the form identities take jets of the grid's own order, the closure order-2 jets
-    groups = ((_jet_order(paira.f.dims, stencil), "form_identities", forms), (2, "conormal_closure", closure))
-    return [_Group(f"affine/{name}", [_Suite(f"affine/{name}", fn)],
-                   _interior((paira.f, paira.nu), order, stencil), lambda rows: (paira, rows))
-            for order, name, fn in groups]
+def _affine_grids(suite, scn, stencil):
+    """(pair, stencil, rows): a tile lifts and differentiates its rows of the pair, halo included."""
+    if scn.f3_grid is None:
+        return None
+    pair = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
+    order = suite.reach or _jet_order(pair.f.dims, stencil)
+    return f"{suite.family}/{suite.name}", _interior((pair.f, pair.nu), order, stencil), lambda r: (pair, stencil, r)
 
 
-def _lattice_rows(pairn, rows, halo):
-    """``pairn`` on the lattice rows of the base sites n1 in ``rows`` and on
-    ``halo`` rows past them, as views."""
-    rows = slice(rows.start, None if rows.stop is None else rows.stop + halo)
-    return DiscreteSurfacePair(*(LatticeField(values=lat.values[rows]) for lat in (pairn.nu, pairn.f)))
+def _lattices(gauges, suite, scn, stencil):
+    """(*pairs, own): only the lattice pairs of ``gauges`` ("affine", "projective"),
+    on the rows of the base sites n1 in ``rows`` and the ``suite.reach`` rows past
+    them, as views; ``own`` counts the rows in ``rows`` (None: all)."""
+    if scn.nu_lattice is None:
+        return None
+    pairs = [DiscreteSurfacePair(*((scn.nu3_lattice, scn.f3_lattice) if gauge == "affine"
+                                   else (scn.nu_lattice, scn.f_lattice))) for gauge in gauges]
+
+    def inputs(rows):
+        cut = slice(rows.start, None if rows.stop is None else rows.stop + suite.reach)
+        own = None if rows.stop is None else rows.stop - rows.start
+        return (*(DiscreteSurfacePair(*(LatticeField(values=lat.values[cut]) for lat in (p.nu, p.f))) for p in pairs),
+                own)
+
+    return f"{suite.family}/{suite.name}", _common_shape(pairs[0].extent, pairs[-1].extent), inputs
 
 
-def _discrete_groups(scn):
-    pairp = DiscreteSurfacePair(nu=scn.nu_lattice, f=scn.f_lattice)
-    paira = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
+def _late(fn):
+    """``fn`` called by its name here when it runs, so a rebinding (a tracing wrapper) is called."""
+    return lambda *inputs, report: globals()[fn.__name__](*inputs, report=report)
 
-    def relation(pairp, rows, report):
-        discrete_residual(pairp, report=report)
 
-    def volume(paira, pairp, rows, report):
-        # the scenario's projective lattices are the lift of its affine ones
-        discrete_det_invariance(paira, report=report, lift=pairp)
-
-    def forms(paira, rows, report):
-        # each field keeps the sites anchored in the tile's own rows
-        _omega_identities(paira, report, rows=None if rows.stop is None else rows.stop - rows.start)
-
-    def closure(paira, rows, report):
-        report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)
-
-    # a tile owns the base sites n1 in its rows and reads the rows past them
-    # that its stencils reach: one for a plaquette, two for Omega3
-    suites = (("defining_relation", relation, [pairp], 1), ("volume_invariance", volume, [paira, pairp], 1),
-              ("form_identities", forms, [paira], 2), ("moutard_closure", closure, [paira], 1))
-    return [_Group(f"discrete/{name}", [_Suite(f"discrete/{name}", fn)],
-                   _common_shape(pairs[0].extent, pairs[-1].extent),
-                   lambda rows, pairs=pairs, halo=halo: (*(_lattice_rows(p, rows, halo) for p in pairs), rows))
-            for name, fn, pairs, halo in suites]
+# The suites of verify in report order: family, name, input source, jet order
+# or lattice halo, chart and runner.  A lattice tile reads the rows past its
+# own that its stencils reach: one for a plaquette, two for Omega3.  The
+# volume suite takes the scenario's projective lattices as the lift of its
+# affine ones, and the form suite keeps the sites anchored in its own rows.
+_SUITES = (
+    _Suite("smooth-asymptotic", "defining_relation", _jets, 2, ChartKind.ASYMPTOTIC, _late(plm_residual)),
+    _Suite("smooth-asymptotic", "orthogonality", _jets, 2, ChartKind.ASYMPTOTIC, _late(orthogonality_report)),
+    _Suite("smooth-asymptotic", "det_invariance", _jets, 3, ChartKind.ASYMPTOTIC, _late(det_invariance_report)),
+    _Suite("smooth-conjugate", "defining_relation", _jets, 2, ChartKind.CONJUGATE, _late(plm_residual)),
+    _Suite("smooth-conjugate", "orthogonality", _jets, 2, ChartKind.CONJUGATE, _late(orthogonality_report)),
+    _Suite("smooth-conjugate", "det_invariance", _jets, 2, ChartKind.CONJUGATE, _late(det_invariance_report)),
+    _Suite("hyper", "defining_relation", _jets, None, None, _late(hyper_plm_residual)),
+    _Suite("hyper", "compatibility", _jets, None, None,
+           lambda f, nu, A, report: hyper_compat_residual(nu, A, report=report)),
+    _Suite("discrete", "defining_relation", partial(_lattices, ["projective"]), 1, None,
+           lambda pairp, own, report: discrete_residual(pairp, report=report)),
+    _Suite("discrete", "volume_invariance", partial(_lattices, ["affine", "projective"]), 1, None,
+           lambda paira, pairp, own, report: discrete_det_invariance(paira, report=report, lift=pairp)),
+    _Suite("discrete", "form_identities", partial(_lattices, ["affine"]), 2, None,
+           lambda paira, own, report: _omega_identities(paira, report, rows=own)),
+    _Suite("discrete", "moutard_closure", partial(_lattices, ["affine"]), 1, None,
+           lambda paira, own, report: report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)),
+    _Suite("affine", "form_identities", _affine_grids, None, None, _late(affine_forms)),
+    _Suite("affine", "conormal_closure", _affine_grids, 2, None, lambda pair, stencil, rows, report: report.add(
+        "conormal_closure", closure_residual(pair.nu, stencil, rows)[0], AFFINE_TOL)),
+)
 
 
 def _collect_tasks(args, scn):
-    """(name, thunk) work units for every suite applicable to the inputs, in
-    report order: group by group, each group's suites next in the report.
-
-    Each thunk runs one unit of a group and returns (suite, part) pairs:
-    the suite's ResidualTile on the unit's rows, or the PlmError it raised.
-    """
-    suites = [args.suite] if args.suite != "all" else list(_SUITES[:-1])
+    """(name, thunk) work units for every suite of ``--suite`` applicable to
+    the inputs, in report order: group by group, each group's suites next in
+    the report.  Each thunk runs one unit of a group and returns (group,
+    parts): each of its suites' ResidualTile on the unit's rows, or the
+    PlmError it raised."""
     groups = []
-    for suite in suites:
-        if suite in _SMOOTH:
-            # jets (a fixture's closed form, or given), else the sampled grids
-            if scn.chart is _chart_of(suite) and (scn.jet_pair() or scn.f_grid is not None):
-                groups += _smooth_groups(suite, scn, args.stencil)
-        elif suite == "hyper" and (pair := scn.jet_pair(hyper=True)):
-            (rows, shapes), A = pair, scn.amatrix
-            hyper = [
-                _Suite("hyper/defining_relation", partial(hyper_plm_residual, A=A)),
-                _Suite("hyper/compatibility", lambda f, nu, report: hyper_compat_residual(
-                    nu, A, report=report)),
-            ]
-            groups.append(_Group("hyper", hyper, _common_shape(*shapes), rows))
-        elif suite == "discrete" and scn.nu_lattice is not None:
-            groups += _discrete_groups(scn)
-        elif suite == "affine" and scn.f3_grid is not None:
-            groups += _affine_groups(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), args.stencil)
+    for suite in _SUITES:
+        if args.suite in ("all", suite.family) and (found := suite.source(suite, scn, args.stencil)):
+            key, shape, inputs = found
+            if groups and groups[-1].name == key:
+                groups[-1].suites.append(suite)
+            else:
+                groups.append(_Group(key, [suite], shape, inputs))
     return [unit for group in groups for unit in group.units()]
 
 
-def _suite_report(suite, parts):
+def _suite_report(group, suite, parts):
     """The suite's InvariantReport: the join of its parts (tiles in row order).
 
     A tiled suite with a part that raised, or whose tiles made different
     whole-batch choices, first runs again as its group's one tile over the
     whole batch, so its errors and results are those of an untiled run.
     """
-    if suite.group.shape is not None and any(
+    if group.shape is not None and any(
             isinstance(p, PlmError) or p.decisions != parts[0].decisions for p in parts):
-        ((_, part),) = suite.group.run(slice(None), [suite])
-        parts = [part]
+        parts = group.run(slice(None), [suite])
     if isinstance(parts[0], PlmError):  # the one part of an untiled run
         raise parts[0]
     rep = InvariantReport()
@@ -419,17 +418,16 @@ def _run_units(units):
     """Run the work units, given in report order, on the pool; every suite's
     records, in report order.  A group's suites are joined as its last tile
     arrives, so the parts of one group at most are held."""
-    records, parts = [], {}
+    records, tiles = [], {}
     workers = _worker_count(len(units))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for result in _in_order(pool, units, 2 * workers):
-            for suite, part in result:
-                parts.setdefault(suite, []).append(part)
-            group = result[0][0].group
-            if len(parts[group.suites[0]]) == len(_row_tiles(group.shape)):  # the group's last tile
+        for group, parts in _in_order(pool, units, 2 * workers):
+            for suite, part in zip(group.suites, parts):
+                tiles.setdefault(suite, []).append(part)
+            if len(tiles[group.suites[0]]) == len(_row_tiles(group.shape)):  # the group's last tile
                 for suite in group.suites:
-                    for rec in _suite_report(suite, parts.pop(suite)).records:
-                        rec.name = f"{suite.name}/{rec.name}"
+                    for rec in _suite_report(group, suite, tiles.pop(suite)).records:
+                        rec.name = f"{suite.family}/{suite.name}/{rec.name}"
                         records.append(rec)
     return records
 
@@ -603,7 +601,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp, numerics=True):
-        sp.add_argument("--scenario", help="fixture name; see 'verify --scenario help'")
+        sp.add_argument("--scenario", help=f"fixture name: {', '.join(list_scenarios())}")
         sp.add_argument("--seed", type=int, help="RNG seed for generated scenarios")
         sp.add_argument("--size", type=int, help="lattice extent for generated scenarios")
         sp.add_argument("--h", type=float, help="grid/lattice spacing override")
@@ -614,7 +612,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run identity suites and report residuals")
     common(sp)
-    sp.add_argument("--suite", choices=_SUITES, default="all")
+    sp.add_argument("--suite", choices=(*dict.fromkeys(s.family for s in _SUITES), "all"), default="all")
     sp.add_argument("--nu", help="conormal grid CSV (file-input mode)")
     sp.add_argument("--f", help="surface grid CSV (file-input mode)")
     sp.add_argument("--report", help="write the JSON report here")

@@ -144,7 +144,7 @@ def hyper_reconstruct(jet: JetGrid, A, pivot=(1, 1)):
     f, det, bound = _reconstruct([jet.value, *jet.d1], jet.partial2(a - 1, c - 1), w)
     if not np.all(np.abs(det) > bound):  # a NaN bound (inf * 0 norms) or det included
         raise DegeneratePointError(f"degenerate pivot determinant for pivot {pivot}")
-    if not np.all(w / det > 0):
+    if not np.all(np.sign(w) * det > 0):
         raise PivotMismatchError(f"negative radicand A{pivot}/det at pivot {pivot}; choose another pivot")
     return -f
 

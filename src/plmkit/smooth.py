@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, DegeneratePointError, DomainError, NotCompatibleError
 from .fields import JetGrid
-from .hyper import AMatrix, _defining_system, _reconstruct
+from .hyper import AMatrix, _defining_system, _params, _reconstruct
 from .multilinear import _degeneracy_bound, _norm, _norm_product, _pairing_gap, _scalar_gap, _Span, det_n, pair
 from .report import SMOOTH_TOL, SPAN_TOL, InvariantReport, _check_residual
 
@@ -118,6 +118,7 @@ def _pair_jets(f_obj, nu_obj):
         raise DomainError(f"grid mismatch: {fj.shape} vs {nj.shape}")
     if fj.shape[0] == 0 or fj.shape[1] == 0:
         raise DomainError("empty interior")
+    _params(fj, nj)
     return fj, nj
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from plmkit import cli
 from plmkit.cli import main
 from plmkit.fields import FieldGrid, read_grid, read_lattice, write_grid
-from plmkit.scenarios import scenario
+from plmkit.scenarios import list_scenarios, scenario
 
 
 def run(capsys, *argv):
@@ -106,6 +106,48 @@ def test_verify_file_input_takes_the_chart_of_the_suite(capsys, tmp_path):
     nu_path, f_path = _grid_files(tmp_path)
     code, out, _ = run(capsys, "verify", "--nu", nu_path, "--f", f_path, "--suite", "smooth-conjugate")
     assert code == 1 and "FAIL  smooth-conjugate/defining_relation/" in out
+
+
+@pytest.mark.parametrize("suite", ["smooth-asymptotic", "smooth-conjugate"])
+@pytest.mark.parametrize("f_comps, nu_comps", [(3, 4), (4, 3), (4, 5), (5, 5)])
+def test_verify_file_pair_of_other_component_counts_is_one_usage_error(capsys, tmp_path, suite, f_comps, nu_comps):
+    # a surface and its conormal have 4 components each: every smooth suite
+    # refuses any other count with one error line that names it, not a traceback
+    grid = scenario("hypar", h=0.1).nu_grid
+    paths = []
+    for tag, comps in (("f", f_comps), ("nu", nu_comps)):
+        values = np.concatenate([grid.values, grid.values[..., :1]], axis=-1)[..., :comps]
+        paths.append(tmp_path / f"{tag}.csv")
+        write_grid(FieldGrid(origin=grid.origin, spacing=grid.spacing, values=values), paths[-1])
+    code, out, err = run(capsys, "verify", "--f", str(paths[0]), "--nu", str(paths[1]), "--suite", suite)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\b4 components\n", err), err
+
+
+def test_the_suite_table_declares_what_verify_runs(capsys, tmp_path):
+    # --suite takes the table's families and all; every row of the table runs
+    # on some fixture; and on each fixture --suite all reports, in order, the
+    # records of each family that applies, run alone
+    families = list(dict.fromkeys(s.family for s in cli._SUITES))
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert re.search(r"--suite \{([^}]*)\}", capsys.readouterr().out).group(1).split(",") == [*families, "all"]
+
+    def records(name, suite):
+        path = tmp_path / f"{name}-{suite}.json"
+        code, _, err = run(capsys, "verify", "--scenario", name, "--suite", suite, "--no-meta", "--report", str(path))
+        if code == 2:
+            assert err == f"error: suite {suite!r} is not applicable to this input\n"
+            return []
+        assert code == 0, err
+        return json.loads(path.read_text())["identities"]
+
+    ran = set()
+    for name in list_scenarios():
+        whole = records(name, "all")
+        assert whole == [rec for family in families for rec in records(name, family)]
+        ran |= {"/".join(rec["name"].split("/")[:2]) for rec in whole}
+    assert ran == {f"{s.family}/{s.name}" for s in cli._SUITES}
 
 
 def test_verify_usage_errors(capsys):

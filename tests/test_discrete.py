@@ -405,7 +405,7 @@ def test_random_moutard_pairs_take_their_gauge_from_the_data_and_tile_to_the_who
     assert discrete_residual(paira).to_json() == discrete_residual(pairp).to_json()
     with pytest.raises(DomainError):
         DiscreteSurfacePair(nu=nu3, f=pairp.f)
-    # verify's row tiles, each cut by cli._lattice_rows, join to the records
+    # verify's row tiles, each cut with its suite's halo, join to the records
     # of one call of each suite on the whole lattice
     whole = InvariantReport()
     for prefix, rep in (("defining_relation", discrete_residual(pairp)),

@@ -449,10 +449,11 @@ def vector_views(draw):
 @given(vector_views())
 def test_pair_and_norm_match_the_axis_sum_bitwise(views):
     u, v = views
-    assert_same_bits(pair(u, v), pair_ref(u, v))
-    assert_same_bits(pair(v, u), pair_ref(v, u))
-    assert_same_bits(_norm(u), norm_ref(u))
-    assert_same_bits(_norm(v), norm_ref(v))
+    with np.errstate(over="ignore"):  # the magnitudes reach 3e200: squares overflow on both sides
+        assert_same_bits(pair(u, v), pair_ref(u, v))
+        assert_same_bits(pair(v, u), pair_ref(v, u))
+        assert_same_bits(_norm(u), norm_ref(u))
+        assert_same_bits(_norm(v), norm_ref(v))
 
 
 fraction = st.fractions(min_value=-9, max_value=9, max_denominator=7)

@@ -309,12 +309,13 @@ def test_hyper_ends_as_the_reference_on_random_jets(case):
         assert np.all(projective_distance(unit(got[1]), unit(ref[1])) <= 1e-10)
 
 
-@pytest.mark.parametrize("weight, lam", [(1e-3, 10.0**76.5), (1e6, 10.0**-76.5)])
+@pytest.mark.parametrize("weight, lam", [(1e-3, 10.0**76.5), (1e6, 10.0**-76.5), (1e-30, 1e75)])
 def test_hyper_forms_no_radicand_that_overflows_or_underflows(weight, lam):
-    # scaling the jets by lam scales det by lam^4 (to 1e306 or 1e-306 here)
-    # and f by lam sqrt(w); det / w would overflow to inf, or keep a few digits
-    # in the subnormals, and the reference's w / det does the same the other
-    # way round, while f itself is an ordinary number
+    # scaling the jets by lam scales det by lam^4 (to 1e306, 1e-306 or 1e300
+    # here) and f by lam sqrt(w); det / w would overflow to inf, or keep a few
+    # digits in the subnormals, and the reference's w / det does the same the
+    # other way round (at w = 1e-30 it underflows to 0, so the sign of the
+    # radicand is taken without a quotient), while f itself is an ordinary number
     jet = scenario("ell-paraboloid").hyper_nu_jet[3, 4]
     scaled = JetGrid(lam * jet.value, lam * jet.d1, lam * jet.d2)
     f, expect = hyper_reconstruct(scaled, weight * np.eye(2)), lam * np.sqrt(weight) * hyper_reconstruct(jet, np.eye(2))

@@ -20,7 +20,7 @@ from plmkit.discrete import DiscreteSurfacePair, discrete_det_invariance, discre
 from plmkit.fields import FieldGrid, JetGrid, jet_grid
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
 from plmkit.report import IdentityRecord, InvariantReport, ResidualTile
-from plmkit.scenarios import scenario
+from plmkit.scenarios import Scenario, scenario
 from plmkit.smooth import ChartKind, det_invariance_report, orthogonality_report, plm_residual
 
 
@@ -49,6 +49,14 @@ def _affine_pair():
     return AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
 
 
+def _table_suite(name, scn, report):
+    """``verify``'s suite ``name`` of its suite table, run on the whole batch of its inputs from ``scn``."""
+    (suite,) = (s for s in cli._SUITES if f"{s.family}/{s.name}" == name)
+    _, _, inputs = suite.source(suite, scn, 2)
+    suite.run(*inputs(slice(None)), report=report)
+    return report
+
+
 def _conormal_closure(report):
     # verify's suite around closure_residual; the suite's own report is the
     # record of the field closure_residual returns.  The hypar's conormal
@@ -59,9 +67,8 @@ def _conormal_closure(report):
         report = InvariantReport()
         report.add("conormal_closure", closure_residual(pairg.nu)[0], 1e-8)
         return report
-    (suite,) = cli._affine_groups(pairg, 2)[1].suites
-    suite.run(pairg, None, report=report)
-    return report
+    return _table_suite("affine/conormal_closure", Scenario(name="random", f3_grid=pairg.f, nu3_grid=pairg.nu),
+                        report)
 
 
 def _lattice_form_identities(report):
@@ -69,9 +76,7 @@ def _lattice_form_identities(report):
     # that build none of its F fields
     if report is None:
         return discrete_forms(_lattice_pairs()[1])[1]
-    (suite,) = cli._discrete_groups(scenario("moutard-random", size=12))[2].suites
-    suite.run(*suite.group.inputs(slice(None)), report=report)
-    return report
+    return _table_suite("discrete/form_identities", scenario("moutard-random", size=12), report)
 
 
 def _smooth(fn, fixture, chart):

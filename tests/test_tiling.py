@@ -122,7 +122,8 @@ def _tiled(rows_per_tile, sites_per_row, suite, stencil=2, scn=None, f=None, nu=
     """verify's records for these inputs, with tiles of ``rows_per_tile`` rows."""
     args = argparse.Namespace(suite=suite, stencil=stencil)
     if scn is None:  # sampled grids, as verify --nu --f reads them
-        scn = Scenario(name="files", chart=cli._chart_of(suite), f_grid=f, nu_grid=nu)
+        chart = next(s.chart for s in cli._SUITES if s.family == suite)  # as _input takes it from --suite
+        scn = Scenario(name="files", chart=chart, f_grid=f, nu_grid=nu)
     with mock.patch.object(cli, "TILE_SITES", rows_per_tile * sites_per_row):
         return InvariantReport(records=cli._run_units(cli._collect_tasks(args, scn)))
 
@@ -193,6 +194,26 @@ def test_tiled_hyper_report_is_byte_identical(extents):
 
 
 _LATTICE_H = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+def test_suites_that_share_their_inputs_share_a_group():
+    # one set of inputs per tile serves a group: a fixture's jets serve its
+    # family, the jets of each order of sampled grids the suites of that order,
+    # and each lattice and affine suite reads its own; at these sizes every
+    # group is one tile, so the units name the groups
+    def groups(scn, suite="all"):
+        units = cli._collect_tasks(argparse.Namespace(suite=suite, stencil=2), scn)
+        return [name.split("[")[0] for name, _ in units]
+
+    assert groups(scenario("hypar")) == ["smooth-asymptotic/jets", "affine/form_identities", "affine/conormal_closure"]
+    assert groups(scenario("ell-paraboloid")) == ["hyper/jets"]
+    assert groups(scenario("moutard-random")) == [
+        f"discrete/{name}" for name in ("defining_relation", "volume_invariance", "form_identities", "moutard_closure")]
+    hypar = scenario("hypar", h=0.1)
+    for chart, suite, orders in ((ChartKind.ASYMPTOTIC, "smooth-asymptotic", (2, 3)),
+                                 (ChartKind.CONJUGATE, "smooth-conjugate", (2,))):
+        files = Scenario(name="files", chart=chart, f_grid=hypar.f_grid, nu_grid=hypar.nu_grid)
+        assert groups(files, suite) == [f"{suite}/order{order}" for order in orders]
 
 
 @settings(max_examples=40, deadline=None)

@@ -66,3 +66,26 @@ def test_traced_verify_runs_and_keeps_the_report(tmp_path):
     stats = json.loads((tmp_path / "trace.json").read_text())["stats"]
     assert stats["cli.pool.task"]["calls"] >= 1
     assert stats["multilinear.star_of_wedge"]["calls"] > 0
+
+
+# the functions verify's suites run, by the fixture whose verify runs them
+_SUITE_SPANS = {
+    "hypar": ["smooth.plm_residual", "smooth.orthogonality_report", "smooth.det_invariance_report",
+              "affine.affine_forms", "affine.closure_residual"],
+    "ell-paraboloid": ["hyper.hyper_plm_residual", "hyper.hyper_compat_residual"],
+    "hypar-lattice": ["discrete.discrete_residual", "discrete.discrete_det_invariance", "discrete.moutard_residual"],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_SUITE_SPANS))
+def test_traced_verify_sees_every_suite_function(tmp_path, fixture):
+    # a suite that holds its function from import time would bypass the
+    # tracer's wrapper, and its span would read 0 s
+    env = dict(os.environ, PYTHONPATH=str(_TRACED_PY.parent.parent / "src"))
+    traced = subprocess.run([sys.executable, str(_TRACED_PY), str(tmp_path / "trace.json"), "--",
+                             "verify", "--scenario", fixture, "--no-meta"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert traced.returncode == 0, traced.stderr
+    stats = json.loads((tmp_path / "trace.json").read_text())["stats"]
+    calls = {name: stats.get(name, {}).get("calls", 0) for name in _SUITE_SPANS[fixture]}
+    assert all(calls.values()), calls
