@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
 from .fields import FieldGrid, _margin, jet_grid
-from .multilinear import _degeneracy_bound, _dot, _norm, _norm_product, _rejection_gap, _scalar_gap, det_n, pair
+from .multilinear import (
+    _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
+)
 from .report import AFFINE_TOL, InvariantReport, _check_residual
 
 __all__ = [
@@ -69,7 +71,7 @@ def _lelieuvre_sum(v, f0):
     """
     d1 = np.cross(v[:-1, 0], v[1:, 0])  # only the first column is summed along axis 1
     d2 = -np.cross(v[:, :-1], v[:, 1:])
-    f = np.empty(v.shape[:2] + (3,))
+    f = _planar(v.shape[:2] + (3,))
     f[0, 0] = np.asarray(f0, dtype=float)
     f[1:, 0] = f[0, 0] + np.cumsum(d1, axis=0)
     f[:, 1:] = f[:, :1] + np.cumsum(d2, axis=1)
@@ -85,8 +87,8 @@ def _check_closure(res, tolerance, what, cell):
 
 def _homogeneous_lift(bf, bn):
     """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
-    f4 = np.concatenate([bf, -np.ones(bf.shape[:2] + (1,))], axis=-1)
-    nu4 = np.concatenate([bn, _dot(bf, bn)[..., None]], axis=-1)
+    f4 = _planes([*np.moveaxis(bf, -1, 0), np.broadcast_to(-1.0, bf.shape[:-1])])
+    nu4 = _planes([*np.moveaxis(bn, -1, 0), _dot(bf, bn)])
     return f4, nu4
 
 

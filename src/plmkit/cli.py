@@ -103,10 +103,14 @@ _TAKES = {
 # Defaults that would hide whether an option was given: applied after the check.
 _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
 
-# Sites per row tile of a tiled suite.  Of 4096, 16384 and 65536 sites, 16384
-# gave the best wall time on the 401^2 hypar at one and two threads (ROADMAP,
-# item 5).  It is not sized to a cache: a unit's traced peak is 3.8 to 13.7 MiB.
-# An affine tile lifts and differentiates only its rows of the pair, halo included.
+# Sites per row tile of a tiled suite.  On component-major fields, in-process
+# verify at h = 0.005 (401^2 sites) took, in seconds for 8192 / 16384 / 32768
+# sites per tile (medians of 11 interleaved runs, 2 vCPUs, numpy 2.4):
+#   hypar, one thread:           0.283 / 0.257 / 0.326; two: 0.320 / 0.219 / 0.222
+#   ell-paraboloid, one thread:  0.134 / 0.125 / 0.140; two: 0.144 / 0.100 / 0.110
+# so no size beats 16384 on both.  It is not sized to a cache: a unit's traced
+# peak is 3.8 to 13.7 MiB.  An affine tile lifts and differentiates only its
+# rows of the pair, halo included.
 TILE_SITES = 16384
 
 
@@ -162,8 +166,14 @@ def _input(args):
     if suite not in (None, *charts):
         raise DomainError(f"--nu takes --suite {' or '.join(charts)}, not {suite!r}")
     f = getattr(args, "f", None)
-    return Scenario(name=args.nu, chart=suite and charts[suite], nu_grid=read_grid(args.nu),
-                    f_grid=read_grid(f) if f else None)
+    nu, f = read_grid(args.nu), f and read_grid(f)
+    # the identities compare the two fields site by site, so the grids must share
+    # their sites, to the 1e-12 (of the spacing) to which the reader takes a grid as uniform
+    for key in ("spacing", "origin") if f else ():
+        a, b = getattr(f, key), getattr(nu, key)
+        if not all(abs(x - y) <= 1e-12 * h for x, y, h in zip(a, b, nu.spacing)):
+            raise DomainError(f"--f grid {key} {a} differs from --nu grid {key} {b}")
+    return Scenario(name=args.nu, chart=suite and charts[suite], nu_grid=nu, f_grid=f)
 
 
 def _base_point(text):

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .fields import LatticeField
 from .multilinear import (
-    _bivector_gap, _dot, _norm, _norm_product, _pairing_gap, _rejection_gap, _scalar_gap, _Span, cross_n, det_n, pair,
-    star_of_wedge, wedge2,
+    _bivector_gap, _dot, _norm, _norm_product, _pairing_gap, _planar, _rejection_gap, _scalar_gap, _Span, cross_n,
+    det_n, pair, star_of_wedge, wedge2,
 )
 from .report import LATTICE_TOL, SCALE_TOL, SPAN_TOL, InvariantReport, _check_residual
 
@@ -179,7 +179,7 @@ def moutard_evolve(initial_row, initial_col, H) -> LatticeField:
             f"Moutard coefficient of shape {hv.shape} does not cover the {m1 - 1}x{m2 - 1} plaquettes"
         )
     h = hv[: m1 - 1, : m2 - 1] if hv.ndim else np.broadcast_to(hv, (m1 - 1, m2 - 1))
-    v = np.empty((m1, m2, row.shape[1]))
+    v = _planar((m1, m2, row.shape[1]))
     v[:, 0] = row
     v[0, :] = col
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,11 +11,20 @@ hypersurface (n up to 4) alike: a field with its partials at a batch of
 parameter points.  Its arrays are axis-major: ``d1[a]`` is the partial
 along x_{a+1}, ``d2`` holds each second partial once (the pairs a <= c in
 row-major order: xx, xy, yy when n = 2) and the optional ``d3[a]`` is the
-pure third partial along x_{a+1}, so every partial is one C-contiguous
-(..., d) array; the n = 2 views ``d_x`` ... ``xs``, ``ys`` raise on other
-jets.  ``jet_grid`` computes the central-difference jets of a
+pure third partial along x_{a+1}; the n = 2 views ``d_x`` ... ``xs``,
+``ys`` raise on other jets.  ``jet_grid`` computes the central-difference jets of a
 ``FieldGrid`` at 2nd or 4th accuracy order, over the whole interior or
 some of its rows, with one n-axis stencil engine.
+
+Every vector field the package makes is stored component-major: a field of
+shape (..., d) is the view of a (d, ...) array, so each component
+``a[..., c]`` is one C-contiguous plane.  The shapes are the usual (..., d)
+ones; only the strides differ.  Elementwise numpy keeps the layout in its
+results, so the kernels of ``multilinear``, which read one component at a
+time, read unit-stride memory all the way down.  The jet slots and the
+values a CSV table is read into are allocated this way, by
+``multilinear._planar``, as are the closed-form fields of the fixtures and
+the lattices that are evolved, integrated and lifted.
 
 Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
@@ -38,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundaryError, DomainError, ParseError
+from .multilinear import _planar
 
 __all__ = [
     "FieldGrid",
@@ -220,7 +230,7 @@ def _difference(v, spacing, m, stencil, parts, out=None):
     first pair's offsets outermost.
     """
     taps = [list(zip(*_STENCILS[(stencil, p)][:2])) for _, p in parts]
-    out = np.empty(_interior(v, m).shape) if out is None else out
+    out = _planar(_interior(v, m).shape) if out is None else out
     for k, combo in enumerate(product(*taps)):
         shift = [0] * (v.ndim - 1)
         w = 1.0
@@ -247,7 +257,7 @@ def _jets(v, spacing, m, order, stencil):
     value = _interior(v, m)
 
     def slots(partials):
-        out = np.empty((len(partials),) + value.shape)
+        out = _planar((len(partials),) + value.shape)
         for k, parts in enumerate(partials):
             _difference(v, spacing, m, stencil, parts, out=out[k])
         return out
@@ -465,7 +475,7 @@ def _table(lines, columns, lattice):
         site = ",".join(repr(float(c)) for c in sites[again])
         raise ParseError(f"site ({site}) appears twice, first on line {_line_of(lines, first)}",
                          line=_line_of(lines, again))
-    values = np.empty((size, width - n))
+    values = _planar((size, width - n))
     values[flat] = rows[:, n:]
     origin = tuple(float(u[0]) for u in axes)
     spacing = tuple(float(u[1] - u[0]) if len(u) > 1 else 1.0 for u in axes)

@@ -33,7 +33,14 @@ Sign conventions are anchored by eps(1,2,...,d) = +1, which pins
 packed (1, 0, 0, 0, 0, 0) to (0, 0, 0, 0, 0, 1).
 
 All functions accept either a single vector of shape ``(d,)`` or a batch
-with arbitrary leading axes, shape ``(..., d)``.
+with arbitrary leading axes, shape ``(..., d)``, in any memory layout, and
+give the same bits on each, but for the sign bit of a NaN.  Every kernel
+reads its inputs one component ``a[..., c]`` at a time, so it runs on
+unit-stride memory when a field is stored component-major, as every field
+of the package is (see ``fields``): each component one C-contiguous plane.
+``wedge2``, ``hodge_star``, ``cross_n`` and ``star_of_wedge`` return that
+layout, their components stacked by ``_planes``; ``_planar`` allocates a
+field in it.
 """
 
 import operator
@@ -65,12 +72,14 @@ def _dot(a, b):
     signed zeros included, so the result is bit-identical, without the
     per-site inner loop.  Other inputs (object arrays of ``Fraction``,
     integers, empty or longer vectors) keep numpy's sum, exact on
-    ``Fraction``.  Every dot product and squared norm of the package is
-    this one function.
+    ``Fraction``, over the C-contiguous product: numpy adds a contiguous
+    axis pairwise and a strided one in sequence, so a component-major input
+    would otherwise give other bits.  Every dot product and squared norm of
+    the package is this one function.
     """
     d = a.shape[-1]
     if not 0 < d < 8 or np.result_type(a, b).kind != "f":
-        return (a * b).sum(axis=-1)
+        return np.ascontiguousarray(a * b).sum(axis=-1)
     s = 0.0
     for k in range(d):
         s = s + a[..., k] * b[..., k]
@@ -215,6 +224,21 @@ def perm_sign(indices):
     return sign
 
 
+def _planes(comps):
+    """The components ``comps``, arrays of one shape (or numbers), as one
+    (..., k) array stored component-major: each ``[..., c]`` is a C-contiguous
+    plane, so a kernel that reads it reads unit-stride memory.  Elementwise
+    numpy keeps that layout in its results."""
+    return np.moveaxis(np.stack(comps), 0, -1)
+
+
+def _planar(shape, alloc=np.empty):
+    """``alloc`` (np.empty or np.zeros) of ``shape`` (..., d), stored
+    component-major as ``_planes`` stacks; each [k][..., c] of a stack of
+    fields (k, ..., d) is a C-contiguous plane too."""
+    return np.moveaxis(alloc(shape[-1:] + shape[:-1]), 0, -1)
+
+
 def _as_vec(a):
     a = np.asarray(a)
     if a.ndim < 1:
@@ -234,8 +258,7 @@ def wedge2(a, b):
         raise DomainError("wedge2: dimension mismatch")
     if d < 2:
         raise DomainError("wedge2: need vectors of dimension 2 or more")
-    return np.stack([a[..., k] * b[..., l] - b[..., k] * a[..., l] for k, l in combinations(range(d), 2)],
-                    axis=-1)
+    return _planes([a[..., k] * b[..., l] - b[..., k] * a[..., l] for k, l in combinations(range(d), 2)])
 
 
 # (*P)_p = sign * P_q for packed bivectors in dimension 4, as (q, sign):
@@ -249,7 +272,7 @@ def hodge_star(P):
     P = np.asarray(P)
     if P.ndim < 1 or P.shape[-1] != 6:
         raise DomainError("hodge_star: expected a (..., 6) packed bivector")
-    return np.stack([P[..., q] if s > 0 else s * P[..., q] for q, s in _STAR4], axis=-1)
+    return _planes([P[..., q] if s > 0 else s * P[..., q] for q, s in _STAR4])
 
 
 def _rows(vectors, count, name):
@@ -267,7 +290,11 @@ def _rows(vectors, count, name):
 
 
 def _det_cols(rows, cols, memo):
-    """Determinant of ``rows`` on the columns ``cols``, expanded along rows[0]."""
+    """Determinant of ``rows`` on the columns ``cols``, expanded along rows[0].
+
+    The terms are added to the first one in place, the odd ones subtracted:
+    v - x m has the bits of the signed sum v + (-x) m (a NaN's sign bit
+    aside), with no signed copy and no new sum allocated; exact on Fraction."""
     key = (len(rows), cols)
     if key not in memo:
         r0 = rows[0]
@@ -277,12 +304,13 @@ def _det_cols(rows, cols, memo):
             a, b = cols
             val = r0[..., a] * rows[1][..., b] - r0[..., b] * rows[1][..., a]
         else:
-            val = None
-            sign = 1
-            for j, c in enumerate(cols):
-                term = sign * r0[..., c] * _det_cols(rows[1:], cols[:j] + cols[j + 1 :], memo)
-                val = term if val is None else val + term
-                sign = -sign
+            val = r0[..., cols[0]] * _det_cols(rows[1:], cols[1:], memo)
+            for j, c in enumerate(cols[1:], start=1):
+                term = r0[..., c] * _det_cols(rows[1:], cols[:j] + cols[j + 1 :], memo)
+                if j % 2:
+                    val -= term
+                else:
+                    val += term
         memo[key] = val
     return memo[key]
 
@@ -312,7 +340,7 @@ def cross_n(vectors):
     for i in range(d):
         comps.append(sign * _det_cols(rows, tuple(c for c in range(d) if c != i), memo))
         sign = -sign
-    return np.stack(comps, axis=-1)
+    return _planes(comps)
 
 
 def pair(f, nu):
@@ -340,7 +368,7 @@ def star_of_wedge(vectors):
         sign = perm_sign(cols + (k, l))
         det = _det_cols(rows, cols, memo)
         comps.append(det if sign > 0 else sign * det)
-    return np.stack(comps, axis=-1)
+    return _planes(comps)
 
 
 class _Span:

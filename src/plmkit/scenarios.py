@@ -28,6 +28,7 @@ from .discrete import (
 from .errors import DomainError
 from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, grid_on_sites
 from .hyper import AMatrix
+from .multilinear import _planar, _planes
 from .smooth import ChartKind
 
 __all__ = ["ClosedForm", "Scenario", "scenario", "list_scenarios"]
@@ -156,8 +157,8 @@ def _axes(x0, x1, y0, y1, h):
 
 
 def _stack(shape, comps):
-    """Components (arrays or plain numbers) broadcast over ``shape``, stacked last."""
-    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in comps], axis=-1)
+    """Components (arrays or plain numbers) broadcast over ``shape``, stacked last, one plane each."""
+    return _planes([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in comps])
 
 
 def _closed_jets(xs, ys, order, value, **partials):
@@ -172,8 +173,8 @@ def _closed_jets(xs, ys, order, value, **partials):
     the tests bit for bit.
     """
     shape = (len(xs), len(ys), len(value))
-    arrays = dict(d1=np.zeros((2,) + shape), d2=np.zeros((3,) + shape),
-                  d3=np.zeros((2,) + shape) if order >= 3 else None)
+    arrays = dict(d1=_planar((2,) + shape, np.zeros), d2=_planar((3,) + shape, np.zeros),
+                  d3=_planar((2,) + shape, np.zeros) if order >= 3 else None)
     for name, comps in partials.items():
         array, k = _NAMED[name]
         for c, comp in enumerate(comps):
@@ -310,7 +311,7 @@ def _hypar_lattice(h=0.1, size=8):
     if not (h != 0 and math.isfinite(h)):
         raise DomainError(f"lattice spacing h must be finite and nonzero, got {h}")
     n1, n2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    bn = np.stack([-n2 * h, -n1 * h, np.ones_like(n1, dtype=float)], axis=-1)
+    bn = _stack(n1.shape, [-n2 * h, -n1 * h, 1])
     nu3 = LatticeField(values=bn)
     f3 = discrete_affine_integrate(nu3, np.zeros(3))
     pair3 = DiscreteSurfacePair(nu=nu3, f=f3)

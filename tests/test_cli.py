@@ -124,6 +124,23 @@ def test_verify_file_pair_of_other_component_counts_is_one_usage_error(capsys, t
     assert re.fullmatch(r"error: [^\n]*\b4 components\n", err), err
 
 
+@pytest.mark.parametrize("suite, name", [("smooth-asymptotic", "hypar"), ("smooth-conjugate", "conj-paraboloid")])
+@pytest.mark.parametrize("key", ["spacing", "origin"])
+def test_verify_file_pair_on_other_sites_is_one_usage_error(capsys, tmp_path, suite, name, key):
+    # the identities compare values site by site: on sites twice as far apart
+    # the surface used to fail them, and on shifted sites to pass them
+    scn = scenario(name, h=0.1)
+    f = scn.f_grid
+    moved = {"spacing": (f.origin, (0.2, 0.2)), "origin": (tuple(o + 0.3 for o in f.origin), f.spacing)}[key]
+    nu_path, f_path = tmp_path / "nu.csv", tmp_path / "f.csv"
+    write_grid(scn.nu_grid, nu_path)
+    write_grid(FieldGrid(*moved, values=f.values), f_path)
+    want = [getattr(read_grid(path), key) for path in (f_path, nu_path)]
+    code, out, err = run(capsys, "verify", "--nu", str(nu_path), "--f", str(f_path), "--suite", suite)
+    assert (code, out) == (2, "")
+    assert err == f"error: --f grid {key} {want[0]} differs from --nu grid {key} {want[1]}\n"
+
+
 def test_the_suite_table_declares_what_verify_runs(capsys, tmp_path):
     # --suite takes the table's families and all; every row of the table runs
     # on some fixture; and on each fixture --suite all reports, in order, the

@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plmkit.errors import DomainError
-from plmkit.fields import _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_grid
+from plmkit.fields import (
+    _STENCILS, FieldGrid, JetGrid, _check_fits, _interior, _margin, jet_grid, read_grid, write_grid,
+)
+from plmkit.scenarios import list_scenarios, scenario
 
 _NAMES = ("d_x", "d_y", "d_xx", "d_xy", "d_yy", "d_xxx", "d_yyy")
 
@@ -94,6 +97,11 @@ def _ref_hyper_jet(j):
 # --- properties -------------------------------------------------------------
 
 
+def _is_planar(a):
+    """Whether ``a`` (..., d) is stored component-major: every plane a[..., c] C-contiguous."""
+    return all(a[..., c].flags.c_contiguous for c in range(a.shape[-1]))
+
+
 def _same(got, want, what):
     assert got.dtype == want.dtype and got.shape == want.shape, what
     assert got.tobytes() == want.tobytes(), what
@@ -138,7 +146,7 @@ def test_every_partial_equals_its_reference_slot(case):
     if order < 3:
         assert jets.d3 is None
     partials = [*jets.d1, *jets.d2, *([] if jets.d3 is None else jets.d3)]
-    assert all(p.flags.c_contiguous for p in partials)
+    assert all(_is_planar(p) for p in partials)
     if n == 2:
         ref = _ref_jet_grid(grid, order, stencil, rows)
         for name in _NAMES + ("value", "xs", "ys"):
@@ -215,3 +223,36 @@ def test_surface_views_of_n2_jets_are_their_slots():
         assert getattr(jets, name) is not None and np.shares_memory(getattr(jets, name), slot), name
     assert jets.xs is jets.axes[0] and jets.ys is jets.axes[1]
     assert jet_grid(grid, order=2).d_xxx is None
+
+
+# --- layout: one contiguous plane per component -----------------------------
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_fixture_fields_are_stored_one_plane_per_component(name):
+    # the closed-form jets of a grid fixture, its affine-gauge grids, and the
+    # lattices of a lattice fixture, evolved, integrated and lifted
+    scn = scenario(name)
+    closed = scn.closed or scn.hyper_closed
+    arrays = []
+    for jets in closed.rows() if closed else ():
+        arrays += [jets.value, *jets.d1, *jets.d2, *([] if jets.d3 is None else jets.d3)]
+    for field in (scn.f3_grid, scn.nu3_grid, scn.f_lattice, scn.nu_lattice, scn.f3_lattice, scn.nu3_lattice):
+        if field is not None:
+            arrays.append(field.values)
+    assert arrays and all(_is_planar(a) for a in arrays)
+
+
+@pytest.mark.parametrize("ncomp", [1, 3, 4])
+def test_read_grid_values_are_stored_one_plane_per_component(tmp_path, ncomp):
+    rng = np.random.default_rng(ncomp)
+    grid = FieldGrid(origin=(0.5, -1.0), spacing=(0.25, 0.5), values=rng.standard_normal((6, 5, ncomp)))
+    write_grid(grid, tmp_path / "g.csv")
+    got = read_grid(tmp_path / "g.csv")
+    assert _is_planar(got.values)
+    _same(got.values, grid.values, "values")
+    # the jets of a planar grid are the jets of the interleaved one, bit for bit
+    for order in (2, 3):
+        want, jets = jet_grid(grid, order=order), jet_grid(got, order=order)
+        for name in ("value", "d1", "d2", "d3")[: order + 1]:
+            _same(getattr(jets, name), getattr(want, name), (order, name))

@@ -20,6 +20,7 @@ from plmkit.errors import DegeneratePointError, DomainError
 from plmkit.fields import JetGrid, LatticeField
 from plmkit.multilinear import (
     _degeneracy_bound,
+    _dot,
     _fro,
     _norm,
     _norm_product,
@@ -485,6 +486,70 @@ def test_kernel_exact_on_fraction_arrays(raw):
         assert got.dtype == object and got.shape == want.shape
         assert all(isinstance(x, Fraction) for x in got.ravel() if x != 0)
         assert np.all(got == want)
+    # one vector each: the cofactor terms are Fraction scalars, summed in place
+    single = [v[0] for v in vecs]
+    assert isinstance(det_n(single), Fraction) and det_n(single) == det_oracle([list(r[0]) for r in raw])
+
+
+# --- layout: the same bits from interleaved and component-major inputs ------
+
+
+def component_major(a):
+    """The (..., d) array ``a`` stored one C-contiguous plane per component."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def is_planar(a):
+    return all(a[..., c].flags.c_contiguous for c in range(a.shape[-1]))
+
+
+def assert_same_bits_nan_as_one(ours, ref):
+    """``assert_same_bits`` with every NaN read as one NaN.  Where two NaNs
+    meet, numpy's add and multiply return one or the other by whether the
+    loop for contiguous or the one for strided operands runs, so no layout
+    fixes a NaN's sign bit; a report prints each NaN as NaN."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    assert_same_bits(np.where(np.isnan(ours), np.nan, ours), np.where(np.isnan(ref), np.nan, ref))
+
+
+# NaN, infinities, signed zeros, subnormals and magnitudes whose products over- or underflow
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-200, -3e200])
+
+
+@st.composite
+def layout_batch(draw):
+    """d vectors of dimension d, 2 <= d <= 6, on one batch of two axes or more."""
+    d = draw(st.integers(2, 6))
+    lead = draw(st.sampled_from([(3, 2), (2, 1, 3), (5, 4)]))
+    elements = st.one_of(finite, _SPECIAL)
+    return [draw(hnp.arrays(np.float64, lead + (d,), elements=elements)) for _ in range(d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_batch())
+def test_kernels_give_the_same_bits_on_either_layout(vecs):
+    d = len(vecs)
+    with np.errstate(all="ignore"):
+        W = np.ascontiguousarray(wedge2(vecs[0], vecs[1]))  # packed, d(d-1)/2 components
+    L = np.concatenate(vecs, axis=-1)  # d*d components: from 8 on, _dot sums them with numpy's sum
+
+    def results(layout):
+        v, P, M = [layout(x) for x in vecs], layout(W), layout(L)
+        out = dict(det_n=det_n(v), cross_n=cross_n(v[:-1]), wedge2=wedge2(v[0], v[1]), _dot=_dot(v[0], v[1]),
+                   long_dot=_dot(M, M[..., ::-1]), _norm=_norm(v[0]), _fro=_fro(P))
+        if d >= 3:
+            out["star_of_wedge"] = star_of_wedge(v[:-2])
+        if d in (4, 6):  # the star takes the 6 components of a packed bivector of dimension 4
+            out["hodge_star"] = hodge_star(P if d == 4 else v[0])
+        return out
+
+    with np.errstate(all="ignore"):
+        interleaved, planar = results(lambda a: a), results(component_major)
+    for name, want in interleaved.items():
+        assert_same_bits_nan_as_one(planar[name], want)
+        if name in ("wedge2", "cross_n", "star_of_wedge", "hodge_star"):  # stacked one plane per component
+            assert is_planar(want) and is_planar(planar[name]), name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
