@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
-from .fields import FieldGrid, _margin, jet_grid
+from .fields import FieldGrid, _difference, _interior, _margin, _row_window, jet_grid
 from .multilinear import (
     _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
 )
@@ -98,10 +98,16 @@ def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
     The integrability condition of the affine Lelieuvre system is
     bnu_xy = U4 bnu with scalar U4; the residual is the relative norm of
     the component of bnu_xy orthogonal to bnu.  ``rows`` limits it to
-    those rows of the interior, as in ``jet_grid``.
+    those rows of the interior of the order-2 jets, as in ``jet_grid``.
+    Only bnu_xy is differenced, with the stencil of the jets' d_xy.
     """
-    jg = jet_grid(nu, order=2, stencil=stencil, rows=rows)
-    return _rejection_gap(jg.d_xy, jg.value, floor=1e-12)
+    m = _margin(stencil, 2)
+    v = _row_window(nu, m, rows)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nu_xy = _difference(v, nu.spacing, m, stencil, ((0, 1), (1, 1)))
+    if not np.isfinite(nu_xy).all():  # as a JetGrid rejects it
+        raise DomainError("jet contains non-finite entries")
+    return _rejection_gap(nu_xy, _interior(v, m), floor=1e-12)
 
 
 def classical_lelieuvre_integrate(nu: FieldGrid, f0, stencil: int = 2) -> FieldGrid:

@@ -20,15 +20,18 @@ inputs of its own rows (a fixture's closed form evaluated on those rows, views
 of given jets, the jets of those rows of a sampled grid, stencil halo included,
 or the rows of a lattice that hold its base sites and the rows past them that
 its stencils reach), so no whole-grid jet or whole-lattice temporary is built,
-and keeps each residual field unreduced in a ResidualTile.  The units run in
-report order, at most two per worker ahead of the join, and a group's suites
-are joined, each identity reduced once, as its last tile arrives, so the report
-is the same bytes at any thread count.  A group not cut into rows (a
-mismatched, empty or too small input) is one tile over the whole batch: the
-untiled run is the one-tile run.  A tiled suite that raises on a tile, or whose
-tiles make different whole-batch choices (the one such choice is the zero
-shortcut of ``hyper_compat_residual``), runs again as its group's one tile over
-the whole batch, in the calling thread.
+and reduces each residual field it computes to a record that keeps a small
+summary (``IdentityRecord.from_field``), so the fields die with the unit.  The
+units run in report order, at most two per worker ahead of the join, and a
+group's suites are joined from the summaries as its last tile arrives.  The
+join is exact for max and argmax, and the mean is the sum of per-row sums over
+the site count wherever the tiles cut, so the report is the same bytes at any
+thread count.  A group not cut into rows (a mismatched, empty or too small
+input) is one tile over the whole batch: the untiled run is the one-tile run.
+A tiled suite that raises on a tile, or whose tiles make different
+whole-batch choices (the one such choice is the zero shortcut of
+``hyper_compat_residual``), runs again as its group's one tile over the whole
+batch, in the calling thread.
 """
 
 import argparse
@@ -40,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +77,7 @@ from .fields import (
     write_lattice,
 )
 from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
-from .report import AFFINE_TOL, LATTICE_TOL, InvariantReport, ResidualTile
+from .report import AFFINE_TOL, LATTICE_TOL, IdentityRecord, InvariantReport, ResidualTile, _Summary
 from .scenarios import Scenario, list_scenarios, scenario
 from .smooth import (
     ChartKind,
@@ -245,7 +249,7 @@ class _Group:
     inputs: Callable
 
     def run(self, rows, suites):
-        """The part of each of ``suites`` on ``rows``: its ResidualTile, or
+        """The part of each of ``suites`` on ``rows`` (see ``_tile``), or
         the PlmError that it or the inputs raised.
 
         Every value that over- or underflows here is judged afterwards, as a
@@ -270,10 +274,23 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
+class _Part(NamedTuple):
+    """A suite's part on one tile: the whole-batch choices it made, and
+    (name, summary, tolerance) of each of its residual fields."""
+
+    decisions: list
+    fields: list
+
+
 def _tile(suite, inputs):
+    """The suite's _Part on one tile, each summary through its field's record,
+    so the fields themselves go when this returns.  A row tile may hold no
+    site of a field (a lattice's last rows): it has a summary but no record."""
     tile = ResidualTile()
     suite.run(*inputs, report=tile)
-    return tile
+    fields = [(name, IdentityRecord.from_field(name, r, tol).summary if r.size else _Summary.of(r), tol)
+              for name, r, tol in tile.fields]
+    return _Part(tile.decisions, fields)
 
 
 def _row_tiles(shape):
@@ -382,8 +399,8 @@ def _collect_tasks(args, scn):
     """(name, thunk) work units for every suite of ``--suite`` applicable to
     the inputs, in report order: group by group, each group's suites next in
     the report.  Each thunk runs one unit of a group and returns (group,
-    parts): each of its suites' ResidualTile on the unit's rows, or the
-    PlmError it raised."""
+    parts): each of its suites' part on the unit's rows (see ``_tile``), or
+    the PlmError it raised."""
     groups = []
     for suite in _SUITES:
         if args.suite in ("all", suite.family) and (found := suite.source(suite, scn, args.stencil)):
@@ -396,7 +413,7 @@ def _collect_tasks(args, scn):
 
 
 def _suite_report(group, suite, parts):
-    """The suite's InvariantReport: the join of its parts (tiles in row order).
+    """The suite's records: the join of its parts (tiles in row order).
 
     A tiled suite with a part that raised, or whose tiles made different
     whole-batch choices, first runs again as its group's one tile over the
@@ -407,10 +424,8 @@ def _suite_report(group, suite, parts):
         parts = group.run(slice(None), [suite])
     if isinstance(parts[0], PlmError):  # the one part of an untiled run
         raise parts[0]
-    rep = InvariantReport()
-    for k, (name, _, tol) in enumerate(parts[0].fields):
-        rep.add(name, np.concatenate([p.fields[k][1] for p in parts]), tol)
-    return rep
+    return [IdentityRecord.join(name, [p.fields[k][1] for p in parts], tol)
+            for k, (name, _, tol) in enumerate(parts[0].fields)]
 
 
 def _in_order(pool, units, ahead):
@@ -427,7 +442,8 @@ def _in_order(pool, units, ahead):
 def _run_units(units):
     """Run the work units, given in report order, on the pool; every suite's
     records, in report order.  A group's suites are joined as its last tile
-    arrives, so the parts of one group at most are held."""
+    arrives, so the parts (summaries, not fields) of one group at most are
+    held."""
     records, tiles = [], {}
     workers = _worker_count(len(units))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -436,7 +452,7 @@ def _run_units(units):
                 tiles.setdefault(suite, []).append(part)
             if len(tiles[group.suites[0]]) == len(_row_tiles(group.shape)):  # the group's last tile
                 for suite in group.suites:
-                    for rec in _suite_report(group, suite, tiles.pop(suite)).records:
+                    for rec in _suite_report(group, suite, tiles.pop(suite)):
                         rec.name = f"{suite.family}/{suite.name}/{rec.name}"
                         records.append(rec)
     return records

@@ -249,10 +249,20 @@ def _difference(v, spacing, m, stencil, parts, out=None):
     return out
 
 
+def _row_window(grid, m, rows):
+    """The samples of a FieldGrid that stencils of margin m read for ``rows``,
+    a unit-step slice of its m-interior indices along the first axis, and the
+    slice's (start, stop); the window itself must hold an interior."""
+    _check_fits(grid.dims, m)
+    start, stop, _ = (rows or slice(None)).indices(grid.dims[0] - 2 * m)
+    v = grid.values[start : stop + 2 * m]
+    _check_fits(v.shape[:-1], m)
+    return v, start, stop
+
+
 def _jets(v, spacing, m, order, stencil):
     """(value, d1, d2, d3) of a sampled field v (N1, ..., Nn, d) over its
     m-interior, each partial computed into its slot; d3 is None below order 3."""
-    _check_fits(v.shape[:-1], m)
     n = v.ndim - 1
     value = _interior(v, m)
 
@@ -281,11 +291,10 @@ def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetG
     jets bit for bit.
     """
     m = _margin(stencil, order)
-    _check_fits(grid.dims, m)
-    start, stop, _ = (rows or slice(None)).indices(grid.dims[0] - 2 * m)
+    v, start, stop = _row_window(grid, m, rows)
     first, *rest = grid.axes
     axes = (first[m + start : m + stop],) + tuple(c[m : len(c) - m] for c in rest)
-    return JetGrid(*_jets(grid.values[start : stop + 2 * m], grid.spacing, m, order, stencil), axes)
+    return JetGrid(*_jets(v, grid.spacing, m, order, stencil), axes)
 
 
 def grid_on_sites(jets: JetGrid, values) -> FieldGrid:

@@ -1,7 +1,9 @@
 """Named residual statistics for verified identities."""
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,29 @@ def _check_residual(residual, tolerance, error):
         raise error(site, float(r[site]))
 
 
+class _Summary(NamedTuple):
+    """A residual field r reduced to what a join of its row tiles needs: the
+    largest |r| and the first flat index that holds it (numpy's argmax rule:
+    the first NaN wins, then the earliest site; -inf and 0 on a field without
+    sites), the sums of |r| over each row (an index of the first axis; a 0-d
+    field is one row) and the field's shape."""
+
+    peak: float
+    index: int
+    row_sums: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def of(cls, residual):
+        # C order, so that each row sum is one pairwise sum over the row,
+        # whatever the field's layout and wherever the tiles cut it
+        r = np.abs(np.asarray(residual, dtype=float), order="C")
+        flat = r.reshape(-1)
+        k = int(np.argmax(flat)) if flat.size else 0
+        rows = r.reshape(len(r) if r.ndim else 1, math.prod(r.shape[1:]))
+        return cls(float(flat[k]) if flat.size else -math.inf, k, np.add.reduce(rows, axis=1), r.shape)
+
+
 @dataclass
 class IdentityRecord:
     name: str
@@ -45,6 +70,9 @@ class IdentityRecord:
     mean_residual: float
     argmax_site: tuple
     tolerance: float
+    # the summary of the field of a record from_field made, for a join with
+    # the field's other row tiles; None on a joined record
+    summary: _Summary = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -62,16 +90,31 @@ class IdentityRecord:
 
     @classmethod
     def from_field(cls, name, residual, tolerance):
-        """Reduce a residual array over sites (deterministic order)."""
-        r = np.abs(np.asarray(residual, dtype=float))
-        flat = r.reshape(-1)
-        k = int(np.argmax(flat))
-        site = np.unravel_index(k, r.shape) if r.ndim else ()
+        """Reduce a residual field over sites: the join of its one part, so a
+        field without sites raises ValueError.  The record keeps the part's
+        summary for a join with the field's other row tiles."""
+        part = _Summary.of(residual)
+        rec = cls.join(name, [part], tolerance)
+        rec.summary = part
+        return rec
+
+    @classmethod
+    def join(cls, name, parts, tolerance):
+        """The record of a field from the summaries of its row tiles, in row
+        order.  Max and argmax are those of the whole field; the mean is the
+        sum of the per-row sums over the site count, which does not depend on
+        where the tiles cut.  A field without sites raises ValueError."""
+        n = sum(math.prod(p.shape) for p in parts)
+        if not n:
+            raise ValueError("attempt to get argmax of an empty sequence")
+        t = int(np.argmax([p.peak for p in parts]))  # the first tile holding the first NaN or the max
+        shape = parts[0].shape if len(parts) == 1 else (sum(p.shape[0] for p in parts), *parts[0].shape[1:])
+        k = sum(math.prod(p.shape) for p in parts[:t]) + parts[t].index
         return cls(
             name=name,
-            max_residual=float(flat[k]) if flat.size else 0.0,
-            mean_residual=float(flat.mean()) if flat.size else 0.0,
-            argmax_site=tuple(int(s) for s in site),
+            max_residual=parts[t].peak,
+            mean_residual=float(np.add.reduce(np.concatenate([p.row_sums for p in parts])) / n),
+            argmax_site=tuple(int(s) for s in np.unravel_index(k, shape)) if shape else (),
             tolerance=float(tolerance),
         )
 
@@ -121,11 +164,13 @@ class InvariantReport:
 
 @dataclass
 class ResidualTile:
-    """A suite's unreduced residual fields on one tile of its batch.
+    """A suite's residual fields on one tile of its batch.
 
     A suite given a ResidualTile in place of an InvariantReport keeps each
-    field instead of reducing it, so the fields of all tiles can be joined
-    and every identity reduced once, exactly as over the whole batch.
+    field, so that the unit that ran it reduces each one to its record
+    (``IdentityRecord.from_field``) and the fields die with the unit.  The
+    join of the records' summaries over all tiles is exact for max and
+    argmax, as over the whole batch (``IdentityRecord.join``).
     ``decisions`` lists the whole-batch choices the suite made on this
     tile; the join is exact only if every tile made the same ones.
     ``metadata`` takes what a suite notes beside its records, as in an

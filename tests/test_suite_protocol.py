@@ -1,10 +1,10 @@
 """The suite protocol: every suite ``verify`` runs adds its records to ``report=``.
 
 Given a ResidualTile, a suite keeps each residual field unreduced; given no
-report, it returns an InvariantReport of its own.  ``verify`` builds every
-record it prints from the kept fields, so they must reduce, byte for byte,
-to the records of the suite's own report: same names, same order, same
-tolerances, same statistics.  ``closure_residual`` returns its field, and
+report, it returns an InvariantReport of its own.  ``verify`` reduces the
+kept fields of each tile and builds every record it prints from them, so they
+must reduce, byte for byte, to the records of the suite's own report: same
+names, same order, same tolerances, same statistics.  ``closure_residual`` returns its field, and
 ``verify``'s conormal-closure suite keeps it under its record's name;
 ``verify``'s lattice form suite keeps the records of ``discrete_forms``.
 """

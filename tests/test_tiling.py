@@ -10,7 +10,8 @@ full inputs; an input that makes the untiled suites raise must make the
 tiled run raise the same error.  A closed-form fixture's tiles evaluate the
 jets of their own rows, which must equal those rows of the whole-grid jets,
 so no tiled suite holds a whole-grid jet, and no lattice tile builds a
-temporary over the whole lattice.
+temporary over the whole lattice.  Each unit hands the join a summary of each
+field it computes, not the field.
 """
 
 import argparse
@@ -38,7 +39,7 @@ from plmkit.discrete import (
 from plmkit.errors import ChartMismatchError, DegeneratePointError
 from plmkit.fields import FieldGrid, JetGrid, _margin, jet_grid
 from plmkit.hyper import AMatrix, hyper_compat_residual, hyper_plm_residual
-from plmkit.report import InvariantReport
+from plmkit.report import InvariantReport, ResidualTile
 from plmkit.scenarios import Scenario, scenario
 from plmkit.smooth import ChartKind, det_invariance_report, orthogonality_report, plm_residual
 
@@ -349,6 +350,33 @@ def test_tiled_closed_form_suite_peaks_below_one_whole_grid_jet(monkeypatch, nam
     finally:
         tracemalloc.stop()
     assert tiled < whole, (tiled, whole)
+
+
+def test_finished_units_hand_back_less_than_one_tile_of_residuals(monkeypatch):
+    # each unit reduces the fields it computes: what it hands back to the join
+    # is a summary per field, not the field, so the parts of a whole group of
+    # tiles hold less than the residual fields of one of them
+    monkeypatch.setenv("PLM_NUM_THREADS", "1")
+    scn = scenario("hypar", h=0.005)
+    units = cli._collect_tasks(argparse.Namespace(suite="smooth-asymptotic", stencil=2), scn)
+    group = units[0][1]()[0]
+    tile = ResidualTile()
+    for suite in group.suites:
+        suite.run(*group.inputs(cli._row_tiles(group.shape)[0]), report=tile)
+    one_tile = sum(f.nbytes for _, f, _ in tile.fields)
+    del tile
+    parts = []
+    kept = [(name, lambda thunk=thunk: parts.append(thunk()) or parts[-1]) for name, thunk in units]
+    cli._run_units(kept)  # fills any cache the units fill
+    parts.clear()
+    tracemalloc.start()
+    try:
+        cli._run_units(kept)
+        handed_back = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == len(units) > 4
+    assert handed_back < one_tile, (handed_back, one_tile)
 
 
 _CLOSED = {"hypar": "closed", "cubic-graph": "closed", "conj-paraboloid": "closed", "ell-paraboloid": "hyper_closed"}
