@@ -12,7 +12,8 @@ alone writes the mesh without the degenerate points and exits 0).
 ``verify``'s suites are the rows of one table, ``_SUITES``, in report order:
 each row names a suite's ``--suite`` family and name, its input source (jets,
 the affine pair or lattice rows), its jet order or lattice halo, its chart (for
-a smooth suite) and its runner.  ``verify`` runs them on a pool of
+a smooth suite) and its runner.  ``verify(scn, suite, stencil)``, the
+in-process call behind ``plmkit verify``, runs them on a pool of
 ``PLM_NUM_THREADS`` workers (default: the CPU count).  Consecutive suites of one
 family whose source gives one group key share their inputs as a group, and each
 unit of work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
@@ -22,12 +23,12 @@ or the rows of a lattice that hold its base sites and the rows past them that
 its stencils reach), so no whole-grid jet or whole-lattice temporary is built,
 and reduces each residual field it computes to a record that keeps a small
 summary (``IdentityRecord.from_field``), so the fields die with the unit.  The
-units run in report order, at most two per worker ahead of the join, and a
-group's suites are joined from the summaries as its last tile arrives.  The
-join is exact for max and argmax, and the mean is the sum of per-row sums over
-the site count wherever the tiles cut, so the report is the same bytes at any
-thread count.  A group not cut into rows (a mismatched, empty or too small
-input) is one tile over the whole batch: the untiled run is the one-tile run.
+engine maps every unit over the pool, then joins each suite once from its
+tiles' summaries, in table order.  The join is exact for max and argmax, and
+the mean is the sum of per-row sums over the site count wherever the tiles
+cut, so the report is the same bytes at any thread count.  A group not cut
+into rows (a mismatched, empty or too small input) is one tile over the whole
+batch: the untiled run is the one-tile run.
 A tiled suite that raises on a tile, or whose tiles make different
 whole-batch choices (the one such choice is the zero shortcut of
 ``hyper_compat_residual``), runs again as its group's one tile over the whole
@@ -37,7 +38,6 @@ batch, in the calling thread.
 import argparse
 import os
 import sys
-from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -88,7 +88,7 @@ from .smooth import (
     reconstruct_field,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "verify"]
 
 # For each command, its sources in order of precedence, each with the options
 # it takes among those that depend on the source.  A second source, or an
@@ -170,6 +170,8 @@ def _input(args):
     if suite not in (None, *charts):
         raise DomainError(f"--nu takes --suite {' or '.join(charts)}, not {suite!r}")
     f = getattr(args, "f", None)
+    if "f" in takes[source] and f is None:
+        raise DomainError(f"{args.cmd} --nu needs --f")
     nu, f = read_grid(args.nu), f and read_grid(f)
     # the identities compare the two fields site by site, so the grids must share
     # their sites, to the 1e-12 (of the spacing) to which the reader takes a grid as uniform
@@ -395,20 +397,20 @@ _SUITES = (
 )
 
 
-def _collect_tasks(args, scn):
-    """(name, thunk) work units for every suite of ``--suite`` applicable to
-    the inputs, in report order: group by group, each group's suites next in
-    the report.  Each thunk runs one unit of a group and returns (group,
-    parts): each of its suites' part on the unit's rows (see ``_tile``), or
-    the PlmError it raised."""
+def _collect_tasks(scn, suite="all", stencil=2):
+    """(name, thunk) work units for every suite of family ``suite`` ("all":
+    every family) applicable to the scenario, in report order: group by
+    group, each group's suites next in the report.  Each thunk runs one unit
+    of a group and returns (group, parts): each of its suites' part on the
+    unit's rows (see ``_tile``), or the PlmError it raised."""
     groups = []
-    for suite in _SUITES:
-        if args.suite in ("all", suite.family) and (found := suite.source(suite, scn, args.stencil)):
+    for row in _SUITES:
+        if suite in ("all", row.family) and (found := row.source(row, scn, stencil)):
             key, shape, inputs = found
             if groups and groups[-1].name == key:
-                groups[-1].suites.append(suite)
+                groups[-1].suites.append(row)
             else:
-                groups.append(_Group(key, [suite], shape, inputs))
+                groups.append(_Group(key, [row], shape, inputs))
     return [unit for group in groups for unit in group.units()]
 
 
@@ -428,41 +430,37 @@ def _suite_report(group, suite, parts):
             for k, (name, _, tol) in enumerate(parts[0].fields)]
 
 
-def _in_order(pool, units, ahead):
-    """Each unit's result, in order; up to ``ahead`` later units are submitted before it is joined."""
-    futures = deque()
-    for _, thunk in units:
-        futures.append(pool.submit(thunk))
-        if len(futures) > ahead:
-            yield futures.popleft().result()
-    while futures:
-        yield futures.popleft().result()
-
-
 def _run_units(units):
-    """Run the work units, given in report order, on the pool; every suite's
-    records, in report order.  A group's suites are joined as its last tile
-    arrives, so the parts (summaries, not fields) of one group at most are
-    held."""
-    records, tiles = [], {}
-    workers = _worker_count(len(units))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for group, parts in _in_order(pool, units, 2 * workers):
-            for suite, part in zip(group.suites, parts):
-                tiles.setdefault(suite, []).append(part)
-            if len(tiles[group.suites[0]]) == len(_row_tiles(group.shape)):  # the group's last tile
-                for suite in group.suites:
-                    for rec in _suite_report(group, suite, tiles.pop(suite)):
-                        rec.name = f"{suite.family}/{suite.name}/{rec.name}"
-                        records.append(rec)
+    """Run the work units, given in report order, on the pool, then join each
+    suite from its parts (summaries, not fields); every suite's records, in
+    report order."""
+    with ThreadPoolExecutor(max_workers=_worker_count(len(units))) as pool:
+        results = list(pool.map(lambda unit: unit[1](), units))
+    tiles = {}  # suite -> (group, parts), in table order
+    for group, parts in results:
+        for suite, part in zip(group.suites, parts):
+            tiles.setdefault(suite, (group, []))[1].append(part)
+    records = []
+    for suite, (group, parts) in tiles.items():
+        for rec in _suite_report(group, suite, parts):
+            rec.name = f"{suite.family}/{suite.name}/{rec.name}"
+            records.append(rec)
     return records
 
 
-def cmd_verify(args):
-    units = _collect_tasks(args, _input(args))
+def verify(scn, suite="all", stencil=2):
+    """The report, without metadata, of the suites of family ``suite`` ("all":
+    every family) that apply to the scenario, with jets of sampled grids
+    taken at this ``stencil`` (2 or 4); a DomainError when none applies."""
+    units = _collect_tasks(scn, suite, stencil)
     if not units:
-        raise DomainError(f"suite {args.suite!r} is not applicable to this input")
-    combined = InvariantReport(records=_run_units(units), metadata={} if args.no_meta else _run_meta(args))
+        raise DomainError(f"suite {suite!r} is not applicable to this input")
+    return InvariantReport(records=_run_units(units))
+
+
+def cmd_verify(args):
+    combined = verify(_input(args), args.suite, args.stencil)
+    combined.metadata = {} if args.no_meta else _run_meta(args)
     for rec in combined.records:
         status = "pass" if rec.passed else "FAIL"
         print(f"{status}  {rec.name}  max={rec.max_residual:.3e}  tol={rec.tolerance:g}")
@@ -631,7 +629,7 @@ def _build_parser():
         sp.add_argument("--seed", type=int, help="RNG seed for generated scenarios")
         sp.add_argument("--size", type=int, help="lattice extent for generated scenarios")
         sp.add_argument("--h", type=float, help="grid/lattice spacing override")
-        sp.add_argument("--grid", help="x0:x1:h[,y0:y1:h] sampling box")
+        sp.add_argument("--grid", help="x0:x1:h[,y0:y1:h] sampling box; a negative x0 takes the form --grid=-1:1:0.1")
         if numerics:
             sp.add_argument("--stencil", type=int, choices=(2, 4), help="finite-difference stencil (default 2)")
             sp.add_argument("--strict", action="store_true", default=None, help="degenerate input is fatal (exit 4)")

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -303,19 +304,32 @@ def test_a_grid_numpy_cannot_index_is_usage_error(capsys, tmp_path, argv, messag
     assert list(tmp_path.iterdir()) == []
 
 
-def test_the_pool_runs_at_most_two_units_per_worker_ahead_of_the_join():
-    submitted = []
+def test_units_that_finish_out_of_order_join_in_report_order(monkeypatch):
+    # the first unit waits until the last has finished, so at two workers
+    # every later unit finishes first; the records still come in report order
+    scn = scenario("hypar")
+    monkeypatch.setattr(cli, "TILE_SITES", 200)
+    monkeypatch.setenv("PLM_NUM_THREADS", "1")
+    expected = cli.verify(scn).to_json()
+    units = cli._collect_tasks(scn)
+    assert len({name.split("[")[0] for name, _ in units}) == 3 and len(units) > 6
+    last_done, finished = threading.Event(), []
 
-    class Pool(cli.ThreadPoolExecutor):
-        def submit(self, fn):
-            submitted.append(fn)
-            return super().submit(fn)
+    def unit(k, thunk):
+        if k == 0:
+            assert last_done.wait(timeout=60)
+        result = thunk()
+        finished.append(k)
+        if k == len(units) - 1:
+            last_done.set()
+        return result
 
-    units = [(str(k), lambda k=k: k) for k in range(20)]
-    with Pool(max_workers=2) as pool:
-        for joined, result in enumerate(cli._in_order(pool, units, 4)):
-            # while unit k is joined, units k + 1 .. k + 4 are submitted, no more
-            assert result == joined and len(submitted) == min(joined + 5, 20)
+    collect = cli._collect_tasks
+    monkeypatch.setattr(cli, "_collect_tasks", lambda *args: [
+        (name, lambda k=k, thunk=thunk: unit(k, thunk)) for k, (name, thunk) in enumerate(collect(*args))])
+    monkeypatch.setenv("PLM_NUM_THREADS", "2")
+    assert cli.verify(scn).to_json() == expected
+    assert finished[-1] == 0 and sorted(finished) == list(range(len(units)))
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "two"])
@@ -351,6 +365,13 @@ def test_worker_count_is_capped_by_the_units(monkeypatch):
 def test_verify_smallest_lattice_passes(capsys, name):
     code, _, _ = run(capsys, "verify", "--scenario", name, "--size", "3")
     assert code == 0
+
+
+def test_verify_nu_without_f_is_usage_error(capsys, tmp_path):
+    # it used to read the grid and then call the suite not applicable
+    write_grid(scenario("hypar", h=0.1).nu_grid, tmp_path / "nu.csv")
+    code, out, err = run(capsys, "verify", "--nu", str(tmp_path / "nu.csv"), "--suite", "smooth-asymptotic")
+    assert (code, out, err) == (2, "", "error: verify --nu needs --f\n")
 
 
 def test_missing_file_is_io_error(capsys):

@@ -1,6 +1,5 @@
 """Lattice correspondence: Moutard evolution, integration, invariants."""
 
-import argparse
 from unittest import mock
 
 import numpy as np
@@ -420,6 +419,5 @@ def test_random_moutard_pairs_take_their_gauge_from_the_data_and_tile_to_the_who
             whole.records.append(rec)
     scn = Scenario(name="random", f3_lattice=paira.f, nu3_lattice=nu3, f_lattice=pairp.f, nu_lattice=pairp.nu)
     with mock.patch.object(cli, "TILE_SITES", rows_per_tile * nu3.extent[1]):
-        units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
-        assert len(units) == 4 * -(-nu3.extent[0] // rows_per_tile)
-        assert InvariantReport(records=cli._run_units(units)).to_json() == whole.to_json()
+        assert len(cli._collect_tasks(scn, suite="discrete")) == 4 * -(-nu3.extent[0] // rows_per_tile)
+        assert cli.verify(scn, "discrete").to_json() == whole.to_json()

@@ -14,7 +14,6 @@ temporary over the whole lattice.  Each unit hands the join a summary of each
 field it computes, not the field.
 """
 
-import argparse
 import dataclasses
 import os
 import sys
@@ -121,12 +120,11 @@ def _discrete_untiled(scn):
 
 def _tiled(rows_per_tile, sites_per_row, suite, stencil=2, scn=None, f=None, nu=None):
     """verify's records for these inputs, with tiles of ``rows_per_tile`` rows."""
-    args = argparse.Namespace(suite=suite, stencil=stencil)
     if scn is None:  # sampled grids, as verify --nu --f reads them
         chart = next(s.chart for s in cli._SUITES if s.family == suite)  # as _input takes it from --suite
         scn = Scenario(name="files", chart=chart, f_grid=f, nu_grid=nu)
     with mock.patch.object(cli, "TILE_SITES", rows_per_tile * sites_per_row):
-        return InvariantReport(records=cli._run_units(cli._collect_tasks(args, scn)))
+        return cli.verify(scn, suite, stencil)
 
 
 def _box(name, nx, ny):
@@ -203,7 +201,7 @@ def test_suites_that_share_their_inputs_share_a_group():
     # and each lattice and affine suite reads its own; at these sizes every
     # group is one tile, so the units name the groups
     def groups(scn, suite="all"):
-        units = cli._collect_tasks(argparse.Namespace(suite=suite, stencil=2), scn)
+        units = cli._collect_tasks(scn, suite=suite)
         return [name.split("[")[0] for name, _ in units]
 
     assert groups(scenario("hypar")) == ["smooth-asymptotic/jets", "affine/form_identities", "affine/conormal_closure"]
@@ -230,7 +228,7 @@ def test_discrete_records_equal_direct_calls_of_the_four_suites(lattice, rows_pe
     # four groups of row tiles; the halos of the plaquettes and of Omega3
     # reach past the last rows of every tile but the last
     with mock.patch.object(cli, "TILE_SITES", rows_per_tile * size):
-        units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+        units = cli._collect_tasks(scn, suite="discrete")
     assert len(units) == 4 * -(-size // rows_per_tile)
     for threads in ("1", "2"):
         with mock.patch.dict(os.environ, {"PLM_NUM_THREADS": threads}):
@@ -242,11 +240,10 @@ def test_discrete_records_at_the_real_tile_size_equal_direct_calls(monkeypatch):
     # golden lattice reports are of one tile
     scn = scenario("moutard-random", size=300, seed=42)
     expected = _discrete_untiled(scn).to_json()
-    units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
-    assert len(units) == 4 * 6
+    assert len(cli._collect_tasks(scn, suite="discrete")) == 4 * 6
     for threads in ("1", "2"):
         monkeypatch.setenv("PLM_NUM_THREADS", threads)
-        assert InvariantReport(records=cli._run_units(units)).to_json() == expected
+        assert cli.verify(scn, "discrete").to_json() == expected
 
 
 def test_tiled_discrete_units_peak_below_one_whole_lattice_temporary():
@@ -255,7 +252,7 @@ def test_tiled_discrete_units_peak_below_one_whole_lattice_temporary():
     scn = scenario("moutard-random", size=300)
     m1, m2 = scn.nu_lattice.extent
     whole = (m1 - 1) * (m2 - 1) * 6 * np.dtype(float).itemsize
-    units = cli._collect_tasks(argparse.Namespace(suite="discrete", stencil=2), scn)
+    units = cli._collect_tasks(scn, suite="discrete")
     peaks = []
     tracemalloc.start()
     try:
@@ -321,7 +318,7 @@ def test_tiled_affine_suite_peaks_below_half_a_whole_grid_call(monkeypatch):
     monkeypatch.setenv("PLM_NUM_THREADS", "1")
     scn = scenario("hypar", h=0.005)
     pairg = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
-    units = cli._collect_tasks(argparse.Namespace(suite="affine", stencil=2), scn)
+    units = cli._collect_tasks(scn, suite="affine")
     tracemalloc.start()
     try:
         affine_forms(pairg)
@@ -342,7 +339,7 @@ def test_tiled_closed_form_suite_peaks_below_one_whole_grid_jet(monkeypatch, nam
     jet = scn.hyper_nu_jet if suite == "hyper" else scn.f_jets
     whole = sum(a.nbytes for a in (jet.value, jet.d1, jet.d2, jet.d3) if a is not None)
     del jet
-    units = cli._collect_tasks(argparse.Namespace(suite=suite, stencil=2), scn)
+    units = cli._collect_tasks(scn, suite=suite)
     tracemalloc.start()
     try:
         cli._run_units(units)
@@ -354,11 +351,12 @@ def test_tiled_closed_form_suite_peaks_below_one_whole_grid_jet(monkeypatch, nam
 
 def test_finished_units_hand_back_less_than_one_tile_of_residuals(monkeypatch):
     # each unit reduces the fields it computes: what it hands back to the join
-    # is a summary per field, not the field, so the parts of a whole group of
-    # tiles hold less than the residual fields of one of them
+    # is a summary per field, not the field, so the parts of every group's
+    # tiles, all held until the join, hold less than the residual fields of
+    # one smooth tile
     monkeypatch.setenv("PLM_NUM_THREADS", "1")
     scn = scenario("hypar", h=0.005)
-    units = cli._collect_tasks(argparse.Namespace(suite="smooth-asymptotic", stencil=2), scn)
+    units = cli._collect_tasks(scn)
     group = units[0][1]()[0]
     tile = ResidualTile()
     for suite in group.suites:

@@ -64,6 +64,8 @@ def test_traced_verify_runs_and_keeps_the_report(tmp_path):
     assert plain.returncode == 0, plain.stderr
     assert (tmp_path / "r.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
     stats = json.loads((tmp_path / "trace.json").read_text())["stats"]
+    # a pool built outside cli.ThreadPoolExecutor would leave cli.pool.wall_s at 0
+    assert stats["cli.pool"]["calls"] >= 1
     assert stats["cli.pool.task"]["calls"] >= 1
     assert stats["multilinear.star_of_wedge"]["calls"] > 0
 
