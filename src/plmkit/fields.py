@@ -30,18 +30,21 @@ Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
 The writer varies the first axis fastest and writes repr-precision
 floats, so write-then-read is bitwise lossless; integer lattice sites
-are written as integers.  The reader parses all data rows in one numpy
-call (blank and whitespace-only lines are skipped; a cell is an ASCII
-decimal or scientific number, ``nan`` or ``inf``, with no quoting,
-comments or digit separators), rejects any non-finite cell, places each
-row by its coordinates, so rows may come in any order, and rejects a file
-unless every site of a uniform box appears exactly once (lattice sites
-must be the integers 0..M-1).  Each rejection, a byte that is not UTF-8
-included, is a ``ParseError`` that names the file and the line.
+are written as integers.  The reader streams the data rows from the
+file into one numpy parse (blank and whitespace-only lines are skipped; a
+cell is an ASCII decimal or scientific number, ``nan`` or ``inf``, with
+no quoting, comments or digit separators), so a read holds the values and
+not the file's text.  It rejects any non-finite cell, places each row by
+its coordinates, so rows may come in any order, and rejects a file unless
+every site of a uniform box appears exactly once (lattice sites must be
+the integers 0..M-1).  Each rejection, a byte that is not UTF-8 included,
+is a ``ParseError`` that names the file and the line; the lines are read
+as a list only then, to name it.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache, partial
+from itertools import chain, product
 from typing import Optional
 
 import numpy as np
@@ -371,8 +374,9 @@ def _line_of(lines, row):
 
 
 def _parse(body, **kw):
-    """The lines ``body`` parsed as rows of comma-separated numbers, or None
-    where a cell is not a number or a row's width differs from the first.
+    """The lines ``body``, any iterable of strings, parsed as rows of
+    comma-separated numbers, or None where a cell is not a number or a
+    row's width differs from the first.
 
     The one number parser of every table: ASCII decimal or scientific
     notation, ``nan`` and ``inf``, with spaces around a cell allowed; no
@@ -421,69 +425,106 @@ def _text(data):
         raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", line=line) from None
 
 
+def _lines(path):
+    """Every line of the file at ``path``, split by ``str.splitlines``: read
+    only to name the line of a ParseError."""
+    with open(path, "rb") as fh:
+        return _text(fh.read()).splitlines()
+
+
+_BLOCK = 1 << 16  # characters a table read takes from the file at a time, rounded up to a line end
+
+
+def _block(fh):
+    """The next block of whole lines of the text stream ``fh``, or "" at its end."""
+    block = fh.read(_BLOCK)
+    return block and block + fh.readline()
+
+
+def _unique(x):
+    """``np.unique`` of a finite 1-d array: sort, then keep the first of each
+    run of equal values (its rule, without the numpy.ma import it makes)."""
+    s = np.sort(x)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _read_table(path, columns, lattice=False):
     """Read a CSV table into (origin, spacing, values).
 
     ``columns(header)`` returns the expected header cells and the number
-    n of coordinate columns; the remaining k columns are values.  All data
-    rows are parsed in one call; a file with a bad row is parsed again in
-    halves to find the first one.  Each row is placed by its coordinates,
-    and every site of a uniform n-box must appear exactly once; with
-    ``lattice`` the coordinates must be the integers 0..M-1.  ``values``
-    has shape (N1, ..., Nn, k).  Every ParseError carries ``path``.
+    n of coordinate columns; the remaining k columns are values.  The
+    lines, split as by ``str.splitlines``, stream from the open file a
+    block at a time, and the non-blank ones after the header go into one
+    parse: the file's text is never held whole.  Each row is placed by its
+    coordinates, and every site of a uniform n-box must appear exactly
+    once; with ``lattice`` the coordinates must be the integers 0..M-1.
+    ``values`` has shape (N1, ..., Nn, k).  Only a ParseError reads the
+    file as a list of lines, to name its line; a byte that is not UTF-8 is
+    named before any other fault, as if the text were decoded first.
+    Every ParseError carries ``path``.
     """
+    listed = cache(partial(_lines, path))
     try:
-        with open(path, "rb") as fh:
-            lines = _text(fh.read()).splitlines()
-        return _table(lines, columns, lattice)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                blocks = iter(partial(_block, fh), "")
+                return _table(chain.from_iterable(map(str.splitlines, blocks)), columns, lattice, listed)
+        except (ParseError, UnicodeDecodeError):
+            listed()  # raises the ParseError of a byte that is not UTF-8, if the file has one
+            raise
     except ParseError as exc:
         exc.path = path
         raise
 
 
-def _table(lines, columns, lattice):
-    """``_read_table`` of the lines of a file."""
-    if not lines:
+def _table(lines, columns, lattice, listed):
+    """``_read_table`` of the file's lines, streamed by the iterator ``lines``
+    and listed whole by ``listed()``, which only an error calls."""
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty file", line=0)
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in header.split(",")]
     want, n = columns(header)
     if header != want:
         raise ParseError(f"expected columns {','.join(want)}, got {','.join(header)}", line=1)
-    width, last = len(want), len(lines)
-    body = list(filter(str.strip, lines[1:]))
-    if not body:
-        raise ParseError("no data rows", line=last)
-    rows = _parse(body)
-    if not _parsed(rows, len(body), width):
+    width = len(want)
+    body = filter(str.strip, lines)
+    line = next(body, None)  # np.loadtxt warns on no rows
+    if line is None:
+        raise ParseError("no data rows", line=len(listed()))
+    rows = _parse(chain((line,), body))
+    if rows is None or rows.shape[1] != width:
+        body = list(filter(str.strip, listed()[1:]))
         row = _first_bad(body, width)
-        raise _row_error(body[row], want, _line_of(lines, row))
+        raise _row_error(body[row], want, _line_of(listed(), row))
     finite = np.isfinite(rows)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         kind = "coordinate" if col < n else "value"
-        raise ParseError(f"non-finite {kind} {want[col]}: {float(rows[row, col])!r}", line=_line_of(lines, row))
+        raise ParseError(f"non-finite {kind} {want[col]}: {float(rows[row, col])!r}",
+                         line=_line_of(listed(), row))
     sites = rows[:, :n]
-    axes = [np.unique(sites[:, a]) for a in range(n)]
+    axes = [_unique(sites[:, a]) for a in range(n)]
     for name, u in zip(want, axes):
         if lattice:
             if not np.array_equal(u, np.arange(len(u))):
-                raise ParseError(f"{name} must take the integer values 0..M-1", line=last)
+                raise ParseError(f"{name} must take the integer values 0..M-1", line=len(listed()))
         elif len(u) > 1:
             du = np.diff(u)
             if np.max(np.abs(du - du[0])) > 1e-12 * max(abs(du[0]), 1e-300):
-                raise ParseError(f"non-uniform spacing along {name}", line=last)
+                raise ParseError(f"non-uniform spacing along {name}", line=len(listed()))
     dims = tuple(len(u) for u in axes)
     size = int(np.prod(dims))
     if size != len(rows):
         raise ParseError(f"{len(rows)} rows for a {'x'.join(map(str, dims))} grid: a site is missing or repeated",
-                         line=last)
+                         line=len(listed()))
     flat = np.ravel_multi_index([np.searchsorted(u, sites[:, a]) for a, u in enumerate(axes)], dims)
     count = np.bincount(flat, minlength=size)
     if count.max() > 1:
         first, again = np.flatnonzero(flat == np.argmax(count))[:2]
         site = ",".join(repr(float(c)) for c in sites[again])
-        raise ParseError(f"site ({site}) appears twice, first on line {_line_of(lines, first)}",
-                         line=_line_of(lines, again))
+        raise ParseError(f"site ({site}) appears twice, first on line {_line_of(listed(), first)}",
+                         line=_line_of(listed(), again))
     values = _planar((size, width - n))
     values[flat] = rows[:, n:]
     origin = tuple(float(u[0]) for u in axes)

@@ -4,13 +4,19 @@ Rows may come in any order on read; a repeated or missing site, and a
 lattice site that is not one of the integers 0..M-1, is a ParseError
 (exit code 3 on the command line), never silently misplaced data.  The
 one bulk parse of the data rows is checked against the per-line reader it
-replaced, kept here as the reference.
+replaced, kept here as the reference, and a file that reads cleanly must
+stream from disk without its lines ever being listed.
 """
 
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -346,6 +352,100 @@ def test_malformed_row_is_found_on_the_line_the_line_loop_names(table, rnd):
         got, want = outcome(read_table, kind, path), outcome(read_table_ref, kind, path)
     assert isinstance(got[0], int)
     assert got == want
+
+
+def unlisted(read, kind, path):
+    """``read(kind, path)`` with the whole-text decode that listing the lines needs made to fail."""
+    with mock.patch.object(fields, "_text", side_effect=AssertionError("the file's lines were listed")):
+        return read(kind, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.randoms(use_true_random=False))
+def test_written_table_streams_without_listing_its_lines(table, rnd):
+    kind, dims, seed = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_table(kind, dims, seed, path)
+        with open(path) as fh:
+            header, *body = fh.read().splitlines()
+        body = [",".join(rnd.choice(_PADS) + c + rnd.choice(_PADS) for c in line.split(",")) for line in body]
+        eol = rnd.choice(("\n", "\r\n"))
+        with open(path, "w", newline="") as fh:
+            fh.write(eol.join([header] + body) + eol)
+        got, want = unlisted(read_table, kind, path), read_table_ref(kind, path)
+    assert as_bytes(got) == as_bytes(want)
+
+
+# Every line boundary of str.splitlines.
+_EOLS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.randoms(use_true_random=False), st.integers(1, 40))
+def test_lines_split_as_by_splitlines_across_blocks(table, rnd, block):
+    kind, dims, seed = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_table(kind, dims, seed, path)
+        with open(path) as fh:
+            header, *body = fh.read().splitlines()
+        for _ in range(rnd.randint(0, 4)):
+            body.insert(rnd.randint(0, len(body)), rnd.choice(_BLANKS))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + rnd.choice(_EOLS) for line in [header] + body))
+        with mock.patch.object(fields, "_BLOCK", block):
+            got = unlisted(read_table, kind, path)
+        want = read_table_ref(kind, path)
+    assert as_bytes(got) == as_bytes(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_signed_zero_sites_collapse_as_the_line_loop_collapses_them(tmp_path, seed):
+    rnd = np.random.default_rng(seed)
+    path = tmp_path / "g.csv"
+    write_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.5, 0.25), values=rnd.standard_normal((30, 20, 1))), path)
+    header, *body = path.read_text().splitlines()
+    body = [",".join(rnd.choice(["0", "-0", "0.0", "-0.0"]) if c == "0.0" else c for c in line.split(","))
+            for line in body]
+    path.write_text("\n".join([header] + body) + "\n")
+    assert as_bytes(read_table("grid", path)) == as_bytes(read_table_ref("grid", path))
+
+
+def test_read_peak_memory_is_a_few_times_the_values(tmp_path):
+    path = tmp_path / "g.csv"
+    rng = np.random.default_rng(3)
+    write_grid(FieldGrid(origin=(-1.0, -1.0), spacing=(0.005, 0.005), values=rng.standard_normal((401, 401, 4))), path)
+    tracemalloc.start()
+    try:
+        values = read_grid(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * values.nbytes
+
+
+@pytest.mark.parametrize("text", ["x,y,v1\n", "x,y,v1", "x,y,v1\r\n \n\t\n\n"])
+def test_header_only_is_no_data_rows_without_a_warning(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            read_grid(path)
+    assert str(err.value) == "no data rows"
+    assert err.value.line == len(text.splitlines())
+    assert err.value.path == path
+
+
+def test_table_read_imports_no_numpy_ma(tmp_path):
+    path = tmp_path / "g.csv"
+    write_grid(FieldGrid(origin=(0.0, 0.0), spacing=(0.1, 0.1), values=np.ones((4, 3, 2))), path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    # numpy before 2.0 imports numpy.ma with numpy itself; the read must add it nowhere
+    code = ("import sys, plmkit; before = set(sys.modules); plmkit.read_grid(sys.argv[1]); "
+            "assert 'numpy.ma' in before or 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 @pytest.mark.parametrize("cell", ["1_0", "\u0661", "2_5e-1_0"])
