@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
-from .fields import FieldGrid, _difference, _interior, _margin, _row_window, jet_grid
+from .fields import FieldGrid, _interior, _margin, _partials, _row_window, jet_grid
 from .multilinear import (
     _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
 )
@@ -85,11 +85,15 @@ def _check_closure(res, tolerance, what, cell):
                     lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
 
 
+def _lifted_conormal(bf, bn):
+    """The homogeneous conormal nu = (bnu, <bf, bnu>) of an affine pair."""
+    return _planes([*np.moveaxis(bn, -1, 0), _dot(bf, bn)])
+
+
 def _homogeneous_lift(bf, bn):
     """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
     f4 = _planes([*np.moveaxis(bf, -1, 0), np.broadcast_to(-1.0, bf.shape[:-1])])
-    nu4 = _planes([*np.moveaxis(bn, -1, 0), _dot(bf, bn)])
-    return f4, nu4
+    return f4, _lifted_conormal(bf, bn)
 
 
 def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
@@ -103,10 +107,7 @@ def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
     """
     m = _margin(stencil, 2)
     v = _row_window(nu, m, rows)[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        nu_xy = _difference(v, nu.spacing, m, stencil, ((0, 1), (1, 1)))
-    if not np.isfinite(nu_xy).all():  # as a JetGrid rejects it
-        raise DomainError("jet contains non-finite entries")
+    (nu_xy,) = _partials(v, nu.spacing, m, stencil, ["d_xy"])
     return _rejection_gap(nu_xy, _interior(v, m), floor=1e-12)
 
 
@@ -158,20 +159,25 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None,
 
     ``rows`` limits the suite to those rows of its sites, as in
     ``jet_grid``: only their stencil window of the pair is read and
-    lifted.  The records go to ``report`` when one is given (an
-    InvariantReport, or a ResidualTile to keep the fields of one tile).
+    lifted.  The surface takes its whole jets; the conormal and its lift
+    only the partials read here, each the bits of its slot of the jets.
+    The records go to ``report`` when one is given (an InvariantReport, or
+    a ResidualTile to keep the fields of one tile).
     """
     order = _jet_order(pairg.f.dims, stencil)
     rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order}) if report is None else report
+    m, m2 = _margin(stencil, order), _margin(stencil, 2)
     fj = jet_grid(pairg.f, order=order, stencil=stencil, rows=rows)
-    nj = jet_grid(pairg.nu, order=order, stencil=stencil, rows=rows)
-    F = np.asarray(det_n([nj.value, nj.d_x, nj.d_y]), dtype=float)
-    A = np.asarray(det_n([nj.value, nj.d_x, nj.d_xx]), dtype=float)
-    B = np.asarray(det_n([nj.value, nj.d_y, nj.d_yy]), dtype=float)
+    v, start, stop = _row_window(pairg.nu, m, rows)
+    nu = _interior(v, m)
+    nu_x, nu_y, nu_xx, nu_yy = _partials(v, pairg.nu.spacing, m, stencil, ["d_x", "d_y", "d_xx", "d_yy"])
+    F = np.asarray(det_n([nu, nu_x, nu_y]), dtype=float)
+    A = np.asarray(det_n([nu, nu_x, nu_xx]), dtype=float)
+    B = np.asarray(det_n([nu, nu_y, nu_yy]), dtype=float)
 
     # bf_xx = bnu x bnu_xx and bf_yy = -(bnu x bnu_yy), so <bf_xx, bnu_x> = -A and <bf_yy, bnu_y> = B
-    for name, a, b, rhs in (("blaschke_pairing", fj.d_x, nj.d_y, F), ("cubic_pairing_x", fj.d_xx, nj.d_x, -A),
-                            ("cubic_pairing_y", fj.d_yy, nj.d_y, B)):
+    for name, a, b, rhs in (("blaschke_pairing", fj.d_x, nu_y, F), ("cubic_pairing_x", fj.d_xx, nu_x, -A),
+                            ("cubic_pairing_y", fj.d_yy, nu_y, B)):
         rep.add(name, _scalar_gap(pair(a, b), rhs, _norm(a) * _norm(b) + np.abs(rhs)), AFFINE_TOL)
     dfmix = np.asarray(det_n([fj.d_x, fj.d_y, fj.d_xy]), dtype=float)
     rep.add("blaschke_squared", _scalar_gap(dfmix, F**2, np.abs(dfmix) + F**2 + 1e-12), AFFINE_TOL)
@@ -185,13 +191,12 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None,
         rep.add("cubic_squared_x", _scalar_gap(dfx, A**2, np.abs(dfx) + A**2 + 1e-12), AFFINE_TOL)
         rep.add("cubic_squared_y", _scalar_gap(dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12), AFFINE_TOL)
     # lifted factorization: the homogeneous mixed determinant is F^2.  The
-    # lift is pointwise, so only the window of order-2 jets on fj's sites is lifted
-    m, m2 = _margin(stencil, order), _margin(stencil, 2)
-    start, stop, _ = (rows or slice(None)).indices(pairg.f.dims[0] - 2 * m)
+    # lift is pointwise, so only the window of order-2 stencils on fj's sites is lifted
     window = (slice(start + m - m2, stop + m + m2), slice(m - m2, pairg.f.dims[1] - m + m2))
-    _, nu4 = _homogeneous_lift(pairg.f.values[window], pairg.nu.values[window])
-    origin = tuple(float(c[w.start]) for c, w in zip(pairg.f.axes, window))
-    n4j = jet_grid(FieldGrid(origin=origin, spacing=pairg.f.spacing, values=nu4), order=2, stencil=stencil)
-    d4 = np.asarray(det_n([n4j.value, n4j.d_x, n4j.d_y, n4j.d_xy]), dtype=float)
+    nu4 = _lifted_conormal(pairg.f.values[window], pairg.nu.values[window])
+    if not np.isfinite(nu4).all():  # <bf, bnu> overflowed
+        raise DomainError("grid contains non-finite samples")
+    nu4_x, nu4_y, nu4_xy = _partials(nu4, pairg.f.spacing, m2, stencil, ["d_x", "d_y", "d_xy"])
+    d4 = np.asarray(det_n([_interior(nu4, m2), nu4_x, nu4_y, nu4_xy]), dtype=float)
     rep.add("lift_mixed_det_is_F_squared", _scalar_gap(d4, F**2, np.abs(d4) + F**2 + 1e-12), AFFINE_TOL)
     return AffineForms(F=F, A_cubic=A, B_cubic=B), rep

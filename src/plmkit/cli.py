@@ -18,9 +18,10 @@ in-process call behind ``plmkit verify``, runs them on a pool of
 family whose source gives one group key share their inputs as a group, and each
 unit of work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
-of given jets, the jets of those rows of a sampled grid, stencil halo included,
-or the rows of a lattice that hold its base sites and the rows past them that
-its stencils reach), so no whole-grid jet or whole-lattice temporary is built,
+of given jets, the jets of those rows of a sampled grid or the affine pair on
+them, stencil halo included, or the rows of a lattice that hold its base sites
+and the rows past them that its stencils reach), so no whole-grid array or
+whole-lattice temporary is built,
 and reduces each residual field it computes to a record that keeps a small
 summary (``IdentityRecord.from_field``), so the fields die with the unit.  The
 engine maps every unit over the pool, then joins each suite once from its
@@ -112,9 +113,10 @@ _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
 # sites per tile (medians of 11 interleaved runs, 2 vCPUs, numpy 2.4):
 #   hypar, one thread:           0.283 / 0.257 / 0.326; two: 0.320 / 0.219 / 0.222
 #   ell-paraboloid, one thread:  0.134 / 0.125 / 0.140; two: 0.144 / 0.100 / 0.110
-# so no size beats 16384 on both.  It is not sized to a cache: a unit's traced
-# peak is 3.8 to 13.7 MiB.  An affine tile lifts and differentiates only its
-# rows of the pair, halo included.
+# so no size beats 16384 on both.  It is not sized to a cache: at h = 0.005, or
+# a 300^2 lattice, one unit's tracemalloc peak is 1.9 to 10.2 MiB (the most:
+# an affine form tile).  An affine tile evaluates, lifts and differentiates
+# only its rows of the pair, halo included.
 TILE_SITES = 16384
 
 
@@ -304,14 +306,14 @@ def _row_tiles(shape):
     return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
 
 
-def _common_shape(a, b):
-    """The batch shape two jets share, or None when it is not a tileable one."""
-    return a if a == b and len(a) > 0 and min(a) > 0 else None
+def _common_shape(a, *others):
+    """The batch shape inputs share, or None when it is not a tileable one."""
+    return a if all(b == a for b in others) and len(a) > 0 and min(a) > 0 else None
 
 
-def _interior(grids, order, stencil):
-    """The batch shape of the jets of this order that sampled grids share, or None."""
-    return _common_shape(*(tuple(N - 2 * _margin(stencil, order) for N in grid.dims) for grid in grids))
+def _interior(dims, order, stencil):
+    """The batch shape of the jets of this order that sampled grids of ``dims`` share, or None."""
+    return _common_shape(*(tuple(N - 2 * _margin(stencil, order) for N in d) for d in dims))
 
 
 def _jets(suite, scn, stencil):
@@ -332,17 +334,23 @@ def _jets(suite, scn, stencil):
     # one set of jets per tile serves every suite of its order; the asymptotic
     # determinants take order-3 jets, whose wider margin covers fewer sites
     grids, order = (scn.f_grid, scn.nu_grid), suite.reach
-    return (f"{suite.family}/order{order}", _interior(grids, order, stencil),
+    return (f"{suite.family}/order{order}", _interior([g.dims for g in grids], order, stencil),
             lambda r: (*(jet_grid(g, order=order, stencil=stencil, rows=r) for g in grids), param))
 
 
 def _affine_grids(suite, scn, stencil):
-    """(pair, stencil, rows): a tile lifts and differentiates its rows of the pair, halo included."""
-    if scn.f3_grid is None:
+    """(pair, stencil, None): a tile lifts and differentiates the pair on the
+    window of its rows, halo included (a closed-form pair is evaluated there
+    only), whose sites are the tile's; the jet order and the interior are the
+    whole grid's."""
+    found = scn.affine_pair()
+    if found is None:
         return None
-    pair = AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid)
-    order = suite.reach or _jet_order(pair.f.dims, stencil)
-    return f"{suite.family}/{suite.name}", _interior((pair.f, pair.nu), order, stencil), lambda r: (pair, stencil, r)
+    pair, dims = found
+    order = suite.reach or _jet_order(dims, stencil)
+    m = _margin(stencil, order)
+    return (f"{suite.family}/{suite.name}", _interior([dims], order, stencil),
+            lambda r: (pair(slice(r.start, None if r.stop is None else r.stop + 2 * m)), stencil, None))
 
 
 def _lattices(gauges, suite, scn, stencil):
@@ -554,12 +562,13 @@ def cmd_forms(args):
     scn = _input(args)
     note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
     if args.which == "affine":
-        if scn.f3_grid is None:
+        f3, nu3 = scn.value_grids(affine=True)  # a fixture computes them on access
+        if f3 is None:
             raise DomainError("scenario has no affine-gauge grids")
-        forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=args.stencil)
+        forms, rep = affine_forms(AffineSurfacePair(f=f3, nu=nu3), stencil=args.stencil)
         # the coordinates of the interior of the jets affine_forms took
         m = _margin(args.stencil, rep.metadata["jet_order"])
-        coords = [c[m : len(c) - m] for c in scn.nu3_grid.axes]
+        coords = [c[m : len(c) - m] for c in nu3.axes]
         cols = {"F": forms.F, "A_cubic": forms.A_cubic, "B_cubic": forms.B_cubic}
     elif args.which == "discrete":
         if scn.nu3_lattice is None:
@@ -594,11 +603,12 @@ def cmd_scenario_dump(args):
     prefix = args.out or scn.name
     written = []
     f, nu = scn.value_grids()
+    f3, nu3 = scn.value_grids(affine=True)
     pairs = [
         ("f", f, write_grid),
         ("nu", nu, write_grid),
-        ("f3", scn.f3_grid, write_grid),
-        ("nu3", scn.nu3_grid, write_grid),
+        ("f3", f3, write_grid),
+        ("nu3", nu3, write_grid),
         ("f_lat", scn.f_lattice, write_lattice),
         ("nu_lat", scn.nu_lattice, write_lattice),
         ("f3_lat", scn.f3_lattice, write_lattice),

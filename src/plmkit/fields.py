@@ -24,7 +24,9 @@ results, so the kernels of ``multilinear``, which read one component at a
 time, read unit-stride memory all the way down.  The jet slots and the
 values a CSV table is read into are allocated this way, by
 ``multilinear._planar``, as are the closed-form fields of the fixtures and
-the lattices that are evolved, integrated and lifted.
+the lattices that are evolved, integrated and lifted.  A fixture's constant
+jet slot is the one exception: it is stored once and read through
+``np.broadcast_to``, with zero batch strides (``scenarios._closed_jets``).
 
 Every sampled field is stored in one CSV layout: a header naming the
 coordinate columns and then the value columns, and one row per site.
@@ -141,7 +143,7 @@ class JetGrid:
                 or (self.d3 is not None and self.d3.shape != (n,) + batch)
                 or (self.axes is not None and len(self.axes) != n)):
             raise DomainError("inconsistent jet shapes")
-        if not all(np.isfinite(a).all() for a in (self.value, self.d1, self.d2, self.d3) if a is not None):
+        if not all(np.isfinite(_stored(a)).all() for a in (self.value, self.d1, self.d2, self.d3) if a is not None):
             raise DomainError("jet contains non-finite entries")
 
     @property
@@ -172,6 +174,12 @@ class JetGrid:
         if axes is not None:
             axes = tuple(ax[i] for ax, i in zip(axes, index)) + tuple(axes[len(index):])
         return JetGrid(self.value[index], take(self.d1), take(self.d2), take(self.d3), axes)
+
+
+def _stored(a):
+    """The values an array stores: its first index along every axis of stride 0
+    (a constant slot seen through ``np.broadcast_to`` holds one row of them)."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
 
 
 def _surface_view(name, array, k):
@@ -282,6 +290,23 @@ def _jets(v, spacing, m, order, stencil):
         d2 = slots([((a, 2),) if a == c else ((a, 1), (c, 1)) for a in range(n) for c in range(a, n)])
         d3 = slots([((a, 3),) for a in range(n)]) if order >= 3 else None
     return value, d1, d2, d3
+
+
+# The stencil of each n = 2 slot, as ``_jets`` computes it: (axis, derivative order) pairs.
+_PARTS = {"d_x": ((0, 1),), "d_y": ((1, 1),), "d_xx": ((0, 2),), "d_xy": ((0, 1), (1, 1)), "d_yy": ((1, 2),),
+          "d_xxx": ((0, 3),), "d_yyy": ((1, 3),)}
+
+
+def _partials(v, spacing, m, stencil, names):
+    """The partials ``names`` (``d_x`` ... ``d_yyy``) of a sampled surface field
+    v (N1, N2, d) over its m-interior, each the bits of its slot of the jets;
+    a DomainError where one is not finite, as a JetGrid raises."""
+    # the error state is per thread
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = [_difference(v, spacing, m, stencil, _PARTS[name]) for name in names]
+    if not all(np.isfinite(a).all() for a in out):
+        raise DomainError("jet contains non-finite entries")
+    return out
 
 
 def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:

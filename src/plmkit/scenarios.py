@@ -3,11 +3,11 @@
 Each scenario bundles sampled grids or lattices, closed-form jets where
 they exist (so convention errors are separable from finite-difference
 truncation), and a dictionary of expected invariant values.  A closed-form
-fixture stores its jets as a ``ClosedForm``, a function of the site
-coordinates, and evaluates them where they are asked for: ``verify``'s row
-tiles evaluate their own rows, and the whole-grid fields of the
-``Scenario`` are computed on each access.  Generated scenarios are seeded
-and reproducible.
+fixture stores its jets, and the hypar its affine pair, as a ``ClosedForm``,
+a function of the site coordinates, and evaluates them where they are asked
+for: ``verify``'s row tiles evaluate their own rows, and the whole-grid
+fields of the ``Scenario`` are computed on each access, so a scenario holds
+no whole-grid array.  Generated scenarios are seeded and reproducible.
 """
 
 import inspect
@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .affine import AffineSurfacePair
 from .discrete import (
     DiscreteSurfacePair,
     MoutardCoeff,
@@ -36,15 +37,16 @@ __all__ = ["ClosedForm", "Scenario", "scenario", "list_scenarios"]
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A fixture's (f, nu) jet pair in closed form, on the sites ``axes``.
+    """A fixture's (f, nu) pair in closed form, on the sites ``axes``.
 
-    ``jets(xs, ys)`` returns the two JetGrids on the sites xs x ys; ``h``
-    is the spacing the axes were sampled with.  Every component is
-    elementwise in the site coordinates, so the jets of some rows equal
-    those rows of the whole-grid jets bit for bit.
+    ``pair(xs, ys)`` returns the pair on the sites xs x ys: two JetGrids,
+    or the two value arrays of an affine pair; ``h`` is the spacing the
+    axes were sampled with.  Every component is elementwise in the site
+    coordinates, so the pair on some rows equals those rows of the
+    whole-grid pair bit for bit.
     """
 
-    jets: Callable
+    pair: Callable
     axes: tuple
     h: float
 
@@ -57,7 +59,13 @@ class ClosedForm:
         xs, ys = self.axes
         # JetGrid rejects the non-finite entries; the error state is per thread
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.jets(xs[rows], ys)
+            return self.pair(xs[rows], ys)
+
+    def grids(self, rows=slice(None)):
+        """The pair of value arrays on ``rows`` as FieldGrids of spacing ``h``."""
+        xs, ys = self.axes
+        return tuple(FieldGrid(origin=(xs[rows][0], ys[0]), spacing=(self.h, self.h), values=values)
+                     for values in self.rows(rows))
 
 
 class _Derived:
@@ -91,12 +99,13 @@ class Scenario:
 
     A smooth pair comes as jets (``f_jets``, ``nu_jets``), as sampled
     grids (``f_grid``, ``nu_grid``) or both; an n = 2 hypersurface pair as
-    ``hyper_f_jet``, ``hyper_nu_jet`` and ``hyper_nu_grid``.  A closed-form
-    fixture gives ``closed`` (or ``hyper_closed``) instead, and each of
+    ``hyper_f_jet``, ``hyper_nu_jet`` and ``hyper_nu_grid``; an affine
+    pair as ``f3_grid`` and ``nu3_grid``.  A closed-form fixture gives
+    ``closed``, ``hyper_closed`` or ``affine_closed`` instead, and each of
     these fields that is not given is then computed from it on every
-    access: bind it once.  ``jet_pair`` reads the jets by rows without
-    building the whole grid, and ``value_grids`` gives both value grids of
-    one evaluation.
+    access: bind it once.  ``jet_pair`` and ``affine_pair`` read the pairs
+    by rows without building the whole grid, and ``value_grids`` gives both
+    value grids of one evaluation.
     """
 
     name: str
@@ -105,8 +114,8 @@ class Scenario:
     nu_grid: Optional[FieldGrid] = _Derived("closed", lambda c: _values_grid(c.rows()[1]))
     f_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[0])
     nu_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[1])
-    f3_grid: Optional[FieldGrid] = None
-    nu3_grid: Optional[FieldGrid] = None
+    f3_grid: Optional[FieldGrid] = _Derived("affine_closed", lambda c: c.grids()[0])
+    nu3_grid: Optional[FieldGrid] = _Derived("affine_closed", lambda c: c.grids()[1])
     f_lattice: Optional[LatticeField] = None
     nu_lattice: Optional[LatticeField] = None
     f3_lattice: Optional[LatticeField] = None
@@ -118,6 +127,7 @@ class Scenario:
     amatrix: Optional[AMatrix] = None
     closed: Optional[ClosedForm] = None
     hyper_closed: Optional[ClosedForm] = None
+    affine_closed: Optional[ClosedForm] = None
     ground_truth: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -135,11 +145,35 @@ class Scenario:
         closed = self.hyper_closed if hyper else self.closed
         return None if closed is None else (closed.rows, (closed.shape, closed.shape))
 
-    def value_grids(self):
-        """``(f_grid, nu_grid)``, from one evaluation of the closed form when both derive from it."""
-        if self.closed is None or self.__dict__["_f_grid"] is not None or self.__dict__["_nu_grid"] is not None:
-            return self.f_grid, self.nu_grid
-        return tuple(_values_grid(jets) for jets in self.closed.rows())
+    def value_grids(self, affine=False):
+        """``(f_grid, nu_grid)``, or with ``affine`` ``(f3_grid, nu3_grid)``,
+        from one evaluation of the closed form when both derive from it."""
+        names = ("f3_grid", "nu3_grid") if affine else ("f_grid", "nu_grid")
+        closed = self.affine_closed if affine else self.closed
+        if closed is None or any(self.__dict__["_" + name] is not None for name in names):
+            return tuple(getattr(self, name) for name in names)
+        return closed.grids() if affine else tuple(_values_grid(jets) for jets in closed.rows())
+
+    def affine_pair(self):
+        """The affine pair by rows: ``(rows, dims)``, or None without one.
+
+        ``rows(r)`` gives the AffineSurfacePair on rows ``r`` (a unit-step
+        slice) of the grid: views of given grids, else the closed form
+        evaluated on those rows only.  ``dims`` are the whole grid's.
+        """
+        f, nu = self.__dict__["_f3_grid"], self.__dict__["_nu3_grid"]
+        if f is None:
+            closed = self.affine_closed
+            return None if closed is None else ((lambda r: AffineSurfacePair(*closed.grids(r))), closed.shape)
+        AffineSurfacePair(f=f, nu=nu)  # a pair that does not match is refused here
+        return (lambda r: AffineSurfacePair(*(_grid_rows(g, r) for g in (f, nu)))), f.dims
+
+
+def _grid_rows(grid, rows):
+    """Rows ``rows`` (a unit-step slice of the first axis) of a FieldGrid, as a FieldGrid of views."""
+    start = rows.indices(grid.dims[0])[0]
+    return FieldGrid(origin=(grid.origin[0] + grid.spacing[0] * start, *grid.origin[1:]), spacing=grid.spacing,
+                     values=grid.values[rows])
 
 
 def _axes(x0, x1, y0, y1, h):
@@ -161,25 +195,41 @@ def _stack(shape, comps):
     return _planes([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in comps])
 
 
+def _slot_array(count, shape, given):
+    """A jet slot array (count, *shape) holding the given (slot, components),
+    zero elsewhere: stored as (count, 1, 1, d) and broadcast when every given
+    component is a plain number."""
+    constant = all(np.ndim(comp) == 0 for _, comps in given for comp in comps)
+    stored = _planar((count,) + ((1, 1) if constant else shape[:2]) + shape[2:], np.zeros)
+    for k, comps in given:
+        for c, comp in enumerate(comps):
+            stored[k, ..., c] = comp
+    return np.broadcast_to(stored, (count,) + shape) if constant else stored
+
+
 def _closed_jets(xs, ys, order, value, **partials):
     """JetGrid of a polynomial field from its closed-form partials.
 
     ``value`` and each partial, named in the paper's notation (``d_x`` ...
     ``d_yyy``), is a list of components over the (xs, ys) grid; each
     component is written into its slot of the jet arrays once, and a
-    partial that is not given is zero.  Each component is written the way
-    a computer-algebra printer writes the derivative (``-1 / 12 * X**3 +
-    X * Y``, not Horner form), so the arrays equal the symbolic oracle of
-    the tests bit for bit.
+    partial that is not given is zero.  A slot array (``d1``, ``d2`` or
+    ``d3``) whose given components are all plain numbers, or that no
+    partial is given for, is constant over the grid: it is stored as one
+    row of sites, shape (k, 1, 1, d), and the jets see it through
+    ``np.broadcast_to`` (read-only, with zero batch strides).  Each
+    component is written the way a computer-algebra printer writes the
+    derivative (``-1 / 12 * X**3 + X * Y``, not Horner form), so the arrays
+    equal the symbolic oracle of the tests bit for bit.
     """
     shape = (len(xs), len(ys), len(value))
-    arrays = dict(d1=_planar((2,) + shape, np.zeros), d2=_planar((3,) + shape, np.zeros),
-                  d3=_planar((2,) + shape, np.zeros) if order >= 3 else None)
+    given = {"d1": [], "d2": [], "d3": []}
     for name, comps in partials.items():
         array, k = _NAMED[name]
-        for c, comp in enumerate(comps):
-            arrays[array][k, ..., c] = comp
-    return JetGrid(value=_stack(shape[:2], value), axes=(xs, ys), **arrays)
+        given[array].append((k, comps))
+    return JetGrid(value=_stack(shape[:2], value), d1=_slot_array(2, shape, given["d1"]),
+                   d2=_slot_array(3, shape, given["d2"]),
+                   d3=_slot_array(2, shape, given["d3"]) if order >= 3 else None, axes=(xs, ys))
 
 
 def _hypar_jets(xs, ys):
@@ -191,19 +241,23 @@ def _hypar_jets(xs, ys):
     return fj, nj
 
 
+def _hypar_affine(xs, ys):
+    """The affine gauge bf = (u, v, uv), bnu = (-v, -u, 1) on the sites xs x ys, as value arrays."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return _stack(X.shape, [X, Y, X * Y]), _stack(X.shape, [-Y, -X, 1])
+
+
 def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):
     """Bilinear saddle in asymptotic parameters; every invariant is exact.
 
     f = (u, v, uv, -1), nu = (-v, -u, 1, -uv).
     """
-    xs, ys = _axes(x0, x1, y0, y1, h)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    axes = _axes(x0, x1, y0, y1, h)
     return Scenario(
         name="hypar",
         chart=ChartKind.ASYMPTOTIC,
-        closed=ClosedForm(_hypar_jets, (xs, ys), h),
-        f3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [X, Y, X * Y])),
-        nu3_grid=FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=_stack(X.shape, [-Y, -X, 1])),
+        closed=ClosedForm(_hypar_jets, axes, h),
+        affine_closed=ClosedForm(_hypar_affine, axes, h),
         ground_truth={
             "det_mixed": 1.0,
             "F2_coeff": -2.0,

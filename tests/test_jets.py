@@ -187,6 +187,25 @@ def test_non_finite_entry_raises(where, bad):
         JetGrid(**arrays)
 
 
+@pytest.mark.parametrize("where", ["value", "d1", "d2", "d3"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_of_a_broadcast_slot_raises(where, bad):
+    # the check reads the values an array stores, once each: a constant slot
+    # seen through broadcast_to stores one row of sites
+    rng = np.random.default_rng(4)
+    batch = (3, 2, 4)
+    arrays = dict(value=rng.standard_normal(batch), d1=rng.standard_normal((2,) + batch),
+                  d2=rng.standard_normal((3,) + batch), d3=rng.standard_normal((2,) + batch))
+    stored = rng.standard_normal(arrays[where].shape[:-3] + (1, 1, 4))
+    arrays[where] = np.broadcast_to(stored, arrays[where].shape)
+    JetGrid(**arrays)
+    stored[(-1,) * stored.ndim] = bad
+    with pytest.raises(DomainError, match="^jet contains non-finite entries$"):
+        JetGrid(**arrays)
+    with pytest.raises(DomainError, match="^jet contains non-finite entries$"):
+        JetGrid(**arrays)[1:]
+
+
 @pytest.mark.parametrize("shapes", [
     dict(value=(3, 4), d1=(2, 3, 4), d2=(4, 3, 4)),  # a full Hessian is not a packed one
     dict(value=(3, 4), d1=(3, 2, 4), d2=(3, 3, 4)),  # batch-major first partials
@@ -228,19 +247,42 @@ def test_surface_views_of_n2_jets_are_their_slots():
 # --- layout: one contiguous plane per component -----------------------------
 
 
+def _planes_of(jets):
+    """(array name, plane) for every plane of the jets' values and slot arrays."""
+    out = []
+    for jet in jets:
+        for name in ("value", "d1", "d2", "d3"):
+            a = getattr(jet, name)
+            for field in [] if a is None else [a] if name == "value" else a:
+                out += [(name, field[..., c]) for c in range(field.shape[-1])]
+    return out
+
+
 @pytest.mark.parametrize("name", list_scenarios())
 def test_fixture_fields_are_stored_one_plane_per_component(name):
     # the closed-form jets of a grid fixture, its affine-gauge grids, and the
-    # lattices of a lattice fixture, evolved, integrated and lifted
+    # lattices of a lattice fixture, evolved, integrated and lifted; a
+    # constant jet slot is stored once and seen with zero batch strides
     scn = scenario(name)
     closed = scn.closed or scn.hyper_closed
-    arrays = []
-    for jets in closed.rows() if closed else ():
-        arrays += [jets.value, *jets.d1, *jets.d2, *([] if jets.d3 is None else jets.d3)]
-    for field in (scn.f3_grid, scn.nu3_grid, scn.f_lattice, scn.nu_lattice, scn.f3_lattice, scn.nu3_lattice):
+    planes = _planes_of(closed.rows() if closed else ())
+    for field in (*scn.value_grids(affine=True), scn.f_lattice, scn.nu_lattice, scn.f3_lattice, scn.nu3_lattice):
         if field is not None:
-            arrays.append(field.values)
-    assert arrays and all(_is_planar(a) for a in arrays)
+            planes += [("value", field.values[..., c]) for c in range(field.ncomp)]
+    assert planes and all(p.flags.c_contiguous or (name != "value" and not any(p.strides)) for name, p in planes)
+
+
+@pytest.mark.parametrize("name, constant, planes", [
+    ("hypar", 40, 64), ("cubic-graph", 16, 64), ("conj-paraboloid", 24, 48), ("ell-paraboloid", 24, 48)])
+def test_constant_jet_slots_are_stored_once(name, constant, planes):
+    # a slot array whose partials are all plain numbers, or not given, is one
+    # stored row of sites; the others, and every value, are whole planes
+    scn = scenario(name, h=0.1)
+    jets = (scn.closed or scn.hyper_closed).rows()
+    got = _planes_of(jets)
+    shared = [(slot, p) for slot, p in got if not any(p.strides)]
+    assert (len(shared), len(got)) == (constant, planes)
+    assert all(slot != "value" and not p.flags.writeable for slot, p in shared)
 
 
 @pytest.mark.parametrize("ncomp", [1, 3, 4])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -263,10 +263,13 @@ def matrix(draw, d):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda d: matrix(d)))
+# a subnormal entry: numpy's LU divides by it and warns, while det_n does not
+@example([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [2.225073858507e-311, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 def test_det_matches_numpy_and_oracle(rows):
     arrs = [np.array(r) for r in rows]
     ours = float(det_n(arrs))
-    ref = float(np.linalg.det(np.array(rows)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only the reference
+        ref = float(np.linalg.det(np.array(rows)))
     scale = max(abs(ours), abs(ref), np.prod([np.linalg.norm(r) + 1 for r in rows]))
     assert abs(ours - ref) <= 1e-9 * scale
 

@@ -219,6 +219,25 @@ def test_value_grids_are_the_grids_of_one_closed_form_evaluation(name, monkeypat
     assert evaluations == [rows]  # one evaluation gives both dumped value grids
 
 
+@pytest.mark.parametrize("argv", [["scenario-dump"], ["forms", "--which", "affine"]])
+def test_the_commands_evaluate_the_affine_pair_once(argv, monkeypatch, tmp_path, capsys):
+    # the hypar's affine grids are computed on each access: each command binds them once
+    evaluations = []
+    pair = scenarios._hypar_affine
+    monkeypatch.setattr(scenarios, "_hypar_affine", lambda xs, ys: evaluations.append(len(xs)) or pair(xs, ys))
+    scn = scenario("hypar")
+    rows = len(scn.affine_closed.axes[0])
+    f3, nu3 = scn.value_grids(affine=True)
+    assert evaluations == [rows]
+    for got, want in ((f3, scn.f3_grid), (nu3, scn.nu3_grid)):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.origin, got.spacing) == (want.origin, want.spacing)
+    evaluations.clear()
+    assert cli.main([*argv, "--scenario", "hypar", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert evaluations == [rows]
+
+
 @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, 1e-320])
 @pytest.mark.parametrize("name", ["hypar", "cubic-graph", "conj-paraboloid", "ell-paraboloid"])
 def test_bad_spacing_is_domain_error(name, h):

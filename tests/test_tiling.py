@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plmkit import cli
+from plmkit import cli, fields, scenarios
 from plmkit.affine import AffineSurfacePair, affine_forms, closure_residual
 from plmkit.discrete import (
     DiscreteSurfacePair,
@@ -329,6 +329,64 @@ def test_tiled_affine_suite_peaks_below_half_a_whole_grid_call(monkeypatch):
     finally:
         tracemalloc.stop()
     assert tiled < whole / 2, (tiled, whole)
+
+
+@pytest.mark.parametrize("stencil", [2, 4])
+def test_affine_tile_windows_are_the_rows_of_the_whole_grid_pair(monkeypatch, stencil):
+    # each affine tile evaluates the closed form on the window of its rows,
+    # halo included, and nothing evaluates the whole grid; the last tile holds one row
+    whole = scenario("hypar", h=0.1).value_grids(affine=True)
+    evaluated = []
+    pair = scenarios._hypar_affine
+    monkeypatch.setattr(scenarios, "_hypar_affine", lambda xs, ys: evaluated.append(len(xs)) or pair(xs, ys))
+    scn = scenario("hypar", h=0.1)
+    for name in ("form_identities", "conormal_closure"):
+        (row,) = (s for s in cli._SUITES if (s.family, s.name) == ("affine", name))
+        _, shape, inputs = row.source(row, scn, stencil)
+        m = (whole[0].dims[0] - shape[0]) // 2
+        per_tile = next(p for p in range(2, shape[0]) if shape[0] % p == 1)
+        monkeypatch.setattr(cli, "TILE_SITES", per_tile * shape[1])
+        tiles = cli._row_tiles(shape)
+        assert evaluated == [] and len(tiles) > 2 and tiles[-1].stop - tiles[-1].start == 1
+        for r in tiles:
+            got, _, rows = inputs(r)
+            assert rows is None and evaluated.pop() == r.stop - r.start + 2 * m
+            for grid, want in zip((got.f, got.nu), whole):
+                window = want.values[r.start : r.stop + 2 * m]
+                assert grid.values.shape == window.shape and grid.values.tobytes() == window.tobytes()
+                assert grid.origin == (want.axes[0][r.start], want.origin[1]) and grid.spacing == want.spacing
+
+
+def test_a_hypar_build_holds_no_whole_grid_array():
+    # its jets and its affine pair are closed forms, evaluated where they are read
+    plane = 401 * 401 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        scn = scenario("hypar", h=0.005)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scn.closed.shape == scn.affine_closed.shape == (401, 401)
+    assert held < plane, (held, plane)
+
+
+def test_an_affine_tile_differences_only_the_partials_it_reads(monkeypatch):
+    # the form tile takes the surface's order-3 jets (7 partials), the four
+    # partials of the conormal that the forms read and the three of the
+    # lifted conormal's mixed determinant: 14, where three whole jets took 19;
+    # the closure tile takes nu_xy alone
+    parts = []
+    difference = fields._difference
+    monkeypatch.setattr(fields, "_difference", lambda *args, **kw: parts.append(args[4]) or difference(*args, **kw))
+    units = cli._collect_tasks(scenario("hypar"), suite="affine")
+    counts = []
+    for name, unit in units:
+        parts.clear()
+        _, results = unit()
+        assert not any(isinstance(r, Exception) for r in results), name
+        counts.append(len(parts))
+    assert [name.split("[")[0] for name, _ in units] == ["affine/form_identities", "affine/conormal_closure"]
+    assert counts == [14, 1]
 
 
 @pytest.mark.parametrize("name, suite", [("ell-paraboloid", "hyper"), ("hypar", "smooth-asymptotic")])
