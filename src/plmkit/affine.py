@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
-from .fields import FieldGrid, _interior, _margin, _partials, _row_window, jet_grid
+from .fields import FieldGrid, _check_fits, _interior, _margin, _partials, jet_grid
 from .multilinear import (
     _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
 )
@@ -96,19 +96,20 @@ def _homogeneous_lift(bf, bn):
     return f4, _lifted_conormal(bf, bn)
 
 
-def closure_residual(nu: FieldGrid, stencil: int = 2, rows: slice = None):
+def closure_residual(nu: FieldGrid, stencil: int = 2):
     """Pointwise defect of bnu_xy from the bnu direction (interior only).
 
     The integrability condition of the affine Lelieuvre system is
     bnu_xy = U4 bnu with scalar U4; the residual is the relative norm of
-    the component of bnu_xy orthogonal to bnu.  ``rows`` limits it to
-    those rows of the interior of the order-2 jets, as in ``jet_grid``.
-    Only bnu_xy is differenced, with the stencil of the jets' d_xy.
+    the component of bnu_xy orthogonal to bnu, on the sites of the order-2
+    jets.  Only bnu_xy is differenced, with the stencil of the jets' d_xy.
+    The residual on some rows is this call on their window, as in
+    ``jet_grid``.
     """
     m = _margin(stencil, 2)
-    v = _row_window(nu, m, rows)[0]
-    (nu_xy,) = _partials(v, nu.spacing, m, stencil, ["d_xy"])
-    return _rejection_gap(nu_xy, _interior(v, m), floor=1e-12)
+    _check_fits(nu.dims, m)
+    (nu_xy,) = _partials(nu.values, nu.spacing, m, stencil, ["d_xy"])
+    return _rejection_gap(nu_xy, _interior(nu.values, m), floor=1e-12)
 
 
 def classical_lelieuvre_integrate(nu: FieldGrid, f0, stencil: int = 2) -> FieldGrid:
@@ -145,7 +146,7 @@ def _jet_order(dims, stencil: int = 2):
     return 3 if min(dims) >= 2 * _margin(stencil, 3) + 1 else 2
 
 
-def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None, report=None):
+def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, report=None):
     """Affine form coefficients plus the report of their identities.
 
     F = det|bnu, bnu_x, bnu_y|, A_cubic = det|bnu, bnu_x, bnu_xx|,
@@ -157,8 +158,8 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None,
     factorization det|nu, nu_x, nu_y, nu_xy| = F^2, every identity on the
     sites of the jets of order ``_jet_order(dims, stencil)``.
 
-    ``rows`` limits the suite to those rows of its sites, as in
-    ``jet_grid``: only their stencil window of the pair is read and
+    The suite on some rows of its sites is this call on the pair's window
+    of those rows, as in ``jet_grid``: only that window is read and
     lifted.  The surface takes its whole jets; the conormal and its lift
     only the partials read here, each the bits of its slot of the jets.
     The records go to ``report`` when one is given (an InvariantReport, or
@@ -167,8 +168,8 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None,
     order = _jet_order(pairg.f.dims, stencil)
     rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order}) if report is None else report
     m, m2 = _margin(stencil, order), _margin(stencil, 2)
-    fj = jet_grid(pairg.f, order=order, stencil=stencil, rows=rows)
-    v, start, stop = _row_window(pairg.nu, m, rows)
+    fj = jet_grid(pairg.f, order=order, stencil=stencil)
+    v = pairg.nu.values
     nu = _interior(v, m)
     nu_x, nu_y, nu_xx, nu_yy = _partials(v, pairg.nu.spacing, m, stencil, ["d_x", "d_y", "d_xx", "d_yy"])
     F = np.asarray(det_n([nu, nu_x, nu_y]), dtype=float)
@@ -192,7 +193,7 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, rows: slice = None,
         rep.add("cubic_squared_y", _scalar_gap(dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12), AFFINE_TOL)
     # lifted factorization: the homogeneous mixed determinant is F^2.  The
     # lift is pointwise, so only the window of order-2 stencils on fj's sites is lifted
-    window = (slice(start + m - m2, stop + m + m2), slice(m - m2, pairg.f.dims[1] - m + m2))
+    window = tuple(slice(m - m2, N - m + m2) for N in pairg.f.dims)
     nu4 = _lifted_conormal(pairg.f.values[window], pairg.nu.values[window])
     if not np.isfinite(nu4).all():  # <bf, bnu> overflowed
         raise DomainError("grid contains non-finite samples")

@@ -5,9 +5,10 @@
 (``--lattice``) into one ``Scenario``, checked against the option table ``_TAKES``.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error,
-3 I/O error, 4 degenerate input: fatal with --strict, and for
-``reconstruct --out``, since a grid CSV cannot leave a point out (``--obj``
-alone writes the mesh without the degenerate points and exits 0).
+3 I/O error, 4 degenerate input or data in the wrong chart, in every command
+(``DegeneratePointError``, ``ChartMismatchError``); ``reconstruct`` exits 4 on
+a degenerate point with --strict, and with ``--out``, since a grid CSV cannot
+leave a point out (``--obj`` alone writes the mesh without those points and exits 0).
 
 ``verify``'s suites are the rows of one table, ``_SUITES``, in report order:
 each row names a suite's ``--suite`` family and name, its input source (jets,
@@ -68,6 +69,7 @@ from .errors import (
 )
 from .fields import (
     LatticeField,
+    _grid_rows,
     _margin,
     _write_table,
     grid_on_sites,
@@ -99,14 +101,14 @@ _TAKES = {
     "reconstruct": {
         "lattice": {"f0"},
         "nu": {"stencil", "chart", "strict", "obj"},
-        "scenario": {"seed", "size", "h", "grid", "chart", "strict", "obj"},
+        "scenario": {"seed", "size", "h", "grid", "strict", "obj"},
     },
     "forms": {"scenario": {"seed", "size", "h", "grid", "stencil"}},
     "scenario-dump": {"scenario": {"seed", "size", "h", "grid"}},
 }
 
 # Defaults that would hide whether an option was given: applied after the check.
-_DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0"}
+_DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0", "chart": "asymptotic"}
 
 # Sites per row tile of a tiled suite.  On component-major fields, in-process
 # verify at h = 0.005 (401^2 sites) took, in seconds for 8192 / 16384 / 32768
@@ -136,7 +138,7 @@ def _worker_count(n_units):
 
 
 def _scenario_from_args(args):
-    params = dict(_grid_spec(args))
+    params = {} if args.grid is None else _grid_spec(args.grid)
     if args.seed is not None:
         if args.seed < 0:  # the generator takes no negative seed
             raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
@@ -144,8 +146,6 @@ def _scenario_from_args(args):
     if args.size is not None:
         params["size"] = args.size
     if args.h is not None:
-        if "h" in params and repr(params["h"]) != repr(args.h):
-            raise DomainError(f"--grid step {params['h']!r} and --h {args.h!r} differ; give one spacing")
         params["h"] = args.h
     return scenario(args.scenario, **params)
 
@@ -181,7 +181,7 @@ def _input(args):
         a, b = getattr(f, key), getattr(nu, key)
         if not all(abs(x - y) <= 1e-12 * h for x, y, h in zip(a, b, nu.spacing)):
             raise DomainError(f"--f grid {key} {a} differs from --nu grid {key} {b}")
-    return Scenario(name=args.nu, chart=suite and charts[suite], nu_grid=nu, f_grid=f)
+    return Scenario(name=args.nu, chart=charts[suite] if suite else ChartKind(args.chart), nu_grid=nu, f_grid=f)
 
 
 def _base_point(text):
@@ -195,28 +195,19 @@ def _base_point(text):
     return f0
 
 
-def _grid_spec(args):
-    """Parse --grid x0:x1:h[,y0:y1:h] into scenario box parameters (one h for both axes)."""
-    if not args.grid:
-        return {}
-    parts = args.grid.split(",")
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise DomainError("--grid expects x0:x1:h[,y0:y1:h]")
-    out, steps = {}, []
+def _grid_spec(text):
+    """Parse --grid x0:x1[,y0:y1] into the scenario box x0, x1, y0, y1 (y0:y1
+    defaults to x0:x1); the spacing is --h alone."""
+    parts = text.split(",")
+    parts = parts * 2 if len(parts) == 1 else parts
+    if len(parts) != 2 or any(part.count(":") != 1 for part in parts):
+        raise DomainError(f"--grid expects the box x0:x1[,y0:y1], got {text!r}; the spacing is --h")
+    out = {}
     for key, part in zip(("x", "y"), parts):
-        nums = part.split(":")
-        if len(nums) != 3:
-            raise DomainError("--grid expects x0:x1:h[,y0:y1:h]")
         try:
-            out[key + "0"], out[key + "1"], h = (float(v) for v in nums)
+            out[key + "0"], out[key + "1"] = (float(v) for v in part.split(":"))
         except ValueError:
             raise DomainError(f"--grid expects numbers, got {part!r}") from None
-        steps.append(h)
-    if repr(steps[0]) != repr(steps[1]):  # nan equals nan here: its own error follows
-        raise DomainError(f"--grid spacings differ: hx = {steps[0]!r}, hy = {steps[1]!r}; both axes take one h")
-    out["h"] = steps[0]
     return out
 
 
@@ -311,6 +302,11 @@ def _common_shape(a, *others):
     return a if all(b == a for b in others) and len(a) > 0 and min(a) > 0 else None
 
 
+def _halo(rows, reach):
+    """A tile's window: its ``rows`` of the batch and the ``reach`` rows past them that its stencils read."""
+    return slice(rows.start, None if rows.stop is None else rows.stop + reach)
+
+
 def _interior(dims, order, stencil):
     """The batch shape of the jets of this order that sampled grids of ``dims`` share, or None."""
     return _common_shape(*(tuple(N - 2 * _margin(stencil, order) for N in d) for d in dims))
@@ -334,12 +330,14 @@ def _jets(suite, scn, stencil):
     # one set of jets per tile serves every suite of its order; the asymptotic
     # determinants take order-3 jets, whose wider margin covers fewer sites
     grids, order = (scn.f_grid, scn.nu_grid), suite.reach
+    halo = 2 * _margin(stencil, order)
     return (f"{suite.family}/order{order}", _interior([g.dims for g in grids], order, stencil),
-            lambda r: (*(jet_grid(g, order=order, stencil=stencil, rows=r) for g in grids), param))
+            lambda r: (*(jet_grid(_grid_rows(g, _halo(r, halo)), order=order, stencil=stencil) for g in grids),
+                       param))
 
 
 def _affine_grids(suite, scn, stencil):
-    """(pair, stencil, None): a tile lifts and differentiates the pair on the
+    """(pair, stencil): a tile lifts and differentiates the pair on the
     window of its rows, halo included (a closed-form pair is evaluated there
     only), whose sites are the tile's; the jet order and the interior are the
     whole grid's."""
@@ -348,9 +346,9 @@ def _affine_grids(suite, scn, stencil):
         return None
     pair, dims = found
     order = suite.reach or _jet_order(dims, stencil)
-    m = _margin(stencil, order)
+    halo = 2 * _margin(stencil, order)
     return (f"{suite.family}/{suite.name}", _interior([dims], order, stencil),
-            lambda r: (pair(slice(r.start, None if r.stop is None else r.stop + 2 * m)), stencil, None))
+            lambda r: (pair(_halo(r, halo)), stencil))
 
 
 def _lattices(gauges, suite, scn, stencil):
@@ -363,7 +361,7 @@ def _lattices(gauges, suite, scn, stencil):
                                    else (scn.nu_lattice, scn.f_lattice))) for gauge in gauges]
 
     def inputs(rows):
-        cut = slice(rows.start, None if rows.stop is None else rows.stop + suite.reach)
+        cut = _halo(rows, suite.reach)
         own = None if rows.stop is None else rows.stop - rows.start
         return (*(DiscreteSurfacePair(*(LatticeField(values=lat.values[cut]) for lat in (p.nu, p.f))) for p in pairs),
                 own)
@@ -400,8 +398,8 @@ _SUITES = (
     _Suite("discrete", "moutard_closure", partial(_lattices, ["affine"]), 1, None,
            lambda paira, own, report: report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)),
     _Suite("affine", "form_identities", _affine_grids, None, None, _late(affine_forms)),
-    _Suite("affine", "conormal_closure", _affine_grids, 2, None, lambda pair, stencil, rows, report: report.add(
-        "conormal_closure", closure_residual(pair.nu, stencil, rows)[0], AFFINE_TOL)),
+    _Suite("affine", "conormal_closure", _affine_grids, 2, None, lambda pair, stencil, report: report.add(
+        "conormal_closure", closure_residual(pair.nu, stencil)[0], AFFINE_TOL)),
 )
 
 
@@ -530,7 +528,7 @@ def cmd_reconstruct(args):
         jets = jet_grid(scn.nu_grid, order=2, stencil=args.stencil)
     if jets is None:
         raise DomainError("scenario has no smooth conormal jets")
-    f, bad = reconstruct_field(jets, ChartKind(args.chart or scn.chart or "asymptotic"), strict=args.strict)
+    f, bad = reconstruct_field(jets, scn.chart, strict=args.strict)
     nbad = int(bad.sum())
     if nbad:
         i, j = np.argwhere(bad)[0]
@@ -581,6 +579,9 @@ def cmd_forms(args):
         cols = {name: _pad_full(getattr(forms, name), ext)
                 for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")}
     else:
+        # fubini_forms is F2 = 2<f_x, nu_y>, a pairing that vanishes in the conjugate chart
+        if scn.chart not in (None, ChartKind.ASYMPTOTIC):
+            raise DomainError(f"forms --which projective takes the asymptotic chart, not the {scn.chart.value} chart")
         fj, nj = scn.f_jets, scn.nu_jets  # a fixture computes each on access
         if fj is None:
             raise DomainError("scenario has no smooth jets")
@@ -639,10 +640,9 @@ def _build_parser():
         sp.add_argument("--seed", type=int, help="RNG seed for generated scenarios")
         sp.add_argument("--size", type=int, help="lattice extent for generated scenarios")
         sp.add_argument("--h", type=float, help="grid/lattice spacing override")
-        sp.add_argument("--grid", help="x0:x1:h[,y0:y1:h] sampling box; a negative x0 takes the form --grid=-1:1:0.1")
+        sp.add_argument("--grid", help="x0:x1[,y0:y1] box of spacing --h; write a negative x0 as --grid=-1:1")
         if numerics:
             sp.add_argument("--stencil", type=int, choices=(2, 4), help="finite-difference stencil (default 2)")
-            sp.add_argument("--strict", action="store_true", default=None, help="degenerate input is fatal (exit 4)")
 
     sp = sub.add_parser("verify", help="run identity suites and report residuals")
     common(sp)
@@ -658,7 +658,8 @@ def _build_parser():
     sp.add_argument("--nu", help="conormal grid CSV")
     sp.add_argument("--lattice", help="conormal lattice CSV")
     sp.add_argument("--f0", help="integration base point x,y,z (default 0,0,0)")
-    sp.add_argument("--chart", choices=("asymptotic", "conjugate"))
+    sp.add_argument("--chart", choices=("asymptotic", "conjugate"), help="chart of --nu (default asymptotic)")
+    sp.add_argument("--strict", action="store_true", default=None, help="a degenerate point is fatal (exit 4)")
     sp.add_argument("--out", help="output CSV path")
     sp.add_argument("--obj", help="triangulated OBJ of the affine-gauge surface")
     sp.set_defaults(func=cmd_reconstruct)
@@ -690,7 +691,7 @@ def main(argv=None):
         return 3
     except (DegeneratePointError, ChartMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if getattr(args, "strict", False) else 1
+        return 4
     except PlmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,8 @@ along x_{a+1}, ``d2`` holds each second partial once (the pairs a <= c in
 row-major order: xx, xy, yy when n = 2) and the optional ``d3[a]`` is the
 pure third partial along x_{a+1}; the n = 2 views ``d_x`` ... ``xs``,
 ``ys`` raise on other jets.  ``jet_grid`` computes the central-difference jets of a
-``FieldGrid`` at 2nd or 4th accuracy order, over the whole interior or
-some of its rows, with one n-axis stencil engine.
+``FieldGrid`` at 2nd or 4th accuracy order with one n-axis stencil
+engine, and ``_grid_rows`` is the one row window of a ``FieldGrid``.
 
 Every vector field the package makes is stored component-major: a field of
 shape (..., d) is the view of a (d, ...) array, so each component
@@ -260,17 +260,6 @@ def _difference(v, spacing, m, stencil, parts, out=None):
     return out
 
 
-def _row_window(grid, m, rows):
-    """The samples of a FieldGrid that stencils of margin m read for ``rows``,
-    a unit-step slice of its m-interior indices along the first axis, and the
-    slice's (start, stop); the window itself must hold an interior."""
-    _check_fits(grid.dims, m)
-    start, stop, _ = (rows or slice(None)).indices(grid.dims[0] - 2 * m)
-    v = grid.values[start : stop + 2 * m]
-    _check_fits(v.shape[:-1], m)
-    return v, start, stop
-
-
 def _jets(v, spacing, m, order, stencil):
     """(value, d1, d2, d3) of a sampled field v (N1, ..., Nn, d) over its
     m-interior, each partial computed into its slot; d3 is None below order 3."""
@@ -309,20 +298,24 @@ def _partials(v, spacing, m, stencil, names):
     return out
 
 
-def jet_grid(grid, order: int = 2, stencil: int = 2, rows: slice = None) -> JetGrid:
+def jet_grid(grid, order: int = 2, stencil: int = 2) -> JetGrid:
     """Jets at every interior point of a FieldGrid, vectorized.
 
     The interior margin is the widest stencil reach; derivatives are
-    never one-sided.  ``rows``, a unit-step slice of the interior indices
-    along the first axis, limits the jets to those rows: only their
-    stencil window is read, and the arrays equal the same rows of the full
-    jets bit for bit.
+    never one-sided.  The jets of some rows are the jets of their window,
+    ``_grid_rows`` of those rows and the 2 * margin rows past them: their
+    arrays equal the same rows of the whole grid's jets bit for bit.
     """
     m = _margin(stencil, order)
-    v, start, stop = _row_window(grid, m, rows)
-    first, *rest = grid.axes
-    axes = (first[m + start : m + stop],) + tuple(c[m : len(c) - m] for c in rest)
-    return JetGrid(*_jets(v, grid.spacing, m, order, stencil), axes)
+    _check_fits(grid.dims, m)
+    return JetGrid(*_jets(grid.values, grid.spacing, m, order, stencil), tuple(c[m : len(c) - m] for c in grid.axes))
+
+
+def _grid_rows(grid, rows):
+    """Rows ``rows`` (a unit-step slice of the first axis) of a FieldGrid, as a FieldGrid of views."""
+    start = rows.indices(grid.dims[0])[0]
+    return FieldGrid(origin=(grid.origin[0] + grid.spacing[0] * start, *grid.origin[1:]), spacing=grid.spacing,
+                     values=grid.values[rows])
 
 
 def grid_on_sites(jets: JetGrid, values) -> FieldGrid:

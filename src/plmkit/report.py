@@ -158,8 +158,8 @@ class InvariantReport:
             out["metadata"] = dict(self.metadata)
         return out
 
-    def to_json(self, include_meta=True, indent=2):
-        return json.dumps(self.to_dict(include_meta=include_meta), indent=indent, sort_keys=True)
+    def to_json(self, include_meta=True):
+        return json.dumps(self.to_dict(include_meta=include_meta), indent=2, sort_keys=True)
 
 
 @dataclass

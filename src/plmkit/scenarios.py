@@ -27,7 +27,7 @@ from .discrete import (
     moutard_evolve,
 )
 from .errors import DomainError
-from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, grid_on_sites
+from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, _grid_rows, grid_on_sites
 from .hyper import AMatrix
 from .multilinear import _planar, _planes
 from .smooth import ChartKind
@@ -167,13 +167,6 @@ class Scenario:
             return None if closed is None else ((lambda r: AffineSurfacePair(*closed.grids(r))), closed.shape)
         AffineSurfacePair(f=f, nu=nu)  # a pair that does not match is refused here
         return (lambda r: AffineSurfacePair(*(_grid_rows(g, r) for g in (f, nu)))), f.dims
-
-
-def _grid_rows(grid, rows):
-    """Rows ``rows`` (a unit-step slice of the first axis) of a FieldGrid, as a FieldGrid of views."""
-    start = rows.indices(grid.dims[0])[0]
-    return FieldGrid(origin=(grid.origin[0] + grid.spacing[0] * start, *grid.origin[1:]), spacing=grid.spacing,
-                     values=grid.values[rows])
 
 
 def _axes(x0, x1, y0, y1, h):
@@ -381,19 +374,26 @@ def _hypar_lattice(h=0.1, size=8):
     )
 
 
-def _moutard_random(seed=42, size=32, hmin=0.9, hmax=1.1, h=0.1, amp=0.01):
+# The range of moutard-random's plaquette coefficient, and the scale of the
+# seeded perturbation of its boundary strips.
+_MOUTARD_HMIN, _MOUTARD_HMAX = 0.9, 1.1
+_MOUTARD_AMP = 0.01
+
+
+def _moutard_random(seed=42, size=32, h=0.1):
     """Random Moutard-evolved conormal lattice plus its integrated surface.
 
-    The boundary strips are the bilinear-saddle strips with a small seeded
-    perturbation; the plaquette coefficient is uniform in [hmin, hmax].
-    All identities hold by construction, none in closed form.
+    The boundary strips are the bilinear-saddle strips of spacing h with a
+    seeded perturbation of scale ``_MOUTARD_AMP``; the plaquette coefficient
+    is uniform in [``_MOUTARD_HMIN``, ``_MOUTARD_HMAX``].  All identities
+    hold by construction, none in closed form.
     """
     _check_lattice_size(size)
     rng = np.random.default_rng(seed)
-    H = MoutardCoeff(rng.uniform(hmin, hmax, size=(size - 1, size - 1)))
+    H = MoutardCoeff(rng.uniform(_MOUTARD_HMIN, _MOUTARD_HMAX, size=(size - 1, size - 1)))
     n = np.arange(size, dtype=float)
-    row = np.stack([np.zeros(size), -n * h, np.ones(size)], axis=-1) + amp * rng.standard_normal((size, 3))
-    col = np.stack([-n * h, np.zeros(size), np.ones(size)], axis=-1) + amp * rng.standard_normal((size, 3))
+    row = np.stack([np.zeros(size), -n * h, np.ones(size)], axis=-1) + _MOUTARD_AMP * rng.standard_normal((size, 3))
+    col = np.stack([-n * h, np.zeros(size), np.ones(size)], axis=-1) + _MOUTARD_AMP * rng.standard_normal((size, 3))
     col[0] = row[0]
     nu3 = moutard_evolve(row, col, H)
     f3 = discrete_affine_integrate(nu3, np.zeros(3))
@@ -406,7 +406,7 @@ def _moutard_random(seed=42, size=32, hmin=0.9, hmax=1.1, h=0.1, amp=0.01):
         f_lattice=lifted.f,
         nu_lattice=lifted.nu,
         ground_truth={},
-        meta={"seed": seed, "size": size, "hmin": hmin, "hmax": hmax, "h": h, "amp": amp},
+        meta={"seed": seed, "size": size, "hmin": _MOUTARD_HMIN, "hmax": _MOUTARD_HMAX, "h": h, "amp": _MOUTARD_AMP},
     )
 
 

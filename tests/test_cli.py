@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -14,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plmkit import cli
 from plmkit.cli import main
+from plmkit.errors import DomainError
 from plmkit.fields import FieldGrid, read_grid, read_lattice, write_grid
 from plmkit.scenarios import list_scenarios, scenario
 
@@ -199,7 +201,7 @@ def test_negative_seed_is_usage_error(capsys, tmp_path, cmd):
 
 @pytest.mark.parametrize(
     "argv,rejected",
-    [(["hypar", "--size", "5"], "size"), (["moutard-random", "--grid", "0:1:0.1"], "x0")],
+    [(["hypar", "--size", "5"], "size"), (["moutard-random", "--grid", "0:1"], "x0")],
 )
 def test_verify_inapplicable_scenario_parameter_is_usage_error(capsys, argv, rejected):
     code, _, err = run(capsys, "verify", "--scenario", *argv)
@@ -212,7 +214,7 @@ def test_verify_inapplicable_scenario_parameter_is_usage_error(capsys, argv, rej
 @pytest.mark.parametrize(
     "argv",
     [["--h", "0"], ["--h", "-0.1"], ["--h", "nan"], ["--h", "1e-320"],
-     ["--grid", "1:0:0.1"], ["--grid", "0:1:0.1,0:-1:0.1"], ["--grid", "0:inf:0.1"], ["--grid", "0:1:x"]],
+     ["--grid", "1:0"], ["--grid", "0:1,0:-1"], ["--grid", "0:inf"], ["--grid", "0:x"]],
 )
 def test_verify_bad_grid_parameter_is_usage_error(capsys, name, argv):
     code, _, err = run(capsys, "verify", "--scenario", name, *argv)
@@ -243,9 +245,9 @@ def test_non_finite_moutard_strip_spacing_is_usage_error(capsys, h):
         ("--scenario hypar-lattice --h 1e308 --size 4", "lattice contains non-finite entries"),
         # the products of the closure test overflow to a NaN residual, which fails
         ("--scenario moutard-random --size 4 --h 1e200", "Moutard closure violated (residual nan) at plaquette (0, 0)"),
-        ("--scenario ell-paraboloid --grid 0:1e300:1e299", "jet contains non-finite entries"),
-        ("--scenario cubic-graph --grid 0:1e300:1e299", "jet contains non-finite entries"),
-        ("--scenario hypar --h 1e-300 --grid 0:1e-299:1e-300", "jet contains non-finite entries"),
+        ("--scenario ell-paraboloid --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
+        ("--scenario cubic-graph --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
+        ("--scenario hypar --h 1e-300 --grid 0:1e-299", "jet contains non-finite entries"),
     ],
 )
 def test_overflowing_fixture_input_prints_one_error_line(argv, message):
@@ -287,7 +289,7 @@ def test_overflowing_grid_files_print_no_numpy_warning(tmp_path, argv, code, std
     "argv, message",
     [
         ("verify --scenario hypar --h 1e-300", "grid box [-1.0, 1.0] x [-1.0, 1.0] holds too many steps of h = 1e-300"),
-        ("verify --scenario hypar --grid 0:1e300:1",
+        ("verify --scenario hypar --grid 0:1e300 --h 1",
          "grid box [0.0, 1e+300] x [0.0, 1e+300] holds too many steps of h = 1.0"),
         ("scenario-dump --scenario ell-paraboloid --h 1e-300",
          "grid box [-1.0, 1.0] x [-1.0, 1.0] holds too many steps of h = 1e-300"),
@@ -406,20 +408,27 @@ def test_reconstruct_writes_surface_and_obj(capsys, tmp_path):
     assert first == ["1", "2", str(ny + 2)] or first == ["1", "2", str(nx + 2)]
 
 
+def _conj_nu(tmp_path):
+    """The conj-paraboloid conormal, dumped as a grid file: a fixture's chart is the one its data satisfy,
+    but a grid file's is --chart."""
+    path = tmp_path / "conj_nu.csv"
+    write_grid(scenario("conj-paraboloid").nu_grid, path)
+    return str(path)
+
+
 def test_reconstruct_wrong_chart_strict_exit4(capsys, tmp_path):
-    code, _, err = run(capsys, "reconstruct", "--scenario", "conj-paraboloid",
-                       "--chart", "asymptotic", "--strict",
-                       "--out", str(tmp_path / "x.csv"))
-    assert code == 4
-    assert "error" in err
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "reconstruct", "--nu", _conj_nu(tmp_path), "--chart", "asymptotic", "--strict",
+                       "--out", str(out))
+    assert (code, err) == (4, "error: degenerate point at grid index (0, 0)\n")
+    assert not out.exists()
 
 
 def test_reconstruct_degenerate_grid_csv_is_exit4(capsys, tmp_path):
     out = tmp_path / "x.csv"
-    code, _, err = run(capsys, "reconstruct", "--scenario", "conj-paraboloid",
-                       "--chart", "asymptotic", "--out", str(out))
+    code, _, err = run(capsys, "reconstruct", "--nu", _conj_nu(tmp_path), "--chart", "asymptotic", "--out", str(out))
     assert code == 4
-    assert "441 degenerate/mismatched points (first at x=0.2, y=0.2)" in err
+    assert "307 degenerate/mismatched points (first at x=0.25, y=0.25)" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -513,7 +522,7 @@ def _assert_not_applicable(capsys, tmp_path, argv, message):
     assert sorted(tmp_path.iterdir()) == before
 
 
-_SCENARIO_OPTIONS = [["--h", "0.5"], ["--grid", "0:1:0.1"], ["--seed", "3"], ["--size", "5"],
+_SCENARIO_OPTIONS = [["--h", "0.5"], ["--grid", "0:1"], ["--seed", "3"], ["--size", "5"],
                      ["--scenario", "ell-paraboloid"]]
 
 
@@ -544,10 +553,14 @@ def test_reconstruct_file_input_rejects_scenario_options(capsys, tmp_path, sourc
     ("reconstruct --lattice {lat} --stencil 4 --out {o}", "--stencil", "--lattice"),
     ("reconstruct --lattice {lat} --strict --out {o}", "--strict", "--lattice"),
     ("reconstruct --lattice {lat} --obj {o}.obj", "--obj", "--lattice"),
+    # a fixture's chart is the one its data satisfy
+    ("reconstruct --scenario hypar --chart conjugate --out {o}", "--chart", "--scenario"),
     # options that no source took are gone from their command: argparse refuses them
     ("reconstruct --nu {nu} --gauge projective --out {o}", "--gauge projective", None),
     ("scenario-dump --scenario hypar --stencil 4 --out {o}", "--stencil 4", None),
     ("scenario-dump --scenario hypar --strict --out {o}", "--strict", None),
+    ("verify --scenario hypar --strict", "--strict", None),
+    ("forms --scenario hypar --which projective --strict --out {o}", "--strict", None),
 ])
 def test_an_option_its_source_does_not_take_is_usage_error(capsys, tmp_path, argv, option, source):
     nu, f = _grid_files(tmp_path)
@@ -560,7 +573,7 @@ def test_an_option_its_source_does_not_take_is_usage_error(capsys, tmp_path, arg
 # A valid value of each option of the table (a falsy one where there is one),
 # the base command line of each (command, source) on tiny inputs, and the
 # scenario parameters its fixture takes.
-_VALUES = {"seed": "--seed 0", "size": "--size 4", "h": "--h 0.1", "grid": "--grid 0:1:0.1", "stencil": "--stencil 4",
+_VALUES = {"seed": "--seed 0", "size": "--size 4", "h": "--h 0.1", "grid": "--grid 0:1", "stencil": "--stencil 4",
            "chart": "--chart asymptotic", "strict": "--strict", "obj": "--obj {out}/o.obj", "f0": "--f0 1,2,3",
            "f": "--f {inp}/f.csv", "nu": "--nu {inp}/nu.csv", "lattice": "--lattice {inp}/lat.csv",
            "scenario": "--scenario hypar"}
@@ -607,7 +620,7 @@ def _command_lines(draw):
 @given(line=_command_lines())
 def test_an_option_is_refused_exactly_when_its_source_does_not_take_it(tiny_inputs, line):
     # every other line exits 0: forms reads the projective forms, because the affine ones of
-    # the hypar exit 1 at --stencil 4 (a wrong-sign radicand from round-off)
+    # the hypar exit 4 at --stencil 4 (a wrong-sign radicand from round-off)
     template, given_options = line
     takes = cli._TAKES[template[0]]
     source = next(s for s in takes if s in given_options)
@@ -676,16 +689,17 @@ def test_forms_projective_nonzero_F3(capsys, tmp_path):
     assert np.all(np.abs(vals - 0.5) < 1e-10)
 
 
-@pytest.mark.parametrize("box,stencil", [("0:0.1:0.05", 2), ("0:0.15:0.05", 2), ("0:0.25:0.05", 4)])
-def test_forms_affine_on_small_grids_uses_the_jets_of_affine_forms(capsys, box, stencil):
-    # affine_forms takes order-2 jets on these boxes; the rows are its sites
+@pytest.mark.parametrize("sampling,stencil", [("0:0.1:0.05", 2), ("0:0.15:0.05", 2), ("0:0.25:0.05", 4)])
+def test_forms_affine_on_small_grids_uses_the_jets_of_affine_forms(capsys, sampling, stencil):
+    # affine_forms takes order-2 jets on these boxes x0:x1 of spacing h; the rows are its sites
     from plmkit.affine import AffineSurfacePair, affine_forms
     from plmkit.fields import jet_grid
 
-    code, out, err = run(capsys, "forms", "--scenario", "hypar", "--grid", box, "--stencil", str(stencil),
-                         "--which", "affine")
+    x0, x1, h = sampling.split(":")
+    code, out, err = run(capsys, "forms", "--scenario", "hypar", "--grid", f"{x0}:{x1}", "--h", h,
+                         "--stencil", str(stencil), "--which", "affine")
     assert (code, err) == (0, "")
-    x0, x1, h = map(float, box.split(":"))
+    x0, x1, h = map(float, (x0, x1, h))
     scn = scenario("hypar", x0=x0, x1=x1, y0=x0, y1=x1, h=h)
     forms, rep = affine_forms(AffineSurfacePair(f=scn.f3_grid, nu=scn.nu3_grid), stencil=stencil)
     assert rep.metadata["jet_order"] == 2
@@ -708,39 +722,70 @@ def test_scenario_dump_round_trip(capsys, tmp_path):
     assert np.array_equal(lat.values, scenario("hypar-lattice").nu3_lattice.values)
 
 
+# sha256 of the hypar's f, nu, f3 and nu3 files on the box 0:1 x 0:1 at h = 0.1, concatenated
+_BOX_DIGEST = "f0d7754c1d5a3267797b094ce30b717e4e7c67e85fd54ba7bca5314bbeddd9be"
+
 _GRID_COMMANDS = [
     ["verify"], ["reconstruct", "--out", "f.csv"], ["forms", "--which", "projective"], ["scenario-dump", "--out", "d"],
 ]
 
 
+def _assert_grid_refused(capsys, tmp_path, monkeypatch, command, grid, *extra):
+    """``--grid grid`` on ``command`` exits 2 naming --h, prints nothing else and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command[0], "--scenario", "hypar", "--grid", grid, *extra, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: --grid expects the box x0:x1[,y0:y1], got {grid!r}; the spacing is --h\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["0:1:0.1", "0:1,0:1:0.1"])
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+def test_grid_with_a_step_is_usage_error_that_names_h(capsys, tmp_path, monkeypatch, command, grid):
+    # --grid is the box only: its old x0:x1:h form is refused, and the message points to --h
+    _assert_grid_refused(capsys, tmp_path, monkeypatch, command, grid)
+
+
 @pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_grid_with_unequal_spacings_is_usage_error(capsys, tmp_path, monkeypatch, command):
-    # the grid scenarios take one h; --grid used to keep hy and drop hx silently
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command[0], "--scenario", "hypar", "--grid", "0:1:0.1,0:1:0.5", *command[1:])
-    assert code == 2 and out == ""
-    assert err.startswith("error: --grid spacings differ") and "0.1" in err and "0.5" in err
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
+    # --grid used to keep hy and drop hx silently; now it takes no spacing at all
+    _assert_grid_refused(capsys, tmp_path, monkeypatch, command, "0:1:0.1,0:1:0.5")
 
 
 @pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_grid_step_and_h_that_differ_are_usage_error(capsys, tmp_path, monkeypatch, command):
-    # --h used to override the step of --grid silently: a 3x3 grid at h = 0.5
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command[0], "--scenario", "hypar", "--grid", "0:1:0.1", "--h", "0.5", *command[1:])
-    assert code == 2 and out == ""
-    assert err.startswith("error: --grid step 0.1 and --h 0.5 differ")
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
+    # --h used to override the step of --grid silently; now --h is the one spacing
+    _assert_grid_refused(capsys, tmp_path, monkeypatch, command, "0:1:0.1", "--h", "0.5")
 
 
-def test_grid_step_equal_to_h_is_accepted(capsys, tmp_path):
+def test_grid_box_with_h_writes_the_fixture_on_that_box(capsys, tmp_path):
+    # the bytes --grid 0:1:0.1 wrote when --grid carried the step
     prefix = str(tmp_path / "d")
-    code, _, err = run(capsys, "scenario-dump", "--scenario", "hypar", "--grid", "0:1:0.1", "--h", "0.1",
-                       "--out", prefix)
+    code, _, err = run(capsys, "scenario-dump", "--scenario", "hypar", "--grid", "0:1", "--h", "0.1", "--out", prefix)
     assert code == 0, err
+    digest = hashlib.sha256(b"".join(Path(f"{prefix}_{tag}.csv").read_bytes() for tag in ("f", "nu", "f3", "nu3")))
+    assert digest.hexdigest() == _BOX_DIGEST
     assert read_grid(prefix + "_f.csv").dims == (11, 11)
+
+
+@pytest.mark.parametrize("argv", ["verify --no-meta", "forms --which affine"])
+def test_data_in_the_wrong_chart_is_exit4(capsys, argv):
+    # at stencil 4 the hypar's vanishing cubics give a wrong-sign radicand from round-off
+    code, _, err = run(capsys, *argv.split(), "--scenario", "hypar", "--stencil", "4")
+    assert (code, err) == (4, "error: det|bf_x, bf_xx, bf_xxx| < 0: wrong-sign radicand for the x cubic\n")
+
+
+@given(text=st.lists(st.sampled_from([*"0123456789.:,- e", "inf", "nan"]), max_size=30).map("".join))
+@example(text="-0.3:0.3")
+@example(text=" 0 : 1e300 ,nan:-inf")
+@example(text="0:1:0.1")
+def test_grid_box_parser_returns_the_box_or_a_usage_error(text):
+    # parse only: a box that parses is not built, so no draw allocates a grid
+    try:
+        box = cli._grid_spec(text)
+    except DomainError:
+        return
+    assert list(box) == ["x0", "x1", "y0", "y1"] and all(type(v) is float for v in box.values())
 
 
 def test_parse_error_names_the_file_and_line(capsys, tmp_path):

@@ -25,8 +25,8 @@ from plmkit.scenarios import list_scenarios
 
 DIGESTS = Path(__file__).parent / "data" / "golden" / "outputs.sha256"
 
-FORMS = [("projective", "hypar"), ("projective", "cubic-graph"), ("projective", "conj-paraboloid"),
-         ("affine", "hypar"), ("discrete", "hypar-lattice"), ("discrete", "moutard-random")]
+FORMS = [("projective", "hypar"), ("projective", "cubic-graph"), ("affine", "hypar"), ("discrete", "hypar-lattice"),
+         ("discrete", "moutard-random")]
 
 
 def _run(*argv):
