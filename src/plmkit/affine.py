@@ -14,11 +14,12 @@ cross-identity tying them to the dual surface.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ChartMismatchError, ClosureError, DomainError
-from .fields import FieldGrid, _check_fits, _interior, _margin, _partials, jet_grid
+from .fields import FieldGrid, _check_fits, _interior, _margin, _partials
 from .multilinear import (
     _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
 )
@@ -160,44 +161,73 @@ def affine_forms(pairg: AffineSurfacePair, stencil: int = 2, report=None):
 
     The suite on some rows of its sites is this call on the pair's window
     of those rows, as in ``jet_grid``: only that window is read and
-    lifted.  The surface takes its whole jets; the conormal and its lift
-    only the partials read here, each the bits of its slot of the jets.
-    The records go to ``report`` when one is given (an InvariantReport, or
-    a ResidualTile to keep the fields of one tile).
+    lifted.  It runs in phases: the conormal's partials and F, A, B; the
+    pairings; the surface determinants; the lift.  Each phase differences
+    only the partials it reads, each the bits of its slot of the jets, and
+    each partial and determinant is dropped after its last read.  Every
+    surface partial is made, so that a non-finite one raises its
+    DomainError, before a cubic radicand's sign is judged.  The records go
+    to ``report`` when one is given (an InvariantReport, or a ResidualTile
+    to keep the fields of one tile).
     """
     order = _jet_order(pairg.f.dims, stencil)
     rep = InvariantReport(metadata={"stencil": stencil, "jet_order": order}) if report is None else report
     m, m2 = _margin(stencil, order), _margin(stencil, 2)
-    fj = jet_grid(pairg.f, order=order, stencil=stencil)
+    _check_fits(pairg.f.dims, m)
+    surface = partial(_partials, pairg.f.values, pairg.f.spacing, m, stencil)
     v = pairg.nu.values
     nu = _interior(v, m)
     nu_x, nu_y, nu_xx, nu_yy = _partials(v, pairg.nu.spacing, m, stencil, ["d_x", "d_y", "d_xx", "d_yy"])
-    F = np.asarray(det_n([nu, nu_x, nu_y]), dtype=float)
-    A = np.asarray(det_n([nu, nu_x, nu_xx]), dtype=float)
-    B = np.asarray(det_n([nu, nu_y, nu_yy]), dtype=float)
+    F = _det3(nu, nu_x, nu_y)
+    A = _det3(nu, nu_x, nu_xx)
+    B = _det3(nu, nu_y, nu_yy)
+    del nu_xx, nu_yy
 
     # bf_xx = bnu x bnu_xx and bf_yy = -(bnu x bnu_yy), so <bf_xx, bnu_x> = -A and <bf_yy, bnu_y> = B
-    for name, a, b, rhs in (("blaschke_pairing", fj.d_x, nu_y, F), ("cubic_pairing_x", fj.d_xx, nu_x, -A),
-                            ("cubic_pairing_y", fj.d_yy, nu_y, B)):
+    f_x, f_xx, f_yy = surface(["d_x", "d_xx", "d_yy"])
+    for name, a, b, rhs in (("blaschke_pairing", f_x, nu_y, F), ("cubic_pairing_x", f_xx, nu_x, -A),
+                            ("cubic_pairing_y", f_yy, nu_y, B)):
         rep.add(name, _scalar_gap(pair(a, b), rhs, _norm(a) * _norm(b) + np.abs(rhs)), AFFINE_TOL)
-    dfmix = np.asarray(det_n([fj.d_x, fj.d_y, fj.d_xy]), dtype=float)
+    del nu_x, nu_y
+
+    f_y, f_xy = surface(["d_y", "d_xy"])
+    dfmix = _det3(f_x, f_y, f_xy)
+    del f_xy
     rep.add("blaschke_squared", _scalar_gap(dfmix, F**2, np.abs(dfmix) + F**2 + 1e-12), AFFINE_TOL)
+    del dfmix
     if order >= 3:
-        dfx = np.asarray(det_n([fj.d_x, fj.d_xx, fj.d_xxx]), dtype=float)
-        dfy = np.asarray(det_n([fj.d_y, fj.d_yy, fj.d_yyy]), dtype=float)
-        if np.any(dfx < -_degeneracy_bound(_norm_product(fj.d_x, fj.d_xx, fj.d_xxx))):
+        (f_xxx,) = surface(["d_xxx"])
+        dfx = _det3(f_x, f_xx, f_xxx)
+        wrong_x = np.any(dfx < -_degeneracy_bound(_norm_product(f_x, f_xx, f_xxx)))
+        del f_x, f_xx, f_xxx
+        (f_yyy,) = surface(["d_yyy"])
+        dfy = _det3(f_y, f_yy, f_yyy)
+        wrong_y = np.any(dfy > _degeneracy_bound(_norm_product(f_y, f_yy, f_yyy)))
+        del f_y, f_yy, f_yyy
+        if wrong_x:
             raise ChartMismatchError("det|bf_x, bf_xx, bf_xxx| < 0: wrong-sign radicand for the x cubic")
-        if np.any(dfy > _degeneracy_bound(_norm_product(fj.d_y, fj.d_yy, fj.d_yyy))):
+        if wrong_y:
             raise ChartMismatchError("det|bf_y, bf_yy, bf_yyy| > 0: wrong-sign radicand for the y cubic")
         rep.add("cubic_squared_x", _scalar_gap(dfx, A**2, np.abs(dfx) + A**2 + 1e-12), AFFINE_TOL)
+        del dfx
         rep.add("cubic_squared_y", _scalar_gap(dfy, -(B**2), np.abs(dfy) + B**2 + 1e-12), AFFINE_TOL)
+        del dfy
+    else:
+        del f_x, f_y, f_xx, f_yy
+
     # lifted factorization: the homogeneous mixed determinant is F^2.  The
-    # lift is pointwise, so only the window of order-2 stencils on fj's sites is lifted
+    # lift is pointwise, so only the window of order-2 stencils on the sites is lifted
     window = tuple(slice(m - m2, N - m + m2) for N in pairg.f.dims)
     nu4 = _lifted_conormal(pairg.f.values[window], pairg.nu.values[window])
     if not np.isfinite(nu4).all():  # <bf, bnu> overflowed
         raise DomainError("grid contains non-finite samples")
     nu4_x, nu4_y, nu4_xy = _partials(nu4, pairg.f.spacing, m2, stencil, ["d_x", "d_y", "d_xy"])
     d4 = np.asarray(det_n([_interior(nu4, m2), nu4_x, nu4_y, nu4_xy]), dtype=float)
+    del nu4, nu4_x, nu4_y, nu4_xy
     rep.add("lift_mixed_det_is_F_squared", _scalar_gap(d4, F**2, np.abs(d4) + F**2 + 1e-12), AFFINE_TOL)
     return AffineForms(F=F, A_cubic=A, B_cubic=B), rep
+
+
+def _det3(a, b, c):
+    """det|a, b, c| of three 3-vector fields, in floats."""
+    return np.asarray(det_n([a, b, c]), dtype=float)

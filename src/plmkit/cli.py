@@ -20,7 +20,8 @@ family whose source gives one group key share their inputs as a group, and each
 unit of work is one row tile of a group, of about ``TILE_SITES`` sites: it takes the
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
 of given jets, the jets of those rows of a sampled grid or the affine pair on
-them, stencil halo included, or the rows of a lattice that hold its base sites
+them (its conormal alone for the closure suite), stencil halo included, or the
+rows of a lattice that hold its base sites
 and the rows past them that its stencils reach), so no whole-grid array or
 whole-lattice temporary is built,
 and reduces each residual field it computes to a record that keeps a small
@@ -116,9 +117,10 @@ _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0", "chart": "asymptotic"
 #   hypar, one thread:           0.283 / 0.257 / 0.326; two: 0.320 / 0.219 / 0.222
 #   ell-paraboloid, one thread:  0.134 / 0.125 / 0.140; two: 0.144 / 0.100 / 0.110
 # so no size beats 16384 on both.  It is not sized to a cache: at h = 0.005, or
-# a 300^2 lattice, one unit's tracemalloc peak is 1.9 to 10.2 MiB (the most:
-# an affine form tile).  An affine tile evaluates, lifts and differentiates
-# only its rows of the pair, halo included.
+# a 300^2 lattice, one unit's tracemalloc peak is 1.8 to 5.7 MiB (the most:
+# an affine form tile), and 7.6 / 8.8 MiB for the order-2 / order-3 jets of a
+# 201^2 CSV pair.  An affine tile evaluates, lifts and differentiates only its
+# rows of the pair, halo included, and a closure tile only its conormal.
 TILE_SITES = 16384
 
 
@@ -336,19 +338,20 @@ def _jets(suite, scn, stencil):
                        param))
 
 
-def _affine_grids(suite, scn, stencil):
-    """(pair, stencil): a tile lifts and differentiates the pair on the
-    window of its rows, halo included (a closed-form pair is evaluated there
-    only), whose sites are the tile's; the jet order and the interior are the
-    whole grid's."""
-    found = scn.affine_pair()
+def _affine_grids(part, suite, scn, stencil):
+    """(grids, stencil): a tile lifts and differentiates what ``part`` of the
+    scenario gives (``Scenario.affine_pair``: the pair; ``affine_conormal``:
+    its conormal alone) on the window of its rows, halo included (a closed
+    form evaluates only that there), whose sites are the tile's; the jet
+    order and the interior are the whole grid's."""
+    found = part(scn)
     if found is None:
         return None
-    pair, dims = found
+    grids, dims = found
     order = suite.reach or _jet_order(dims, stencil)
     halo = 2 * _margin(stencil, order)
     return (f"{suite.family}/{suite.name}", _interior([dims], order, stencil),
-            lambda r: (pair(_halo(r, halo)), stencil))
+            lambda r: (grids(_halo(r, halo)), stencil))
 
 
 def _lattices(gauges, suite, scn, stencil):
@@ -397,9 +400,10 @@ _SUITES = (
            lambda paira, own, report: _omega_identities(paira, report, rows=own)),
     _Suite("discrete", "moutard_closure", partial(_lattices, ["affine"]), 1, None,
            lambda paira, own, report: report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)),
-    _Suite("affine", "form_identities", _affine_grids, None, None, _late(affine_forms)),
-    _Suite("affine", "conormal_closure", _affine_grids, 2, None, lambda pair, stencil, report: report.add(
-        "conormal_closure", closure_residual(pair.nu, stencil)[0], AFFINE_TOL)),
+    _Suite("affine", "form_identities", partial(_affine_grids, Scenario.affine_pair), None, None,
+           _late(affine_forms)),
+    _Suite("affine", "conormal_closure", partial(_affine_grids, Scenario.affine_conormal), 2, None,
+           lambda nu, stencil, report: report.add("conormal_closure", closure_residual(nu, stencil)[0], AFFINE_TOL)),
 )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegeneratePointError, DomainError, PivotMismatchError
 from .fields import FieldGrid, JetGrid, _names, _numbered_axes, _read_table, _write_table
 from .multilinear import (
-    _add, _bivector_gap, _degeneracy_bound, _dot, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair,
+    _bivector_gap, _degeneracy_bound, _dot, _norm, _norm_product, _pairing_gap, _Span, cross_n, det_n, pair,
     star_of_wedge, wedge2,
 )
 from .report import HYPER_TOL, InvariantReport
@@ -174,14 +174,27 @@ def _defining_system(f_jet: JetGrid, nu_jet: JetGrid, Av, names, tolerance, repo
     """Add the ``_bivector_gap`` of f ^ f_{x_a} = sum_b Av[a, b] * star(slot b)
     to ``report`` as record ``names[a]``, for each a; ``Av`` is (n, n) or
     per-point.  A weight that is zero at every site adds no term: it costs no
-    product, and a non-finite star under it does not reach the residual."""
-    stars = [_slot_star(nu_jet, b) for b in range(nu_jet.n)]
+    product, and a non-finite star under it does not reach the residual.
+
+    Each star is made once and held only until its last term: that term
+    scales it in place (``star *= w``, the bits of ``w * star``), an earlier
+    one scales a copy.  The terms are added into the first in place."""
+    uses = [[a for a in range(len(names)) if np.any(Av[..., a, b] != 0)] for b in range(nu_jet.n)]
+    stars = {}  # the stars a later term reads
     for a, name in enumerate(names):
         lhs = wedge2(f_jet.value, f_jet.d1[a])
         rhs = None
-        for b, star in enumerate(stars):
-            if np.any(Av[..., a, b] != 0):
-                rhs = _add(rhs, Av[..., a, b, None] * star)
+        for b in (b for b in range(nu_jet.n) if a in uses[b]):
+            term = stars.pop(b) if b in stars else _slot_star(nu_jet, b)
+            w = Av[..., a, b, None]
+            if a < uses[b][-1]:
+                stars[b], term = term, w * term
+            else:
+                term *= w
+            if rhs is None:
+                rhs = term
+            else:
+                rhs += term
         report.add(name, _bivector_gap(lhs, np.zeros_like(lhs) if rhs is None else rhs), tolerance)
 
 

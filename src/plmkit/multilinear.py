@@ -39,12 +39,14 @@ reads its inputs one component ``a[..., c]`` at a time, so it runs on
 unit-stride memory when a field is stored component-major, as every field
 of the package is (see ``fields``): each component one C-contiguous plane.
 ``wedge2``, ``hodge_star``, ``cross_n`` and ``star_of_wedge`` return that
-layout, their components stacked by ``_planes``; ``_planar`` allocates a
-field in it.
+layout: ``_planar`` allocates a field in it, and ``wedge2``, ``cross_n`` and
+``star_of_wedge`` compute each component into its plane of that one output,
+so no list of components is held beside it; ``hodge_star``, whose components
+are views of its input, stacks them with ``_planes``.
 """
 
 import operator
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 import numpy as np
@@ -102,24 +104,28 @@ def _norm_product(*vecs):
 
 
 def _add(x, y):
-    """x + y, where None stands for an exact zero term."""
+    """x + y, added into x, a partial sum of ``_pairwise_sum``'s own; None
+    stands for an exact zero term."""
     if x is None:
         return y
-    return x if y is None else x + y
+    if y is not None:
+        x += y
+    return x
 
 
 def _pairwise_sum(terms):
     """Sum ``terms`` in the order numpy's pairwise summation adds a
     contiguous axis of that many entries: a plain loop below 8 entries, 8
     interleaved accumulators up to 128, halves (cut at a multiple of 8)
-    above.  A ``None`` term is an exact zero and is left out, which changes
-    no bit of a sum of squares.
+    above.  Each term is a function that makes it, called when the sum
+    takes it, so no term is held before its turn.  A ``None`` term is an
+    exact zero and is left out, which changes no bit of a sum of squares.
     """
     n = len(terms)
     if n < 8:
         res = None
         for t in terms:
-            res = _add(res, t)
+            res = _add(res, t and t())
         return res
     if n > 128:
         half = n // 2 - (n // 2) % 8
@@ -129,15 +135,15 @@ def _pairwise_sum(terms):
     def lane(j):
         # accumulator j; built when the combination needs it, so that at
         # most four partial sums are held at a time
-        res = terms[j]
+        res = terms[j] and terms[j]()
         for i in range(j + 8, stop, 8):
-            res = _add(res, terms[i])
+            res = _add(res, terms[i] and terms[i]())
         return res
 
     res = _add(_add(_add(lane(0), lane(1)), _add(lane(2), lane(3))),
                _add(_add(lane(4), lane(5)), _add(lane(6), lane(7))))
     for t in terms[stop:]:
-        res = _add(res, t)
+        res = _add(res, t and t())
     return res
 
 
@@ -158,19 +164,35 @@ def _fro(P):
     square standing for B[k, l] and B[l, k], the zero diagonal left out.
     """
     P = np.asarray(P, dtype=float)
-    d = _bivector_dim(P.shape[-1])
-    sq = [P[..., p] * P[..., p] for p in range(P.shape[-1])]
+    return _packed_norm(lambda p: P[..., p] * P[..., p], P.shape)
+
+
+def _packed_norm(square, shape):
+    """``_fro`` of the packed bivectors of ``shape`` (..., m) whose p-th
+    packed square ``square(p)`` makes, as a new float array.  Each square is
+    made when its lane of the sum takes it, and dropped once added, so at
+    most one is held beside the partial sums; every square is made twice,
+    once for B[k, l] and once for B[l, k]."""
+    d = _bivector_dim(shape[-1])
     slot = {kl: p for p, kl in enumerate(combinations(range(d), 2))}
-    terms = [None if k == l else sq[slot[min(k, l), max(k, l)]] for k in range(d) for l in range(d)]
+    terms = [None if k == l else partial(square, slot[min(k, l), max(k, l)]) for k in range(d) for l in range(d)]
     total = _pairwise_sum(terms)
-    return np.sqrt(np.zeros(P.shape[:-1]) if total is None else total)
+    return np.sqrt(np.zeros(shape[:-1]) if total is None else total)
 
 
 def _bivector_gap(lhs, rhs):
     """Residual of the packed bivector relation lhs = rhs: the norm of the
-    difference over the mean of the two norms."""
+    difference over the mean of the two norms.  The difference is taken one
+    component at a time, when its square is added: no lhs - rhs is held."""
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
     denom = np.maximum(0.5 * (_fro(lhs) + _fro(rhs)), 1e-300)
-    return _fro(lhs - rhs) / denom
+
+    def square(p):
+        diff = np.asarray(lhs[..., p] - rhs[..., p], dtype=float)
+        diff *= diff
+        return diff
+
+    return _packed_norm(square, lhs.shape) / denom
 
 
 def _pairing_gap(a, b, floor=None):
@@ -232,11 +254,11 @@ def _planes(comps):
     return np.moveaxis(np.stack(comps), 0, -1)
 
 
-def _planar(shape, alloc=np.empty):
-    """``alloc`` (np.empty or np.zeros) of ``shape`` (..., d), stored
-    component-major as ``_planes`` stacks; each [k][..., c] of a stack of
-    fields (k, ..., d) is a C-contiguous plane too."""
-    return np.moveaxis(alloc(shape[-1:] + shape[:-1]), 0, -1)
+def _planar(shape, alloc=np.empty, dtype=float):
+    """``alloc`` (np.empty or np.zeros) of ``shape`` (..., d) and ``dtype``,
+    stored component-major as ``_planes`` stacks; each [k][..., c] of a
+    stack of fields (k, ..., d) is a C-contiguous plane too."""
+    return np.moveaxis(alloc(shape[-1:] + shape[:-1], dtype=dtype), 0, -1)
 
 
 def _as_vec(a):
@@ -258,7 +280,11 @@ def wedge2(a, b):
         raise DomainError("wedge2: dimension mismatch")
     if d < 2:
         raise DomainError("wedge2: need vectors of dimension 2 or more")
-    return _planes([a[..., k] * b[..., l] - b[..., k] * a[..., l] for k, l in combinations(range(d), 2)])
+    out = _planar(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (d * (d - 1) // 2,), dtype=np.result_type(a, b))
+    for p, (k, l) in enumerate(combinations(range(d), 2)):
+        np.multiply(a[..., k], b[..., l], out=out[..., p])
+        out[..., p] -= b[..., k] * a[..., l]
+    return out
 
 
 # (*P)_p = sign * P_q for packed bivectors in dimension 4, as (q, sign):
@@ -289,30 +315,42 @@ def _rows(vectors, count, name):
     return [v.astype(dtype, copy=False) for v in np.broadcast_arrays(*vecs)]
 
 
-def _det_cols(rows, cols, memo):
+def _det_cols(rows, cols, memo, out=None):
     """Determinant of ``rows`` on the columns ``cols``, expanded along rows[0].
 
     The terms are added to the first one in place, the odd ones subtracted:
     v - x m has the bits of the signed sum v + (-x) m (a NaN's sign bit
-    aside), with no signed copy and no new sum allocated; exact on Fraction."""
+    aside), with no signed copy and no new sum allocated; exact on Fraction.
+    A minor of k columns is read by each of the d - k column sets one column
+    larger that hold it (d the vectors' dimension): ``memo`` keeps it, with
+    the count of reads left, until its last read.  With ``out`` (a kernel's
+    top-level column set, read once) the determinant is computed into it."""
     key = (len(rows), cols)
-    if key not in memo:
-        r0 = rows[0]
-        if len(cols) == 1:
-            val = r0[..., cols[0]].copy()
-        elif len(cols) == 2:
-            a, b = cols
-            val = r0[..., a] * rows[1][..., b] - r0[..., b] * rows[1][..., a]
+    if key in memo:
+        val, reads = memo.pop(key)
+        if reads > 1:
+            memo[key] = val, reads - 1
+        return val
+    r0 = rows[0]
+    if len(cols) == 1:
+        val = np.empty_like(r0[..., cols[0]]) if out is None else out
+        val[...] = r0[..., cols[0]]
+    else:
+        if len(cols) == 2:
+            minors = [rows[1][..., cols[1]], rows[1][..., cols[0]]]
         else:
-            val = r0[..., cols[0]] * _det_cols(rows[1:], cols[1:], memo)
-            for j, c in enumerate(cols[1:], start=1):
-                term = r0[..., c] * _det_cols(rows[1:], cols[:j] + cols[j + 1 :], memo)
-                if j % 2:
-                    val -= term
-                else:
-                    val += term
-        memo[key] = val
-    return memo[key]
+            minors = (_det_cols(rows[1:], cols[:j] + cols[j + 1 :], memo) for j in range(len(cols)))
+        for j, minor in enumerate(minors):
+            if j == 0:
+                val = np.multiply(r0[..., cols[0]], minor, out=out)
+            elif j % 2:
+                val -= r0[..., cols[j]] * minor
+            else:
+                val += r0[..., cols[j]] * minor
+    reads = r0.shape[-1] - len(cols)
+    if out is None and reads > 1:
+        memo[key] = val, reads - 1
+    return val
 
 
 def det_n(vectors):
@@ -335,12 +373,12 @@ def cross_n(vectors):
     rows = _rows(vectors, 1, "cross_n")
     d = len(rows) + 1
     memo = {}
-    comps = []
-    sign = 1
+    out = _planar(rows[0].shape, dtype=rows[0].dtype)
     for i in range(d):
-        comps.append(sign * _det_cols(rows, tuple(c for c in range(d) if c != i), memo))
-        sign = -sign
-    return _planes(comps)
+        _det_cols(rows, tuple(c for c in range(d) if c != i), memo, out=out[..., i])
+        if i % 2:
+            out[..., i] *= -1
+    return out
 
 
 def pair(f, nu):
@@ -362,13 +400,13 @@ def star_of_wedge(vectors):
     rows = _rows(vectors, 2, "star_of_wedge")
     d = len(rows) + 2
     memo = {}
-    comps = []
-    for k, l in combinations(range(d), 2):
+    out = _planar(rows[0].shape[:-1] + (d * (d - 1) // 2,), dtype=rows[0].dtype)
+    for p, (k, l) in enumerate(combinations(range(d), 2)):
         cols = tuple(c for c in range(d) if c not in (k, l))
-        sign = perm_sign(cols + (k, l))
-        det = _det_cols(rows, cols, memo)
-        comps.append(det if sign > 0 else sign * det)
-    return _planes(comps)
+        _det_cols(rows, cols, memo, out=out[..., p])
+        if perm_sign(cols + (k, l)) < 0:
+            out[..., p] *= -1
+    return out
 
 
 class _Span:

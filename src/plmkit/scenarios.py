@@ -40,9 +40,10 @@ class ClosedForm:
     """A fixture's (f, nu) pair in closed form, on the sites ``axes``.
 
     ``pair(xs, ys)`` returns the pair on the sites xs x ys: two JetGrids,
-    or the two value arrays of an affine pair; ``h`` is the spacing the
-    axes were sampled with.  Every component is elementwise in the site
-    coordinates, so the pair on some rows equals those rows of the
+    or the two value arrays of an affine pair, whose function returns the
+    conormal's alone when called with ``conormal=True``; ``h`` is the
+    spacing the axes were sampled with.  Every component is elementwise in
+    the site coordinates, so the pair on some rows equals those rows of the
     whole-grid pair bit for bit.
     """
 
@@ -56,16 +57,25 @@ class ClosedForm:
 
     def rows(self, rows=slice(None)):
         """The pair on ``rows`` of the first axis; an overflow is a DomainError."""
-        xs, ys = self.axes
-        # JetGrid rejects the non-finite entries; the error state is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.pair(xs[rows], ys)
+        return self._on(rows)
 
     def grids(self, rows=slice(None)):
         """The pair of value arrays on ``rows`` as FieldGrids of spacing ``h``."""
+        return tuple(self._grid(rows, values) for values in self.rows(rows))
+
+    def conormal(self, rows=slice(None)):
+        """An affine pair's conormal alone on ``rows``, as a FieldGrid of spacing ``h``."""
+        return self._grid(rows, self._on(rows, conormal=True))
+
+    def _on(self, rows, **only):
         xs, ys = self.axes
-        return tuple(FieldGrid(origin=(xs[rows][0], ys[0]), spacing=(self.h, self.h), values=values)
-                     for values in self.rows(rows))
+        # JetGrid and FieldGrid reject the non-finite entries; the error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.pair(xs[rows], ys, **only)
+
+    def _grid(self, rows, values):
+        xs, ys = self.axes
+        return FieldGrid(origin=(xs[rows][0], ys[0]), spacing=(self.h, self.h), values=values)
 
 
 class _Derived:
@@ -168,6 +178,17 @@ class Scenario:
         AffineSurfacePair(f=f, nu=nu)  # a pair that does not match is refused here
         return (lambda r: AffineSurfacePair(*(_grid_rows(g, r) for g in (f, nu)))), f.dims
 
+    def affine_conormal(self):
+        """The affine pair's conormal by rows, as ``affine_pair`` gives the
+        pair: ``(rows, dims)``, or None without a pair.  ``rows(r)`` is a
+        FieldGrid: a view of the given grid, else the closed form's conormal
+        alone evaluated on those rows; a given pair is checked as there."""
+        found = self.affine_pair()
+        if found is None:
+            return None
+        nu = self.__dict__["_nu3_grid"]
+        return ((lambda r: _grid_rows(nu, r)) if nu is not None else self.affine_closed.conormal), found[1]
+
 
 def _axes(x0, x1, y0, y1, h):
     if not (h > 0 and math.isfinite(h)):
@@ -234,10 +255,12 @@ def _hypar_jets(xs, ys):
     return fj, nj
 
 
-def _hypar_affine(xs, ys):
-    """The affine gauge bf = (u, v, uv), bnu = (-v, -u, 1) on the sites xs x ys, as value arrays."""
+def _hypar_affine(xs, ys, conormal=False):
+    """The affine gauge bf = (u, v, uv), bnu = (-v, -u, 1) on the sites xs x ys,
+    as value arrays; with ``conormal``, bnu alone."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return _stack(X.shape, [X, Y, X * Y]), _stack(X.shape, [-Y, -X, 1])
+    nu = _stack(X.shape, [-Y, -X, 1])
+    return nu if conormal else (_stack(X.shape, [X, Y, X * Y]), nu)
 
 
 def _hypar(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, h=0.05):

@@ -10,7 +10,7 @@ from plmkit.affine import (
     closure_residual,
     lift_affine,
 )
-from plmkit.errors import ChartMismatchError, ClosureError, DomainError
+from plmkit.errors import BoundaryError, ChartMismatchError, ClosureError, DomainError
 from plmkit.fields import FieldGrid, jet_grid
 from plmkit.scenarios import scenario
 from plmkit.smooth import ChartKind, det_families, plm_residual
@@ -144,3 +144,50 @@ def test_pair_rejects_grids_that_are_not_2_axis(dims):
     grid = FieldGrid(origin=(0.0,) * n, spacing=(0.1,) * n, values=np.ones(dims + (3,)))
     with pytest.raises(DomainError, match="2-axis"):
         AffineSurfacePair(f=grid, nu=grid)
+
+
+def _pair_on(f, nu, h=0.1, x=(-1.0, 1.0), y=(-1.0, 1.0)):
+    """The affine pair f(X, Y), nu(X, Y) on the box x times y at spacing h."""
+    xs, ys = (a + h * np.arange(int(round((b - a) / h)) + 1) for a, b in (x, y))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = lambda v: FieldGrid(origin=(xs[0], ys[0]), spacing=(h, h), values=v)  # noqa: E731
+    return AffineSurfacePair(f=grid(f(X, Y)), nu=grid(nu(X, Y)))
+
+
+def _saddle_f(X, Y):
+    return np.stack([X, Y, X * Y], axis=-1)
+
+
+_STEP = 1e306  # a step this high between two rows: at h = 0.1 its third y-difference overflows, its first two do not
+
+
+@pytest.mark.parametrize("make, stencil, error, message", [
+    # the stencil check comes first, before any sample is differenced
+    (lambda: _pair_on(lambda X, Y: 1e308 * _saddle_f(X, Y), saddle_nu, x=(0.0, 0.1)), 2, BoundaryError,
+     "grid dims (2, 21) smaller than stencil width 3"),
+    # a conormal partial that overflows
+    (lambda: _pair_on(_saddle_f, lambda X, Y: 1e308 * saddle_nu(X, Y)), 2, DomainError,
+     "jet contains non-finite entries"),
+    # finite partials, but <bf, bnu> of the lift overflows: the lift's error comes last
+    (lambda: _pair_on(lambda X, Y: 1e200 * _saddle_f(X, Y), lambda X, Y: 1e200 * saddle_nu(X, Y)), 2,
+     DomainError, "grid contains non-finite samples"),
+    (lambda: AffineSurfacePair(f=HYPAR.f3_grid, nu=HYPAR.nu3_grid), 4, ChartMismatchError,
+     "det|bf_x, bf_xx, bf_xxx| < 0: wrong-sign radicand for the x cubic"),
+    # a wrong-sign x cubic and a non-finite bf_yyy: every surface partial is made
+    # before a radicand's sign is judged, so the non-finite partial is the error
+    (lambda: _pair_on(lambda X, Y: np.stack([X, X**3, X**2 + Y + _STEP * (Y > 0.05)], axis=-1), saddle_nu,
+                      y=(-0.3, 0.3)), 2, DomainError, "jet contains non-finite entries"),
+], ids=["too-small", "overflowing-partial", "overflowing-lift", "hypar-stencil-4", "wrong-sign-and-non-finite"])
+def test_forms_raise_their_errors_in_order(make, stencil, error, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairg = make()
+        with pytest.raises(error) as exc:
+            affine_forms(pairg, stencil=stencil)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_the_last_error_case_is_a_chart_mismatch_without_its_step():
+    # the last case above with the step left out is a chart mismatch
+    pairg = _pair_on(lambda X, Y: np.stack([X, X**3, X**2 + Y], axis=-1), saddle_nu, y=(-0.3, 0.3))
+    with pytest.raises(ChartMismatchError, match="x cubic"):
+        affine_forms(pairg)

@@ -174,6 +174,19 @@ def test_n3_defining_relation_and_recovery():
     assert np.max(projective_distance(f, fj.value)) < 1e-12
 
 
+def test_each_slot_star_is_made_once(monkeypatch):
+    # per-site weights, all non-zero: every row weighs every slot star, and
+    # each star is still made once, held until the last row that reads it
+    from plmkit import hyper
+
+    fj, nj = paraboloid3_jets()
+    made = []
+    star_of_wedge = hyper.star_of_wedge
+    monkeypatch.setattr(hyper, "star_of_wedge", lambda vecs: made.append(1) or star_of_wedge(vecs))
+    hyper_plm_residual(fj, nj, np.broadcast_to(np.eye(3) + 0.5, nj.shape + (3, 3)))
+    assert len(made) == 3
+
+
 def test_n3_compatibility():
     fj, nj = paraboloid3_jets()
     rep = hyper_compat_residual(nj, AMatrix(-np.eye(3)))

@@ -25,6 +25,7 @@ from plmkit.multilinear import (
     _norm,
     _norm_product,
     _pairing_gap,
+    _planes,
     _rejection_gap,
     _scalar_gap,
     cross_n,
@@ -553,6 +554,72 @@ def test_kernels_give_the_same_bits_on_either_layout(vecs):
         assert_same_bits_nan_as_one(planar[name], want)
         if name in ("wedge2", "cross_n", "star_of_wedge", "hodge_star"):  # stacked one plane per component
             assert is_planar(want) and is_planar(planar[name]), name
+
+
+# --- reference: the stacked components the kernels replaced ---------------
+
+
+def wedge2_planes(a, b):
+    d = a.shape[-1]
+    return _planes([a[..., k] * b[..., l] - b[..., k] * a[..., l] for k, l in itertools.combinations(range(d), 2)])
+
+
+def cross_planes(vecs):
+    d = len(vecs) + 1
+    return _planes([(-1) ** i * det_n([v[..., [c for c in range(d) if c != i]] for v in vecs]) for i in range(d)])
+
+
+def star_of_wedge_planes(vecs):
+    d = len(vecs) + 2
+    comps = []
+    for k, l in itertools.combinations(range(d), 2):
+        cols = [c for c in range(d) if c not in (k, l)]
+        comps.append(perm_sign(cols + [k, l]) * det_n([v[..., cols] for v in vecs]))
+    return _planes(comps)
+
+
+def _kernel_pairs(vecs):
+    """(kernel result, its stacked-components reference) for every kernel
+    that computes its components into the planes of one output."""
+    pairs = [(wedge2(vecs[0], vecs[1]), wedge2_planes(vecs[0], vecs[1])), (cross_n(vecs[:-1]), cross_planes(vecs[:-1]))]
+    if len(vecs) >= 3:
+        pairs.append((star_of_wedge(vecs[:-2]), star_of_wedge_planes(vecs[:-2])))
+    return pairs
+
+
+@st.composite
+def broadcast_batch(draw):
+    """d vectors of dimension d whose leading axes broadcast: a single
+    vector, a row and a column of sites."""
+    d = draw(st.integers(2, 6))
+    elements = st.one_of(finite, _SPECIAL)
+    leads = draw(st.lists(st.sampled_from([(), (3, 1), (1, 2), (3, 2)]), min_size=d, max_size=d))
+    return [draw(hnp.arrays(np.float64, lead + (d,), elements=elements)) for lead in leads]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(layout_batch(), broadcast_batch()), st.booleans())
+def test_kernels_write_the_stacked_components_bitwise(vecs, planar):
+    # interleaved, component-major and broadcast input alike: each kernel's
+    # one output holds the bits its stacked components held, one plane each
+    vecs = [component_major(v) if planar else v for v in vecs]
+    with np.errstate(all="ignore"):
+        pairs = _kernel_pairs(vecs)
+    for got, want in pairs:
+        assert is_planar(got) and got.base is not None and got.base.flags.c_contiguous
+        assert_same_bits_nan_as_one(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 5).flatmap(
+    lambda d: st.lists(st.lists(st.lists(fraction, min_size=d, max_size=d), min_size=2, max_size=2),
+                       min_size=d, max_size=d)))
+def test_kernels_write_the_stacked_components_exactly_on_fractions(raw):
+    for vecs in ([np.array(v, dtype=object) for v in raw], [np.array(v[0], dtype=object) for v in raw]):
+        for got, want in _kernel_pairs(vecs):
+            assert got.dtype == object and got.shape == want.shape and is_planar(got)
+            assert all(isinstance(x, Fraction) for x in got.ravel() if x != 0)
+            assert np.all(got == want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

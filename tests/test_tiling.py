@@ -335,13 +335,15 @@ def test_tiled_affine_suite_peaks_below_half_a_whole_grid_call(monkeypatch):
 @pytest.mark.parametrize("stencil", [2, 4])
 def test_affine_tile_windows_are_the_rows_of_the_whole_grid_pair(monkeypatch, stencil):
     # each affine tile evaluates the closed form on the window of its rows,
-    # halo included, and nothing evaluates the whole grid; the last tile holds one row
+    # halo included, and nothing evaluates the whole grid; the closure tile
+    # evaluates the conormal alone; the last tile holds one row
     whole = scenario("hypar", h=0.1).value_grids(affine=True)
     evaluated = []
     pair = scenarios._hypar_affine
-    monkeypatch.setattr(scenarios, "_hypar_affine", lambda xs, ys: evaluated.append(len(xs)) or pair(xs, ys))
+    monkeypatch.setattr(scenarios, "_hypar_affine",
+                        lambda xs, ys, **kw: evaluated.append((len(xs), kw)) or pair(xs, ys, **kw))
     scn = scenario("hypar", h=0.1)
-    for name in ("form_identities", "conormal_closure"):
+    for name, only in (("form_identities", {}), ("conormal_closure", {"conormal": True})):
         (row,) = (s for s in cli._SUITES if (s.family, s.name) == ("affine", name))
         _, shape, inputs = row.source(row, scn, stencil)
         m = (whole[0].dims[0] - shape[0]) // 2
@@ -351,8 +353,9 @@ def test_affine_tile_windows_are_the_rows_of_the_whole_grid_pair(monkeypatch, st
         assert evaluated == [] and len(tiles) > 2 and tiles[-1].stop - tiles[-1].start == 1
         for r in tiles:
             got, _ = inputs(r)
-            assert evaluated.pop() == r.stop - r.start + 2 * m
-            for grid, want in zip((got.f, got.nu), whole):
+            assert evaluated.pop() == (r.stop - r.start + 2 * m, only)
+            grids = zip((got.f, got.nu), whole) if name == "form_identities" else [(got, whole[1])]
+            for grid, want in grids:
                 window = want.values[r.start : r.stop + 2 * m]
                 assert grid.values.shape == window.shape and grid.values.tobytes() == window.tobytes()
                 assert grid.origin == (want.axes[0][r.start], want.origin[1]) and grid.spacing == want.spacing
@@ -406,6 +409,31 @@ def test_tiled_closed_form_suite_peaks_below_one_whole_grid_jet(monkeypatch, nam
     finally:
         tracemalloc.stop()
     assert tiled < whole, (tiled, whole)
+
+
+# A unit's traced peak at h = 0.005 is 1.8 to 5.7 MiB (the most: an affine
+# form tile); while kernels stacked their components and suites held every
+# partial to the end, an affine form tile took 10.2 MiB and a smooth one 8.1.
+_UNIT_PEAK = 7 * 2**20
+
+
+@pytest.mark.parametrize("name", ["hypar", "ell-paraboloid"])
+def test_every_unit_peaks_below_its_working_set_bound(name):
+    # two units run at once on the pool: this bound keeps a unit's
+    # temporaries (the kernels' outputs, the suites' partials and
+    # determinants) from growing back unnoticed
+    units = cli._collect_tasks(scenario(name, h=0.005))
+    peaks = {}
+    for unit_name, unit in units:
+        tracemalloc.start()
+        try:
+            _, parts = unit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(p, Exception) for p in parts), unit_name
+        peaks[unit_name] = peak
+    assert max(peaks.values()) < _UNIT_PEAK, max(peaks.items(), key=lambda kv: kv[1])
 
 
 def test_finished_units_hand_back_less_than_one_tile_of_residuals(monkeypatch):
