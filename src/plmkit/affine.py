@@ -23,7 +23,7 @@ from .fields import FieldGrid, _check_fits, _interior, _margin, _partials
 from .multilinear import (
     _degeneracy_bound, _dot, _norm, _norm_product, _planar, _planes, _rejection_gap, _scalar_gap, det_n, pair,
 )
-from .report import AFFINE_TOL, InvariantReport, _check_residual
+from .report import AFFINE_TOL, InvariantReport, _check_row_blocks
 
 __all__ = [
     "AffineSurfacePair",
@@ -63,27 +63,52 @@ class AffineForms:
     B_cubic: np.ndarray
 
 
+def _cross(a, b):
+    """a x b of two 3-vector fields as ``np.cross`` computes it, each component
+    a_i b_j - a_j b_i in its plane of one component-major output."""
+    out = _planar(a.shape)
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[..., i], b[..., j], out=out[..., c])
+        out[..., c] -= a[..., j] * b[..., i]
+    return out
+
+
 def _lelieuvre_sum(v, f0):
     """Sum the Lelieuvre edge increments of the (M1, M2, 3) conormal v.
 
     Increments are v x T1 v along axis 1 and -(v x T2 v) along axis 2,
     accumulated from f0 along the canonical path (axis 1 first).  Shared
-    by the sampled-grid and the lattice integrators.
+    by the sampled-grid and the lattice integrators.  The increments along
+    axis 2 are one array, negated and summed into the result in place.
     """
-    d1 = np.cross(v[:-1, 0], v[1:, 0])  # only the first column is summed along axis 1
-    d2 = -np.cross(v[:, :-1], v[:, 1:])
     f = _planar(v.shape[:2] + (3,))
     f[0, 0] = np.asarray(f0, dtype=float)
-    f[1:, 0] = f[0, 0] + np.cumsum(d1, axis=0)
-    f[:, 1:] = f[:, :1] + np.cumsum(d2, axis=1)
+    f[1:, 0] = f[0, 0] + np.cumsum(_cross(v[:-1, 0], v[1:, 0]), axis=0)  # only the first column along axis 1
+    # one array for the three components: made and freed per component, the
+    # increments held two planes fewer, but then the build freed no array
+    # large enough to raise glibc's dynamic mmap and trim thresholds, and a
+    # later pass over the verify units of a 300^2 lattice took 14k minor page
+    # faults (4 with this array)
+    d2 = _cross(v[:, :-1], v[:, 1:])
+    np.negative(d2, out=d2)
+    np.cumsum(d2, axis=1, out=f[:, 1:])
+    del d2
+    f[:, 1:] += f[:, :1]
     return f
 
 
-def _check_closure(res, tolerance, what, cell):
+def _check_closure(blocks, tolerance, what, cell):
     """The closure check of both integrators: ClosureError at the worst cell
-    of ``res`` unless every cell is within ``tolerance`` (a NaN cell fails)."""
-    _check_residual(res, tolerance,
-                    lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
+    of the residual field whose row blocks ``blocks`` yields (see
+    ``_check_row_blocks``) unless every cell is within ``tolerance`` (a NaN
+    cell fails)."""
+    _check_row_blocks(blocks, tolerance,
+                      lambda site, r: ClosureError(f"{what} (residual {r:.3e}) at {cell} {site}", site=site))
+
+
+def _lifted_surface(bf):
+    """The homogeneous surface f = (bf, -1) of an affine one."""
+    return _planes([*np.moveaxis(bf, -1, 0), np.broadcast_to(-1.0, bf.shape[:-1])])
 
 
 def _lifted_conormal(bf, bn):
@@ -93,8 +118,7 @@ def _lifted_conormal(bf, bn):
 
 def _homogeneous_lift(bf, bn):
     """Affine (bf, bnu) to homogeneous f = (bf, -1), nu = (bnu, <bf, bnu>)."""
-    f4 = _planes([*np.moveaxis(bf, -1, 0), np.broadcast_to(-1.0, bf.shape[:-1])])
-    return f4, _lifted_conormal(bf, bn)
+    return _lifted_surface(bf), _lifted_conormal(bf, bn)
 
 
 def closure_residual(nu: FieldGrid, stencil: int = 2):
@@ -126,7 +150,7 @@ def classical_lelieuvre_integrate(nu: FieldGrid, f0, stencil: int = 2) -> FieldG
     if nu.ncomp != 3:
         raise DomainError("classical integration needs a 3-component conormal")
     res, _ = closure_residual(nu, stencil=stencil)
-    _check_closure(res, AFFINE_TOL, "closure condition violated", "interior cell")
+    _check_closure([res], AFFINE_TOL, "closure condition violated", "interior cell")
     return FieldGrid(origin=nu.origin, spacing=nu.spacing, values=_lelieuvre_sum(nu.values, f0))
 
 

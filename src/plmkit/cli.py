@@ -21,9 +21,9 @@ unit of work is one row tile of a group, of about ``TILE_SITES`` sites: it takes
 inputs of its own rows (a fixture's closed form evaluated on those rows, views
 of given jets, the jets of those rows of a sampled grid or the affine pair on
 them (its conormal alone for the closure suite), stencil halo included, or the
-rows of a lattice that hold its base sites
-and the rows past them that its stencils reach), so no whole-grid array or
-whole-lattice temporary is built,
+affine lattice pair on the rows that hold its base sites and the rows past
+them that its stencils reach, which a projective suite lifts itself), so no
+whole-grid array or whole-lattice temporary is built,
 and reduces each residual field it computes to a record that keeps a small
 summary (``IdentityRecord.from_field``), so the fields die with the unit.  The
 engine maps every unit over the pool, then joins each suite once from its
@@ -81,7 +81,7 @@ from .fields import (
     write_lattice,
 )
 from .hyper import hyper_compat_residual, hyper_plm_residual, write_hyper_grid
-from .report import AFFINE_TOL, LATTICE_TOL, IdentityRecord, InvariantReport, ResidualTile, _Summary
+from .report import AFFINE_TOL, LATTICE_TOL, IdentityRecord, InvariantReport, ResidualTile, _row_blocks, _Summary
 from .scenarios import Scenario, list_scenarios, scenario
 from .smooth import (
     ChartKind,
@@ -116,11 +116,12 @@ _DEFAULTS = {"stencil": 2, "strict": False, "f0": "0,0,0", "chart": "asymptotic"
 # sites per tile (medians of 11 interleaved runs, 2 vCPUs, numpy 2.4):
 #   hypar, one thread:           0.283 / 0.257 / 0.326; two: 0.320 / 0.219 / 0.222
 #   ell-paraboloid, one thread:  0.134 / 0.125 / 0.140; two: 0.144 / 0.100 / 0.110
-# so no size beats 16384 on both.  It is not sized to a cache: at h = 0.005, or
-# a 300^2 lattice, one unit's tracemalloc peak is 1.8 to 5.7 MiB (the most:
-# an affine form tile), and 7.6 / 8.8 MiB for the order-2 / order-3 jets of a
-# 201^2 CSV pair.  An affine tile evaluates, lifts and differentiates only its
-# rows of the pair, halo included, and a closure tile only its conormal.
+# so no size beats 16384 on both.  It is not sized to a cache: at h = 0.005
+# one unit's tracemalloc peak is 1.8 to 5.7 MiB (the most: an affine form
+# tile), on a 300^2 lattice 1.8 to 3.4 MiB, and 7.6 / 8.8 MiB for the order-2 /
+# order-3 jets of a 201^2 CSV pair.  An affine tile evaluates, lifts and
+# differentiates only its rows of the pair, halo included, a closure tile only
+# its conormal, and a projective lattice tile lifts only its rows.
 TILE_SITES = 16384
 
 
@@ -293,10 +294,7 @@ def _tile(suite, inputs):
 def _row_tiles(shape):
     """Row slices of about TILE_SITES sites that cover a batch of ``shape``;
     the whole batch when ``shape`` is None."""
-    if shape is None:
-        return [slice(None)]
-    step = max(1, TILE_SITES // int(np.prod(shape[1:])))
-    return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
+    return [slice(None)] if shape is None else _row_blocks(shape, TILE_SITES)
 
 
 def _common_shape(a, *others):
@@ -354,22 +352,21 @@ def _affine_grids(part, suite, scn, stencil):
             lambda r: (grids(_halo(r, halo)), stencil))
 
 
-def _lattices(gauges, suite, scn, stencil):
-    """(*pairs, own): only the lattice pairs of ``gauges`` ("affine", "projective"),
-    on the rows of the base sites n1 in ``rows`` and the ``suite.reach`` rows past
-    them, as views; ``own`` counts the rows in ``rows`` (None: all)."""
-    if scn.nu_lattice is None:
+def _lattices(suite, scn, stencil):
+    """(pair, own): the affine lattice pair on the rows of the base sites n1 in
+    ``rows`` and the ``suite.reach`` rows past them, as views; ``own`` counts
+    the rows in ``rows`` (None: all).  A projective suite lifts that window
+    alone, so no tile reads the scenario's projective lattices."""
+    if scn.nu3_lattice is None or scn.f3_lattice is None:
         return None
-    pairs = [DiscreteSurfacePair(*((scn.nu3_lattice, scn.f3_lattice) if gauge == "affine"
-                                   else (scn.nu_lattice, scn.f_lattice))) for gauge in gauges]
+    pair = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
 
     def inputs(rows):
         cut = _halo(rows, suite.reach)
         own = None if rows.stop is None else rows.stop - rows.start
-        return (*(DiscreteSurfacePair(*(LatticeField(values=lat.values[cut]) for lat in (p.nu, p.f))) for p in pairs),
-                own)
+        return DiscreteSurfacePair(*(LatticeField(values=lat.values[cut]) for lat in (pair.nu, pair.f))), own
 
-    return f"{suite.family}/{suite.name}", _common_shape(pairs[0].extent, pairs[-1].extent), inputs
+    return f"{suite.family}/{suite.name}", _common_shape(pair.extent), inputs
 
 
 def _late(fn):
@@ -378,10 +375,10 @@ def _late(fn):
 
 
 # The suites of verify in report order: family, name, input source, jet order
-# or lattice halo, chart and runner.  A lattice tile reads the rows past its
-# own that its stencils reach: one for a plaquette, two for Omega3.  The
-# volume suite takes the scenario's projective lattices as the lift of its
-# affine ones, and the form suite keeps the sites anchored in its own rows.
+# or lattice halo, chart and runner.  A lattice tile reads the affine pair on
+# the rows past its own that its stencils reach: one for a plaquette, two for
+# Omega3.  The defining and volume suites lift that window themselves, and the
+# form suite keeps the sites anchored in its own rows.
 _SUITES = (
     _Suite("smooth-asymptotic", "defining_relation", _jets, 2, ChartKind.ASYMPTOTIC, _late(plm_residual)),
     _Suite("smooth-asymptotic", "orthogonality", _jets, 2, ChartKind.ASYMPTOTIC, _late(orthogonality_report)),
@@ -392,14 +389,14 @@ _SUITES = (
     _Suite("hyper", "defining_relation", _jets, None, None, _late(hyper_plm_residual)),
     _Suite("hyper", "compatibility", _jets, None, None,
            lambda f, nu, A, report: hyper_compat_residual(nu, A, report=report)),
-    _Suite("discrete", "defining_relation", partial(_lattices, ["projective"]), 1, None,
-           lambda pairp, own, report: discrete_residual(pairp, report=report)),
-    _Suite("discrete", "volume_invariance", partial(_lattices, ["affine", "projective"]), 1, None,
-           lambda paira, pairp, own, report: discrete_det_invariance(paira, report=report, lift=pairp)),
-    _Suite("discrete", "form_identities", partial(_lattices, ["affine"]), 2, None,
-           lambda paira, own, report: _omega_identities(paira, report, rows=own)),
-    _Suite("discrete", "moutard_closure", partial(_lattices, ["affine"]), 1, None,
-           lambda paira, own, report: report.add("moutard_closure", moutard_residual(paira.nu), LATTICE_TOL)),
+    _Suite("discrete", "defining_relation", _lattices, 1, None,
+           lambda pair, own, report: discrete_residual(pair, report=report)),
+    _Suite("discrete", "volume_invariance", _lattices, 1, None,
+           lambda pair, own, report: discrete_det_invariance(pair, report=report)),
+    _Suite("discrete", "form_identities", _lattices, 2, None,
+           lambda pair, own, report: _omega_identities(pair, report, rows=own)),
+    _Suite("discrete", "moutard_closure", _lattices, 1, None,
+           lambda pair, own, report: report.add("moutard_closure", moutard_residual(pair.nu), LATTICE_TOL)),
     _Suite("affine", "form_identities", partial(_affine_grids, Scenario.affine_pair), None, None,
            _late(affine_forms)),
     _Suite("affine", "conormal_closure", partial(_affine_grids, Scenario.affine_conormal), 2, None,
@@ -560,44 +557,51 @@ def _pad_full(arr, extent):
     return out
 
 
-def cmd_forms(args):
-    scn = _input(args)
-    note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
-    if args.which == "affine":
+def _form_fields(scn, which, stencil):
+    """The coordinate axes of ``forms --which`` and its fields by column name,
+    as computed: each on the first sites of the axes, None for a form the
+    chart does not have."""
+    if which == "affine":
         f3, nu3 = scn.value_grids(affine=True)  # a fixture computes them on access
         if f3 is None:
             raise DomainError("scenario has no affine-gauge grids")
-        forms, rep = affine_forms(AffineSurfacePair(f=f3, nu=nu3), stencil=args.stencil)
+        forms, rep = affine_forms(AffineSurfacePair(f=f3, nu=nu3), stencil=stencil)
         # the coordinates of the interior of the jets affine_forms took
-        m = _margin(args.stencil, rep.metadata["jet_order"])
-        coords = [c[m : len(c) - m] for c in nu3.axes]
-        cols = {"F": forms.F, "A_cubic": forms.A_cubic, "B_cubic": forms.B_cubic}
-    elif args.which == "discrete":
+        m = _margin(stencil, rep.metadata["jet_order"])
+        return [c[m : len(c) - m] for c in nu3.axes], {"F": forms.F, "A_cubic": forms.A_cubic, "B_cubic": forms.B_cubic}
+    if which == "discrete":
         if scn.nu3_lattice is None:
             raise DomainError("scenario has no lattice fields")
-        pairn = DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice)
-        forms, _ = discrete_forms(pairn)
-        ext = pairn.extent
+        forms, _ = discrete_forms(DiscreteSurfacePair(nu=scn.nu3_lattice, f=scn.f3_lattice))
+        return ([np.arange(m) for m in scn.nu3_lattice.extent],
+                {name: getattr(forms, name) for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")})
+    # fubini_forms is F2 = 2<f_x, nu_y>, a pairing that vanishes in the conjugate chart
+    if scn.chart not in (None, ChartKind.ASYMPTOTIC):
+        raise DomainError(f"forms --which projective takes the asymptotic chart, not the {scn.chart.value} chart")
+    fj, nj = scn.f_jets, scn.nu_jets  # a fixture computes each on access
+    if fj is None:
+        raise DomainError("scenario has no smooth jets")
+    forms = fubini_forms(fj, nj)
+    return fj.axes, {"F2": forms.F2_coeff, "F3": forms.F3_coeff, "F3tilde": forms.F3tilde_coeff}
+
+
+def cmd_forms(args):
+    scn = _input(args)
+    # a value that over- or underflows is judged below, so numpy's warnings are off
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coords, fields = _form_fields(scn, args.which, args.stencil)
+    for name, values in fields.items():
+        bad = 0 if values is None else values.size - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise DomainError(f"form {name} is not finite at {bad} of its {values.size} sites")
+    note = "# sign conventions: eps(1..d)=+1, cross(e1,e2,e3)=-e4, star(e1^e2)=e3^e4, positive sqrt branch"
+    if args.which == "discrete":
         note += "; forms anchored at the base site of their stencil, nan outside"
-        coords = [np.arange(m) for m in ext]
-        cols = {name: _pad_full(getattr(forms, name), ext)
-                for name in ("Omega2", "Omega3", "Omega3tilde", "F2d", "F3d", "F3dtilde")}
-    else:
-        # fubini_forms is F2 = 2<f_x, nu_y>, a pairing that vanishes in the conjugate chart
-        if scn.chart not in (None, ChartKind.ASYMPTOTIC):
-            raise DomainError(f"forms --which projective takes the asymptotic chart, not the {scn.chart.value} chart")
-        fj, nj = scn.f_jets, scn.nu_jets  # a fixture computes each on access
-        if fj is None:
-            raise DomainError("scenario has no smooth jets")
-        forms = fubini_forms(fj, nj)
-        missing = np.full_like(forms.F2_coeff, np.nan)
-        coords = fj.axes
-        cols = {"F2": forms.F2_coeff, "F3": missing if forms.F3_coeff is None else forms.F3_coeff,
-                "F3tilde": missing if forms.F3tilde_coeff is None else forms.F3tilde_coeff}
-    names = ["n1", "n2"] if args.which == "discrete" else ["x", "y"]
+    shape = tuple(len(c) for c in coords)
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         fh.write(note + "\n")
-        _write_table(fh, names + list(cols), coords, np.stack(list(cols.values()), axis=-1))
+        _write_table(fh, (["n1", "n2"] if args.which == "discrete" else ["x", "y"]) + list(fields), coords,
+                     np.stack([_pad_full(values, shape) for values in fields.values()], axis=-1))
     if args.out:
         print(f"wrote {args.out}")
     return 0

@@ -41,7 +41,7 @@ from .multilinear import (
     _bivector_gap, _dot, _norm, _norm_product, _pairing_gap, _planar, _rejection_gap, _scalar_gap, _Span, cross_n,
     det_n, pair, star_of_wedge, wedge2,
 )
-from .report import LATTICE_TOL, SCALE_TOL, SPAN_TOL, InvariantReport, _check_residual
+from .report import LATTICE_TOL, SCALE_TOL, SPAN_TOL, InvariantReport, _check_residual, _row_blocks
 
 __all__ = [
     "MoutardCoeff",
@@ -206,18 +206,29 @@ def moutard_residual(nu: LatticeField):
     return _rejection_gap(v[1:, 1:] + v[:-1, :-1], v[1:, :-1] + v[:-1, 1:])[0]
 
 
+# Plaquettes per row block of the integrator's closure check, which holds the
+# temporaries of one block at a time, not of the whole lattice: as many as the
+# sites of a verify tile (``cli.TILE_SITES``).
+_CLOSURE_BLOCK_SITES = 16384
+
+
 def discrete_affine_integrate(nu: LatticeField, f0) -> LatticeField:
     """Integrate the affine difference system from the corner value f0.
 
     Increments are D1 = bnu x T1 bnu along axis 1 and D2 = -(bnu x T2 bnu)
     along axis 2, accumulated along the canonical path (axis 1 first).
     Requires the Moutard closure condition; when it fails the plaquette
-    sums depend on the path and the worst cell is reported.
+    sums depend on the path and the worst cell is reported.  The condition
+    is checked in row blocks of about ``_CLOSURE_BLOCK_SITES`` plaquettes,
+    with the error of one check over the whole lattice.
     """
     if nu.ncomp != 3:
         raise DomainError("affine integration needs a 3-component conormal")
-    _check_closure(moutard_residual(nu), LATTICE_TOL, "Moutard closure violated", "plaquette")
-    return LatticeField(values=_lelieuvre_sum(nu.values, f0))
+    v = nu.values
+    blocks = (moutard_residual(LatticeField(values=v[r.start : r.stop + 1]))
+              for r in _row_blocks((len(v) - 1, nu.extent[1] - 1), _CLOSURE_BLOCK_SITES))
+    _check_closure(blocks, LATTICE_TOL, "Moutard closure violated", "plaquette")
+    return LatticeField(values=_lelieuvre_sum(v, f0))
 
 
 def lift_to_projective(pairn: DiscreteSurfacePair) -> DiscreteSurfacePair:
@@ -318,7 +329,8 @@ def discrete_residual(pairn: DiscreteSurfacePair, report=None) -> InvariantRepor
 
     Like every suite, it adds its records to ``report`` when one is given
     (an InvariantReport, or a ResidualTile to keep the fields unreduced)
-    and to a new InvariantReport otherwise, and returns that report.
+    and to a new InvariantReport otherwise, and returns that report.  An
+    affine pair is lifted to homogeneous coordinates here.
     """
     if pairn.gauge != "projective":
         pairn = lift_to_projective(pairn)
@@ -338,15 +350,15 @@ def discrete_residual(pairn: DiscreteSurfacePair, report=None) -> InvariantRepor
     return rep
 
 
-def discrete_det_invariance(pairn: DiscreteSurfacePair, report=None, lift=None) -> InvariantReport:
+def discrete_det_invariance(pairn: DiscreteSurfacePair, report=None) -> InvariantReport:
     """Equality of the four-point volume on both sides of the map.
 
     Projective: det|f, f1, f2, f12| = det|nu, nu1, nu2, nu12|.  In the
     affine gauge additionally the factorized form
     det|bf1-bf, bf2-bf, bf12-bf| = det|bnu, bnu1, bnu12| det|bnu, bnu1, bnu2|,
-    and the projective form on ``lift``, the homogeneous lift of the affine
-    pair when the caller holds it (a scenario builds it once), or on a lift
-    made here.  Adds to ``report`` when one is given (as ``discrete_residual`` does).
+    and the projective form on the homogeneous lift of the affine pair, made
+    here once the affine temporaries are gone.  Adds to ``report`` when one
+    is given (as ``discrete_residual`` does).
     """
     rep = InvariantReport(metadata={"gauge": pairn.gauge}) if report is None else report
     if pairn.gauge == "affine":
@@ -362,8 +374,9 @@ def discrete_det_invariance(pairn: DiscreteSurfacePair, report=None, lift=None) 
             _norm(bn[:-1, :-1]) ** 2 * _norm(bn[1:, :-1]) ** 2 * _norm(bn[1:, 1:]) * _norm(bn[:-1, 1:]),
         )
         gap = _scalar_gap(dl, dr, np.maximum(np.maximum(np.abs(dl), np.abs(dr)), scale))
+        del e1, e2, e12, dl, dr, scale
         rep.add("affine_volume_factorization", gap, LATTICE_TOL)
-        pairn = lift_to_projective(pairn) if lift is None else lift
+        pairn = lift_to_projective(pairn)
     f, f1, f2, f12, n, n1, n2, n12 = _proj_windows(pairn)
     df = np.asarray(det_n([f, f1, f2, f12]), dtype=float)
     dn = np.asarray(det_n([n, n1, n2, n12]), dtype=float)

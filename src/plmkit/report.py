@@ -29,15 +29,32 @@ SPAN_TOL = 1e-6  # compatibility span tests, smooth and lattice
 SCALE_TOL = 1e-8  # discrete_scale_propagate: its span test and its recursion cross-check
 
 
+def _row_blocks(shape, sites):
+    """Row slices (of the first axis) of about ``sites`` sites each that cover
+    a batch of ``shape``."""
+    step = max(1, sites // max(1, math.prod(shape[1:])))
+    return [slice(r, min(r + step, shape[0])) for r in range(0, shape[0], step)]
+
+
 def _check_residual(residual, tolerance, error):
     """Raise ``error(site, value)`` at the worst site of a residual field
     unless every site is within ``tolerance``.  As in ``IdentityRecord.passed``
     a site passes only when its residual is at most the tolerance, so NaN
     fails, and the first NaN is the worst site."""
-    r = np.asarray(residual)
-    if r.size and not np.max(r) <= tolerance:
-        site = tuple(int(i) for i in np.unravel_index(int(np.argmax(r)), r.shape))
-        raise error(site, float(r[site]))
+    _check_row_blocks([residual], tolerance, error)
+
+
+def _check_row_blocks(blocks, tolerance, error):
+    """``_check_residual`` of the field whose consecutive row blocks (an index
+    of its first axis) ``blocks`` yields in row order, each made when it is
+    taken: the same error at the same site, the worst of the join of the
+    blocks' summaries (``IdentityRecord.join``: the first NaN, else the first
+    maximum of the whole field).  A residual is non-negative, or NaN."""
+    parts = [_Summary.of(block) for block in blocks]
+    if sum(math.prod(p.shape) for p in parts):
+        worst = IdentityRecord.join("", parts, tolerance)
+        if not worst.passed:
+            raise error(worst.argmax_site, worst.max_residual)
 
 
 class _Summary(NamedTuple):

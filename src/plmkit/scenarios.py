@@ -7,7 +7,9 @@ fixture stores its jets, and the hypar its affine pair, as a ``ClosedForm``,
 a function of the site coordinates, and evaluates them where they are asked
 for: ``verify``'s row tiles evaluate their own rows, and the whole-grid
 fields of the ``Scenario`` are computed on each access, so a scenario holds
-no whole-grid array.  Generated scenarios are seeded and reproducible.
+no whole-grid array.  A lattice fixture holds its affine pair alone; its
+homogeneous lift is computed on access too.  Generated scenarios are seeded
+and reproducible.
 """
 
 import inspect
@@ -18,14 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .affine import AffineSurfacePair
-from .discrete import (
-    DiscreteSurfacePair,
-    MoutardCoeff,
-    discrete_affine_integrate,
-    lift_to_projective,
-    moutard_evolve,
-)
+from .affine import AffineSurfacePair, _lifted_conormal, _lifted_surface
+from .discrete import MoutardCoeff, discrete_affine_integrate, moutard_evolve
 from .errors import DomainError
 from .fields import _NAMED, FieldGrid, JetGrid, LatticeField, _grid_rows, grid_on_sites
 from .hyper import AMatrix
@@ -80,11 +76,12 @@ class ClosedForm:
 
 class _Derived:
     """A Scenario field: the value given to the constructor or, when none is
-    given, ``make`` of the scenario's closed form ``source`` (None without
-    one), computed on each access."""
+    given, ``make`` of the scenario's fields ``sources`` (a closed form, or
+    the affine lattice pair; None while one of them is None), computed on
+    each access."""
 
-    def __init__(self, source, make):
-        self.source, self.make = source, make
+    def __init__(self, make, *sources):
+        self.make, self.sources = make, sources
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
@@ -92,8 +89,12 @@ class _Derived:
     def __get__(self, scn, owner=None):
         if scn is None:
             return None  # the field's default
-        given, closed = scn.__dict__[self.key], getattr(scn, self.source)
-        return self.make(closed) if given is None and closed is not None else given
+        given, found = scn.__dict__[self.key], [getattr(scn, source) for source in self.sources]
+        if given is not None or any(v is None for v in found):
+            return given
+        # every field made here rejects non-finite entries: an overflow is that error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.make(*found)
 
     def __set__(self, scn, value):
         scn.__dict__[self.key] = value
@@ -110,30 +111,36 @@ class Scenario:
     A smooth pair comes as jets (``f_jets``, ``nu_jets``), as sampled
     grids (``f_grid``, ``nu_grid``) or both; an n = 2 hypersurface pair as
     ``hyper_f_jet``, ``hyper_nu_jet`` and ``hyper_nu_grid``; an affine
-    pair as ``f3_grid`` and ``nu3_grid``.  A closed-form fixture gives
+    pair as ``f3_grid`` and ``nu3_grid``; a lattice pair as ``f3_lattice``
+    and ``nu3_lattice``, the affine gauge.  A closed-form fixture gives
     ``closed``, ``hyper_closed`` or ``affine_closed`` instead, and each of
     these fields that is not given is then computed from it on every
-    access: bind it once.  ``jet_pair`` and ``affine_pair`` read the pairs
-    by rows without building the whole grid, and ``value_grids`` gives both
-    value grids of one evaluation.
+    access: bind it once.  So are the projective lattices ``f_lattice`` and
+    ``nu_lattice``, when not given, from the affine lattice pair: its
+    homogeneous lift, which a lattice fixture does not store (``verify``'s
+    tiles lift their own rows).  ``jet_pair`` and ``affine_pair`` read the
+    pairs by rows without building the whole grid, and ``value_grids`` gives
+    both value grids of one evaluation.
     """
 
     name: str
     chart: Optional[ChartKind] = None
-    f_grid: Optional[FieldGrid] = _Derived("closed", lambda c: _values_grid(c.rows()[0]))
-    nu_grid: Optional[FieldGrid] = _Derived("closed", lambda c: _values_grid(c.rows()[1]))
-    f_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[0])
-    nu_jets: Optional[JetGrid] = _Derived("closed", lambda c: c.rows()[1])
-    f3_grid: Optional[FieldGrid] = _Derived("affine_closed", lambda c: c.grids()[0])
-    nu3_grid: Optional[FieldGrid] = _Derived("affine_closed", lambda c: c.grids()[1])
-    f_lattice: Optional[LatticeField] = None
-    nu_lattice: Optional[LatticeField] = None
+    f_grid: Optional[FieldGrid] = _Derived(lambda c: _values_grid(c.rows()[0]), "closed")
+    nu_grid: Optional[FieldGrid] = _Derived(lambda c: _values_grid(c.rows()[1]), "closed")
+    f_jets: Optional[JetGrid] = _Derived(lambda c: c.rows()[0], "closed")
+    nu_jets: Optional[JetGrid] = _Derived(lambda c: c.rows()[1], "closed")
+    f3_grid: Optional[FieldGrid] = _Derived(lambda c: c.grids()[0], "affine_closed")
+    nu3_grid: Optional[FieldGrid] = _Derived(lambda c: c.grids()[1], "affine_closed")
+    f_lattice: Optional[LatticeField] = _Derived(lambda f3, nu3: LatticeField(values=_lifted_surface(f3.values)),
+                                                 "f3_lattice", "nu3_lattice")
+    nu_lattice: Optional[LatticeField] = _Derived(
+        lambda f3, nu3: LatticeField(values=_lifted_conormal(f3.values, nu3.values)), "f3_lattice", "nu3_lattice")
     f3_lattice: Optional[LatticeField] = None
     nu3_lattice: Optional[LatticeField] = None
-    hyper_f_jet: Optional[JetGrid] = _Derived("hyper_closed", lambda c: c.rows()[0])
-    hyper_nu_jet: Optional[JetGrid] = _Derived("hyper_closed", lambda c: c.rows()[1])
-    hyper_nu_grid: Optional[FieldGrid] = _Derived("hyper_closed", lambda c: FieldGrid(
-        origin=tuple(a[0] for a in c.axes), spacing=(c.h, c.h), values=c.rows()[1].value))
+    hyper_f_jet: Optional[JetGrid] = _Derived(lambda c: c.rows()[0], "hyper_closed")
+    hyper_nu_jet: Optional[JetGrid] = _Derived(lambda c: c.rows()[1], "hyper_closed")
+    hyper_nu_grid: Optional[FieldGrid] = _Derived(lambda c: FieldGrid(
+        origin=tuple(a[0] for a in c.axes), spacing=(c.h, c.h), values=c.rows()[1].value), "hyper_closed")
     amatrix: Optional[AMatrix] = None
     closed: Optional[ClosedForm] = None
     hyper_closed: Optional[ClosedForm] = None
@@ -383,15 +390,10 @@ def _hypar_lattice(h=0.1, size=8):
     n1, n2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     bn = _stack(n1.shape, [-n2 * h, -n1 * h, 1])
     nu3 = LatticeField(values=bn)
-    f3 = discrete_affine_integrate(nu3, np.zeros(3))
-    pair3 = DiscreteSurfacePair(nu=nu3, f=f3)
-    lifted = lift_to_projective(pair3)
     return Scenario(
         name="hypar-lattice",
-        f3_lattice=f3,
+        f3_lattice=discrete_affine_integrate(nu3, np.zeros(3)),
         nu3_lattice=nu3,
-        f_lattice=lifted.f,
-        nu_lattice=lifted.nu,
         ground_truth={"Omega2": -h * h, "F2d": h * h, "volume": h**4},
         meta={"h": h, "size": size},
     )
@@ -419,15 +421,10 @@ def _moutard_random(seed=42, size=32, h=0.1):
     col = np.stack([-n * h, np.zeros(size), np.ones(size)], axis=-1) + _MOUTARD_AMP * rng.standard_normal((size, 3))
     col[0] = row[0]
     nu3 = moutard_evolve(row, col, H)
-    f3 = discrete_affine_integrate(nu3, np.zeros(3))
-    pair3 = DiscreteSurfacePair(nu=nu3, f=f3)
-    lifted = lift_to_projective(pair3)
     return Scenario(
         name="moutard-random",
-        f3_lattice=f3,
+        f3_lattice=discrete_affine_integrate(nu3, np.zeros(3)),
         nu3_lattice=nu3,
-        f_lattice=lifted.f,
-        nu_lattice=lifted.nu,
         ground_truth={},
         meta={"seed": seed, "size": size, "hmin": _MOUTARD_HMIN, "hmax": _MOUTARD_HMAX, "h": h, "amp": _MOUTARD_AMP},
     )

@@ -239,25 +239,53 @@ def test_non_finite_moutard_strip_spacing_is_usage_error(capsys, h):
     assert (code, out, err) == (2, "", "error: non-finite value in initial_row at index 0\n")
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("--scenario hypar-lattice --h 1e308 --size 4", "lattice contains non-finite entries"),
-        # the products of the closure test overflow to a NaN residual, which fails
-        ("--scenario moutard-random --size 4 --h 1e200", "Moutard closure violated (residual nan) at plaquette (0, 0)"),
-        ("--scenario ell-paraboloid --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
-        ("--scenario cubic-graph --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
-        ("--scenario hypar --h 1e-300 --grid 0:1e-299", "jet contains non-finite entries"),
-    ],
-)
-def test_overflowing_fixture_input_prints_one_error_line(argv, message):
-    # a fresh process prints each floating-point warning, from any worker
-    # thread, to stderr; the finiteness check that follows is the only line
+_OVERFLOWING = [
+    ("--scenario hypar-lattice --h 1e308 --size 4", "lattice contains non-finite entries"),
+    # the products of the closure test overflow to a NaN residual, which fails
+    ("--scenario moutard-random --size 4 --h 1e200", "Moutard closure violated (residual nan) at plaquette (0, 0)"),
+    ("--scenario ell-paraboloid --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
+    ("--scenario cubic-graph --grid 0:1e300 --h 1e299", "jet contains non-finite entries"),
+    ("--scenario hypar --h 1e-300 --grid 0:1e-299", "jet contains non-finite entries"),
+]
+
+
+def _plmkit(*argv):
+    """A fresh process, which prints each floating-point warning, from any worker thread, to stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "plmkit.cli", "verify", *argv.split()], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return subprocess.run([sys.executable, "-m", "plmkit.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("argv, message", _OVERFLOWING)
+def test_overflowing_fixture_input_prints_one_error_line(argv, message):
+    # the finiteness check that follows the overflow is the only line
+    proc = _plmkit("verify", *argv.split())
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _OVERFLOWING] + [
+    # finite fields whose forms' products overflow, which printed numpy's
+    # RuntimeWarnings while forms ran outside an error state; the lattice's
+    # F2d determinants are not finite
+    "--scenario moutard-random --size 8 --h 1e90",
+    "--scenario cubic-graph --grid 0:1e80 --h 1e79",
+])
+@pytest.mark.parametrize("which", ["projective", "affine", "discrete"])
+def test_forms_of_overflowing_input_write_finite_values_or_one_error_line(tmp_path, argv, which):
+    # a form value that is not finite is refused, as a non-finite input is,
+    # and no file is written; a table written holds finite values alone, but
+    # for the nan of a discrete form outside its stencil
+    out = tmp_path / "forms.csv"
+    proc = _plmkit("forms", "--which", which, *argv.split(), "--out", str(out))
+    err = proc.stderr.splitlines()
+    if proc.returncode:
+        assert (proc.returncode, len(err)) == (2, 1) and err[0].startswith("error: ") and not out.exists()
+    else:
+        assert err == [] and which != "discrete"
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=2)).all()
+    if which == "discrete" and "1e90" in argv:
+        assert err == ["error: form F2d is not finite at 49 of its 49 sites"]
 
 
 @pytest.mark.parametrize(

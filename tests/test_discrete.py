@@ -237,12 +237,16 @@ def test_volume_invariance(scn):
 
 @pytest.mark.parametrize("scn", [HL, MR], ids=lambda s: s.name)
 def test_scenario_lattices_are_the_lift_of_its_affine_pair(scn):
-    # verify hands them to discrete_det_invariance as its lift: the same bits as lifting again
+    # a fixture stores its affine pair alone: its projective lattices are the
+    # lift, computed on each access, and a lattice passed in is used as given
+    assert scn.__dict__["_f_lattice"] is None and scn.__dict__["_nu_lattice"] is None
     lifted = lift_to_projective(aff_pair(scn))
     for mine, fresh in ((scn.f_lattice, lifted.f), (scn.nu_lattice, lifted.nu)):
         assert mine.values.tobytes() == fresh.values.tobytes()
-    given = discrete_det_invariance(aff_pair(scn), lift=proj_pair(scn))
-    assert given.to_json() == discrete_det_invariance(aff_pair(scn)).to_json()
+        assert mine.values.strides == fresh.values.strides
+    given = Scenario(name="given", f3_lattice=scn.f3_lattice, nu3_lattice=scn.nu3_lattice, f_lattice=lifted.nu)
+    assert given.f_lattice is lifted.nu
+    assert Scenario(name="no surface", nu3_lattice=scn.nu3_lattice).nu_lattice is None
 
 
 def test_hypar_lattice_volume_value():

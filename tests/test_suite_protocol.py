@@ -106,8 +106,7 @@ CASES = {
     "closure_residual": _conormal_closure,
     "discrete_residual": lambda report: discrete_residual(_lattice_pairs()[0], report=report),
     "discrete_det_invariance": lambda report: discrete_det_invariance(_lattice_pairs()[1], report=report),
-    "discrete_det_invariance-lift": lambda report: discrete_det_invariance(
-        _lattice_pairs()[1], report=report, lift=_lattice_pairs()[0]),
+    "discrete_residual-affine": lambda report: discrete_residual(_lattice_pairs()[1], report=report),
     "discrete_forms": lambda report: discrete_forms(_lattice_pairs()[1], report=report)[1],
     "form_identities": _lattice_form_identities,
 }

@@ -267,6 +267,47 @@ def test_tiled_discrete_units_peak_below_one_whole_lattice_temporary():
     assert max(peaks) < whole, (max(peaks), whole)
 
 
+# A 300^2 lattice unit's traced peak is 1.8 to 3.4 MiB, at most 27 planes of
+# a tile (the most: the defining relations, whose tile lifts its window, 8
+# planes; the volume suite drops its affine temporaries before it lifts).
+# A tile that lifted the whole lattice would add its 8 planes, 5.5 MiB.
+_LATTICE_UNIT_PEAK = 28 * cli.TILE_SITES * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("name", ["moutard-random", "hypar-lattice"])
+def test_every_lattice_unit_peaks_below_its_working_set_bound(name):
+    # each projective suite lifts the rows its tile reads (the bound on the
+    # held lattices is test_a_lattice_build_holds_its_affine_pair_alone)
+    units = cli._collect_tasks(scenario(name, size=300))
+    peaks = {}
+    for unit_name, unit in units:
+        tracemalloc.start()
+        try:
+            _, parts = unit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(p, Exception) for p in parts), unit_name
+        peaks[unit_name] = peak
+    assert max(peaks.values()) < _LATTICE_UNIT_PEAK, max(peaks.items(), key=lambda kv: kv[1])
+
+
+def test_a_lattice_build_holds_its_affine_pair_alone():
+    # the scenario holds nu3 and f3, six planes, and computes its projective
+    # lattices on access; the integrator checks closure in row blocks and
+    # makes one array of increments (it held 14 planes, and 18 at its peak)
+    plane = 300 * 300 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        scn = scenario("moutard-random", size=300)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scn.__dict__["_f_lattice"] is None and scn.__dict__["_nu_lattice"] is None
+    assert held < 7 * plane, (held, plane)
+    assert peak < 12 * plane, (peak, plane)
+
+
 def _affine_scenario(name, nx, ny):
     """An affine pair on an nx x ny box of spacing _H: the hypar, whose F is
     constant and whose cubics vanish, or nu = (x, y, 1 + x^2 + y^2) with its
